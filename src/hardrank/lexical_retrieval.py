@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .corpus_io import Document, Query, RunRecord, rank_records
@@ -43,9 +46,13 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
-    """Term postings plus the per-document statistics BM25 needs."""
+    """Term postings plus the per-document statistics BM25 needs.
 
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(internal_id, tf)]
+    Each postings list is strictly ascending by internal id, so one
+    document's tf is a binary search away (`posting_tf`).
+    """
+
+    postings: dict[str, list[tuple[int, int]]]  # term -> [(internal_id, tf)], id-sorted
     doc_lengths: list[int]  # internal_id -> token count
     doc_ids: list[str]  # internal_id -> external doc_id
     avg_doc_length: float
@@ -67,8 +74,27 @@ class InvertedIndex:
         df = self.document_frequency(term)
         return max(0.0, math.log((self.n_docs - df + 0.5) / (df + 0.5)))
 
-    def term_frequencies(self, term: str) -> dict[int, int]:
-        return dict(self.postings.get(term, ()))
+    def internal_id(self, doc_id: str) -> int:
+        if doc_id not in self.internal_ids:
+            raise ValueError(f"doc_id {doc_id!r} not in index")
+        return self.internal_ids[doc_id]
+
+    @cached_property
+    def doc_norms(self) -> list[float]:
+        """internal_id -> Euclidean norm of the document's term-frequency vector."""
+        squares = [0] * self.n_docs
+        for plist in self.postings.values():
+            for internal_id, tf in plist:
+                squares[internal_id] += tf * tf
+        return [math.sqrt(s) for s in squares]
+
+
+def posting_tf(plist: Sequence[tuple[int, int]], internal_id: int) -> int:
+    """tf of one document in an id-sorted postings list; 0 if it is not there."""
+    pos = bisect_left(plist, (internal_id,))
+    if pos < len(plist) and plist[pos][0] == internal_id:
+        return plist[pos][1]
+    return 0
 
 
 def build_index(corpus: Sequence[Document]) -> InvertedIndex:
@@ -106,6 +132,25 @@ def bm25_term_score(
     """One term's contribution to a document's BM25 score."""
     norm = params.k1 * (1.0 - params.b + params.b * doc_length / avg_doc_length)
     return idf * tf * (params.k1 + 1.0) / (tf + norm)
+
+
+def bm25_sum(
+    tf_idfs: Iterable[tuple[int, float]],
+    doc_length: int,
+    avg_doc_length: float,
+    params: Bm25Params,
+) -> float:
+    """One document's BM25 score from its (tf, idf) per distinct query term.
+
+    Terms must come in sorted order: the float sum runs in that order, so
+    every caller reproduces the same last bits. Terms with a zero idf or a
+    zero tf add nothing.
+    """
+    total = 0.0
+    for tf, idf in tf_idfs:
+        if tf and idf != 0.0:
+            total += bm25_term_score(tf, idf, doc_length, avg_doc_length, params)
+    return total
 
 
 def bm25_scores(
@@ -154,21 +199,16 @@ def score_pair(
     params: Bm25Params = Bm25Params(),
 ) -> float:
     """BM25 score of one (query, document) pair; the document must be indexed."""
-    if doc_id not in index.internal_ids:
-        raise ValueError(f"doc_id {doc_id!r} not in index")
-    internal_id = index.internal_ids[doc_id]
-    total = 0.0
-    for term in sorted(set(tokenize(query_text))):
-        idf = index.idf(term)
-        if idf == 0.0:
-            continue
-        tf = dict(index.postings.get(term, ())).get(internal_id, 0)
-        if tf == 0:
-            continue
-        total += bm25_term_score(
-            tf, idf, index.doc_lengths[internal_id], index.avg_doc_length, params
-        )
-    return total
+    internal_id = index.internal_id(doc_id)
+    return bm25_sum(
+        (
+            (posting_tf(index.postings.get(term, ()), internal_id), index.idf(term))
+            for term in sorted(set(tokenize(query_text)))
+        ),
+        index.doc_lengths[internal_id],
+        index.avg_doc_length,
+        params,
+    )
 
 
 def select_passage(
@@ -235,18 +275,45 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
+    """Read an index written by `save_index`.
+
+    Raises ValueError naming the path (and the term, for a postings fault)
+    when the file is not valid JSON or not an index of this version, when
+    doc_ids and doc_lengths differ in length, or when a postings list is not
+    strictly ascending by internal id or holds an id out of range; lookups
+    by binary search rely on the last two.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"index file {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"not an index file: {path}")
     if payload.get("version") != INDEX_VERSION:
         raise ValueError(f"unsupported index version {payload.get('version')}")
+    doc_ids = list(payload["doc_ids"])
+    doc_lengths = [int(n) for n in payload["doc_lengths"]]
+    if len(doc_ids) != len(doc_lengths):
+        raise ValueError(
+            f"index file {path}: {len(doc_ids)} doc_ids but {len(doc_lengths)} doc_lengths"
+        )
+    postings = {}
+    for term, plist in payload["postings"].items():
+        ids = [int(i) for i, _ in plist]
+        if not all(map(operator.lt, ids, ids[1:])):
+            raise ValueError(
+                f"index file {path}: postings of term {term!r} are not strictly ascending by id"
+            )
+        if ids and (ids[0] < 0 or ids[-1] >= len(doc_ids)):
+            raise ValueError(
+                f"index file {path}: postings of term {term!r} hold an id outside "
+                f"[0, {len(doc_ids)})"
+            )
+        postings[term] = list(zip(ids, [int(tf) for _, tf in plist]))
     return InvertedIndex(
-        postings={
-            term: [(int(i), int(tf)) for i, tf in plist]
-            for term, plist in payload["postings"].items()
-        },
-        doc_lengths=[int(n) for n in payload["doc_lengths"]],
-        doc_ids=list(payload["doc_ids"]),
+        postings=postings,
+        doc_lengths=doc_lengths,
+        doc_ids=doc_ids,
         avg_doc_length=float(payload["avg_doc_length"]),
     )

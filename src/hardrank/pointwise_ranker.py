@@ -13,18 +13,19 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from .enrichment import EnrichedQuery
-from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, score_pair
+from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
 from .linear_model import apply_zscore, bce_loss, fit_logistic, open_unit_sigmoid, zscore_stats
-from .text import tokenize
+from .text import leading_tokens, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +88,46 @@ def _query_text(query) -> str:
     return str(query)
 
 
+def feature_matrix(query, docs: Iterable[Document], index: InvertedIndex,
+                   params: Bm25Params = Bm25Params()) -> np.ndarray:
+    """One query's (n, 6) feature matrix, one row per document in order.
+
+    The query's tokens, counts, sorted distinct terms, idfs and norm are
+    computed once. Each document must be indexed: its tf per query term is
+    a binary search in the term's postings, and its length and
+    term-frequency norm are read from the index, so only the first
+    EARLY_WINDOW tokens of its text are read (for early_coverage). On the
+    corpus the index was built from, every value equals the one derived
+    from the document text.
+    """
+    text = _query_text(query)
+    q_tokens = tokenize(text)
+    q_counts = Counter(q_tokens)
+    terms = sorted(q_counts)
+    q_tfs = [q_counts[t] for t in terms]
+    term_postings = [index.postings.get(t, ()) for t in terms]
+    idfs = [index.idf(t) for t in terms]
+    q_norm = math.sqrt(sum(c * c for c in q_tfs))
+    doc_norms = index.doc_norms
+    rows = []
+    for doc in docs:
+        internal_id = index.internal_id(doc.doc_id)
+        length = index.doc_lengths[internal_id]
+        tfs = [posting_tf(plist, internal_id) for plist in term_postings]
+        bm25 = bm25_sum(zip(tfs, idfs), length, index.avg_doc_length, params)
+        if terms:
+            overlap = (len(tfs) - tfs.count(0)) / len(terms)
+            early_terms = set(leading_tokens(doc.text, EARLY_WINDOW))
+            early = len(early_terms.intersection(terms)) / len(terms)
+        else:
+            overlap = 0.0
+            early = 0.0
+        dot = sum(map(operator.mul, q_tfs, tfs))
+        cosine = dot / (q_norm * doc_norms[internal_id]) if dot else 0.0
+        rows.append([bm25, overlap, cosine, float(len(q_tokens)), math.log1p(length), early])
+    return np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_NAMES))
+
+
 def extract_features(query, doc: Document, index: InvertedIndex,
                      params: Bm25Params = Bm25Params()) -> np.ndarray:
     """Deterministic 6-feature vector for a (query, document) pair.
@@ -99,32 +140,13 @@ def extract_features(query, doc: Document, index: InvertedIndex,
       log_doc_length  ln(1 + doc token count)
       early_coverage  fraction of distinct query terms in the doc's first
                       20 tokens
+
+    The one-row case of `feature_matrix`: the document must be indexed,
+    and its tf, length and norm are read from the index. They equal the
+    values derived from `doc.text` whenever the corpus is the one that was
+    indexed.
     """
-    text = _query_text(query)
-    q_tokens = tokenize(text)
-    d_tokens = tokenize(doc.text)
-    q_counts = Counter(q_tokens)
-    d_counts = Counter(d_tokens)
-    q_terms = set(q_counts)
-
-    bm25 = score_pair(index, text, doc.doc_id, params)
-
-    if q_terms:
-        overlap = len(q_terms & d_counts.keys()) / len(q_terms)
-        early_terms = set(d_tokens[:EARLY_WINDOW])
-        early = len(q_terms & early_terms) / len(q_terms)
-    else:
-        overlap = 0.0
-        early = 0.0
-
-    dot = sum(q_counts[t] * d_counts[t] for t in q_terms if t in d_counts)
-    q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
-    d_norm = math.sqrt(sum(c * c for c in d_counts.values()))
-    cosine = dot / (q_norm * d_norm) if dot else 0.0
-
-    return np.array(
-        [bm25, overlap, cosine, float(len(q_tokens)), math.log1p(len(d_tokens)), early]
-    )
+    return feature_matrix(query, [doc], index, params)[0]
 
 
 def score(model: RankerModel, features: np.ndarray) -> float:
@@ -189,17 +211,26 @@ def rerank(
     """Re-score the candidate documents with the model.
 
     Keeps exactly the input doc set; sorts by model score descending with
-    doc_id tie-breaks; rewrites ranks.
+    doc_id tie-breaks; rewrites ranks. The features come from one
+    `feature_matrix` pass over the list, so each candidate's tf, length
+    and norm are read from the index (equal to the text-derived values
+    whenever `corpus` is the corpus that was indexed).
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    pairs = []
-    for rec in candidates:
-        doc = corpus.get(rec.doc_id)
-        if doc is None:
-            raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
-        pairs.append((rec.doc_id, score(model, extract_features(query, doc, index, params))))
-    return rank_records(pairs)
+
+    # Lazy, so corpus and index misses are reported in candidate order.
+    def docs():
+        for rec in candidates:
+            doc = corpus.get(rec.doc_id)
+            if doc is None:
+                raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
+            yield doc
+
+    features = feature_matrix(query, docs(), index, params)
+    return rank_records(
+        [(rec.doc_id, score(model, row)) for rec, row in zip(candidates, features)]
+    )
 
 
 class Ranker(Protocol):
@@ -300,12 +331,10 @@ def build_training_set(
         )
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []
-        for doc_id in positives:
-            feats = extract_features(text, corpus[doc_id], index, params)
-            instances.append(TrainingInstance(qid, doc_id, tuple(feats), 1))
-        for doc_id in negatives:
-            feats = extract_features(text, corpus[doc_id], index, params)
-            instances.append(TrainingInstance(qid, doc_id, tuple(feats), 0))
+        labeled = [(d, 1) for d in positives] + [(d, 0) for d in negatives]
+        features = feature_matrix(text, [corpus[d] for d, _ in labeled], index, params)
+        for (doc_id, label), row in zip(labeled, features):
+            instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
     return instances
 
 

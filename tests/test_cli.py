@@ -1,6 +1,7 @@
 """The command-line surface on a small fixture: wiring, errors, exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from hardrank.corpus_io import (
 )
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def run_cli(child_env):
     def run(*args, cwd):
         return subprocess.run(
@@ -35,6 +36,11 @@ def run_cli(child_env):
 
 @pytest.fixture
 def workdir(tmp_path):
+    write_fixture(tmp_path)
+    return tmp_path
+
+
+def write_fixture(tmp_path):
     """Tiny 9-doc / 4-query corpus: 2 hard (short) and 2 easy queries."""
     docs = []
     for topic, words in (("a", ["canoe", "paddle", "river"]), ("b", ["solar", "panel", "roof"])):
@@ -75,7 +81,6 @@ def workdir(tmp_path):
         "ranker": {"epochs": 50},
         "qpp": {"epochs": 50},
     }))
-    return tmp_path
 
 
 class TestIndexCommand:
@@ -170,7 +175,11 @@ class TestTrainCommand:
 
 
 class TestRunAndEval:
-    def _full_pipeline(self, workdir, run_cli):
+    @pytest.fixture(scope="class")
+    def trained_template(self, tmp_path_factory, run_cli):
+        """The fixture after index, enrich and train x3, run once per class."""
+        workdir = tmp_path_factory.mktemp("trained")
+        write_fixture(workdir)
         for args in (
             ("index",),
             ("enrich",),
@@ -180,63 +189,64 @@ class TestRunAndEval:
         ):
             result = run_cli(*args, "--config", "config.json", cwd=workdir)
             assert result.returncode == 0, result.stderr
+        return workdir
+
+    @pytest.fixture
+    def trained(self, trained_template, tmp_path):
+        """A private copy of the trained directory (its config paths are relative)."""
+        return shutil.copytree(trained_template, tmp_path / "trained")
 
     def test_unknown_method_is_usage_error(self, workdir, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "rrf", cwd=workdir)
         assert result.returncode == 2  # argparse usage error
 
-    def test_bsf_run_matches_library_output(self, workdir, run_cli):
-        self._full_pipeline(workdir, run_cli)
+    def test_bsf_run_matches_library_output(self, trained, run_cli):
         for method in ("br", "sr", "bsf"):
-            result = run_cli("run", "--config", "config.json", "--method", method, cwd=workdir)
+            result = run_cli("run", "--config", "config.json", "--method", method, cwd=trained)
             assert result.returncode == 0, result.stderr
         from hardrank.fusion import FusionConfig, bsf
 
-        br = read_run_file(workdir / "work" / "runs" / "br.txt")
-        sr = read_run_file(workdir / "work" / "runs" / "sr.txt")
+        br = read_run_file(trained / "work" / "runs" / "br.txt")
+        sr = read_run_file(trained / "work" / "runs" / "sr.txt")
         expected = bsf(br, sr, FusionConfig(method="bsf"))
-        actual = read_run_file(workdir / "work" / "runs" / "bsf.txt")
+        actual = read_run_file(trained / "work" / "runs" / "bsf.txt")
         assert actual.entries == expected.entries
 
-    def test_br_and_sr_share_training_configuration(self, workdir, run_cli):
+    def test_br_and_sr_share_training_configuration(self, trained, run_cli):
         # the two rankers may differ only in their training data
-        self._full_pipeline(workdir, run_cli)
         from hardrank.pointwise_ranker import load_model
 
-        br = load_model(workdir / "work" / "models" / "br.json")
-        sr = load_model(workdir / "work" / "models" / "sr.json")
+        br = load_model(trained / "work" / "models" / "br.json")
+        sr = load_model(trained / "work" / "models" / "sr.json")
         shared = ("epochs", "learning_rate", "seed")
         assert {k: br.metadata[k] for k in shared} == {k: sr.metadata[k] for k in shared}
 
-    def test_r_qpp_writes_routing_log(self, workdir, run_cli):
-        self._full_pipeline(workdir, run_cli)
-        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=workdir)
+    def test_r_qpp_writes_routing_log(self, trained, run_cli):
+        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)
         assert result.returncode == 0, result.stderr
-        log_lines = (workdir / "work" / "runs" / "r_qpp.routing.tsv").read_text().splitlines()
+        log_lines = (trained / "work" / "runs" / "r_qpp.routing.tsv").read_text().splitlines()
         assert len(log_lines) == 4
         for line in log_lines:
             qid, psi, route = line.split("\t")
             assert route in ("br", "sr")
             assert 0.0 <= float(psi) <= 1.0
 
-    def test_eval_reports_zero_delta_for_baseline_only(self, workdir, run_cli):
-        self._full_pipeline(workdir, run_cli)
-        run_cli("run", "--config", "config.json", "--method", "br", cwd=workdir)
+    def test_eval_reports_zero_delta_for_baseline_only(self, trained, run_cli):
+        run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         result = run_cli(
             "eval", "work/runs/br.txt", "--baseline", "br", "--config", "config.json",
-            cwd=workdir,
+            cwd=trained,
         )
         assert result.returncode == 0, result.stderr
-        record = json.loads((workdir / "work" / "reports" / "report.jsonl").read_text())
+        record = json.loads((trained / "work" / "reports" / "report.jsonl").read_text())
         assert record["system"] == "br"
         assert record["delta_ndcg10_pct"] is None
 
-    def test_eval_missing_baseline_is_input_error(self, workdir, run_cli):
-        self._full_pipeline(workdir, run_cli)
-        run_cli("run", "--config", "config.json", "--method", "br", cwd=workdir)
+    def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
+        run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         result = run_cli(
             "eval", "work/runs/br.txt", "--baseline", "nope", "--config", "config.json",
-            cwd=workdir,
+            cwd=trained,
         )
         assert result.returncode == 1
         assert "nope" in result.stderr

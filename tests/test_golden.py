@@ -1,0 +1,66 @@
+"""Golden digests of the README pipeline on the shipped benchmark.
+
+The README experiment (``write_benchmark(seed=7)``; index, enrich, train
+x3, run x5, eval) runs in-process through ``hardrank.pipeline``. The
+SHA-256 of each run file and of ``report.jsonl`` is pinned, so any change
+that is meant to keep outputs byte-identical (a faster feature path, a
+different summation, a new index layout) is checked against the exact
+bytes the pipeline wrote before it.
+"""
+
+import hashlib
+import json
+
+from hardrank.benchmark import write_benchmark
+from hardrank.config import load_config
+from hardrank.pipeline import (
+    RUN_METHODS,
+    build_and_save_index,
+    enrich_training_queries,
+    evaluate_runs,
+    produce_run,
+    train_qpp_model,
+    train_ranker,
+)
+
+README_CONFIG = {
+    "paths": {
+        "corpus": "corpus.jsonl",
+        "train_queries": "queries.tsv",
+        "train_qrels": "qrels.txt",
+        "test_queries": "queries.tsv",
+        "test_qrels": "qrels.txt",
+    },
+    "enrichment": {"use_judged_context": True},
+}
+
+GOLDEN_SHA256 = {
+    "br.txt": "e3191edef5e9a40a558e4fcab8e365c40dce45b6db76a486ea568103b40e8fd8",
+    "sr.txt": "e91c69853115aa501e4ba1cc28bbc41f47279b3748d168b071626f2ba1de9f18",
+    "bsf.txt": "fe41a85eea5d6d2cc38229efba029d09d3cf31736495086d49e6602be64665f5",
+    "r_qpp.txt": "3cca5e434df9f26f5e52ee87be5191f0678dc12fbfffd2f1208cb3e8b03afd01",
+    "w_qpps.txt": "fcb6c790e4bad380e0f2e7ff80e9cb534e7683259582b518736cf73dffcd089e",
+    "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
+    write_benchmark(tmp_path, seed=7)
+    (tmp_path / "config.json").write_text(json.dumps(README_CONFIG))
+    config = load_config(tmp_path / "config.json")
+
+    build_and_save_index(config)
+    _, errors, _ = enrich_training_queries(config)
+    assert not errors
+    train_ranker(config, "br")
+    train_ranker(config, "sr")
+    train_qpp_model(config)
+    run_paths = [produce_run(config, method)[0] for method in RUN_METHODS]
+    _, _, report_path = evaluate_runs(config, sorted(run_paths), "br")
+
+    digests = {path.name: _sha256(path) for path in [*run_paths, report_path]}
+    assert digests == GOLDEN_SHA256

@@ -1,5 +1,6 @@
 """BM25 against a brute-force closed-form oracle, plus passage selection."""
 
+import json
 import math
 import random
 
@@ -192,3 +193,45 @@ class TestIndexPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_index(path)
+
+
+class TestLoadIndexRejectsUntrustedFiles:
+    """Tf lookups binary-search the postings, so a file that breaks their
+    invariants is refused with its path, never read."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index([Document("d1", "a b c"), Document("d2", "b c d e")]), path)
+        return path
+
+    def _rewrite(self, path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    def test_postings_not_strictly_ascending(self, saved):
+        self._rewrite(saved, lambda p: p["postings"]["b"].reverse())
+        with pytest.raises(ValueError, match=r"index\.json.*'b'.*ascending"):
+            load_index(saved)
+
+    def test_duplicate_id_in_postings(self, saved):
+        self._rewrite(saved, lambda p: p["postings"]["c"].append([1, 1]))
+        with pytest.raises(ValueError, match=r"index\.json.*'c'.*ascending"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("bad_id", [-1, 2])
+    def test_postings_id_out_of_range(self, saved, bad_id):
+        self._rewrite(saved, lambda p: p["postings"].update(e=[[bad_id, 1]]))
+        with pytest.raises(ValueError, match=r"index\.json.*'e'.*outside \[0, 2\)"):
+            load_index(saved)
+
+    def test_doc_ids_and_lengths_disagree(self, saved):
+        self._rewrite(saved, lambda p: p["doc_lengths"].append(7))
+        with pytest.raises(ValueError, match=r"index\.json.*2 doc_ids but 3 doc_lengths"):
+            load_index(saved)
+
+    def test_truncated_json(self, saved):
+        saved.write_text(saved.read_text()[:40])
+        with pytest.raises(ValueError, match=r"index\.json is not valid JSON"):
+            load_index(saved)
