@@ -128,12 +128,19 @@ def _merge(base: dict, override: dict, trail: str = "") -> dict:
     return merged
 
 
-def _check_range(raw: dict, section: str, key: str, lo=None, hi=None, kind=None) -> None:
-    value = raw[section][key]
-    where = f"{section}.{key}"
-    if kind is int and not isinstance(value, int):
+def _check_range(raw: dict, *keys: str, lo=None, hi=None, kind=None) -> None:
+    """Type and range check of the value at ``raw[keys[0]][keys[1]]...``.
+
+    A bool is never an integer or a number here, although Python counts it
+    as an int.
+    """
+    value = raw
+    for key in keys:
+        value = value[key]
+    where = ".".join(keys)
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if kind is float and not isinstance(value, (int, float)):
+    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value}")
@@ -143,12 +150,10 @@ def _check_range(raw: dict, section: str, key: str, lo=None, hi=None, kind=None)
 
 def validate(raw: dict[str, Any]) -> None:
     """Range/enum checks independent of the filesystem."""
-    if not isinstance(raw.get("seed"), int):
-        raise ConfigError("seed must be an integer")
+    _check_range(raw, "seed", kind=int)
     _check_range(raw, "bm25", "k1", lo=1e-9, kind=float)
     _check_range(raw, "bm25", "b", lo=0.0, hi=1.0, kind=float)
-    if raw["run_depth"] < 1:
-        raise ConfigError("run_depth must be >= 1")
+    _check_range(raw, "run_depth", lo=1, kind=int)
     _check_range(raw, "hardness", "max_token_count", lo=1, kind=int)
     _check_range(raw, "hardness", "min_context_terms", lo=0, kind=int)
     if raw["generator"]["type"] not in ("stub", "http"):
@@ -170,8 +175,8 @@ def validate(raw: dict[str, Any]) -> None:
     if isinstance(threshold, str):
         if threshold != "train_median":
             raise ConfigError("fusion.routing_threshold must be a number or 'train_median'")
-    elif not isinstance(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
-        raise ConfigError("fixed fusion.routing_threshold must lie in [0, 1]")
+    else:
+        _check_range(raw, "fusion", "routing_threshold", lo=0.0, hi=1.0, kind=float)
     _check_range(raw, "metrics", "ndcg_k", lo=1, kind=int)
     if raw["metrics"]["rr_cutoff"] is not None:
         _check_range(raw, "metrics", "rr_cutoff", lo=1, kind=int)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus_io import Document, ParseError, Qrels, Query
+from .corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, raw_tokens, tokenize
 
@@ -353,6 +353,8 @@ def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
         if len(parts) != 4:
             raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", line_no)
         qid, text, doc_id, flags = parts
+        if qid in out:
+            raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
         out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, FALLBACK_FLAG in flags)
     return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from .corpus_io import Qrels, RunList, RunRecord
 
@@ -128,7 +128,8 @@ def paired_test(
             t=math.copysign(math.inf, mean), df=df, p_two_tailed=0.0, zero_variance=True
         )
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), df))
+    # Student's t survival function, as scipy.stats.t.sf computes it.
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return PairedTestResult(t=t, df=df, p_two_tailed=p)
 
 

@@ -1,5 +1,6 @@
 """The command-line surface on a small fixture: wiring, errors, exit codes."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -105,6 +106,16 @@ class TestIndexCommand:
         )
         assert result.returncode == 1
         assert "missing.jsonl" in result.stderr
+
+    @pytest.mark.parametrize(
+        "override",
+        ['run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true"],
+    )
+    def test_wrongly_typed_config_value_is_input_error(self, workdir, run_cli, override):
+        result = run_cli("index", "--config", "config.json", "--set", override, cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert override.split("=")[0] in result.stderr
+        assert not (workdir / "work" / "index.json").exists()
 
 
 class TestEnrichCommand:
@@ -272,3 +283,25 @@ class TestChildInterpreter:
         )
         assert result.returncode == 0, result.stderr
         assert Path(result.stdout.strip()).resolve() == Path(hardrank.__file__).resolve()
+
+    def test_cli_import_skips_scipy_stats_and_loads_traced_modules(self, tmp_path, child_env):
+        # start-up cost: scipy.stats alone took about 0.8 s of CPU per command;
+        # perfbench/tracing.install wraps functions it finds in sys.modules
+        result = subprocess.run(
+            [sys.executable, "-c", "import hardrank.cli, sys; print('\\n'.join(sys.modules))"],
+            cwd=tmp_path,
+            env=child_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        stats = sorted(m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats."))
+        assert not stats, f"import hardrank.cli loaded {stats}"
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        traced = {f"hardrank.{module}" for module, *_ in tracing.TARGETS}
+        assert traced <= loaded, f"not loaded by import hardrank.cli: {sorted(traced - loaded)}"

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from hardrank.corpus_io import Document, Qrels, Query, corpus_by_id
+from hardrank.corpus_io import Document, DuplicateEntryError, Qrels, Query, corpus_by_id
 from hardrank.enrichment import (
     EnrichmentError,
     HardnessRule,
@@ -253,3 +253,9 @@ class TestEnrichedTsv:
         parsed = parse_enriched(write_enriched(enriched))
         assert parsed["q1"] == ("REWRITTEN: lbm | Lean body mass", "d1", False)
         assert parsed["q2"] == ("zzz", "", True)
+
+    def test_duplicate_qid_rejected(self):
+        lines = ["q1\tfirst\td1\t-", "q2\tother\t-\tfallback", "q1\tsecond\td2\t-"]
+        with pytest.raises(DuplicateEntryError, match="'q1'") as info:
+            parse_enriched(lines)
+        assert info.value.line_no == 3

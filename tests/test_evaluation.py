@@ -4,7 +4,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from hardrank.corpus_io import Qrels, RunList, rank_records
 from hardrank.evaluation import (
@@ -177,6 +181,48 @@ class TestPairedTest:
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):
             paired_test([0.1], [0.2])
+
+
+def diffs_with_t(df, t):
+    """df + 1 paired differences whose t statistic is close to ``t``.
+
+    Alternating +1/-1 (and a 0 when the count is odd) has mean 0 and a known
+    sample sd; shifting it by ``t * sd / sqrt(n)`` sets the mean.
+    """
+    n = df + 1
+    pattern = np.array([1.0, -1.0] * (n // 2) + [0.0] * (n % 2))
+    sd = math.sqrt(2 * (n // 2) / df)
+    return pattern + t * sd / math.sqrt(n)
+
+
+class TestPairedTestPValue:
+    """The p-value is 2 * stdtr(df, -|t|), the function scipy.stats.t.sf calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        df=st.integers(min_value=1, max_value=5000),
+        log10_abs_t=st.floats(min_value=-8.0, max_value=3.0),
+        negative=st.booleans(),
+    )
+    @example(df=1, log10_abs_t=-8.0, negative=False)
+    @example(df=5000, log10_abs_t=3.0, negative=True)
+    @example(df=5000, log10_abs_t=3.0, negative=False)
+    def test_equals_scipy_stats_bit_for_bit(self, df, log10_abs_t, negative):
+        diffs = diffs_with_t(df, (-1.0 if negative else 1.0) * 10.0**log10_abs_t)
+        result = paired_test(diffs, np.zeros_like(diffs))
+        assert result.df == df
+        assert not result.zero_variance
+        reference = 2.0 * float(scipy_stats.t.sf(abs(result.t), result.df))
+        assert result.p_two_tailed == reference
+
+    def test_reaches_underflow_and_both_signs(self):
+        # the property's range holds p values that underflow to exactly 0
+        high = paired_test(diffs_with_t(5000, 1e3), np.zeros(5001))
+        low = paired_test(diffs_with_t(5000, -1e3), np.zeros(5001))
+        assert high.t > 0 > low.t
+        assert high.p_two_tailed == low.p_two_tailed == 0.0
+        tiny = paired_test(diffs_with_t(1, 1e-8), np.zeros(2))
+        assert 0.99 < tiny.p_two_tailed <= 1.0
 
 
 def two_system_fixture():
