@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -132,7 +133,7 @@ def _check_range(raw: dict, *keys: str, lo=None, hi=None, kind=None) -> None:
     """Type and range check of the value at ``raw[keys[0]][keys[1]]...``.
 
     A bool is never an integer or a number here, although Python counts it
-    as an int.
+    as an int, and NaN or an infinity is never a number.
     """
     value = raw
     for key in keys:
@@ -142,6 +143,8 @@ def _check_range(raw: dict, *keys: str, lo=None, hi=None, kind=None) -> None:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if kind is float and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value}")
     if hi is not None and value > hi:

@@ -59,7 +59,7 @@ class Query:
     hardness_label: str = "unknown"  # "hard" | "easy" | "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     doc_id: str
     score: float
@@ -68,23 +68,33 @@ class RunRecord:
 
 @dataclass
 class Qrels:
-    """Graded relevance judgments keyed by (query_id, doc_id)."""
+    """Graded relevance judgments keyed by (query_id, doc_id).
+
+    The judgments are grouped by query once, at construction, so per-query
+    lookups do not scan them all; do not change `judgments` afterwards.
+    """
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
+    _by_query: dict[str, dict[str, int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        for (q, d), g in self.judgments.items():
+            self._by_query.setdefault(q, {})[d] = g
 
     def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
         return self.judgments.get((query_id, doc_id), default)
 
     def for_query(self, query_id: str) -> dict[str, int]:
-        return {d: g for (q, d), g in self.judgments.items() if q == query_id}
+        """doc_id -> grade for one query, as a new dict the caller may change."""
+        return dict(self._by_query.get(query_id, {}))
 
     def query_ids(self) -> list[str]:
-        return sorted({q for q, _ in self.judgments})
+        return sorted(self._by_query)
 
     def has_positive(self, query_id: str, threshold: int = 1) -> bool:
-        return any(
-            g >= threshold for (q, _), g in self.judgments.items() if q == query_id
-        )
+        return any(g >= threshold for g in self._by_query.get(query_id, {}).values())
 
 
 @dataclass

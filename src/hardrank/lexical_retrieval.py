@@ -88,6 +88,17 @@ class InvertedIndex:
                 squares[internal_id] += tf * tf
         return [math.sqrt(s) for s in squares]
 
+    @cached_property
+    def lead_terms(self) -> dict[int, tuple[str, ...]]:
+        """internal_id -> distinct terms among the document's leading tokens.
+
+        Starts empty. `pointwise_ranker.feature_matrix` fills in a document
+        the first time it scores it, from the text it was given, and reads
+        the entry from then on. The dict lives and dies with the index and
+        holds no document text.
+        """
+        return {}
+
 
 def posting_tf(plist: Sequence[tuple[int, int]], internal_id: int) -> int:
     """tf of one document in an id-sorted postings list; 0 if it is not there."""

@@ -30,6 +30,11 @@ def open_unit_sigmoid(x: float) -> float:
     return float(min(max(expit(x), _CLAMP), 1.0 - _CLAMP))
 
 
+def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
+    """`open_unit_sigmoid` of every element, with the same bits."""
+    return np.clip(expit(x), _CLAMP, 1.0 - _CLAMP)
+
+
 def bce_loss(targets: np.ndarray, preds: np.ndarray, clamp: bool = False) -> float:
     """Mean binary cross-entropy with the 0*ln(0) = 0 convention.
 

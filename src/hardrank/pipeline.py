@@ -303,21 +303,21 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         )
         return ModelRanker(model, corpus, index, params)
 
-    def single_run(which: str) -> RunList:
-        re_ranker = ranker(which)
-        return RunList(
-            entries={
-                q.query_id: re_ranker.rerank_query(q, candidates[q.query_id])
-                for q in queries
-            },
-            tag=which,
-        )
+    def runs(*which: str) -> list[RunList]:
+        # Each query goes through every ranker in turn, so they share its
+        # feature pass (see pointwise_ranker.rerank).
+        rankers = [ranker(w) for w in which]
+        entries: list[dict] = [{} for _ in which]
+        for q in queries:
+            for re_ranker, out in zip(rankers, entries):
+                out[q.query_id] = re_ranker.rerank_query(q, candidates[q.query_id])
+        return [RunList(entries=e, tag=w) for e, w in zip(entries, which)]
 
     routing_log: Path | None = None
     if method in ("br", "sr"):
-        run = single_run(method)
+        (run,) = runs(method)
     elif method == "bsf":
-        run = bsf(single_run("br"), single_run("sr"), _fusion_config(config, "bsf"))
+        run = bsf(*runs("br", "sr"), _fusion_config(config, "bsf"))
     else:
         qpp_model = load_qpp_model(
             _require(_model_path(config, "qpp"), "train qpp first")
@@ -342,12 +342,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
                 q.query_id: provider.estimate_query(q, candidates[q.query_id]).psi
                 for q in queries
             }
-            run = w_qpps(
-                single_run("br"),
-                single_run("sr"),
-                psis,
-                _fusion_config(config, "w_qpps"),
-            )
+            run = w_qpps(*runs("br", "sr"), psis, _fusion_config(config, "w_qpps"))
 
     run_path = config.path("runs_dir") / f"{method}.txt"
     run_path.parent.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,8 @@ import logging
 import math
 import operator
 import random
+import sys
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -24,7 +26,13 @@ import numpy as np
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from .enrichment import EnrichedQuery
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
-from .linear_model import apply_zscore, bce_loss, fit_logistic, open_unit_sigmoid, zscore_stats
+from .linear_model import (
+    apply_zscore,
+    fit_logistic,
+    open_unit_sigmoid,
+    open_unit_sigmoids,
+    zscore_stats,
+)
 from .text import leading_tokens, tokenize
 
 log = logging.getLogger(__name__)
@@ -95,20 +103,22 @@ def feature_matrix(query, docs: Iterable[Document], index: InvertedIndex,
     The query's tokens, counts, sorted distinct terms, idfs and norm are
     computed once. Each document must be indexed: its tf per query term is
     a binary search in the term's postings, and its length and
-    term-frequency norm are read from the index, so only the first
-    EARLY_WINDOW tokens of its text are read (for early_coverage). On the
-    corpus the index was built from, every value equals the one derived
-    from the document text.
+    term-frequency norm are read from the index. Its early-window terms
+    are read once per index from the first EARLY_WINDOW tokens of its text
+    and kept in `index.lead_terms`. On the corpus the index was built
+    from, every value equals the one derived from the document text.
     """
     text = _query_text(query)
     q_tokens = tokenize(text)
     q_counts = Counter(q_tokens)
     terms = sorted(q_counts)
+    term_set = frozenset(terms)
     q_tfs = [q_counts[t] for t in terms]
     term_postings = [index.postings.get(t, ()) for t in terms]
     idfs = [index.idf(t) for t in terms]
     q_norm = math.sqrt(sum(c * c for c in q_tfs))
     doc_norms = index.doc_norms
+    lead_terms = index.lead_terms
     rows = []
     for doc in docs:
         internal_id = index.internal_id(doc.doc_id)
@@ -117,8 +127,12 @@ def feature_matrix(query, docs: Iterable[Document], index: InvertedIndex,
         bm25 = bm25_sum(zip(tfs, idfs), length, index.avg_doc_length, params)
         if terms:
             overlap = (len(tfs) - tfs.count(0)) / len(terms)
-            early_terms = set(leading_tokens(doc.text, EARLY_WINDOW))
-            early = len(early_terms.intersection(terms)) / len(terms)
+            lead = lead_terms.get(internal_id)
+            if lead is None:
+                lead = lead_terms[internal_id] = tuple(
+                    map(sys.intern, set(leading_tokens(doc.text, EARLY_WINDOW)))
+                )
+            early = len(term_set.intersection(lead)) / len(terms)
         else:
             overlap = 0.0
             early = 0.0
@@ -153,6 +167,18 @@ def score(model: RankerModel, features: np.ndarray) -> float:
     """Relevance score in the open interval (0, 1)."""
     z = apply_zscore(features, model.feature_means, model.feature_stds)
     return open_unit_sigmoid(float(np.dot(model.weights, z)) + model.bias)
+
+
+def score_rows(model: RankerModel, features: np.ndarray) -> np.ndarray:
+    """`score` of every row of an (n, 6) matrix, with the same bits.
+
+    The z-scores, bias, sigmoid and clamp run over the whole matrix, as
+    they are elementwise. The dot product stays one `np.dot` per row: a
+    matrix-vector product may sum in another order and change a last bit.
+    """
+    z = apply_zscore(features, model.feature_means, model.feature_stds)
+    logits = np.array([float(np.dot(model.weights, row)) for row in z], dtype=float)
+    return open_unit_sigmoids(logits + model.bias)
 
 
 def train(
@@ -193,13 +219,6 @@ def train(
     )
 
 
-def training_loss(model: RankerModel, instances: Sequence[TrainingInstance]) -> float:
-    """Mean BCE of the model on a set of instances."""
-    preds = np.array([score(model, np.asarray(i.features)) for i in instances])
-    labels = np.array([i.label for i in instances], dtype=float)
-    return bce_loss(labels, preds, clamp=True)
-
-
 def rerank(
     model: RankerModel,
     query,
@@ -214,23 +233,60 @@ def rerank(
     doc_id tie-breaks; rewrites ranks. The features come from one
     `feature_matrix` pass over the list, so each candidate's tf, length
     and norm are read from the index (equal to the text-derived values
-    whenever `corpus` is the corpus that was indexed).
+    whenever `corpus` is the corpus that was indexed). Reranking the same
+    list for the same query text again, as BR and SR do in turn, reuses
+    that pass (see `_candidate_features`).
     """
     if not candidates:
         raise ValueError("candidate list is empty")
+    features = _candidate_features(_query_text(query), candidates, corpus, index, params)
+    scores = score_rows(model, features).tolist()
+    return rank_records(zip([rec.doc_id for rec in candidates], scores))
 
-    # Lazy, so corpus and index misses are reported in candidate order.
-    def docs():
-        for rec in candidates:
-            doc = corpus.get(rec.doc_id)
-            if doc is None:
-                raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
-            yield doc
 
-    features = feature_matrix(query, docs(), index, params)
-    return rank_records(
-        [(rec.doc_id, score(model, row)) for rec, row in zip(candidates, features)]
-    )
+# The last matrix `_candidate_features` built and what it was built from:
+# (weakref to the index, (params, query text), weakrefs to the candidate
+# documents, read-only matrix). Weak references keep no index or document
+# alive, and the entry is replaced in one assignment, so a concurrent
+# reader sees either the old entry or the new one, never a mix.
+_last_features: tuple | None = None
+
+
+def _candidate_features(text: str, candidates: Sequence[RunRecord],
+                        corpus: Mapping[str, Document], index: InvertedIndex,
+                        params: Bm25Params) -> np.ndarray:
+    """The feature matrix of the candidates' documents, read-only.
+
+    Returns the previous call's matrix when the index, the params, the
+    query text and every candidate `Document` object are the same, so
+    ranking one list by several models costs one feature pass. A candidate
+    missing from the corpus or the index raises ValueError, and the first
+    faulty candidate in list order is the one named.
+    """
+    global _last_features
+    docs = []
+    for rec in candidates:
+        doc = corpus.get(rec.doc_id)
+        if doc is None:
+            for earlier in docs:  # an earlier candidate's index miss comes first
+                index.internal_id(earlier.doc_id)
+            raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
+        docs.append(doc)
+    key = (params, text)
+    memo = _last_features
+    if memo is not None:
+        index_ref, memo_key, doc_refs, matrix = memo
+        if (
+            index_ref() is index
+            and memo_key == key
+            and len(doc_refs) == len(docs)
+            and all(ref() is doc for ref, doc in zip(doc_refs, docs))
+        ):
+            return matrix
+    matrix = feature_matrix(text, docs, index, params)
+    matrix.flags.writeable = False
+    _last_features = (weakref.ref(index), key, tuple(map(weakref.ref, docs)), matrix)
+    return matrix
 
 
 class Ranker(Protocol):
@@ -287,10 +343,6 @@ class ScoreFileRanker:
                 raise ValueError(f"no stored score for {key}")
             pairs.append((rec.doc_id, self.scores[key]))
         return rank_records(pairs)
-
-
-def score_file_ranker(scores: Mapping[tuple[str, str], float]) -> ScoreFileRanker:
-    return ScoreFileRanker(scores)
 
 
 def build_training_set(

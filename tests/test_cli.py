@@ -109,7 +109,11 @@ class TestIndexCommand:
 
     @pytest.mark.parametrize(
         "override",
-        ['run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true"],
+        [
+            'run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true",
+            "bm25.k1=NaN", "bm25.k1=Infinity", "ranker.learning_rate=NaN",
+            "qpp.learning_rate=NaN",
+        ],
     )
     def test_wrongly_typed_config_value_is_input_error(self, workdir, run_cli, override):
         result = run_cli("index", "--config", "config.json", "--set", override, cwd=workdir)

@@ -158,6 +158,33 @@ class TestQrels:
         assert qrels.has_positive("q1")
         assert not qrels.has_positive("q2")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        judgments=st.dictionaries(
+            st.tuples(st.sampled_from(["q1", "q2", "q3"]), st.sampled_from(["d1", "d2", "d3", "d4"])),
+            st.integers(0, 3),
+        ),
+        query_id=st.sampled_from(["q1", "q2", "q3", "q9", ""]),
+        threshold=st.integers(-1, 4),
+    )
+    def test_lookups_equal_a_full_scan(self, judgments, query_id, threshold):
+        qrels = Qrels(judgments)
+        scanned = {d: g for (q, d), g in judgments.items() if q == query_id}
+        assert qrels.for_query(query_id) == scanned
+        assert list(qrels.for_query(query_id)) == list(scanned)
+        assert qrels.has_positive(query_id, threshold) == any(
+            g >= threshold for g in scanned.values()
+        )
+        assert qrels.query_ids() == sorted({q for q, _ in judgments})
+
+    def test_for_query_returns_a_copy(self):
+        qrels = Qrels({("q1", "d1"): 2})
+        qrels.for_query("q1")["d1"] = 0
+        qrels.for_query("q9")["d1"] = 1
+        assert qrels.for_query("q1") == {"d1": 2}
+        assert qrels.for_query("q9") == {}
+        assert not qrels.has_positive("q9")
+
 
 class TestQueries:
     def test_parse(self):

@@ -1,0 +1,262 @@
+"""One feature pass per candidate list, whichever rankers score it.
+
+`rerank` keeps the last feature matrix it built, keyed by the index (held
+weakly), the BM25 parameters, the query text and the candidate `Document`
+objects (held weakly), so BR then SR on one list costs one pass. The list is
+scored as a matrix with the bits of per-row `score`, the early-window terms
+of each document are kept on the index, and `RunRecord` has slots.
+"""
+
+import dataclasses
+import gc
+import json
+import sys
+import threading
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hardrank import pointwise_ranker
+from hardrank.benchmark import write_benchmark
+from hardrank.config import load_config
+from hardrank.corpus_io import Document, RunRecord, rank_records, read_queries_file
+from hardrank.lexical_retrieval import Bm25Params, build_index, load_index
+from hardrank.pipeline import (
+    build_and_save_index,
+    candidates_for,
+    enrich_training_queries,
+    produce_run,
+    train_qpp_model,
+    train_ranker,
+)
+from hardrank.pointwise_ranker import (
+    EARLY_WINDOW,
+    RankerModel,
+    rerank,
+    score,
+    score_rows,
+)
+from hardrank.text import leading_tokens
+
+DOCS = [
+    Document("d1", "Solar power for the grid"),
+    Document("d2", "wind power and wind farms"),
+    Document("d3", "solar panels on the roof, solar heat"),
+    Document("d4", "the history of the grid"),
+]
+
+
+def make_model(seed: int) -> RankerModel:
+    rng = np.random.default_rng(seed)
+    return RankerModel(
+        weights=rng.normal(size=6),
+        bias=float(rng.normal()),
+        feature_means=rng.normal(size=6),
+        feature_stds=rng.uniform(0.5, 2.0, size=6),
+    )
+
+
+BR, SR = make_model(1), make_model(2)
+
+
+@pytest.fixture
+def setting():
+    corpus = {d.doc_id: d for d in DOCS}
+    candidates = rank_records([(d.doc_id, 1.0) for d in DOCS])
+    return corpus, build_index(DOCS), candidates
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(query, doc ids) of every `feature_matrix` call; the memo starts empty."""
+    calls = []
+    original = pointwise_ranker.feature_matrix
+
+    def counted(query, docs, index, params=Bm25Params()):
+        docs = list(docs)
+        calls.append((query, tuple(d.doc_id for d in docs)))
+        return original(query, docs, index, params)
+
+    monkeypatch.setattr(pointwise_ranker, "feature_matrix", counted)
+    monkeypatch.setattr(pointwise_ranker, "_last_features", None)
+    return calls
+
+
+def fresh_rerank(model, query, candidates, corpus, index, params=Bm25Params()):
+    pointwise_ranker._last_features = None
+    return rerank(model, query, candidates, corpus, index, params)
+
+
+class TestSharedFeaturePass:
+    def test_br_then_sr_calls_the_kernel_once(self, setting, kernel_calls):
+        corpus, index, candidates = setting
+        br = rerank(BR, "solar grid", candidates, corpus, index)
+        sr = rerank(SR, "solar grid", candidates, corpus, index)
+        assert len(kernel_calls) == 1
+        assert br == fresh_rerank(BR, "solar grid", candidates, corpus, index)
+        assert sr == fresh_rerank(SR, "solar grid", candidates, corpus, index)
+        assert br != sr
+
+    @pytest.mark.parametrize("change", ["query", "params", "index", "document"])
+    def test_memo_misses_when_an_input_differs(self, setting, kernel_calls, change):
+        corpus, index, candidates = setting
+        query, params = "solar grid", Bm25Params()
+        first = rerank(BR, query, candidates, corpus, index, params)
+        if change == "query":
+            query = "solar grid wind"
+        elif change == "params":
+            params = Bm25Params(k1=1.2, b=0.75)
+        elif change == "index":
+            index = build_index(DOCS)
+        else:  # an equal Document, but another object
+            corpus = {**corpus, "d2": dataclasses.replace(corpus["d2"])}
+        second = rerank(BR, query, candidates, corpus, index, params)
+        assert len(kernel_calls) == 2
+        assert second == fresh_rerank(BR, query, candidates, corpus, index, params)
+        if change in ("index", "document"):
+            assert second == first
+
+    def test_same_list_in_another_order_is_a_miss(self, setting, kernel_calls):
+        corpus, index, candidates = setting
+        rerank(BR, "solar", candidates, corpus, index)
+        rerank(BR, "solar", candidates[::-1], corpus, index)
+        rerank(BR, "solar", candidates[:2], corpus, index)
+        assert len(kernel_calls) == 3
+
+    def test_memo_keeps_no_index_or_document_alive(self):
+        corpus = {d.doc_id: Document(d.doc_id, d.text) for d in DOCS}
+        index = build_index(list(corpus.values()))
+        rerank(BR, "solar", rank_records([(d, 1.0) for d in corpus]), corpus, index)
+        index_ref = weakref.ref(index)
+        doc_ref = weakref.ref(corpus["d1"])
+        del index, corpus
+        gc.collect()
+        assert index_ref() is None
+        assert doc_ref() is None
+
+    def test_concurrent_reranks_match_sequential_ones(self, setting):
+        # more threads than cores, switching often, each with its own query,
+        # so a memo entry read half-replaced would give a wrong list
+        corpus, index, candidates = setting
+        queries = ["solar", "wind power", "grid", "solar heat roof"]
+        expected = {
+            (q, id(m)): fresh_rerank(m, q, candidates, corpus, index)
+            for q in queries
+            for m in (BR, SR)
+        }
+        mismatches = []
+
+        def worker(query):
+            for _ in range(2000):
+                for model in (BR, SR):
+                    got = rerank(model, query, candidates, corpus, index)
+                    if got != expected[(query, id(model))]:
+                        mismatches.append(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(q,)) for q in queries]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_memo_matrix_is_read_only(self, setting):
+        corpus, index, candidates = setting
+        matrix = pointwise_ranker._candidate_features(
+            "solar", candidates, corpus, index, Bm25Params()
+        )
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        assert pointwise_ranker._last_features[-1] is matrix
+
+
+class TestMatrixScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3, 1e6]),
+    )
+    def test_score_rows_equals_per_row_score(self, seed, rows, scale):
+        # large scales saturate the sigmoid, so the clamp is reached
+        rng = np.random.default_rng(seed)
+        model = make_model(seed)
+        features = rng.normal(scale=scale, size=(rows, 6))
+        expected = np.array([score(model, row) for row in features])
+        assert score_rows(model, features).tobytes() == expected.tobytes()
+
+
+class TestLeadTerms:
+    def test_filled_once_per_document_and_interned(self, setting):
+        corpus, index, candidates = setting
+        assert index.lead_terms == {}
+        rerank(BR, "solar", candidates, corpus, index)
+        assert sorted(index.lead_terms) == [index.internal_id(d.doc_id) for d in DOCS]
+        for doc in DOCS:
+            lead = index.lead_terms[index.internal_id(doc.doc_id)]
+            assert sorted(lead) == sorted(set(leading_tokens(doc.text, EARLY_WINDOW)))
+            assert all(sys.intern(term) is term for term in lead)
+
+    def test_each_index_keeps_its_own(self, setting):
+        corpus, index, candidates = setting
+        rerank(BR, "solar", candidates, corpus, index)
+        assert build_index(DOCS).lead_terms == {}
+
+
+class TestRunRecordSlots:
+    def test_slotted_frozen_hashable_and_equal_by_value(self):
+        rec = RunRecord("d1", 0.5, 1)
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.score = 1.0
+        assert rec == RunRecord("d1", 0.5, 1)
+        assert rec != RunRecord("d1", 0.5, 2)
+        assert hash(rec) == hash(RunRecord("d1", 0.5, 1))
+        assert len({rec, RunRecord("d1", 0.5, 1)}) == 1
+
+
+README_CONFIG = {
+    "paths": {
+        "corpus": "corpus.jsonl",
+        "train_queries": "queries.tsv",
+        "train_qrels": "qrels.txt",
+        "test_queries": "queries.tsv",
+        "test_qrels": "qrels.txt",
+    },
+    "enrichment": {"use_judged_context": True},
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The README experiment up to the trained models."""
+    root = tmp_path_factory.mktemp("trained")
+    write_benchmark(root, seed=7)
+    (root / "config.json").write_text(json.dumps(README_CONFIG))
+    config = load_config(root / "config.json")
+    build_and_save_index(config)
+    enrich_training_queries(config)
+    train_ranker(config, "br")
+    train_ranker(config, "sr")
+    train_qpp_model(config)
+    return config
+
+
+@pytest.mark.parametrize("method", ["br", "bsf", "w_qpps"])
+def test_produce_run_builds_each_query_features_once(trained, kernel_calls, method):
+    produce_run(trained, method)
+    queries = read_queries_file(trained.path("test_queries"))
+    ranked = candidates_for(trained, load_index(trained.path("index")), queries)
+    assert len(kernel_calls) == len(ranked)
+    assert set(Counter(kernel_calls).values()) == {1}
