@@ -52,10 +52,10 @@ from .lexical_retrieval import (
     build_index,
     select_passage,
 )
+from .linear_model import LogisticScorer
 from .pointwise_ranker import (
     FEATURE_NAMES,
     ModelRanker,
-    RankerModel,
     ScoreFileRanker,
     TrainingInstance,
     extract_features,
@@ -67,7 +67,6 @@ from .qpp import (
     FileQppProvider,
     ModelQppProvider,
     QppEstimate,
-    QppModel,
     estimate,
     qpp_features,
     train_qpp,
@@ -87,6 +86,7 @@ __all__ = [
     "HardnessRule",
     "HttpGenerator",
     "InvertedIndex",
+    "LogisticScorer",
     "MetricReport",
     "ModelQppProvider",
     "ModelRanker",
@@ -94,9 +94,7 @@ __all__ = [
     "ParseError",
     "Qrels",
     "QppEstimate",
-    "QppModel",
     "Query",
-    "RankerModel",
     "RoutingDecision",
     "RunList",
     "RunRecord",

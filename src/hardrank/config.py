@@ -1,10 +1,14 @@
 """Pipeline configuration: one JSON file drives every command.
 
-Defaults below are the documented toolkit choices (BM25 k1=0.9/b=0.4,
-run depth 100, hardness thresholds, inverted QPP orientation, train-median
-routing threshold). Any key can be overridden by the file and any file key
-by a ``--set section.key=value`` flag; unknown keys are rejected so typos
-fail loudly instead of silently using a default.
+`SCHEMA` is the one list of config keys. Each key has one row: its
+default, the types it accepts, a numeric range and the allowed strings.
+`DEFAULTS` is derived from it, and `validate` checks every value against
+its row. The defaults are the documented toolkit choices (BM25
+k1=0.9/b=0.4, run depth 100, hardness thresholds, inverted QPP
+orientation, train-median routing threshold). Any key can be overridden
+by the file and any file key by a ``--set section.key=value`` flag;
+unknown keys are rejected so typos fail loudly instead of silently using
+a default.
 """
 
 from __future__ import annotations
@@ -14,60 +18,98 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .enrichment import HardnessRule
 from .lexical_retrieval import Bm25Params
 
-DEFAULTS: dict[str, Any] = {
-    "seed": 13,
-    "run_depth": 100,
+
+class Key(NamedTuple):
+    """One key's row. `int` is an integer and `float` any finite number, never a
+    bool; `lo`/`hi` bound numbers and `choices` lists the allowed strings."""
+
+    default: Any
+    types: tuple[type, ...]
+    lo: float | None = None
+    hi: float | None = None
+    choices: tuple[str, ...] | None = None
+
+
+_INT, _NUM, _STR, _BOOL = (int,), (float,), (str,), (bool,)
+_NONE = type(None)
+
+SCHEMA: dict[str, Any] = {
+    "seed": Key(13, _INT),
+    "run_depth": Key(100, _INT, lo=1),
     "paths": {
-        "corpus": "corpus.jsonl",
-        "train_queries": "queries.tsv",
-        "train_qrels": "qrels.txt",
-        "test_queries": "queries.tsv",
-        "test_qrels": "qrels.txt",
-        "index": "work/index.json",
-        "enriched_queries": "work/enriched.tsv",
-        "models_dir": "work/models",
-        "runs_dir": "work/runs",
-        "reports_dir": "work/reports",
+        "corpus": Key("corpus.jsonl", _STR),
+        "train_queries": Key("queries.tsv", _STR),
+        "train_qrels": Key("qrels.txt", _STR),
+        "test_queries": Key("queries.tsv", _STR),
+        "test_qrels": Key("qrels.txt", _STR),
+        "index": Key("work/index.json", _STR),
+        "enriched_queries": Key("work/enriched.tsv", _STR),
+        "models_dir": Key("work/models", _STR),
+        "runs_dir": Key("work/runs", _STR),
+        "reports_dir": Key("work/reports", _STR),
     },
-    "bm25": {"k1": 0.9, "b": 0.4},
+    "bm25": {"k1": Key(0.9, _NUM, lo=1e-9), "b": Key(0.4, _NUM, lo=0.0, hi=1.0)},
     "hardness": {
-        "max_token_count": 5,
-        "acronym_pattern": True,
-        "min_context_terms": 2,
-        "lexicon_file": None,
+        "max_token_count": Key(5, _INT, lo=1),
+        "acronym_pattern": Key(True, _BOOL),
+        "min_context_terms": Key(2, _INT, lo=0),
+        "lexicon_file": Key(None, (str, _NONE)),
     },
     "generator": {
-        "type": "stub",  # "stub" or "http"
-        "endpoint_url": "",
-        "auth_token_env": "HARDRANK_GENERATOR_TOKEN",
-        "max_retries": 3,
-        "max_in_flight": 4,
-        "stub_context_terms": 6,
+        "type": Key("stub", _STR, choices=("stub", "http")),
+        "endpoint_url": Key("", _STR),
+        "auth_token_env": Key("HARDRANK_GENERATOR_TOKEN", _STR),
+        "max_retries": Key(3, _INT, lo=0),
+        "max_in_flight": Key(4, _INT, lo=1),
+        "stub_context_terms": Key(6, _INT, lo=0),
     },
-    "enrichment": {"use_judged_context": False, "passage_window": 120},
+    "enrichment": {
+        "use_judged_context": Key(False, _BOOL),
+        "passage_window": Key(120, _INT, lo=1),
+    },
     "ranker": {
-        "epochs": 500,
-        "learning_rate": 0.1,
-        "negatives_per_positive": 4,
-        "label_threshold": 1,
+        "epochs": Key(500, _INT, lo=1),
+        "learning_rate": Key(0.1, _NUM, lo=1e-12),
+        "negatives_per_positive": Key(4, _INT, lo=0),
+        "label_threshold": Key(1, _INT, lo=1),
     },
-    "qpp": {"epochs": 500, "learning_rate": 0.05, "k": 10, "orientation": "hardness"},
+    "qpp": {
+        "epochs": Key(500, _INT, lo=1),
+        "learning_rate": Key(0.05, _NUM, lo=1e-12),
+        "k": Key(10, _INT, lo=1),
+        "orientation": Key("hardness", _STR, choices=("hardness", "effectiveness")),
+    },
     "fusion": {
-        "normalize": "per_query_min_max",
-        "routing_threshold": "train_median",
+        "normalize": Key("per_query_min_max", _STR, choices=("per_query_min_max", "none")),
+        # a fixed tau in [0, 1], or the median psi of the training queries
+        "routing_threshold": Key("train_median", (float, str), lo=0.0, hi=1.0,
+                                 choices=("train_median",)),
     },
     "metrics": {
-        "ndcg_k": 10,
-        "rr_cutoff": None,
-        "gain": "exp",
-        "include_no_positive": False,
+        "ndcg_k": Key(10, _INT, lo=1),
+        "rr_cutoff": Key(None, (int, _NONE), lo=1),
+        "gain": Key("exp", _STR, choices=("exp", "linear")),
+        "include_no_positive": Key(False, _BOOL),
     },
 }
+
+
+def _defaults(schema: dict[str, Any]) -> dict[str, Any]:
+    return {
+        name: _defaults(row) if isinstance(row, dict) else row.default
+        for name, row in schema.items()
+    }
+
+
+DEFAULTS: dict[str, Any] = _defaults(SCHEMA)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               _NONE: "null"}
 
 
 class ConfigError(ValueError):
@@ -129,62 +171,45 @@ def _merge(base: dict, override: dict, trail: str = "") -> dict:
     return merged
 
 
-def _check_range(raw: dict, *keys: str, lo=None, hi=None, kind=None) -> None:
-    """Type and range check of the value at ``raw[keys[0]][keys[1]]...``.
+def _accepts(kind: type, value: Any) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
-    A bool is never an integer or a number here, although Python counts it
-    as an int, and NaN or an infinity is never a number.
-    """
-    value = raw
-    for key in keys:
-        value = value[key]
-    where = ".".join(keys)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if kind is float and isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{where} must be <= {hi}, got {value}")
+
+def _check(where: str, key: Key, value: Any) -> None:
+    if not any(_accepts(kind, value) for kind in key.types):
+        expected = " or ".join(_TYPE_NAMES[kind] for kind in key.types)
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    if isinstance(value, str):
+        if key.choices is not None and value not in key.choices:
+            raise ConfigError(f"{where} must be one of {key.choices}, got {value!r}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        if key.lo is not None and value < key.lo:
+            raise ConfigError(f"{where} must be >= {key.lo}, got {value}")
+        if key.hi is not None and value > key.hi:
+            raise ConfigError(f"{where} must be <= {key.hi}, got {value}")
+
+
+def _walk(schema: dict[str, Any], raw: dict[str, Any], trail: str) -> None:
+    for name, row in schema.items():
+        where = f"{trail}{name}"
+        if isinstance(row, dict):
+            if not isinstance(raw[name], dict):
+                raise ConfigError(f"config key {where!r} must be an object")
+            _walk(row, raw[name], f"{where}.")
+        else:
+            _check(where, row, raw[name])
 
 
 def validate(raw: dict[str, Any]) -> None:
-    """Range/enum checks independent of the filesystem."""
-    _check_range(raw, "seed", kind=int)
-    _check_range(raw, "bm25", "k1", lo=1e-9, kind=float)
-    _check_range(raw, "bm25", "b", lo=0.0, hi=1.0, kind=float)
-    _check_range(raw, "run_depth", lo=1, kind=int)
-    _check_range(raw, "hardness", "max_token_count", lo=1, kind=int)
-    _check_range(raw, "hardness", "min_context_terms", lo=0, kind=int)
-    if raw["generator"]["type"] not in ("stub", "http"):
-        raise ConfigError("generator.type must be 'stub' or 'http'")
-    if raw["generator"]["type"] == "http" and not raw["generator"]["endpoint_url"]:
+    """Check every value against its `SCHEMA` row, independent of the filesystem."""
+    _walk(SCHEMA, raw, "")
+    generator = raw["generator"]
+    if generator["type"] == "http" and not generator["endpoint_url"]:
         raise ConfigError("generator.endpoint_url required for the http generator")
-    _check_range(raw, "enrichment", "passage_window", lo=1, kind=int)
-    for section in ("ranker", "qpp"):
-        _check_range(raw, section, "epochs", lo=1, kind=int)
-        _check_range(raw, section, "learning_rate", lo=1e-12, kind=float)
-    _check_range(raw, "ranker", "negatives_per_positive", lo=0, kind=int)
-    _check_range(raw, "ranker", "label_threshold", lo=1, kind=int)
-    _check_range(raw, "qpp", "k", lo=1, kind=int)
-    if raw["qpp"]["orientation"] not in ("hardness", "effectiveness"):
-        raise ConfigError("qpp.orientation must be 'hardness' or 'effectiveness'")
-    if raw["fusion"]["normalize"] not in ("per_query_min_max", "none"):
-        raise ConfigError("fusion.normalize must be 'per_query_min_max' or 'none'")
-    threshold = raw["fusion"]["routing_threshold"]
-    if isinstance(threshold, str):
-        if threshold != "train_median":
-            raise ConfigError("fusion.routing_threshold must be a number or 'train_median'")
-    else:
-        _check_range(raw, "fusion", "routing_threshold", lo=0.0, hi=1.0, kind=float)
-    _check_range(raw, "metrics", "ndcg_k", lo=1, kind=int)
-    if raw["metrics"]["rr_cutoff"] is not None:
-        _check_range(raw, "metrics", "rr_cutoff", lo=1, kind=int)
-    if raw["metrics"]["gain"] not in ("exp", "linear"):
-        raise ConfigError("metrics.gain must be 'exp' or 'linear'")
 
 
 def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
@@ -220,7 +245,7 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(raw_file, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     raw = _merge(DEFAULTS, raw_file)
     if overrides:
         raw = apply_overrides(raw, overrides)

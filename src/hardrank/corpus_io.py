@@ -49,14 +49,12 @@ class DuplicateEntryError(ParseError):
 class Document:
     doc_id: str
     text: str
-    passages: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
 class Query:
     query_id: str
     text: str
-    hardness_label: str = "unknown"  # "hard" | "easy" | "unknown"
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,25 +297,12 @@ def parse_corpus(lines: Iterable[str]) -> list[Document]:
         if doc_id in seen:
             raise DuplicateEntryError(f"duplicate doc_id {doc_id!r}", line_no)
         seen.add(doc_id)
-        passages = record.get("passages")
-        docs.append(
-            Document(
-                doc_id=doc_id,
-                text=str(record["text"]),
-                passages=tuple(passages) if passages is not None else None,
-            )
-        )
+        docs.append(Document(doc_id=doc_id, text=str(record["text"])))
     return docs
 
 
 def write_corpus(docs: Iterable[Document]) -> list[str]:
-    lines = []
-    for doc in docs:
-        record: dict = {"doc_id": doc.doc_id, "text": doc.text}
-        if doc.passages is not None:
-            record["passages"] = list(doc.passages)
-        lines.append(json.dumps(record, sort_keys=True))
-    return lines
+    return [json.dumps({"doc_id": d.doc_id, "text": d.text}, sort_keys=True) for d in docs]
 
 
 # Path-based conveniences. Readers stream; writers end the file with a newline.

@@ -8,20 +8,26 @@ same either way:
 
     L = -(1/N) sum_i [ t_i * ln(p_i) + (1 - t_i) * ln(1 - p_i) ]
     dL/dw = (1/N) Z^T (p - t),   dL/db = mean(p - t)
+
+Both models are one `LogisticScorer`, stored in one versioned JSON format
+whose `kind` field says which model a file holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, xlogy
 
 _CLAMP = 1e-12
 
-
-def sigmoid(x):
-    return expit(x)
+SCORER_FORMAT = "hardrank-scorer"
+SCORER_VERSION = 2  # version 1 was the separate ranker and QPP formats
+KINDS = ("ranker", "qpp")
+QPP_ORIENTATIONS = ("hardness", "effectiveness")
+_ARRAYS = ("weights", "feature_means", "feature_stds")
 
 
 def open_unit_sigmoid(x: float) -> float:
@@ -107,3 +113,102 @@ def fit_logistic(
         bias = bias - learning_rate * grad_b
         losses.append(bce_loss(targets, expit(features @ weights + bias), clamp=True))
     return FitResult(weights=weights, bias=bias, losses=losses)
+
+
+@dataclass(eq=False)
+class LogisticScorer:
+    """sigmoid(w . z + b) over z-scored features: a ranker or a QPP model.
+
+    A "qpp" scorer carries its top-k depth and orientation in `metadata`
+    under "k" and "orientation"; a scorer with bad ones cannot be built,
+    so it can be neither trained nor loaded.
+    """
+
+    weights: np.ndarray
+    bias: float
+    feature_means: np.ndarray
+    feature_stds: np.ndarray
+    metadata: dict = field(default_factory=dict)
+    kind: str = "ranker"
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if len({len(getattr(self, name)) for name in _ARRAYS}) != 1:
+            raise ValueError(f"{', '.join(_ARRAYS)} differ in length")
+        if self.kind == "qpp":
+            k, orientation = self.metadata.get("k"), self.metadata.get("orientation")
+            if type(k) is not int or k < 1 or orientation not in QPP_ORIENTATIONS:
+                raise ValueError(f"a qpp model needs an integer k >= 1 and an orientation in "
+                                 f"{QPP_ORIENTATIONS}, got k={k!r}, orientation={orientation!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LogisticScorer):
+            return NotImplemented
+        return (
+            (self.kind, self.bias, self.metadata) == (other.kind, other.bias, other.metadata)
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _ARRAYS)
+        )
+
+    def score_rows(self, features: np.ndarray) -> np.ndarray:
+        """Score in (0, 1) of every row of an (n, d) feature matrix.
+
+        The z-scores, bias, sigmoid and clamp run over the whole matrix, as
+        they are elementwise. The dot product stays one `np.dot` per row: a
+        matrix-vector product may sum in another order and change a last
+        bit, so each row equals `open_unit_sigmoid(np.dot(w, z) + b)`.
+        """
+        z = apply_zscore(features, self.feature_means, self.feature_stds)
+        logits = np.array([float(np.dot(self.weights, row)) for row in z], dtype=float)
+        return open_unit_sigmoids(logits + self.bias)
+
+
+def fit_scorer(
+    features: np.ndarray,
+    targets: np.ndarray,
+    epochs: int,
+    learning_rate: float,
+    kind: str,
+    metadata: dict,
+) -> LogisticScorer:
+    """Z-score the raw features, fit them with `fit_logistic`, and freeze
+    the z-score statistics into the scorer. Its metadata is `metadata`
+    plus the epochs, learning rate and loss curve."""
+    means, stds = zscore_stats(features)
+    fit = fit_logistic(apply_zscore(features, means, stds), targets, epochs, learning_rate)
+    metadata = {**metadata, "epochs": epochs, "learning_rate": learning_rate,
+                "loss_curve": fit.losses}
+    return LogisticScorer(fit.weights, fit.bias, means, stds, metadata, kind)
+
+
+def save_scorer(scorer: LogisticScorer, path) -> None:
+    payload = {"format": SCORER_FORMAT, "version": SCORER_VERSION, "kind": scorer.kind}
+    payload.update((name, getattr(scorer, name).tolist()) for name in _ARRAYS)
+    payload.update(bias=scorer.bias, metadata=scorer.metadata)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+
+
+def load_scorer(path, kind: str) -> LogisticScorer:
+    """Read a scorer of `kind`. Any other file, version 1 files included,
+    raises ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        found = (payload.get("format"), payload.get("version"))
+        if found != (SCORER_FORMAT, SCORER_VERSION):
+            raise ValueError(f"format {found[0]!r} version {found[1]!r} is not "
+                             f"{SCORER_FORMAT!r} version {SCORER_VERSION}; retrain the model")
+        if payload.get("kind") != kind:
+            raise ValueError(f"holds a {payload.get('kind')!r} model, not a {kind!r} one")
+        return LogisticScorer(
+            **{name: np.array(payload[name], dtype=float) for name in _ARRAYS},
+            bias=float(payload["bias"]),
+            metadata=dict(payload["metadata"]),
+            kind=kind,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

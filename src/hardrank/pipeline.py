@@ -48,14 +48,9 @@ from .lexical_retrieval import (
     load_index,
     save_index,
 )
-from .pointwise_ranker import (
-    ModelRanker,
-    build_training_set,
-    load_model,
-    save_model,
-    train,
-)
-from .qpp import ModelQppProvider, load_qpp_model, save_qpp_model, train_qpp
+from .linear_model import LogisticScorer, load_scorer, save_scorer
+from .pointwise_ranker import ModelRanker, build_training_set, train
+from .qpp import ModelQppProvider, train_qpp
 
 log = logging.getLogger(__name__)
 
@@ -194,11 +189,7 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
         seed=config.seed,
         model_id=f"pointwise-logistic-v1:{which}",
     )
-    path = _model_path(config, which)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, path)
-    _write_loss_curve(model.metadata["loss_curve"], path.with_suffix(".loss.tsv"))
-    return path
+    return _save_model(config, which, model)
 
 
 def train_qpp_model(config: PipelineConfig) -> Path:
@@ -221,11 +212,7 @@ def train_qpp_model(config: PipelineConfig) -> Path:
         k=section["k"],
         orientation=section["orientation"],
     )
-    path = _model_path(config, "qpp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_qpp_model(model, path)
-    _write_loss_curve(model.metadata["loss_curve"], path.with_suffix(".loss.tsv"))
-    return path
+    return _save_model(config, "qpp", model)
 
 
 def _qpp_labels(config, index, queries, qrels: Qrels):
@@ -251,9 +238,15 @@ def _qpp_labels(config, index, queries, qrels: Qrels):
     return labeled
 
 
-def _write_loss_curve(losses: list[float], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses))
+def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Path:
+    """Write the model file and, beside it, its loss curve as `epoch<TAB>loss` lines."""
+    path = _model_path(config, which)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_scorer(model, path)
+    with open(path.with_suffix(".loss.tsv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{epoch}\t{loss!r}\n"
+                      for epoch, loss in enumerate(model.metadata["loss_curve"]))
+    return path
 
 
 def _fusion_config(config: PipelineConfig, method: str) -> FusionConfig:
@@ -298,10 +291,8 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
     params = config.bm25_params()
 
     def ranker(which: str) -> ModelRanker:
-        model = load_model(
-            _require(_model_path(config, which), f"train {which} first")
-        )
-        return ModelRanker(model, corpus, index, params)
+        path = _require(_model_path(config, which), f"train {which} first")
+        return ModelRanker(load_scorer(path, "ranker"), corpus, index, params)
 
     def runs(*which: str) -> list[RunList]:
         # Each query goes through every ranker in turn, so they share its
@@ -319,10 +310,8 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
     elif method == "bsf":
         run = bsf(*runs("br", "sr"), _fusion_config(config, "bsf"))
     else:
-        qpp_model = load_qpp_model(
-            _require(_model_path(config, "qpp"), "train qpp first")
-        )
-        provider = ModelQppProvider(qpp_model, index)
+        qpp_path = _require(_model_path(config, "qpp"), "train qpp first")
+        provider = ModelQppProvider(load_scorer(qpp_path, "qpp"), index)
         if method == "r_qpp":
             tau = _resolve_tau(config, index, provider)
             run, decisions = route_qpp(

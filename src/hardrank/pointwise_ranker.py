@@ -10,7 +10,6 @@ produced scores (e.g. from a neural model) stand in for either ranker.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import operator
@@ -18,7 +17,7 @@ import random
 import sys
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -26,19 +25,10 @@ import numpy as np
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from .enrichment import EnrichedQuery
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
-from .linear_model import (
-    apply_zscore,
-    fit_logistic,
-    open_unit_sigmoid,
-    open_unit_sigmoids,
-    zscore_stats,
-)
+from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoid
 from .text import leading_tokens, tokenize
 
 log = logging.getLogger(__name__)
-
-MODEL_FORMAT = "hardrank-ranker"
-MODEL_VERSION = 1
 
 FEATURE_NAMES = (
     "bm25",
@@ -62,30 +52,6 @@ class TrainingInstance:
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass
-class RankerModel:
-    """Logistic scorer: sigmoid(w . z + b) over z-scored features."""
-
-    weights: np.ndarray
-    bias: float
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    model_id: str = "pointwise-logistic-v1"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RankerModel):
-            return NotImplemented
-        return (
-            np.array_equal(self.weights, other.weights)
-            and self.bias == other.bias
-            and np.array_equal(self.feature_means, other.feature_means)
-            and np.array_equal(self.feature_stds, other.feature_stds)
-            and self.metadata == other.metadata
-            and self.model_id == other.model_id
-        )
 
 
 def _query_text(query) -> str:
@@ -163,22 +129,11 @@ def extract_features(query, doc: Document, index: InvertedIndex,
     return feature_matrix(query, [doc], index, params)[0]
 
 
-def score(model: RankerModel, features: np.ndarray) -> float:
-    """Relevance score in the open interval (0, 1)."""
+def score(model: LogisticScorer, features: np.ndarray) -> float:
+    """Relevance score in (0, 1) of one feature vector; the per-row
+    reference that `LogisticScorer.score_rows` equals bit for bit."""
     z = apply_zscore(features, model.feature_means, model.feature_stds)
     return open_unit_sigmoid(float(np.dot(model.weights, z)) + model.bias)
-
-
-def score_rows(model: RankerModel, features: np.ndarray) -> np.ndarray:
-    """`score` of every row of an (n, 6) matrix, with the same bits.
-
-    The z-scores, bias, sigmoid and clamp run over the whole matrix, as
-    they are elementwise. The dot product stays one `np.dot` per row: a
-    matrix-vector product may sum in another order and change a last bit.
-    """
-    z = apply_zscore(features, model.feature_means, model.feature_stds)
-    logits = np.array([float(np.dot(model.weights, row)) for row in z], dtype=float)
-    return open_unit_sigmoids(logits + model.bias)
 
 
 def train(
@@ -187,7 +142,7 @@ def train(
     learning_rate: float = 0.1,
     seed: int = 0,
     model_id: str = "pointwise-logistic-v1",
-) -> RankerModel:
+) -> LogisticScorer:
     """Fit the logistic scorer by full-batch gradient descent on the BCE.
 
     Weights start at zero; normalization statistics are computed from the
@@ -201,26 +156,12 @@ def train(
     if len(set(labels.tolist())) < 2:
         raise ValueError("training set must contain both labels")
     features = np.array([inst.features for inst in instances], dtype=float)
-    means, stds = zscore_stats(features)
-    fit = fit_logistic(apply_zscore(features, means, stds), labels, epochs, learning_rate)
-    return RankerModel(
-        weights=fit.weights,
-        bias=fit.bias,
-        feature_means=means,
-        feature_stds=stds,
-        metadata={
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-            "seed": seed,
-            "n_instances": len(instances),
-            "loss_curve": fit.losses,
-        },
-        model_id=model_id,
-    )
+    metadata = {"model_id": model_id, "seed": seed, "n_instances": len(instances)}
+    return fit_scorer(features, labels, epochs, learning_rate, "ranker", metadata)
 
 
 def rerank(
-    model: RankerModel,
+    model: LogisticScorer,
     query,
     candidates: Sequence[RunRecord],
     corpus: Mapping[str, Document],
@@ -240,7 +181,7 @@ def rerank(
     if not candidates:
         raise ValueError("candidate list is empty")
     features = _candidate_features(_query_text(query), candidates, corpus, index, params)
-    scores = score_rows(model, features).tolist()
+    scores = model.score_rows(features).tolist()
     return rank_records(zip([rec.doc_id for rec in candidates], scores))
 
 
@@ -304,7 +245,7 @@ class ModelRanker:
     enriched rewrites); queries without an override use their own text.
     """
 
-    model: RankerModel
+    model: LogisticScorer
     corpus: Mapping[str, Document]
     index: InvertedIndex
     params: Bm25Params = Bm25Params()
@@ -388,36 +329,3 @@ def build_training_set(
         for (doc_id, label), row in zip(labeled, features):
             instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
     return instances
-
-
-def save_model(model: RankerModel, path) -> None:
-    """Persist the model as a versioned plain-text (JSON) record."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "model_id": model.model_id,
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "feature_means": model.feature_means.tolist(),
-        "feature_stds": model.feature_stds.tolist(),
-        "metadata": model.metadata,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-
-
-def load_model(path) -> RankerModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a ranker model file: {path}")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
-    return RankerModel(
-        weights=np.array(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        feature_means=np.array(payload["feature_means"], dtype=float),
-        feature_stds=np.array(payload["feature_stds"], dtype=float),
-        metadata=payload.get("metadata", {}),
-        model_id=payload.get("model_id", "pointwise-logistic-v1"),
-    )

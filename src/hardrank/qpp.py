@@ -5,7 +5,9 @@ is trained against nDCG@10 labels with a soft-target binary cross-entropy.
 Because the training target measures how WELL retrieval did (higher =
 easier), the default orientation inverts the prediction so that the emitted
 estimate psi is a hardness score: psi = 1 - predicted effectiveness. The
-orientation is recorded in the provider id of every estimate.
+model is a "qpp" `LogisticScorer` whose metadata holds the top-k depth and
+the orientation; the orientation is recorded in the provider id of every
+estimate.
 
 A file-backed provider serves precomputed scores through the same contract
 so externally produced estimates can stand in for the trained model.
@@ -13,19 +15,15 @@ so externally produced estimates can stand in for the trained model.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .corpus_io import Query, RunRecord, read_qpp_scores_file
 from .lexical_retrieval import InvertedIndex
-from .linear_model import apply_zscore, fit_logistic, open_unit_sigmoid, zscore_stats
+from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
-
-QPP_MODEL_FORMAT = "hardrank-qpp"
-QPP_MODEL_VERSION = 1
 
 QPP_FEATURE_NAMES = (
     "mean_topk_score",
@@ -35,8 +33,6 @@ QPP_FEATURE_NAMES = (
     "query_length",
     "mean_term_idf",
 )
-
-ORIENTATIONS = ("hardness", "effectiveness")
 
 
 @dataclass(frozen=True)
@@ -48,41 +44,6 @@ class QppEstimate:
     def __post_init__(self):
         if not 0.0 <= self.psi <= 1.0:
             raise ValueError(f"psi must be in [0, 1], got {self.psi}")
-
-
-@dataclass
-class QppModel:
-    weights: np.ndarray
-    bias: float
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    k: int = 10
-    orientation: str = "hardness"  # emit 1 - prediction when "hardness"
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-
-    @property
-    def provider_id(self) -> str:
-        suffix = "1-minus-ndcg10" if self.orientation == "hardness" else "ndcg10"
-        return f"qpp-logistic-v1[{suffix}]"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QppModel):
-            return NotImplemented
-        return (
-            np.array_equal(self.weights, other.weights)
-            and self.bias == other.bias
-            and np.array_equal(self.feature_means, other.feature_means)
-            and np.array_equal(self.feature_stds, other.feature_stds)
-            and self.k == other.k
-            and self.orientation == other.orientation
-            and self.metadata == other.metadata
-        )
 
 
 def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) -> np.ndarray:
@@ -97,15 +58,7 @@ def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) 
         raise ValueError("topk must be non-empty")
     scores = np.array([rec.score for rec in topk], dtype=float)
     terms = sorted(set(tokenize(query.text)))
-    if terms:
-        n = index.n_docs
-        idfs = []
-        for term in terms:
-            df = index.document_frequency(term)
-            idfs.append(max(0.0, np.log((n - df + 0.5) / (df + 0.5))))
-        mean_idf = float(np.mean(idfs))
-    else:
-        mean_idf = 0.0
+    mean_idf = float(np.mean([index.idf(term) for term in terms])) if terms else 0.0
     return np.array(
         [
             float(scores.mean()),
@@ -125,12 +78,13 @@ def train_qpp(
     learning_rate: float = 0.05,
     k: int = 10,
     orientation: str = "hardness",
-) -> QppModel:
+) -> LogisticScorer:
     """Fit the estimator on (query, top-k, nDCG@10 label) triples.
 
     Soft-target BCE over the effectiveness labels; the model itself always
     predicts effectiveness, and `orientation` controls whether estimates are
-    inverted into hardness scores at inference time.
+    inverted into hardness scores at inference time. A bad `k` or
+    `orientation` raises ValueError.
     """
     if len(labeled) < 2:
         raise ValueError("need at least 2 labeled queries")
@@ -141,35 +95,21 @@ def train_qpp(
     features = np.array(
         [qpp_features(query, topk, index) for query, topk, _ in labeled], dtype=float
     )
-    means, stds = zscore_stats(features)
-    fit = fit_logistic(apply_zscore(features, means, stds), labels, epochs, learning_rate)
-    return QppModel(
-        weights=fit.weights,
-        bias=fit.bias,
-        feature_means=means,
-        feature_stds=stds,
-        k=k,
-        orientation=orientation,
-        metadata={
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-            "n_queries": len(labeled),
-            "loss_curve": fit.losses,
-        },
-    )
+    metadata = {"k": k, "orientation": orientation, "n_queries": len(labeled)}
+    return fit_scorer(features, labels, epochs, learning_rate, "qpp", metadata)
 
 
 def estimate(
-    model: QppModel, query: Query, topk: Sequence[RunRecord], index: InvertedIndex
+    model: LogisticScorer, query: Query, topk: Sequence[RunRecord], index: InvertedIndex
 ) -> QppEstimate:
     """Hardness estimate for one query given its top-k retrieval."""
     if not topk:
         raise ValueError("topk must be non-empty")
-    feats = qpp_features(query, topk[: model.k], index)
-    z = apply_zscore(feats, model.feature_means, model.feature_stds)
-    effectiveness = open_unit_sigmoid(float(np.dot(model.weights, z)) + model.bias)
-    psi = 1.0 - effectiveness if model.orientation == "hardness" else effectiveness
-    return QppEstimate(query.query_id, psi, model.provider_id)
+    feats = qpp_features(query, topk[: model.metadata["k"]], index)
+    effectiveness = float(model.score_rows(feats[np.newaxis])[0])
+    if model.metadata["orientation"] == "hardness":
+        return QppEstimate(query.query_id, 1.0 - effectiveness, "qpp-logistic-v1[1-minus-ndcg10]")
+    return QppEstimate(query.query_id, effectiveness, "qpp-logistic-v1[ndcg10]")
 
 
 class QppProvider(Protocol):
@@ -183,7 +123,7 @@ class QppProvider(Protocol):
 
 @dataclass
 class ModelQppProvider:
-    model: QppModel
+    model: LogisticScorer
     index: InvertedIndex
 
     def estimate_query(
@@ -212,37 +152,3 @@ class FileQppProvider:
 def file_provider(path) -> FileQppProvider:
     """Load a `qid<TAB>score` file into a provider (scores validated in [0,1])."""
     return FileQppProvider(read_qpp_scores_file(path))
-
-
-def save_qpp_model(model: QppModel, path) -> None:
-    payload = {
-        "format": QPP_MODEL_FORMAT,
-        "version": QPP_MODEL_VERSION,
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "feature_means": model.feature_means.tolist(),
-        "feature_stds": model.feature_stds.tolist(),
-        "k": model.k,
-        "orientation": model.orientation,
-        "metadata": model.metadata,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-
-
-def load_qpp_model(path) -> QppModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != QPP_MODEL_FORMAT:
-        raise ValueError(f"not a QPP model file: {path}")
-    if payload.get("version") != QPP_MODEL_VERSION:
-        raise ValueError(f"unsupported QPP model version {payload.get('version')}")
-    return QppModel(
-        weights=np.array(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        feature_means=np.array(payload["feature_means"], dtype=float),
-        feature_stds=np.array(payload["feature_stds"], dtype=float),
-        k=int(payload["k"]),
-        orientation=payload["orientation"],
-        metadata=payload.get("metadata", {}),
-    )

@@ -40,22 +40,15 @@ from hardrank.evaluation import (
 )
 from hardrank.fusion import FusionConfig, bsf, route_qpp, w_qpps
 from hardrank.lexical_retrieval import build_index
-from hardrank.linear_model import bce_gradient, bce_loss
-from hardrank.pointwise_ranker import (
-    RankerModel,
-    ScoreFileRanker,
-    load_model,
-    save_model,
-    score,
-    train,
+from hardrank.linear_model import (
+    LogisticScorer,
+    bce_gradient,
+    bce_loss,
+    load_scorer,
+    save_scorer,
 )
-from hardrank.qpp import (
-    FileQppProvider,
-    QppModel,
-    load_qpp_model,
-    save_qpp_model,
-    train_qpp,
-)
+from hardrank.pointwise_ranker import ScoreFileRanker, score, train
+from hardrank.qpp import FileQppProvider, train_qpp
 
 
 @contextmanager
@@ -343,7 +336,7 @@ def _random_run(rng):
 
 
 def _random_ranker_model(rng):
-    return RankerModel(
+    return LogisticScorer(
         weights=np.array([rng.uniform(-5, 5) for _ in range(6)]),
         bias=rng.uniform(-2, 2),
         feature_means=np.array([rng.uniform(-3, 3) for _ in range(6)]),
@@ -353,14 +346,17 @@ def _random_ranker_model(rng):
 
 
 def _random_qpp_model(rng):
-    return QppModel(
+    return LogisticScorer(
         weights=np.array([rng.uniform(-5, 5) for _ in range(6)]),
         bias=rng.uniform(-2, 2),
         feature_means=np.array([rng.uniform(-3, 3) for _ in range(6)]),
         feature_stds=np.array([rng.uniform(0.1, 4) for _ in range(6)]),
-        k=rng.randint(1, 100),
-        orientation=rng.choice(["hardness", "effectiveness"]),
-        metadata={"n_queries": rng.randint(2, 500)},
+        metadata={
+            "k": rng.randint(1, 100),
+            "orientation": rng.choice(["hardness", "effectiveness"]),
+            "n_queries": rng.randint(2, 500),
+        },
+        kind="qpp",
     )
 
 
@@ -385,16 +381,12 @@ class TestCriterion7FormatRoundTrips:
                     for i in range(rng.randint(1, 20))
                 }
                 assert parse_qpp_scores(write_qpp_scores(scores)) == scores
+            # both kinds of model go through the one save/load pair
             model_path = tmp_path / "model.json"
             for i in range(250):
-                if i % 2 == 0:
-                    model = _random_ranker_model(rng)
-                    save_model(model, model_path)
-                    assert load_model(model_path) == model
-                else:
-                    qpp = _random_qpp_model(rng)
-                    save_qpp_model(qpp, model_path)
-                    assert load_qpp_model(model_path) == qpp
+                model = _random_ranker_model(rng) if i % 2 == 0 else _random_qpp_model(rng)
+                save_scorer(model, model_path)
+                assert load_scorer(model_path, model.kind) == model
 
 
 class TestCriterion8Significance:

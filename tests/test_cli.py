@@ -112,7 +112,7 @@ class TestIndexCommand:
         [
             'run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true",
             "bm25.k1=NaN", "bm25.k1=Infinity", "ranker.learning_rate=NaN",
-            "qpp.learning_rate=NaN",
+            "qpp.learning_rate=NaN", "hardness.acronym_pattern=5",
         ],
     )
     def test_wrongly_typed_config_value_is_input_error(self, workdir, run_cli, override):
@@ -229,12 +229,42 @@ class TestRunAndEval:
 
     def test_br_and_sr_share_training_configuration(self, trained, run_cli):
         # the two rankers may differ only in their training data
-        from hardrank.pointwise_ranker import load_model
+        from hardrank.linear_model import load_scorer
 
-        br = load_model(trained / "work" / "models" / "br.json")
-        sr = load_model(trained / "work" / "models" / "sr.json")
+        br = load_scorer(trained / "work" / "models" / "br.json", "ranker")
+        sr = load_scorer(trained / "work" / "models" / "sr.json", "ranker")
         shared = ("epochs", "learning_rate", "seed")
         assert {k: br.metadata[k] for k in shared} == {k: sr.metadata[k] for k in shared}
+
+    def test_ranker_file_as_qpp_model_is_input_error(self, trained, run_cli):
+        models = trained / "work" / "models"
+        shutil.copyfile(models / "br.json", models / "qpp.json")
+        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "work/models/qpp.json" in result.stderr
+        assert "'ranker' model" in result.stderr
+        assert not (trained / "work" / "runs" / "w_qpps.txt").exists()
+
+    def test_version_1_qpp_model_is_input_error(self, trained, run_cli):
+        # the QPP file format before models became one format with a kind
+        qpp_path = trained / "work" / "models" / "qpp.json"
+        current = json.loads(qpp_path.read_text())
+        qpp_path.write_text(json.dumps({
+            "format": "hardrank-qpp",
+            "version": 1,
+            "weights": current["weights"],
+            "bias": current["bias"],
+            "feature_means": current["feature_means"],
+            "feature_stds": current["feature_stds"],
+            "k": 10,
+            "orientation": "hardness",
+            "metadata": {},
+        }))
+        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "work/models/qpp.json" in result.stderr
+        assert "retrain" in result.stderr
+        assert not (trained / "work" / "runs" / "w_qpps.txt").exists()
 
     def test_r_qpp_writes_routing_log(self, trained, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from hardrank.config import (
-    ConfigError,
     DEFAULTS,
+    SCHEMA,
+    ConfigError,
     apply_overrides,
     default_config,
     dump_defaults,
     load_config,
+    validate,
 )
 
 
@@ -57,6 +59,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_non_object_root_names_the_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match=r"list\.json must hold a JSON object"):
+            load_config(path)
+
     def test_paths_resolve_relative_to_config(self, tmp_path):
         config = load_config(write_config(tmp_path, {"paths": {"corpus": "c.jsonl"}}))
         assert config.path("corpus") == tmp_path / "c.jsonl"
@@ -70,6 +78,26 @@ class TestLoadConfig:
     def test_bad_threshold_policy_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="routing_threshold"):
             load_config(write_config(tmp_path, {"fusion": {"routing_threshold": "p95"}}))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "hardness.acronym_pattern=5",
+            'metrics.include_no_positive="no"',
+            'generator.max_retries="x"',
+            "generator.max_in_flight=0",
+            "enrichment.use_judged_context=1",
+            "generator.stub_context_terms=true",
+        ],
+    )
+    def test_wrongly_typed_or_out_of_range_value_names_the_key(self, tmp_path, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(write_config(tmp_path, {}), [override])
+
+    def test_section_replaced_by_a_value_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="'bm25' must be an object"):
+            load_config(write_config(tmp_path, {}), ["bm25=5"])
 
 
 class TestOverrides:
@@ -88,6 +116,46 @@ class TestOverrides:
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             apply_overrides(DEFAULTS, ["bm25.k1"])
+
+
+def _rows(schema, trail=""):
+    for name, row in schema.items():
+        if isinstance(row, dict):
+            yield from _rows(row, f"{trail}{name}.")
+        else:
+            yield f"{trail}{name}", row
+
+
+def _with(dotted, value):
+    return apply_overrides(DEFAULTS, [f"{dotted}={json.dumps(value)}"])
+
+
+class TestSchema:
+    def test_defaults_are_the_schema_defaults(self):
+        for dotted, row in _rows(SCHEMA):
+            node = DEFAULTS
+            for part in dotted.split("."):
+                node = node[part]
+            assert node == row.default, dotted
+
+    @pytest.mark.parametrize("dotted", list(dict(_rows(SCHEMA))))
+    def test_every_key_checks_its_type(self, dotted):
+        row = dict(_rows(SCHEMA))[dotted]
+        # one value of each type the row does not accept (a number key takes
+        # integers too, and no key takes a list) must fail naming the key
+        samples = {int: 7, float: 0.5, str: "x", bool: True, type(None): None}
+        wrong = [[1]] + [
+            value for kind, value in samples.items()
+            if kind not in row.types and not (kind is int and float in row.types)
+        ]
+        for value in wrong:
+            with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
+                validate(_with(dotted, value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            validate(_with("fusion.routing_threshold", value))
 
 
 class TestDefaults:

@@ -251,6 +251,10 @@ class TestCorpus:
         with pytest.raises(DuplicateEntryError):
             parse_corpus([line, line])
 
-    def test_roundtrip_with_passages(self):
-        docs = [Document("d1", "a b c", passages=("a b", "c")), Document("d2", "x")]
+    def test_roundtrip(self):
+        docs = [Document("d1", "a b c"), Document("d2", "x")]
         assert parse_corpus(write_corpus(docs)) == docs
+
+    def test_extra_keys_ignored(self):
+        line = '{"doc_id": "d1", "passages": ["a b", "c"], "text": "a b c"}'
+        assert parse_corpus([line]) == [Document("d1", "a b c")]

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from hardrank.corpus_io import Document, Query, rank_records
 from hardrank.lexical_retrieval import Bm25Params, bm25_term_score, build_index
+from hardrank.linear_model import LogisticScorer
 from hardrank.pointwise_ranker import (
     EARLY_WINDOW,
     FEATURE_NAMES,
-    RankerModel,
     extract_features,
     feature_matrix,
     rerank,
@@ -122,7 +122,7 @@ params_st = st.builds(
 )
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 models = st.builds(
-    RankerModel,
+    LogisticScorer,
     weights=st.lists(finite, min_size=6, max_size=6).map(np.array),
     bias=finite,
     feature_means=st.lists(finite, min_size=6, max_size=6).map(np.array),
@@ -187,7 +187,7 @@ class TestMissingDocuments:
     @pytest.fixture
     def setting(self):
         indexed = [Document("d1", "solar power"), Document("d2", "wind power")]
-        model = RankerModel(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
+        model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         return model, build_index(indexed), {d.doc_id: d for d in indexed}
 
     def test_unindexed_document_names_the_doc(self, setting):

@@ -10,17 +10,14 @@ import pytest
 from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from hardrank.enrichment import EnrichedQuery
 from hardrank.lexical_retrieval import build_index
-from hardrank.linear_model import bce_gradient, bce_loss
+from hardrank.linear_model import LogisticScorer, bce_gradient, bce_loss, load_scorer, save_scorer
 from hardrank.pointwise_ranker import (
     ModelRanker,
-    RankerModel,
     ScoreFileRanker,
     TrainingInstance,
     build_training_set,
     extract_features,
-    load_model,
     rerank,
-    save_model,
     score,
     train,
 )
@@ -98,7 +95,7 @@ class TestExtractFeatures:
 
 class TestScore:
     def _zero_model(self):
-        return RankerModel(
+        return LogisticScorer(
             weights=np.zeros(6),
             bias=0.0,
             feature_means=np.zeros(6),
@@ -233,7 +230,7 @@ class TestTrain:
 class TestRerank:
     def test_zero_model_ties_break_by_doc_id(self, small_corpus):
         docs, idx = small_corpus
-        model = RankerModel(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
+        model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         candidates = rank_records([("d2", 3.0), ("d1", 2.0), ("d3", 1.0)])
         out = rerank(model, Query("q", "solar"), candidates, {d.doc_id: d for d in docs}, idx)
         assert [r.doc_id for r in out] == ["d1", "d2", "d3"]
@@ -241,7 +238,7 @@ class TestRerank:
 
     def test_single_candidate(self, small_corpus):
         docs, idx = small_corpus
-        model = RankerModel(np.ones(6), 0.0, np.zeros(6), np.ones(6))
+        model = LogisticScorer(np.ones(6), 0.0, np.zeros(6), np.ones(6))
         out = rerank(model, Query("q", "wind"), rank_records([("d2", 1.0)]),
                      {d.doc_id: d for d in docs}, idx)
         assert len(out) == 1
@@ -266,7 +263,7 @@ class TestRerank:
 
     def test_missing_doc_is_error(self, small_corpus):
         docs, idx = small_corpus
-        model = RankerModel(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
+        model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         with pytest.raises(ValueError, match="dX"):
             rerank(model, Query("q", "solar"), rank_records([("dX", 1.0)]),
                    {d.doc_id: d for d in docs}, idx)
@@ -315,14 +312,14 @@ class TestPersistence:
         instances = make_separable_instances()
         model = train(instances, epochs=25, learning_rate=0.1)
         path = tmp_path / "model.json"
-        save_model(model, path)
-        assert load_model(path) == model
+        save_scorer(model, path)
+        assert load_scorer(path, "ranker") == model
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            load_model(path)
+        with pytest.raises(ValueError, match="x.json"):
+            load_scorer(path, "ranker")
 
 
 class TestModelRanker:

@@ -1,5 +1,6 @@
 """Hardness-estimator features, soft-target training, and providers."""
 
+import json
 import math
 
 import numpy as np
@@ -7,17 +8,14 @@ import pytest
 
 from hardrank.corpus_io import Document, Query, rank_records
 from hardrank.lexical_retrieval import build_index
-from hardrank.linear_model import bce_loss
+from hardrank.linear_model import LogisticScorer, bce_loss, load_scorer, save_scorer
 from hardrank.qpp import (
     FileQppProvider,
     ModelQppProvider,
     QppEstimate,
-    QppModel,
     estimate,
     file_provider,
-    load_qpp_model,
     qpp_features,
-    save_qpp_model,
     train_qpp,
 )
 
@@ -37,6 +35,18 @@ def index():
 
 def entry(scores):
     return rank_records([(f"d{i}", s) for i, s in enumerate(scores)])
+
+
+def unit_model(k=10, orientation="hardness"):
+    """An untrained QPP scorer: zero weights, identity z-scores."""
+    return LogisticScorer(
+        weights=np.zeros(6),
+        bias=0.0,
+        feature_means=np.zeros(6),
+        feature_stds=np.ones(6),
+        metadata={"k": k, "orientation": orientation},
+        kind="qpp",
+    )
 
 
 class TestQppFeatures:
@@ -114,13 +124,7 @@ class TestTrainQpp:
 
 class TestEstimate:
     def _unit_model(self, **kwargs):
-        return QppModel(
-            weights=np.zeros(6),
-            bias=0.0,
-            feature_means=np.zeros(6),
-            feature_stds=np.ones(6),
-            **kwargs,
-        )
+        return unit_model(**kwargs)
 
     def test_zero_weight_model_gives_half(self, index):
         est = estimate(self._unit_model(), Query("q", "alpha"), entry([1.0]), index)
@@ -195,13 +199,51 @@ class TestPersistence:
         ]
         model = train_qpp(labeled, index, epochs=30)
         path = tmp_path / "qpp.json"
-        save_qpp_model(model, path)
-        assert load_qpp_model(path) == model
+        save_scorer(model, path)
+        assert load_scorer(path, "qpp") == model
+        assert (model.metadata["k"], model.metadata["orientation"]) == (10, "hardness")
+
+    def test_ranker_file_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "qpp.json"
+        save_scorer(LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6)), path)
+        with pytest.raises(ValueError, match=r"qpp\.json.*'ranker' model, not a 'qpp'"):
+            load_scorer(path, "qpp")
+
+    def test_version_1_file_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "qpp.json"
+        path.write_text(json.dumps({
+            "format": "hardrank-qpp", "version": 1, "weights": [0.0] * 6, "bias": 0.0,
+            "feature_means": [0.0] * 6, "feature_stds": [1.0] * 6, "k": 10,
+            "orientation": "hardness", "metadata": {},
+        }))
+        with pytest.raises(ValueError, match=r"qpp\.json.*'hardrank-qpp' version 1"):
+            load_scorer(path, "qpp")
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"k": 0}, {"k": "10"}, {"k": True}, {"k": 2.0}, {"orientation": "up"}, {"k": None}],
+    )
+    def test_bad_k_or_orientation_rejected_on_load(self, tmp_path, settings):
+        path = tmp_path / "qpp.json"
+        save_scorer(unit_model(), path)
+        payload = json.loads(path.read_text())
+        payload["metadata"].update(settings)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"qpp\.json.*k >= 1"):
+            load_scorer(path, "qpp")
+
+    @pytest.mark.parametrize("settings", [{"k": 0}, {"orientation": "up"}])
+    def test_bad_k_or_orientation_rejected_at_training(self, index, settings):
+        labeled = [
+            (Query("q1", "alpha"), entry([3.0, 1.0]), 0.8),
+            (Query("q2", "zzz"), entry([0.2]), 0.2),
+        ]
+        with pytest.raises(ValueError, match="k >= 1"):
+            train_qpp(labeled, index, epochs=5, **settings)
 
 
 class TestModelProvider:
     def test_requires_topk(self, index):
-        model = QppModel(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
-        provider = ModelQppProvider(model, index)
+        provider = ModelQppProvider(unit_model(), index)
         with pytest.raises(ValueError, match="q1"):
             provider.estimate_query(Query("q1", "alpha"), [])

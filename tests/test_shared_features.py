@@ -25,6 +25,7 @@ from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import Document, RunRecord, rank_records, read_queries_file
 from hardrank.lexical_retrieval import Bm25Params, build_index, load_index
+from hardrank.linear_model import LogisticScorer
 from hardrank.pipeline import (
     build_and_save_index,
     candidates_for,
@@ -33,13 +34,7 @@ from hardrank.pipeline import (
     train_qpp_model,
     train_ranker,
 )
-from hardrank.pointwise_ranker import (
-    EARLY_WINDOW,
-    RankerModel,
-    rerank,
-    score,
-    score_rows,
-)
+from hardrank.pointwise_ranker import EARLY_WINDOW, rerank, score
 from hardrank.text import leading_tokens
 
 DOCS = [
@@ -50,9 +45,9 @@ DOCS = [
 ]
 
 
-def make_model(seed: int) -> RankerModel:
+def make_model(seed: int) -> LogisticScorer:
     rng = np.random.default_rng(seed)
-    return RankerModel(
+    return LogisticScorer(
         weights=rng.normal(size=6),
         bias=float(rng.normal()),
         feature_means=rng.normal(size=6),
@@ -194,7 +189,7 @@ class TestMatrixScoring:
         model = make_model(seed)
         features = rng.normal(scale=scale, size=(rows, 6))
         expected = np.array([score(model, row) for row in features])
-        assert score_rows(model, features).tobytes() == expected.tobytes()
+        assert model.score_rows(features).tobytes() == expected.tobytes()
 
 
 class TestLeadTerms:
