@@ -21,7 +21,10 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .enrichment import HardnessRule
+from .evaluation import GAINS
+from .fusion import NORMALIZATIONS
 from .lexical_retrieval import Bm25Params
+from .linear_model import QPP_ORIENTATIONS
 
 
 class Key(NamedTuple):
@@ -82,10 +85,10 @@ SCHEMA: dict[str, Any] = {
         "epochs": Key(500, _INT, lo=1),
         "learning_rate": Key(0.05, _NUM, lo=1e-12),
         "k": Key(10, _INT, lo=1),
-        "orientation": Key("hardness", _STR, choices=("hardness", "effectiveness")),
+        "orientation": Key("hardness", _STR, choices=QPP_ORIENTATIONS),
     },
     "fusion": {
-        "normalize": Key("per_query_min_max", _STR, choices=("per_query_min_max", "none")),
+        "normalize": Key("per_query_min_max", _STR, choices=NORMALIZATIONS),
         # a fixed tau in [0, 1], or the median psi of the training queries
         "routing_threshold": Key("train_median", (float, str), lo=0.0, hi=1.0,
                                  choices=("train_median",)),
@@ -93,7 +96,7 @@ SCHEMA: dict[str, Any] = {
     "metrics": {
         "ndcg_k": Key(10, _INT, lo=1),
         "rr_cutoff": Key(None, (int, _NONE), lo=1),
-        "gain": Key("exp", _STR, choices=("exp", "linear")),
+        "gain": Key("exp", _STR, choices=GAINS),
         "include_no_positive": Key(False, _BOOL),
     },
 }

@@ -11,7 +11,8 @@ and the standard saturated term frequency with length normalization:
 
 Documents scoring exactly zero are excluded from results. Ties break by
 doc_id ascending. The index is immutable once built; searches over it are
-safe to run concurrently.
+safe to run concurrently. Besides the postings, it keeps what reranking
+reads of each document, so reranking never reads document text.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,7 +31,9 @@ from .corpus_io import Document, Query, RunRecord, rank_records
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+
+EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
-    """Term postings plus the per-document statistics BM25 needs.
+    """Term postings plus the per-document statistics BM25 and reranking need.
 
     Each postings list is strictly ascending by internal id, so one
     document's tf is a binary search away (`posting_tf`).
@@ -56,6 +60,9 @@ class InvertedIndex:
     doc_lengths: list[int]  # internal_id -> token count
     doc_ids: list[str]  # internal_id -> external doc_id
     avg_doc_length: float
+    # internal_id -> distinct terms among the first EARLY_WINDOW tokens, each
+    # interned so that documents share one string object per term
+    lead_terms: list[tuple[str, ...]]
     internal_ids: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,17 +95,6 @@ class InvertedIndex:
                 squares[internal_id] += tf * tf
         return [math.sqrt(s) for s in squares]
 
-    @cached_property
-    def lead_terms(self) -> dict[int, tuple[str, ...]]:
-        """internal_id -> distinct terms among the document's leading tokens.
-
-        Starts empty. `pointwise_ranker.feature_matrix` fills in a document
-        the first time it scores it, from the text it was given, and reads
-        the entry from then on. The dict lives and dies with the index and
-        holds no document text.
-        """
-        return {}
-
 
 def posting_tf(plist: Sequence[tuple[int, int]], internal_id: int) -> int:
     """tf of one document in an id-sorted postings list; 0 if it is not there."""
@@ -118,6 +114,7 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
+    lead_terms: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for internal_id, doc in enumerate(corpus):
         if doc.doc_id in seen:
@@ -126,6 +123,7 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
         tokens = tokenize(doc.text)
         doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
+        lead_terms.append(tuple(map(sys.intern, dict.fromkeys(tokens[:EARLY_WINDOW]))))
         for term, tf in sorted(Counter(tokens).items()):
             postings.setdefault(term, []).append((internal_id, tf))
     avg = sum(doc_lengths) / len(doc_lengths)
@@ -134,6 +132,7 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
         doc_lengths=doc_lengths,
         doc_ids=doc_ids,
         avg_doc_length=avg,
+        lead_terms=lead_terms,
     )
 
 
@@ -272,13 +271,19 @@ def select_passage(
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Persist the index as a single versioned JSON file."""
+    """Persist the index as a single versioned JSON file.
+
+    Each document's lead terms are one space-joined string: tokens never
+    hold a space, and one string per document parses far lighter than a
+    list of terms.
+    """
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
         "doc_lengths": index.doc_lengths,
         "avg_doc_length": index.avg_doc_length,
+        "lead_terms": [" ".join(terms) for terms in index.lead_terms],
         "postings": {term: plist for term, plist in sorted(index.postings.items())},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -289,10 +294,11 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by `save_index`.
 
     Raises ValueError naming the path (and the term, for a postings fault)
-    when the file is not valid JSON or not an index of this version, when
-    doc_ids and doc_lengths differ in length, or when a postings list is not
-    strictly ascending by internal id or holds an id out of range; lookups
-    by binary search rely on the last two.
+    when the file is not valid JSON or not an index of this version (an
+    older one must be rebuilt), when doc_lengths or lead_terms differ in
+    length from doc_ids, when a lead_terms entry is not a string, or when a
+    postings list is not strictly ascending by internal id or holds an id
+    out of range; lookups by binary search rely on the last two.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,13 +308,25 @@ def load_index(path) -> InvertedIndex:
     if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"not an index file: {path}")
     if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {payload.get('version')}")
+        raise ValueError(
+            f"index file {path} has version {payload.get('version')!r}, not "
+            f"{INDEX_VERSION}; rebuild it with `hardrank index --force`"
+        )
     doc_ids = list(payload["doc_ids"])
     doc_lengths = [int(n) for n in payload["doc_lengths"]]
-    if len(doc_ids) != len(doc_lengths):
-        raise ValueError(
-            f"index file {path}: {len(doc_ids)} doc_ids but {len(doc_lengths)} doc_lengths"
-        )
+    joined_lead_terms = payload.get("lead_terms")
+    if not isinstance(joined_lead_terms, list):
+        raise ValueError(f"index file {path}: lead_terms is not a list")
+    for name, values in (("doc_lengths", doc_lengths), ("lead_terms", joined_lead_terms)):
+        if len(values) != len(doc_ids):
+            raise ValueError(f"index file {path}: {len(doc_ids)} doc_ids but {len(values)} {name}")
+    lead_terms = []
+    for doc_id, joined in zip(doc_ids, joined_lead_terms):
+        if not isinstance(joined, str):
+            raise ValueError(
+                f"index file {path}: lead_terms of doc {doc_id!r} are not a string"
+            )
+        lead_terms.append(tuple(map(sys.intern, joined.split())))
     postings = {}
     for term, plist in payload["postings"].items():
         ids = [int(i) for i, _ in plist]
@@ -327,4 +345,5 @@ def load_index(path) -> InvertedIndex:
         doc_lengths=doc_lengths,
         doc_ids=doc_ids,
         avg_doc_length=float(payload["avg_doc_length"]),
+        lead_terms=lead_terms,
     )

@@ -58,8 +58,9 @@ RUN_METHODS = ("br", "sr", "bsf", "r_qpp", "w_qpps")
 
 
 def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"{path} does not exist ({hint})")
+    if not path.is_file():
+        problem = "is not a file" if path.exists() else "does not exist"
+        raise ConfigError(f"{path} {problem} ({hint})")
     return path
 
 
@@ -87,10 +88,13 @@ def build_and_save_index(config: PipelineConfig, force: bool = False) -> Inverte
     return index
 
 
+def _load_index(config: PipelineConfig) -> InvertedIndex:
+    return load_index(_require(config.path("index"), "run the index command first"))
+
+
 def _load_retrieval(config: PipelineConfig):
     corpus = read_corpus_file(_require(config.path("corpus"), "corpus JSONL"))
-    index = load_index(_require(config.path("index"), "run the index command first"))
-    return corpus_by_id(corpus), index
+    return corpus_by_id(corpus), _load_index(config)
 
 
 def candidates_for(
@@ -194,13 +198,10 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
 
 def train_qpp_model(config: PipelineConfig) -> Path:
     """Train the hardness estimator against nDCG@10 of the first-stage run."""
-    corpus, index = _load_retrieval(config)
-    qrels_path = config.path("train_qrels")
-    if not qrels_path.exists():
-        raise ConfigError(
-            f"{qrels_path} does not exist (QPP training labels need judgments)"
-        )
-    qrels = read_qrels_file(qrels_path)
+    index = _load_index(config)
+    qrels = read_qrels_file(
+        _require(config.path("train_qrels"), "QPP training labels need judgments")
+    )
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
     labeled = _qpp_labels(config, index, queries, qrels)
     section = config.section("qpp")

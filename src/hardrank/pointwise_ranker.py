@@ -14,7 +14,6 @@ import logging
 import math
 import operator
 import random
-import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -23,10 +22,10 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
-from .enrichment import EnrichedQuery
+from .lexical_retrieval import EARLY_WINDOW  # noqa: F401 - early_coverage's window
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
 from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoid
-from .text import leading_tokens, tokenize
+from .text import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -38,8 +37,6 @@ FEATURE_NAMES = (
     "log_doc_length",
     "early_coverage",
 )
-
-EARLY_WINDOW = 20  # tokens treated as the document's title/lead
 
 
 @dataclass(frozen=True)
@@ -55,24 +52,19 @@ class TrainingInstance:
 
 
 def _query_text(query) -> str:
-    if isinstance(query, EnrichedQuery):
-        return query.enriched_text
-    if isinstance(query, Query):
-        return query.text
-    return str(query)
+    return query.text if isinstance(query, Query) else str(query)
 
 
-def feature_matrix(query, docs: Iterable[Document], index: InvertedIndex,
+def feature_matrix(query, doc_ids: Iterable[str], index: InvertedIndex,
                    params: Bm25Params = Bm25Params()) -> np.ndarray:
-    """One query's (n, 6) feature matrix, one row per document in order.
+    """One query's (n, 6) feature matrix, one row per document id in order.
 
     The query's tokens, counts, sorted distinct terms, idfs and norm are
-    computed once. Each document must be indexed: its tf per query term is
-    a binary search in the term's postings, and its length and
-    term-frequency norm are read from the index. Its early-window terms
-    are read once per index from the first EARLY_WINDOW tokens of its text
-    and kept in `index.lead_terms`. On the corpus the index was built
-    from, every value equals the one derived from the document text.
+    computed once. Each document must be indexed, and everything about it
+    is read from the index: its tf per query term is a binary search in
+    the term's postings, and its length, term-frequency norm and
+    early-window terms are per-document index entries. Each value equals
+    the one derived from the text of the document that was indexed.
     """
     text = _query_text(query)
     q_tokens = tokenize(text)
@@ -86,19 +78,14 @@ def feature_matrix(query, docs: Iterable[Document], index: InvertedIndex,
     doc_norms = index.doc_norms
     lead_terms = index.lead_terms
     rows = []
-    for doc in docs:
-        internal_id = index.internal_id(doc.doc_id)
+    for doc_id in doc_ids:
+        internal_id = index.internal_id(doc_id)
         length = index.doc_lengths[internal_id]
         tfs = [posting_tf(plist, internal_id) for plist in term_postings]
         bm25 = bm25_sum(zip(tfs, idfs), length, index.avg_doc_length, params)
         if terms:
             overlap = (len(tfs) - tfs.count(0)) / len(terms)
-            lead = lead_terms.get(internal_id)
-            if lead is None:
-                lead = lead_terms[internal_id] = tuple(
-                    map(sys.intern, set(leading_tokens(doc.text, EARLY_WINDOW)))
-                )
-            early = len(term_set.intersection(lead)) / len(terms)
+            early = len(term_set.intersection(lead_terms[internal_id])) / len(terms)
         else:
             overlap = 0.0
             early = 0.0
@@ -122,11 +109,11 @@ def extract_features(query, doc: Document, index: InvertedIndex,
                       20 tokens
 
     The one-row case of `feature_matrix`: the document must be indexed,
-    and its tf, length and norm are read from the index. They equal the
-    values derived from `doc.text` whenever the corpus is the one that was
-    indexed.
+    and only its id is read; every value comes from the index. They equal
+    the values derived from `doc.text` whenever the document is the one
+    that was indexed.
     """
-    return feature_matrix(query, [doc], index, params)[0]
+    return feature_matrix(query, [doc.doc_id], index, params)[0]
 
 
 def score(model: LogisticScorer, features: np.ndarray) -> float:
@@ -172,11 +159,11 @@ def rerank(
 
     Keeps exactly the input doc set; sorts by model score descending with
     doc_id tie-breaks; rewrites ranks. The features come from one
-    `feature_matrix` pass over the list, so each candidate's tf, length
-    and norm are read from the index (equal to the text-derived values
-    whenever `corpus` is the corpus that was indexed). Reranking the same
-    list for the same query text again, as BR and SR do in turn, reuses
-    that pass (see `_candidate_features`).
+    `feature_matrix` pass over the list, read from the index alone (equal
+    to the text-derived values whenever `corpus` is the corpus that was
+    indexed); `corpus` only vouches that each candidate exists. Reranking
+    the same list for the same query text again, as BR and SR do in turn,
+    reuses that pass (see `_candidate_features`).
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -186,10 +173,10 @@ def rerank(
 
 
 # The last matrix `_candidate_features` built and what it was built from:
-# (weakref to the index, (params, query text), weakrefs to the candidate
-# documents, read-only matrix). Weak references keep no index or document
-# alive, and the entry is replaced in one assignment, so a concurrent
-# reader sees either the old entry or the new one, never a mix.
+# (weakref to the index, (params, query text, candidate doc ids), read-only
+# matrix). The weak reference keeps no index alive, and the entry is
+# replaced in one assignment, so a concurrent reader sees either the old
+# entry or the new one, never a mix.
 _last_features: tuple | None = None
 
 
@@ -199,34 +186,25 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     """The feature matrix of the candidates' documents, read-only.
 
     Returns the previous call's matrix when the index, the params, the
-    query text and every candidate `Document` object are the same, so
-    ranking one list by several models costs one feature pass. A candidate
-    missing from the corpus or the index raises ValueError, and the first
-    faulty candidate in list order is the one named.
+    query text and the candidate ids are the same, so ranking one list by
+    several models costs one feature pass. A candidate missing from the
+    corpus or the index raises ValueError, and the first faulty candidate
+    in list order is the one named.
     """
     global _last_features
-    docs = []
+    doc_ids = []
     for rec in candidates:
-        doc = corpus.get(rec.doc_id)
-        if doc is None:
-            for earlier in docs:  # an earlier candidate's index miss comes first
-                index.internal_id(earlier.doc_id)
+        if rec.doc_id not in corpus:
             raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
-        docs.append(doc)
-    key = (params, text)
+        index.internal_id(rec.doc_id)
+        doc_ids.append(rec.doc_id)
+    key = (params, text, tuple(doc_ids))
     memo = _last_features
-    if memo is not None:
-        index_ref, memo_key, doc_refs, matrix = memo
-        if (
-            index_ref() is index
-            and memo_key == key
-            and len(doc_refs) == len(docs)
-            and all(ref() is doc for ref, doc in zip(doc_refs, docs))
-        ):
-            return matrix
-    matrix = feature_matrix(text, docs, index, params)
+    if memo is not None and memo[0]() is index and memo[1] == key:
+        return memo[2]
+    matrix = feature_matrix(text, doc_ids, index, params)
     matrix.flags.writeable = False
-    _last_features = (weakref.ref(index), key, tuple(map(weakref.ref, docs)), matrix)
+    _last_features = (weakref.ref(index), key, matrix)
     return matrix
 
 
@@ -239,23 +217,15 @@ class Ranker(Protocol):
 
 @dataclass
 class ModelRanker:
-    """Adapter binding a trained model to a corpus and index.
-
-    `query_texts` optionally overrides the text used per query id (e.g.
-    enriched rewrites); queries without an override use their own text.
-    """
+    """Adapter binding a trained model to a corpus and index."""
 
     model: LogisticScorer
     corpus: Mapping[str, Document]
     index: InvertedIndex
     params: Bm25Params = Bm25Params()
-    query_texts: Mapping[str, str] | None = None
 
     def rerank_query(self, query: Query, candidates: Sequence[RunRecord]) -> list[RunRecord]:
-        text = query.text
-        if self.query_texts is not None:
-            text = self.query_texts.get(query.query_id, text)
-        return rerank(self.model, text, candidates, self.corpus, self.index, self.params)
+        return rerank(self.model, query.text, candidates, self.corpus, self.index, self.params)
 
 
 @dataclass
@@ -325,7 +295,7 @@ def build_training_set(
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []
         labeled = [(d, 1) for d in positives] + [(d, 0) for d in negatives]
-        features = feature_matrix(text, [corpus[d] for d, _ in labeled], index, params)
+        features = feature_matrix(text, [d for d, _ in labeled], index, params)
         for (doc_id, label), row in zip(labeled, features):
             instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
     return instances

@@ -19,23 +19,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def leading_tokens(text: str, n: int) -> list[str]:
-    """`tokenize(text)[:n]`, without tokenizing the rest of the text.
-
-    Scans a prefix of the lowercased text, starting at 8 characters a
-    token and doubling. A token may be cut at the prefix's end, but once
-    more than `n` tokens are found the first `n` all end before the next
-    one starts, so they are whole.
-    """
-    lowered = text.lower()
-    end = 8 * (n + 1)
-    while True:
-        tokens = _TOKEN_RE.findall(lowered, 0, end)
-        if len(tokens) > n or end >= len(lowered):
-            return tokens[:n]
-        end *= 2
-
-
 def raw_tokens(text: str) -> list[str]:
     """Alphanumeric tokens with original casing preserved (for acronym checks)."""
     return _TOKEN_RE.findall(text)

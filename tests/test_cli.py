@@ -107,6 +107,15 @@ class TestIndexCommand:
         assert result.returncode == 1
         assert "missing.jsonl" in result.stderr
 
+    @pytest.mark.parametrize("value, shown", [('""', "."), ("a_dir", "a_dir")])
+    def test_directory_as_corpus_is_input_error(self, workdir, run_cli, value, shown):
+        (workdir / "a_dir").mkdir()
+        result = run_cli(
+            "index", "--config", "config.json", "--set", f"paths.corpus={value}", cwd=workdir
+        )
+        assert result.returncode == 1, result.stderr
+        assert f"error: {shown} is not a file (corpus JSONL)" in result.stderr
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -265,6 +274,19 @@ class TestRunAndEval:
         assert "work/models/qpp.json" in result.stderr
         assert "retrain" in result.stderr
         assert not (trained / "work" / "runs" / "w_qpps.txt").exists()
+
+    def test_version_1_index_is_input_error(self, trained, run_cli):
+        # the index format before it kept each document's lead terms
+        index_path = trained / "work" / "index.json"
+        payload = json.loads(index_path.read_text())
+        payload["version"] = 1
+        del payload["lead_terms"]
+        index_path.write_text(json.dumps(payload))
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "work/index.json" in result.stderr
+        assert "hardrank index --force" in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
 
     def test_r_qpp_writes_routing_log(self, trained, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)

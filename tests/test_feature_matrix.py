@@ -3,9 +3,11 @@
 `oracle_features` is the per-pair feature extraction as it was written
 before the kernel existed: it tokenizes the query and the document text,
 counts terms with `Counter`, and looks each term's tf up in a dict built
-from the whole postings list. The kernel reads tf, length and norm from the
-index instead, so on the corpus that was indexed the two must agree in
-every bit, and reranking must give the records that per-pair scoring gives.
+from the whole postings list. The kernel reads tf, length, norm and the
+early-window terms from the index instead, so on the corpus that was
+indexed the two must agree in every bit, reranking must give the records
+that per-pair scoring gives, and blanking every document's text must change
+nothing.
 """
 
 import math
@@ -27,7 +29,7 @@ from hardrank.pointwise_ranker import (
     rerank,
     score,
 )
-from hardrank.text import leading_tokens, tokenize
+from hardrank.text import tokenize
 
 
 def oracle_bm25(index, query_text, doc_id, params):
@@ -139,7 +141,7 @@ def same_bits(a, b) -> bool:
 @given(corpus=corpora(), query=queries, params=params_st)
 def test_rows_equal_the_text_derived_oracle(corpus, query, params):
     index = build_index(corpus)
-    matrix = feature_matrix(Query("q", query), corpus, index, params)
+    matrix = feature_matrix(Query("q", query), [d.doc_id for d in corpus], index, params)
     assert matrix.shape == (len(corpus), len(FEATURE_NAMES))
     for doc, row in zip(corpus, matrix):
         expected = oracle_features(query, doc, index, params)
@@ -165,15 +167,16 @@ def test_rerank_equals_per_pair_scoring(corpus, query, params, model, data):
     assert rerank(model, query, candidates, by_id, index, params) == expected
 
 
-def test_early_window_reads_only_the_leading_tokens():
-    assert leading_tokens("Only Three words", EARLY_WINDOW) == ["only", "three", "words"]
-    assert leading_tokens("", EARLY_WINDOW) == []
-    # token widths and offsets that put the end of the scanned prefix
-    # inside every position of a token, the window's last one included
-    for width in range(1, 13):
-        for lead in range(2 * width + 2):
-            text = "-" * lead + " ".join("W" * width + str(i) for i in range(3 * EARLY_WINDOW))
-            assert leading_tokens(text, EARLY_WINDOW) == tokenize(text)[:EARLY_WINDOW]
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), query=queries, params=params_st, model=models)
+def test_rerank_reads_no_document_text(corpus, query, params, model):
+    index = build_index(corpus)
+    expected = rank_records(
+        [(doc.doc_id, score(model, oracle_features(query, doc, index, params))) for doc in corpus]
+    )
+    blanked = {d.doc_id: Document(d.doc_id, "") for d in corpus}
+    candidates = rank_records([(d.doc_id, 1.0) for d in corpus])
+    assert rerank(model, query, candidates, blanked, index, params) == expected
 
 
 def test_empty_document_list_gives_an_empty_matrix():

@@ -187,6 +187,7 @@ class TestIndexPersistence:
         assert loaded.doc_ids == idx.doc_ids
         assert loaded.doc_lengths == idx.doc_lengths
         assert loaded.avg_doc_length == idx.avg_doc_length
+        assert loaded.lead_terms == idx.lead_terms == [("a", "b", "c"), ("b", "c", "d", "e")]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -229,6 +230,31 @@ class TestLoadIndexRejectsUntrustedFiles:
     def test_doc_ids_and_lengths_disagree(self, saved):
         self._rewrite(saved, lambda p: p["doc_lengths"].append(7))
         with pytest.raises(ValueError, match=r"index\.json.*2 doc_ids but 3 doc_lengths"):
+            load_index(saved)
+
+    def test_version_1_file_must_be_rebuilt(self, saved):
+        # the format before the index kept each document's lead terms
+        self._rewrite(saved, lambda p: (p.update(version=1), p.pop("lead_terms")))
+        with pytest.raises(ValueError, match=r"index\.json has version 1.*hardrank index --force"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda lead: lead.pop(), lambda lead: lead.append("x")], ids=["short", "long"]
+    )
+    def test_doc_ids_and_lead_terms_disagree(self, saved, edit):
+        self._rewrite(saved, lambda p: edit(p["lead_terms"]))
+        with pytest.raises(ValueError, match=r"index\.json: 2 doc_ids but [13] lead_terms"):
+            load_index(saved)
+
+    def test_lead_terms_missing(self, saved):
+        self._rewrite(saved, lambda p: p.pop("lead_terms"))
+        with pytest.raises(ValueError, match=r"index\.json: lead_terms is not a list"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("entry", [["b", "c"], None, 5])
+    def test_lead_terms_entry_not_a_string(self, saved, entry):
+        self._rewrite(saved, lambda p: p["lead_terms"].__setitem__(1, entry))
+        with pytest.raises(ValueError, match=r"index\.json: lead_terms of doc 'd2' are not a string"):
             load_index(saved)
 
     def test_truncated_json(self, saved):

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
-from hardrank.enrichment import EnrichedQuery
 from hardrank.lexical_retrieval import build_index
 from hardrank.linear_model import LogisticScorer, bce_gradient, bce_loss, load_scorer, save_scorer
 from hardrank.pointwise_ranker import (
-    ModelRanker,
     ScoreFileRanker,
     TrainingInstance,
     build_training_set,
@@ -72,13 +70,6 @@ class TestExtractFeatures:
         idf = math.log(2.5 / 1.5)
         expected = idf * 1 * 1.9 / (1 + 0.9 * (1 - 0.4 + 0.4 * 6 / 7))
         assert feats[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_enriched_query_uses_enriched_text(self, small_corpus):
-        docs, idx = small_corpus
-        eq = EnrichedQuery("q", "wind", "wind turbines spin", "d2", "p", "stub")
-        feats_eq = extract_features(eq, docs[1], idx)
-        feats_plain = extract_features("wind turbines spin", docs[1], idx)
-        assert np.array_equal(feats_eq, feats_plain)
 
     def test_ratios_bounded(self, small_corpus):
         docs, idx = small_corpus
@@ -320,19 +311,3 @@ class TestPersistence:
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="x.json"):
             load_scorer(path, "ranker")
-
-
-class TestModelRanker:
-    def test_query_text_override(self, small_corpus):
-        docs, idx = small_corpus
-        corpus = {d.doc_id: d for d in docs}
-        model = train(make_separable_instances(), epochs=50)
-        candidates = rank_records([("d1", 2.0), ("d3", 1.0)])
-        plain = ModelRanker(model, corpus, idx)
-        enriched = ModelRanker(model, corpus, idx, query_texts={"q1": "solar energy renewable"})
-        query = Query("q1", "zebra")
-        out_plain = plain.rerank_query(query, candidates)
-        out_enriched = enriched.rerank_query(query, candidates)
-        assert {r.doc_id for r in out_plain} == {"d1", "d3"}
-        expected = rerank(model, "solar energy renewable", candidates, corpus, idx)
-        assert out_enriched == expected
