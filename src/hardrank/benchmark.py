@@ -38,7 +38,6 @@ from .corpus_io import (
 
 N_TOPICS_EASY = 20
 N_TOPICS_HARD = 20
-DOCS_PER_TOPIC = 5
 
 _SYLLABLES = [
     "ba", "ce", "di", "fo", "gu", "ha", "ki", "lo", "mu", "ne",

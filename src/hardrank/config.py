@@ -89,7 +89,7 @@ SCHEMA: dict[str, Any] = {
     },
     "fusion": {
         "normalize": Key("per_query_min_max", _STR, choices=NORMALIZATIONS),
-        # a fixed tau in [0, 1], or the median psi of the training queries
+        # a fixed tau in [0, 1], or the training-query median psi the QPP model keeps
         "routing_threshold": Key("train_median", (float, str), lo=0.0, hi=1.0,
                                  choices=("train_median",)),
     },

@@ -346,10 +346,6 @@ def read_qpp_scores_file(path) -> dict[str, float]:
     return parse_qpp_scores(_read_lines(path))
 
 
-def write_qpp_scores_file(scores: Mapping[str, float], path) -> None:
-    _write_lines(path, write_qpp_scores(scores))
-
-
 def read_corpus_file(path) -> list[Document]:
     return parse_corpus(_read_lines(path))
 

@@ -245,8 +245,9 @@ def enrich(
 
     The context document is the BM25 rank-1 hit, or the highest-graded
     judged document when `use_judged_context` is set and judgments exist.
-    If no context can be retrieved the original text is kept and the result
-    is flagged as a fallback. Generator failures raise EnrichmentError.
+    If no context can be retrieved, or the completion is blank, the original
+    text is kept and the result is flagged as a fallback. Generator failures
+    raise EnrichmentError.
     """
     doc_id: str | None = None
     if use_judged_context and qrels is not None:
@@ -254,42 +255,22 @@ def enrich(
     if doc_id is None:
         hits = bm25_search(index, query, 1, params)
         doc_id = hits[0].doc_id if hits else None
-    generator_tag = f"{generator.generator_id}+{PROMPT_TEMPLATE_VERSION}"
-    if doc_id is None:
-        return EnrichedQuery(
-            query_id=query.query_id,
-            original_text=query.text,
-            enriched_text=query.text,
-            context_doc_id="",
-            context_passage="",
-            generator_id=generator_tag,
-            fallback=True,
-        )
-    passage, _ = select_passage(corpus[doc_id], query, passage_window)
-    prompt = build_prompt(query, passage)
-    try:
-        completion = generator.generate(prompt, MAX_ENRICHED_TOKENS)
-    except Exception as exc:
-        raise EnrichmentError(query.query_id, str(exc)) from exc
-    enriched_text = _truncate_one_line(completion)
-    if not enriched_text:
-        return EnrichedQuery(
-            query_id=query.query_id,
-            original_text=query.text,
-            enriched_text=query.text,
-            context_doc_id=doc_id,
-            context_passage=passage,
-            generator_id=generator_tag,
-            fallback=True,
-        )
+    rewrite, passage = "", ""
+    if doc_id is not None:
+        passage, _ = select_passage(corpus[doc_id], query, passage_window)
+        try:
+            completion = generator.generate(build_prompt(query, passage), MAX_ENRICHED_TOKENS)
+        except Exception as exc:
+            raise EnrichmentError(query.query_id, str(exc)) from exc
+        rewrite = _truncate_one_line(completion)
     return EnrichedQuery(
         query_id=query.query_id,
         original_text=query.text,
-        enriched_text=enriched_text,
-        context_doc_id=doc_id,
+        enriched_text=rewrite or query.text,
+        context_doc_id=doc_id or "",
         context_passage=passage,
-        generator_id=generator_tag,
-        fallback=False,
+        generator_id=f"{generator.generator_id}+{PROMPT_TEMPLATE_VERSION}",
+        fallback=not rewrite,
     )
 
 

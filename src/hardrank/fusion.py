@@ -10,6 +10,9 @@ Three strategies:
   s = psi * s_sr + (1 - psi) * s_br, so harder queries lean on the
   specialized ranker continuously instead of a hard switch.
 
+The first and the last are one per-document weighted sum with weights
+(1, 1) and (1 - psi, psi); routing keeps the chosen ranker's raw list.
+
 Raw scores from different rankers rarely share a scale, so scores are
 min-max normalized per query by default; `none` keeps raw scores for the
 literal sum-of-scores behaviour.
@@ -97,6 +100,25 @@ def _scores_by_doc(
     return {rec.doc_id: rec.score for rec in records}
 
 
+def _query_ids(br_run: RunList, sr_run: RunList, queries: Iterable[str] | None) -> list[str]:
+    if queries is not None:
+        return list(queries)
+    return sorted(set(br_run.entries) | set(sr_run.entries))
+
+
+def _combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> list[RunRecord]:
+    """One query's weighted CombSUM: w_sr * s_sr + w_br * s_br per document
+    of either entry, a missing side counting 0. The weights (1, 1) give
+    BSF's s_br + s_sr and (1 - psi, psi) give W-QPPS's interpolation, each
+    with the same bits as the sum written out."""
+    br_scores = _scores_by_doc(br_entry, normalize)
+    sr_scores = _scores_by_doc(sr_entry, normalize)
+    return rank_records(
+        (doc_id, w_sr * sr_scores.get(doc_id, 0.0) + w_br * br_scores.get(doc_id, 0.0))
+        for doc_id in set(br_scores) | set(sr_scores)
+    )
+
+
 def bsf(
     br_run: RunList,
     sr_run: RunList,
@@ -108,22 +130,13 @@ def bsf(
     Documents present in only one run take 0 for the missing side (after
     normalization). Requesting a query found in neither run is an error.
     """
-    qids = list(queries) if queries is not None else sorted(
-        set(br_run.entries) | set(sr_run.entries)
-    )
     entries: dict[str, list[RunRecord]] = {}
-    for qid in qids:
+    for qid in _query_ids(br_run, sr_run, queries):
         br_entry = br_run.entries.get(qid)
         sr_entry = sr_run.entries.get(qid)
         if br_entry is None and sr_entry is None:
             raise ValueError(f"query {qid!r} present in neither run")
-        br_scores = _scores_by_doc(br_entry, config.normalize)
-        sr_scores = _scores_by_doc(sr_entry, config.normalize)
-        fused = {
-            doc_id: br_scores.get(doc_id, 0.0) + sr_scores.get(doc_id, 0.0)
-            for doc_id in set(br_scores) | set(sr_scores)
-        }
-        entries[qid] = rank_records(fused.items())
+        entries[qid] = _combine(br_entry, sr_entry, 1.0, 1.0, config.normalize)
     return RunList(entries=entries, tag=f"bsf-{config.config_hash()}")
 
 
@@ -180,11 +193,8 @@ def w_qpps(
     s = psi * s_sr + (1 - psi) * s_br over identical candidate sets; a
     mismatch between the two runs' documents for a query is an error.
     """
-    qids = list(queries) if queries is not None else sorted(
-        set(br_run.entries) | set(sr_run.entries)
-    )
     entries: dict[str, list[RunRecord]] = {}
-    for qid in qids:
+    for qid in _query_ids(br_run, sr_run, queries):
         if qid not in psi:
             raise ValueError(f"no hardness estimate for query {qid!r}")
         weight = psi[qid]
@@ -199,13 +209,7 @@ def w_qpps(
         if br_docs != sr_docs:
             diff = sorted(br_docs ^ sr_docs)
             raise ValueError(f"query {qid!r}: candidate sets differ on {diff}")
-        br_scores = _scores_by_doc(br_entry, config.normalize)
-        sr_scores = _scores_by_doc(sr_entry, config.normalize)
-        fused = {
-            doc_id: weight * sr_scores[doc_id] + (1.0 - weight) * br_scores[doc_id]
-            for doc_id in br_docs
-        }
-        entries[qid] = rank_records(fused.items())
+        entries[qid] = _combine(br_entry, sr_entry, 1.0 - weight, weight, config.normalize)
     return RunList(entries=entries, tag=f"w_qpps-{config.config_hash()}")
 
 

@@ -32,7 +32,7 @@ from .enrichment import (
     read_enriched_file,
     write_enriched_file,
 )
-from .evaluation import MetricReport, build_report
+from .evaluation import MetricReport, build_report, ndcg_at_k, render_report, report_jsonl
 from .fusion import (
     FusionConfig,
     bsf,
@@ -79,6 +79,8 @@ def make_generator(config: PipelineConfig):
 def build_and_save_index(config: PipelineConfig, force: bool = False) -> InvertedIndex:
     corpus_path = _require(config.path("corpus"), "corpus JSONL")
     index_path = config.path("index")
+    if index_path.is_dir():
+        raise ConfigError(f"{index_path} is a directory, not an index file (paths.index)")
     if index_path.exists() and not force:
         raise ConfigError(f"{index_path} already exists; pass --force to rebuild")
     corpus = read_corpus_file(corpus_path)
@@ -166,12 +168,10 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
         texts = [(q.query_id, q.text) for q in queries]
     else:
         enriched_path = config.path("enriched_queries")
-        enriched = read_enriched_file(enriched_path) if enriched_path.exists() else {}
+        hint = "the specialized ranker needs enriched training queries; run the enrich command"
+        enriched = read_enriched_file(_require(enriched_path, hint))
         if not enriched:
-            raise ConfigError(
-                "specialized ranker requires enriched training queries; "
-                "run the enrich command first"
-            )
+            raise ConfigError(f"{enriched_path} holds no queries ({hint})")
         texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]
 
     section = config.section("ranker")
@@ -197,31 +197,39 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
 
 
 def train_qpp_model(config: PipelineConfig) -> Path:
-    """Train the hardness estimator against nDCG@10 of the first-stage run."""
+    """Train the hardness estimator against nDCG@10 of the first-stage run.
+
+    The model's metadata also keeps "train_median_psi", the median psi over
+    every training query that retrieved a candidate: R-QPP's `train_median`
+    threshold, so that `run` reads no training data.
+    """
     index = _load_index(config)
     qrels = read_qrels_file(
         _require(config.path("train_qrels"), "QPP training labels need judgments")
     )
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
-    labeled = _qpp_labels(config, index, queries, qrels)
+    candidates = candidates_for(config, index, queries)
     section = config.section("qpp")
     model = train_qpp(
-        labeled,
+        _qpp_labels(config, queries, candidates, qrels),
         index,
         epochs=section["epochs"],
         learning_rate=section["learning_rate"],
         k=section["k"],
         orientation=section["orientation"],
     )
+    provider = ModelQppProvider(model, index)
+    model.metadata["train_median_psi"] = train_median_threshold(
+        provider.estimate_query(q, candidates[q.query_id]).psi
+        for q in queries
+        if q.query_id in candidates
+    )
     return _save_model(config, "qpp", model)
 
 
-def _qpp_labels(config, index, queries, qrels: Qrels):
-    from .evaluation import ndcg_at_k
-
+def _qpp_labels(config, queries, candidates, qrels: Qrels):
     metrics = config.section("metrics")
     k = config.section("qpp")["k"]
-    candidates = candidates_for(config, index, queries)
     labeled = []
     for query in queries:
         hits = candidates.get(query.query_id)
@@ -253,28 +261,10 @@ def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Pa
 def _fusion_config(config: PipelineConfig, method: str) -> FusionConfig:
     section = config.section("fusion")
     return FusionConfig(
-        method=method if method in ("bsf", "r_qpp", "w_qpps") else "bsf",
+        method=method,
         normalize=section["normalize"],
         routing_threshold=section["routing_threshold"],
     )
-
-
-def _resolve_tau(config: PipelineConfig, index, provider: ModelQppProvider) -> float:
-    threshold = config.section("fusion")["routing_threshold"]
-    if isinstance(threshold, (int, float)) and not isinstance(threshold, bool):
-        return float(threshold)
-    train_queries = read_queries_file(
-        _require(config.path("train_queries"), "training queries for train_median")
-    )
-    candidates = candidates_for(config, index, train_queries)
-    psis = [
-        provider.estimate_query(q, candidates[q.query_id]).psi
-        for q in train_queries
-        if q.query_id in candidates
-    ]
-    if not psis:
-        raise ConfigError("train_median threshold needs training-query estimates")
-    return train_median_threshold(psis)
 
 
 def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]:
@@ -314,7 +304,14 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         qpp_path = _require(_model_path(config, "qpp"), "train qpp first")
         provider = ModelQppProvider(load_scorer(qpp_path, "qpp"), index)
         if method == "r_qpp":
-            tau = _resolve_tau(config, index, provider)
+            tau = config.section("fusion")["routing_threshold"]
+            if tau == "train_median":
+                tau = provider.model.metadata.get("train_median_psi")
+                if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
+                    raise ConfigError(
+                        f"{qpp_path} holds no train_median_psi in [0, 1] (found {tau!r}); "
+                        "rerun `hardrank train --which qpp`"
+                    )
             run, decisions = route_qpp(
                 ranker("br"),
                 ranker("sr"),
@@ -360,8 +357,6 @@ def evaluate_runs(
         gain=metrics["gain"],
         include_no_positive=metrics["include_no_positive"],
     )
-    from .evaluation import render_report, report_jsonl
-
     reports_dir = config.path("reports_dir")
     reports_dir.mkdir(parents=True, exist_ok=True)
     text_path = reports_dir / "report.txt"

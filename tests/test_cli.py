@@ -84,6 +84,16 @@ def write_fixture(tmp_path):
     }))
 
 
+def set_train_median(trained, value):
+    """Store `value` as the QPP model's train_median_psi; None removes the field."""
+    qpp_path = trained / "work" / "models" / "qpp.json"
+    payload = json.loads(qpp_path.read_text())
+    payload["metadata"]["train_median_psi"] = value
+    if value is None:
+        del payload["metadata"]["train_median_psi"]
+    qpp_path.write_text(json.dumps(payload))
+
+
 class TestIndexCommand:
     def test_builds_index(self, workdir, run_cli):
         result = run_cli("index", "--config", "config.json", cwd=workdir)
@@ -115,6 +125,15 @@ class TestIndexCommand:
         )
         assert result.returncode == 1, result.stderr
         assert f"error: {shown} is not a file (corpus JSONL)" in result.stderr
+
+    def test_directory_as_index_output_is_input_error(self, workdir, run_cli):
+        (workdir / "work" / "idxdir").mkdir(parents=True)
+        result = run_cli(
+            "index", "--config", "config.json", "--force",
+            "--set", 'paths.index="work/idxdir"', cwd=workdir,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "work/idxdir is a directory" in result.stderr
 
     @pytest.mark.parametrize(
         "override",
@@ -178,6 +197,16 @@ class TestTrainCommand:
         result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
         assert result.returncode == 1
         assert "enrich" in result.stderr
+
+    def test_directory_as_enriched_queries_is_input_error(self, workdir, run_cli):
+        run_cli("index", "--config", "config.json", cwd=workdir)
+        result = run_cli(
+            "train", "--config", "config.json", "--which", "sr",
+            "--set", 'paths.enriched_queries="work"', cwd=workdir,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "error: work is not a file" in result.stderr
+        assert not (workdir / "work" / "models" / "sr.json").exists()
 
     def test_br_writes_model_and_loss_curve(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
@@ -297,6 +326,49 @@ class TestRunAndEval:
             qid, psi, route = line.split("\t")
             assert route in ("br", "sr")
             assert 0.0 <= float(psi) <= 1.0
+
+    def test_r_qpp_reads_no_training_data(self, trained, run_cli):
+        args = ("run", "--config", "config.json", "--method", "r_qpp")
+        assert run_cli(*args, cwd=trained).returncode == 0
+        run_path = trained / "work" / "runs" / "r_qpp.txt"
+        first = run_path.read_bytes()
+        run_path.unlink()
+        result = run_cli(
+            *args, "--set", "paths.train_queries=absent.tsv",
+            "--set", "paths.train_qrels=absent.txt", cwd=trained,
+        )
+        assert result.returncode == 0, result.stderr
+        assert run_path.read_bytes() == first
+
+    @pytest.mark.parametrize("stored", [None, "0.5", True, 1.5, float("nan")])
+    def test_qpp_model_without_a_valid_train_median_is_input_error(
+        self, trained, run_cli, stored
+    ):
+        set_train_median(trained, stored)
+        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "work/models/qpp.json" in result.stderr
+        assert "train --which qpp" in result.stderr
+        assert not (trained / "work" / "runs" / "r_qpp.txt").exists()
+
+    @pytest.mark.parametrize("tau, route", [("0.0", "sr"), ("1.0", "br")])
+    def test_fixed_routing_threshold_decides_every_route(self, trained, run_cli, tau, route):
+        # a fixed tau needs no train_median_psi; psi lies in (0, 1), so 0.0
+        # routes every query to SR and 1.0 every query to BR
+        set_train_median(trained, None)
+        for method in (route, "r_qpp"):
+            result = run_cli(
+                "run", "--config", "config.json", "--method", method,
+                "--set", f"fusion.routing_threshold={tau}", cwd=trained,
+            )
+            assert result.returncode == 0, result.stderr
+        runs = trained / "work" / "runs"
+        log_lines = (runs / "r_qpp.routing.tsv").read_text().splitlines()
+        assert len(log_lines) == 4
+        assert {line.split("\t")[2] for line in log_lines} == {route}
+        routed = read_run_file(runs / "r_qpp.txt")
+        chosen = read_run_file(runs / f"{route}.txt")
+        assert routed.entries == chosen.entries
 
     def test_eval_reports_zero_delta_for_baseline_only(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)

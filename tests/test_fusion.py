@@ -30,6 +30,14 @@ def order(run, qid):
     return [rec.doc_id for rec in run.entries[qid]]
 
 
+def normalized(run, qid, normalize):
+    """One query's scores by doc as fusion reads them; {} for an absent query."""
+    records = run.entries.get(qid, [])
+    if records and normalize == "per_query_min_max":
+        records = normalize_scores(records)
+    return {rec.doc_id: rec.score for rec in records}
+
+
 def random_runs(seed, n_queries=6, n_docs=8):
     rng = random.Random(seed)
     doc_ids = [f"d{i}" for i in range(n_docs)]
@@ -91,6 +99,19 @@ class TestBsf:
         br, sr = random_runs(5)
         with pytest.raises(ValueError, match="qX"):
             bsf(br, sr, queries=["qX"])
+
+    @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
+    def test_scores_equal_the_written_out_sum_bit_for_bit(self, normalize):
+        br, sr = random_runs(6)
+        del sr.entries["q0"][2:]  # docs only in BR, and q1 only in BR
+        del sr.entries["q1"]
+        fused = bsf(br, sr, FusionConfig(method="bsf", normalize=normalize))
+        for qid, entry in fused.entries.items():
+            br_scores = normalized(br, qid, normalize)
+            sr_scores = normalized(sr, qid, normalize)
+            expected = {d: br_scores.get(d, 0.0) + sr_scores.get(d, 0.0)
+                        for d in set(br_scores) | set(sr_scores)}
+            assert entry == rank_records(expected.items())
 
 
 class TestRouteQpp:
@@ -179,6 +200,20 @@ class TestWQpps:
         combsum = bsf(br, sr, FusionConfig(method="bsf", normalize="per_query_min_max"))
         for qid in br.entries:
             assert order(fused, qid) == order(combsum, qid)
+
+    @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
+    def test_scores_equal_the_written_out_interpolation_bit_for_bit(self, normalize):
+        br, sr = random_runs(15)
+        rng = random.Random(15)
+        psi = {qid: rng.random() for qid in br.entries}
+        fused = w_qpps(br, sr, psi, FusionConfig(normalize=normalize))
+        for qid, entry in fused.entries.items():
+            br_scores = normalized(br, qid, normalize)
+            sr_scores = normalized(sr, qid, normalize)
+            weight = psi[qid]
+            expected = {d: weight * sr_scores[d] + (1.0 - weight) * br_scores[d]
+                        for d in br_scores}
+            assert entry == rank_records(expected.items())
 
     def test_candidate_mismatch_lists_difference(self):
         br = run_from({"q1": {"a": 1.0, "b": 0.5}})

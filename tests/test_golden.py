@@ -2,10 +2,11 @@
 
 The README experiment (``write_benchmark(seed=7)``; index, enrich, train
 x3, run x5, eval) runs in-process through ``hardrank.pipeline``. The
-SHA-256 of each run file and of ``report.jsonl`` is pinned, so any change
-that is meant to keep outputs byte-identical (a faster feature path, a
-different summation, a new index layout) is checked against the exact
-bytes the pipeline wrote before it.
+SHA-256 of each run file, of R-QPP's routing log (every query's psi and
+route) and of ``report.jsonl`` is pinned, so any change that is meant to
+keep outputs byte-identical (a faster feature path, a different
+summation, a new index layout, tau computed at another stage) is checked
+against the exact bytes the pipeline wrote before it.
 """
 
 import hashlib
@@ -39,6 +40,7 @@ GOLDEN_SHA256 = {
     "sr.txt": "e91c69853115aa501e4ba1cc28bbc41f47279b3748d168b071626f2ba1de9f18",
     "bsf.txt": "fe41a85eea5d6d2cc38229efba029d09d3cf31736495086d49e6602be64665f5",
     "r_qpp.txt": "3cca5e434df9f26f5e52ee87be5191f0678dc12fbfffd2f1208cb3e8b03afd01",
+    "r_qpp.routing.tsv": "a61b0ed254fe0fd1741121e22b02e3cdea52927652d4f8213a851c661404db64",
     "w_qpps.txt": "fcb6c790e4bad380e0f2e7ff80e9cb534e7683259582b518736cf73dffcd089e",
     "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
 }
@@ -59,8 +61,10 @@ def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
     train_ranker(config, "br")
     train_ranker(config, "sr")
     train_qpp_model(config)
-    run_paths = [produce_run(config, method)[0] for method in RUN_METHODS]
+    outputs = [produce_run(config, method) for method in RUN_METHODS]
+    run_paths = [run_path for run_path, _ in outputs]
+    routing_logs = [log for _, log in outputs if log is not None]
     _, _, report_path = evaluate_runs(config, sorted(run_paths), "br")
 
-    digests = {path.name: _sha256(path) for path in [*run_paths, report_path]}
+    digests = {path.name: _sha256(path) for path in [*run_paths, *routing_logs, report_path]}
     assert digests == GOLDEN_SHA256
