@@ -177,7 +177,6 @@ def generate_benchmark(seed: int = 7) -> Benchmark:
 def write_benchmark(directory, seed: int = 7) -> Benchmark:
     """Generate the benchmark and write corpus/queries/qrels files."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     bench = generate_benchmark(seed)
     write_corpus_file(bench.corpus, directory / "corpus.jsonl")
     write_queries_file(bench.queries, directory / "queries.tsv")

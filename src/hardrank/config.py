@@ -147,6 +147,8 @@ class PipelineConfig:
             lexicon_path = Path(section["lexicon_file"])
             if not lexicon_path.is_absolute():
                 lexicon_path = self.base_dir / lexicon_path
+            if not lexicon_path.is_file():
+                raise ConfigError(f"{lexicon_path} is not a file (hardness.lexicon_file)")
             lexicon = frozenset(lexicon_path.read_text(encoding="utf-8").split())
         return HardnessRule(
             max_token_count=section["max_token_count"],

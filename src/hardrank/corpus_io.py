@@ -1,5 +1,8 @@
 """Parsers and writers for every on-disk artifact.
 
+Every artifact of the package reaches disk through `write_artifact`, which
+writes a temporary file and renames it into place.
+
 Formats (one record per line everywhere):
 
 - Run file (TREC 6-column): ``qid Q0 docid rank score tag``
@@ -25,7 +28,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 log = logging.getLogger(__name__)
@@ -81,9 +86,6 @@ class Qrels:
         for (q, d), g in self.judgments.items():
             self._by_query.setdefault(q, {})[d] = g
 
-    def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
-        return self.judgments.get((query_id, doc_id), default)
-
     def for_query(self, query_id: str) -> dict[str, int]:
         """doc_id -> grade for one query, as a new dict the caller may change."""
         return dict(self._by_query.get(query_id, {}))
@@ -108,9 +110,6 @@ class RunList:
 
     def query_ids(self) -> list[str]:
         return sorted(self.entries)
-
-    def for_query(self, query_id: str) -> list[RunRecord]:
-        return self.entries[query_id]
 
     def validate(self) -> None:
         for qid, records in self.entries.items():
@@ -305,53 +304,78 @@ def write_corpus(docs: Iterable[Document]) -> list[str]:
     return [json.dumps({"doc_id": d.doc_id, "text": d.text}, sort_keys=True) for d in docs]
 
 
-# Path-based conveniences. Readers stream; writers end the file with a newline.
+# Path-based conveniences. Writers end the file with a newline.
 
 
-def _read_lines(path) -> list[str]:
+def write_artifact(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, all or nothing.
+
+    Missing parent directories are created. The text goes to a temporary
+    file in the same directory, which `os.replace` then moves over `path`,
+    so a write that fails or is interrupted leaves the previous file as it
+    was. Raises ValueError naming the path when `path` is a directory or a
+    file stands where one of its directories goes.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory, not a file")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"{path}: a file stands where a directory goes") from None
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.readlines()
 
 
-def _write_lines(path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+def write_lines(path, lines: Iterable[str]) -> None:
+    write_artifact(path, "".join(f"{line}\n" for line in lines))
 
 
 def read_run_file(path) -> RunList:
-    return parse_run(_read_lines(path))
+    return parse_run(read_lines(path))
 
 
 def write_run_file(run: RunList, path, tag: str | None = None) -> None:
-    _write_lines(path, write_run(run, tag))
+    write_lines(path, write_run(run, tag))
 
 
 def read_qrels_file(path) -> Qrels:
-    return parse_qrels(_read_lines(path))
+    return parse_qrels(read_lines(path))
 
 
 def write_qrels_file(qrels: Qrels, path) -> None:
-    _write_lines(path, write_qrels(qrels))
+    write_lines(path, write_qrels(qrels))
 
 
 def read_queries_file(path) -> list[Query]:
-    return parse_queries(_read_lines(path))
+    return parse_queries(read_lines(path))
 
 
 def write_queries_file(queries: Iterable[Query], path) -> None:
-    _write_lines(path, write_queries(queries))
+    write_lines(path, write_queries(queries))
 
 
 def read_qpp_scores_file(path) -> dict[str, float]:
-    return parse_qpp_scores(_read_lines(path))
+    return parse_qpp_scores(read_lines(path))
 
 
 def read_corpus_file(path) -> list[Document]:
-    return parse_corpus(_read_lines(path))
+    return parse_corpus(read_lines(path))
 
 
 def write_corpus_file(docs: Iterable[Document], path) -> None:
-    _write_lines(path, write_corpus(docs))
+    write_lines(path, write_corpus(docs))
 
 
 def corpus_by_id(docs: Iterable[Document]) -> dict[str, Document]:

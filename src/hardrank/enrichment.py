@@ -66,10 +66,8 @@ class HardnessRule:
 @dataclass(frozen=True)
 class EnrichedQuery:
     query_id: str
-    original_text: str
     enriched_text: str
     context_doc_id: str
-    context_passage: str
     generator_id: str
     fallback: bool = False
 
@@ -255,7 +253,7 @@ def enrich(
     if doc_id is None:
         hits = bm25_search(index, query, 1, params)
         doc_id = hits[0].doc_id if hits else None
-    rewrite, passage = "", ""
+    rewrite = ""
     if doc_id is not None:
         passage, _ = select_passage(corpus[doc_id], query, passage_window)
         try:
@@ -265,10 +263,8 @@ def enrich(
         rewrite = _truncate_one_line(completion)
     return EnrichedQuery(
         query_id=query.query_id,
-        original_text=query.text,
         enriched_text=rewrite or query.text,
         context_doc_id=doc_id or "",
-        context_passage=passage,
         generator_id=f"{generator.generator_id}+{PROMPT_TEMPLATE_VERSION}",
         fallback=not rewrite,
     )
@@ -338,13 +334,3 @@ def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
             raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
         out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, FALLBACK_FLAG in flags)
     return out
-
-
-def read_enriched_file(path) -> dict[str, tuple[str, str, bool]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_enriched(fh.readlines())
-
-
-def write_enriched_file(enriched: Iterable[EnrichedQuery], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in write_enriched(enriched))

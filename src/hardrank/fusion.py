@@ -64,9 +64,6 @@ class FusionConfig:
         )
         return hashlib.sha1(blob.encode()).hexdigest()[:8]
 
-    def tag(self) -> str:
-        return f"{self.method}-{self.config_hash()}"
-
 
 @dataclass(frozen=True)
 class RoutingDecision:
@@ -216,8 +213,3 @@ def w_qpps(
 def write_routing_log(decisions: Iterable[RoutingDecision]) -> list[str]:
     """Routing decisions as `qid<TAB>psi<TAB>route` lines."""
     return [f"{d.query_id}\t{d.psi!r}\t{d.route}" for d in decisions]
-
-
-def write_routing_log_file(decisions: Iterable[RoutingDecision], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in write_routing_log(decisions))

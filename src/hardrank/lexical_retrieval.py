@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .corpus_io import Document, Query, RunRecord, rank_records
+from .corpus_io import Document, Query, RunRecord, rank_records, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
@@ -286,8 +286,7 @@ def save_index(index: InvertedIndex, path) -> None:
         "lead_terms": [" ".join(terms) for terms in index.lead_terms],
         "postings": {term: plist for term, plist in sorted(index.postings.items())},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_artifact(path, json.dumps(payload))
 
 
 def load_index(path) -> InvertedIndex:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, xlogy
 
+from .corpus_io import write_artifact
+
 _CLAMP = 1e-12
 
 SCORER_FORMAT = "hardrank-scorer"
@@ -185,8 +187,7 @@ def save_scorer(scorer: LogisticScorer, path) -> None:
     payload = {"format": SCORER_FORMAT, "version": SCORER_VERSION, "kind": scorer.kind}
     payload.update((name, getattr(scorer, name).tolist()) for name in _ARRAYS)
     payload.update(bias=scorer.bias, metadata=scorer.metadata)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+    write_artifact(path, json.dumps(payload, indent=1))
 
 
 def load_scorer(path, kind: str) -> LogisticScorer:

@@ -18,9 +18,12 @@ from .corpus_io import (
     RunList,
     corpus_by_id,
     read_corpus_file,
+    read_lines,
     read_qrels_file,
     read_queries_file,
     read_run_file,
+    write_artifact,
+    write_lines,
     write_run_file,
 )
 from .enrichment import (
@@ -29,8 +32,8 @@ from .enrichment import (
     StubGenerator,
     classify_hardness,
     enrich_all,
-    read_enriched_file,
-    write_enriched_file,
+    parse_enriched,
+    write_enriched,
 )
 from .evaluation import MetricReport, build_report, ndcg_at_k, render_report, report_jsonl
 from .fusion import (
@@ -39,7 +42,7 @@ from .fusion import (
     route_qpp,
     train_median_threshold,
     w_qpps,
-    write_routing_log_file,
+    write_routing_log,
 )
 from .lexical_retrieval import (
     InvertedIndex,
@@ -79,13 +82,10 @@ def make_generator(config: PipelineConfig):
 def build_and_save_index(config: PipelineConfig, force: bool = False) -> InvertedIndex:
     corpus_path = _require(config.path("corpus"), "corpus JSONL")
     index_path = config.path("index")
-    if index_path.is_dir():
-        raise ConfigError(f"{index_path} is a directory, not an index file (paths.index)")
-    if index_path.exists() and not force:
+    if index_path.is_file() and not force:
         raise ConfigError(f"{index_path} already exists; pass --force to rebuild")
     corpus = read_corpus_file(corpus_path)
     index = build_index(corpus)
-    index_path.parent.mkdir(parents=True, exist_ok=True)
     save_index(index, index_path)
     return index
 
@@ -146,9 +146,7 @@ def enrich_training_queries(
         qrels=qrels,
         use_judged_context=section["use_judged_context"],
     )
-    out_path = config.path("enriched_queries")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_enriched_file(enriched, out_path)
+    write_lines(config.path("enriched_queries"), write_enriched(enriched))
     return enriched, errors, len(hard)
 
 
@@ -169,7 +167,7 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
     else:
         enriched_path = config.path("enriched_queries")
         hint = "the specialized ranker needs enriched training queries; run the enrich command"
-        enriched = read_enriched_file(_require(enriched_path, hint))
+        enriched = parse_enriched(read_lines(_require(enriched_path, hint)))
         if not enriched:
             raise ConfigError(f"{enriched_path} holds no queries ({hint})")
         texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]
@@ -250,11 +248,9 @@ def _qpp_labels(config, queries, candidates, qrels: Qrels):
 def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Path:
     """Write the model file and, beside it, its loss curve as `epoch<TAB>loss` lines."""
     path = _model_path(config, which)
-    path.parent.mkdir(parents=True, exist_ok=True)
     save_scorer(model, path)
-    with open(path.with_suffix(".loss.tsv"), "w", encoding="utf-8") as fh:
-        fh.writelines(f"{epoch}\t{loss!r}\n"
-                      for epoch, loss in enumerate(model.metadata["loss_curve"]))
+    curve = enumerate(model.metadata["loss_curve"])
+    write_lines(path.with_suffix(".loss.tsv"), (f"{epoch}\t{loss!r}" for epoch, loss in curve))
     return path
 
 
@@ -322,8 +318,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
                 _fusion_config(config, "r_qpp"),
             )
             routing_log = config.path("runs_dir") / "r_qpp.routing.tsv"
-            routing_log.parent.mkdir(parents=True, exist_ok=True)
-            write_routing_log_file(decisions, routing_log)
+            write_lines(routing_log, write_routing_log(decisions))
         else:
             psis = {
                 q.query_id: provider.estimate_query(q, candidates[q.query_id]).psi
@@ -332,7 +327,6 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
             run = w_qpps(*runs("br", "sr"), psis, _fusion_config(config, "w_qpps"))
 
     run_path = config.path("runs_dir") / f"{method}.txt"
-    run_path.parent.mkdir(parents=True, exist_ok=True)
     write_run_file(run, run_path)
     return run_path, routing_log
 
@@ -358,9 +352,8 @@ def evaluate_runs(
         include_no_positive=metrics["include_no_positive"],
     )
     reports_dir = config.path("reports_dir")
-    reports_dir.mkdir(parents=True, exist_ok=True)
     text_path = reports_dir / "report.txt"
     jsonl_path = reports_dir / "report.jsonl"
-    text_path.write_text(render_report(report) + "\n", encoding="utf-8")
-    jsonl_path.write_text("\n".join(report_jsonl(report)) + "\n", encoding="utf-8")
+    write_artifact(text_path, render_report(report) + "\n")
+    write_lines(jsonl_path, report_jsonl(report))
     return report, text_path, jsonl_path

@@ -136,6 +136,24 @@ class TestIndexCommand:
         assert "work/idxdir is a directory" in result.stderr
 
     @pytest.mark.parametrize(
+        "command, override",
+        [
+            (("train", "--which", "br"), 'paths.models_dir="config.json"'),
+            (("run", "--method", "br"), 'paths.runs_dir="config.json"'),
+        ],
+        ids=["train", "run"],
+    )
+    def test_file_as_output_directory_is_input_error(self, workdir, run_cli, command, override):
+        for args in (("index",), ("train", "--which", "br")):
+            assert run_cli(*args, "--config", "config.json", cwd=workdir).returncode == 0
+        before = (workdir / "config.json").read_bytes()
+        result = run_cli(*command, "--config", "config.json", "--set", override, cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "error: config.json/" in result.stderr
+        assert "a file stands where a directory goes" in result.stderr
+        assert (workdir / "config.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
         "override",
         [
             'run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true",
@@ -380,6 +398,21 @@ class TestRunAndEval:
         record = json.loads((trained / "work" / "reports" / "report.jsonl").read_text())
         assert record["system"] == "br"
         assert record["delta_ndcg10_pct"] is None
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            (("run", "--method", "sr"), "work/runs/sr.txt"),
+            (("eval", "work/runs/br.txt", "--baseline", "br"), "work/reports/report.txt"),
+        ],
+        ids=["run", "eval"],
+    )
+    def test_directory_as_output_file_is_input_error(self, trained, run_cli, command, output):
+        assert run_cli("run", "--config", "config.json", "--method", "br", cwd=trained).returncode == 0
+        (trained / output).mkdir(parents=True)
+        result = run_cli(*command, "--config", "config.json", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {output} is a directory, not a file" in result.stderr
 
     def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)

@@ -65,6 +65,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"list\.json must hold a JSON object"):
             load_config(path)
 
+    @pytest.mark.parametrize("lexicon", [".", "missing.txt"])
+    def test_lexicon_file_must_be_a_file(self, tmp_path, lexicon):
+        config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": lexicon}}))
+        with pytest.raises(ConfigError, match=r"is not a file \(hardness\.lexicon_file\)"):
+            config.hardness_rule()
+
+    def test_lexicon_file_is_read(self, tmp_path):
+        (tmp_path / "lexicon.txt").write_text("canoe\npaddle river\n")
+        config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": "lexicon.txt"}}))
+        assert config.hardness_rule().lexicon == {"canoe", "paddle", "river"}
+
     def test_paths_resolve_relative_to_config(self, tmp_path):
         config = load_config(write_config(tmp_path, {"paths": {"corpus": "c.jsonl"}}))
         assert config.path("corpus") == tmp_path / "c.jsonl"

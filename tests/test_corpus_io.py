@@ -1,7 +1,11 @@
 """Parser/writer round-trips and error handling for all file formats."""
 
+import ast
+import os
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from hardrank.corpus_io import (
     DuplicateEntryError,
     ParseError,
     Qrels,
+    Query,
     RunList,
     RunRecord,
     parse_corpus,
@@ -23,8 +28,14 @@ from hardrank.corpus_io import (
     write_qpp_scores,
     write_qrels,
     write_queries,
+    write_artifact,
+    write_queries_file,
     write_run,
 )
+from hardrank.lexical_retrieval import build_index, save_index
+from hardrank.linear_model import LogisticScorer, save_scorer
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hardrank"
 
 
 class TestParseRun:
@@ -258,3 +269,113 @@ class TestCorpus:
     def test_extra_keys_ignored(self):
         line = '{"doc_id": "d1", "passages": ["a b", "c"], "text": "a b c"}'
         assert parse_corpus([line]) == [Document("d1", "a b c")]
+
+
+class TestWriteArtifact:
+    """Each artifact is written to a temporary file and renamed into place."""
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        write_queries_file([Query("q1", "first"), Query("q2", "second")], path)
+        before = path.read_bytes()
+        queries = [Query(f"q{i}", f"query {i}") for i in range(399)]
+        queries.append(Query("q399", "\ud800"))  # a lone surrogate has no UTF-8 form
+        with pytest.raises(UnicodeEncodeError):
+            write_queries_file(queries, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["queries.tsv"]
+
+    @pytest.mark.parametrize(
+        "save, artifact",
+        [
+            (save_index, build_index([Document("d1", "a b c"), Document("d2", "b c d")])),
+            (save_scorer, LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))),
+        ],
+        ids=["save_index", "save_scorer"],
+    )
+    def test_failed_rename_leaves_previous_file(self, tmp_path, monkeypatch, save, artifact):
+        path = tmp_path / "artifact.json"
+        path.write_text("previous")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save(artifact, path)
+        assert path.read_text() == "previous"
+        assert os.listdir(tmp_path) == ["artifact.json"]
+
+    def test_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_artifact(path, "text\n")
+        assert path.read_text() == "text\n"
+        assert os.listdir(path.parent) == ["out.txt"]
+
+    def test_directory_as_target_raises_naming_it(self, tmp_path):
+        (tmp_path / "out.txt").mkdir()
+        with pytest.raises(ValueError, match="out.txt is a directory"):
+            write_artifact(tmp_path / "out.txt", "text")
+
+    @pytest.mark.parametrize("parent", ["blocker", "blocker/sub"])
+    def test_file_as_parent_directory_raises_naming_the_path(self, tmp_path, parent):
+        (tmp_path / "blocker").write_text("")
+        path = tmp_path / parent / "out.txt"
+        with pytest.raises(ValueError, match="a file stands where a directory goes") as info:
+            write_artifact(path, "text")
+        assert str(path) in str(info.value)
+
+
+def file_writes(source: str) -> list[str]:
+    """The calls in `source` that write a file or create a directory."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # open(path, mode) as a function, path.open(mode) as a method
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (
+                isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+            ):
+                found.append(f"line {node.lineno}: open for writing")
+        elif name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "dump" and isinstance(func, ast.Attribute) and (
+            isinstance(func.value, ast.Name) and func.value.id == "json"
+        ):
+            found.append(f"line {node.lineno}: json.dump")
+    return found
+
+
+class TestOneWriter:
+    """Only `corpus_io` writes files or creates directories, so every
+    artifact goes through its atomic writer."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "open(p, 'w')", "open(p, mode='a')", "open(p, 'rb+')", "open(p, mode)",
+            "p.open('x')", "p.write_text('')", "p.write_bytes(b'')", "p.mkdir()",
+            "os.makedirs(p)", "json.dump({}, fh)",
+        ],
+    )
+    def test_detects_each_kind_of_write(self, source):
+        assert file_writes(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        ["open(p)", "open(p, 'r')", "open(p, mode='rb')", "p.open()", "json.dumps({})"],
+    )
+    def test_ignores_reads(self, source):
+        assert file_writes(source) == []
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "corpus_io.py")
+    )
+    def test_module_writes_no_file(self, module):
+        assert file_writes((SRC / module).read_text(encoding="utf-8")) == []

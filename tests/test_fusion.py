@@ -1,6 +1,7 @@
 """Score normalization, CombSUM, routing, and weighted interpolation."""
 
 import random
+import re
 
 import pytest
 
@@ -258,10 +259,9 @@ class TestWQpps:
 
 
 class TestConfig:
-    def test_tag_encodes_method_and_hash(self):
-        config = FusionConfig(method="w_qpps")
-        assert config.tag().startswith("w_qpps-")
-        assert len(config.tag().split("-")[1]) == 8
+    def test_hash_is_8_hex_characters(self):
+        # run-file tags are "<method>-<config_hash()>"
+        assert re.fullmatch(r"[0-9a-f]{8}", FusionConfig(method="w_qpps").config_hash())
 
     def test_hash_stable_across_instances(self):
         assert FusionConfig().config_hash() == FusionConfig().config_hash()
