@@ -80,14 +80,13 @@ def _cmd_enrich(args) -> int:
     config = load_config(args.config, args.overrides)
     enriched, errors, n_hard = enrich_training_queries(config)
     fallbacks = sum(1 for e in enriched if e.fallback)
-    print(
-        f"hard queries: {n_hard}; enriched: {len(enriched)} "
-        f"({fallbacks} fallback) -> {config.path('enriched_queries')}"
-    )
+    summary = f"hard queries: {n_hard}; enriched: {len(enriched)} ({fallbacks} fallback)"
     if errors:
+        print(f"{summary}; {len(errors)} failed, nothing written")
         for err in errors:
             print(f"enrichment failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(f"{summary} -> {config.path('enriched_queries')}")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -161,7 +162,8 @@ def parse_run(lines: Iterable[str]) -> RunList:
     Input ranks are checked for being integers but otherwise ignored; each
     query's records are re-sorted by score (ties by doc_id) and ranks are
     rewritten, so the output satisfies the RunList invariants regardless of
-    input line order.
+    input line order. Doc ids are interned, so runs read side by side
+    share one string per document rather than holding one per record.
     """
     by_query: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
@@ -179,7 +181,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
         if (qid, doc_id) in seen:
             raise DuplicateEntryError(f"duplicate record ({qid}, {doc_id})", line_no)
         seen.add((qid, doc_id))
-        by_query.setdefault(qid, []).append((doc_id, score))
+        by_query.setdefault(qid, []).append((sys.intern(doc_id), score))
         if not tag:
             tag = line_tag
     return RunList(

@@ -31,7 +31,7 @@ from .corpus_io import Document, Query, RunRecord, rank_records, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 
@@ -273,31 +273,43 @@ def select_passage(
 def save_index(index: InvertedIndex, path) -> None:
     """Persist the index as a single versioned JSON file.
 
-    Each document's lead terms are one space-joined string: tokens never
-    hold a space, and one string per document parses far lighter than a
-    list of terms.
+    The postings are four flat columns: `terms` (sorted), `df` (each term's
+    postings count), and `ids` and `tfs` (every posting, term by term), so
+    the file parses into a few long lists of ints rather than one small
+    list per posting. Each document's lead terms are one space-joined
+    string: tokens never hold a space. The average document length is not
+    stored; `load_index` derives it from `doc_lengths`.
     """
+    terms = sorted(index.postings)
+    plists = [index.postings[term] for term in terms]
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
         "doc_lengths": index.doc_lengths,
-        "avg_doc_length": index.avg_doc_length,
-        "lead_terms": [" ".join(terms) for terms in index.lead_terms],
-        "postings": {term: plist for term, plist in sorted(index.postings.items())},
+        "lead_terms": [" ".join(lead) for lead in index.lead_terms],
+        "terms": terms,
+        "df": [len(plist) for plist in plists],
+        "ids": [internal_id for plist in plists for internal_id, _ in plist],
+        "tfs": [tf for plist in plists for _, tf in plist],
     }
     write_artifact(path, json.dumps(payload))
+
+
+_COLUMNS = ("doc_ids", "doc_lengths", "lead_terms", "terms", "df", "ids", "tfs")
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by `save_index`.
 
     Raises ValueError naming the path (and the term, for a postings fault)
-    when the file is not valid JSON or not an index of this version (an
-    older one must be rebuilt), when doc_lengths or lead_terms differ in
-    length from doc_ids, when a lead_terms entry is not a string, or when a
-    postings list is not strictly ascending by internal id or holds an id
-    out of range; lookups by binary search rely on the last two.
+    when the file is not valid JSON, not an index of this version (an older
+    one must be rebuilt) or malformed: a column missing, not a list, or
+    holding a value of the wrong type (a bool or float is not an int) or
+    the wrong length; doc_ids empty or not distinct; terms not strictly
+    ascending; a negative length or a df or tf below 1; or a term's
+    postings not strictly ascending by internal id or holding an id out of
+    range. Lookups by binary search rely on the last two.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -311,38 +323,67 @@ def load_index(path) -> InvertedIndex:
             f"index file {path} has version {payload.get('version')!r}, not "
             f"{INDEX_VERSION}; rebuild it with `hardrank index --force`"
         )
-    doc_ids = list(payload["doc_ids"])
-    doc_lengths = [int(n) for n in payload["doc_lengths"]]
-    joined_lead_terms = payload.get("lead_terms")
-    if not isinstance(joined_lead_terms, list):
-        raise ValueError(f"index file {path}: lead_terms is not a list")
+
+    def fault(message: str) -> ValueError:
+        return ValueError(f"index file {path}: {message}")
+
+    for name in _COLUMNS:
+        if not isinstance(payload.get(name), list):
+            raise fault(f"{name} is not a list")
+    # type() rather than isinstance(): bool is a subclass of int
+    for kind, noun, names in (
+        (str, "a string", ("doc_ids", "terms")),
+        (int, "an int", ("doc_lengths", "df", "ids", "tfs")),
+    ):
+        for name in names:
+            if not set(map(type, payload[name])) <= {kind}:
+                raise fault(f"{name} holds a value that is not {noun}")
+    doc_ids, doc_lengths, joined_lead_terms, terms, dfs, ids, tfs = map(payload.get, _COLUMNS)
+    if not doc_ids:
+        raise fault("doc_ids is empty")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise fault("doc_ids are not distinct")
+    if min(doc_lengths, default=0) < 0:
+        raise fault("doc_lengths holds a negative length")
+    if min(dfs, default=1) < 1:
+        raise fault("df holds a count below 1")
+    if not all(map(operator.lt, terms, terms[1:])):
+        raise fault("terms are not strictly ascending")
     for name, values in (("doc_lengths", doc_lengths), ("lead_terms", joined_lead_terms)):
         if len(values) != len(doc_ids):
-            raise ValueError(f"index file {path}: {len(doc_ids)} doc_ids but {len(values)} {name}")
+            raise fault(f"{len(doc_ids)} doc_ids but {len(values)} {name}")
+    if len(dfs) != len(terms):
+        raise fault(f"{len(terms)} terms but {len(dfs)} df")
+    n_postings = sum(dfs)
+    for name, values in (("ids", ids), ("tfs", tfs)):
+        if len(values) != n_postings:
+            raise fault(f"df counts {n_postings} postings but {name} holds {len(values)}")
+
     lead_terms = []
     for doc_id, joined in zip(doc_ids, joined_lead_terms):
         if not isinstance(joined, str):
-            raise ValueError(
-                f"index file {path}: lead_terms of doc {doc_id!r} are not a string"
-            )
+            raise fault(f"lead_terms of doc {doc_id!r} are not a string")
         lead_terms.append(tuple(map(sys.intern, joined.split())))
+
+    n_docs = len(doc_ids)
     postings = {}
-    for term, plist in payload["postings"].items():
-        ids = [int(i) for i, _ in plist]
-        if not all(map(operator.lt, ids, ids[1:])):
-            raise ValueError(
-                f"index file {path}: postings of term {term!r} are not strictly ascending by id"
-            )
-        if ids and (ids[0] < 0 or ids[-1] >= len(doc_ids)):
-            raise ValueError(
-                f"index file {path}: postings of term {term!r} hold an id outside "
-                f"[0, {len(doc_ids)})"
-            )
-        postings[term] = list(zip(ids, [int(tf) for _, tf in plist]))
+    start = 0
+    for term, df in zip(terms, dfs):
+        end = start + df
+        term_ids = ids[start:end]
+        term_tfs = tfs[start:end]
+        if not all(map(operator.lt, term_ids, term_ids[1:])):
+            raise fault(f"postings of term {term!r} are not strictly ascending by id")
+        if term_ids[0] < 0 or term_ids[-1] >= n_docs:
+            raise fault(f"postings of term {term!r} hold an id outside [0, {n_docs})")
+        if min(term_tfs) < 1:
+            raise fault(f"postings of term {term!r} hold a tf below 1")
+        postings[term] = list(zip(term_ids, term_tfs))
+        start = end
     return InvertedIndex(
         postings=postings,
         doc_lengths=doc_lengths,
         doc_ids=doc_ids,
-        avg_doc_length=float(payload["avg_doc_length"]),
+        avg_doc_length=sum(doc_lengths) / len(doc_lengths),
         lead_terms=lead_terms,
     )

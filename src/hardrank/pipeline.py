@@ -120,8 +120,9 @@ def enrich_training_queries(
     """Classify the training queries and enrich the hard ones.
 
     Returns (enriched records, errors, number of hard queries). The enriched
-    TSV is written even when empty so downstream stages see a consistent
-    artifact.
+    TSV is written, even when empty, only when no query failed: a failed
+    run leaves an existing file as it was, so `train --which sr` never
+    reads the subset that succeeded.
     """
     corpus, index = _load_retrieval(config)
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
@@ -146,7 +147,8 @@ def enrich_training_queries(
         qrels=qrels,
         use_judged_context=section["use_judged_context"],
     )
-    write_lines(config.path("enriched_queries"), write_enriched(enriched))
+    if not errors:
+        write_lines(config.path("enriched_queries"), write_enriched(enriched))
     return enriched, errors, len(hard)
 
 

@@ -19,6 +19,7 @@ from hardrank.corpus_io import (
     write_qrels_file,
     write_queries_file,
 )
+from hardrank.lexical_retrieval import load_index
 
 
 @pytest.fixture(scope="session")
@@ -197,6 +198,9 @@ class TestEnrichCommand:
 
     def test_unreachable_generator_reports_and_fails(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
+        assert run_cli("enrich", "--config", "config.json", cwd=workdir).returncode == 0
+        enriched_path = workdir / "work" / "enriched.tsv"
+        complete = enriched_path.read_bytes()
         result = run_cli(
             "enrich", "--config", "config.json",
             "--set", "generator.type=http",
@@ -207,6 +211,10 @@ class TestEnrichCommand:
         assert result.returncode == 2
         assert "enrichment failed" in result.stderr
         assert "q1" in result.stderr
+        # a failed enrichment keeps the complete file and says it wrote nothing
+        assert enriched_path.read_bytes() == complete
+        assert "nothing written" in result.stdout
+        assert "enriched.tsv" not in result.stdout
 
 
 class TestTrainCommand:
@@ -329,6 +337,25 @@ class TestRunAndEval:
         payload["version"] = 1
         del payload["lead_terms"]
         index_path.write_text(json.dumps(payload))
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "work/index.json" in result.stderr
+        assert "hardrank index --force" in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
+    def test_version_2_index_is_input_error(self, trained, run_cli):
+        # the format that stored one [id, tf] list per posting and the average length
+        index_path = trained / "work" / "index.json"
+        index = load_index(index_path)
+        index_path.write_text(json.dumps({
+            "format": "hardrank-index",
+            "version": 2,
+            "doc_ids": index.doc_ids,
+            "doc_lengths": index.doc_lengths,
+            "avg_doc_length": index.avg_doc_length,
+            "lead_terms": [" ".join(lead) for lead in index.lead_terms],
+            "postings": index.postings,
+        }))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
         assert "work/index.json" in result.stderr

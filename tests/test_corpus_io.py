@@ -89,6 +89,13 @@ class TestParseRun:
         run.validate()
         assert [r.rank for r in run.entries["q1"]] == [1, 2]
 
+    def test_runs_share_doc_id_strings(self):
+        # Built at run time so the two lines hold distinct "doc-42" objects.
+        doc_id = "-".join(["doc", "42"])
+        first = parse_run([f"q1 Q0 {doc_id} 1 2.0 br"])
+        second = parse_run([f"q1 Q0 {doc_id} 1 3.0 sr"])
+        assert first.entries["q1"][0].doc_id is second.entries["q1"][0].doc_id
+
 
 class TestWriteRun:
     def test_single_record(self):

@@ -3,8 +3,13 @@
 import json
 import math
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardrank.corpus_io import Document, Query
 from hardrank.lexical_retrieval import (
@@ -176,6 +181,14 @@ class TestSelectPassage:
         assert passage.startswith("apple x")
 
 
+_MISSING = object()  # a column deleted from the file, not set to a value
+_WORDS = st.sampled_from(["alpha", "Beta", "gamma", "x", "7"])
+_TEXTS = st.one_of(
+    st.sampled_from(["", "-- !?"]),  # documents with no tokens
+    st.lists(_WORDS, max_size=30).map(" ".join),  # repeated terms, past the lead window
+)
+
+
 class TestIndexPersistence:
     def test_roundtrip(self, tmp_path):
         corpus = [Document("d1", "a b c"), Document("d2", "b c d e")]
@@ -189,6 +202,21 @@ class TestIndexPersistence:
         assert loaded.avg_doc_length == idx.avg_doc_length
         assert loaded.lead_terms == idx.lead_terms == [("a", "b", "c"), ("b", "c", "d", "e")]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_TEXTS, min_size=1, max_size=8))
+    def test_roundtrip_any_corpus(self, texts):
+        idx = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "index.json"
+            save_index(idx, path)
+            loaded = load_index(path)
+        assert loaded.postings == idx.postings
+        assert loaded.doc_ids == idx.doc_ids
+        assert loaded.doc_lengths == idx.doc_lengths
+        assert loaded.lead_terms == idx.lead_terms
+        # derived on load, not stored: the same bits as at build time
+        assert struct.pack("<d", loaded.avg_doc_length) == struct.pack("<d", idx.avg_doc_length)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
@@ -198,7 +226,12 @@ class TestIndexPersistence:
 
 class TestLoadIndexRejectsUntrustedFiles:
     """Tf lookups binary-search the postings, so a file that breaks their
-    invariants is refused with its path, never read."""
+    invariants is refused with its path, never read.
+
+    The saved index has terms a b c d e with df 1 2 2 1 1, so its ids
+    column is [0, 0, 1, 0, 1, 1, 1]: 'b' holds ids[1:3], 'c' ids[3:5] and
+    'e' the last id. Every tf is 1.
+    """
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -212,19 +245,119 @@ class TestLoadIndexRejectsUntrustedFiles:
         path.write_text(json.dumps(payload))
 
     def test_postings_not_strictly_ascending(self, saved):
-        self._rewrite(saved, lambda p: p["postings"]["b"].reverse())
+        self._rewrite(saved, lambda p: p["ids"].__setitem__(slice(1, 3), [1, 0]))
         with pytest.raises(ValueError, match=r"index\.json.*'b'.*ascending"):
             load_index(saved)
 
     def test_duplicate_id_in_postings(self, saved):
-        self._rewrite(saved, lambda p: p["postings"]["c"].append([1, 1]))
+        def add_second_posting_of_d2_to_c(p):
+            p["ids"].insert(5, 1)
+            p["tfs"].insert(5, 1)
+            p["df"][2] += 1
+
+        self._rewrite(saved, add_second_posting_of_d2_to_c)
         with pytest.raises(ValueError, match=r"index\.json.*'c'.*ascending"):
             load_index(saved)
 
     @pytest.mark.parametrize("bad_id", [-1, 2])
     def test_postings_id_out_of_range(self, saved, bad_id):
-        self._rewrite(saved, lambda p: p["postings"].update(e=[[bad_id, 1]]))
+        self._rewrite(saved, lambda p: p["ids"].__setitem__(-1, bad_id))
         with pytest.raises(ValueError, match=r"index\.json.*'e'.*outside \[0, 2\)"):
+            load_index(saved)
+
+    def test_version_2_file_must_be_rebuilt(self, saved):
+        # the format that stored one [id, tf] list per posting and the average length
+        index = load_index(saved)
+        saved.write_text(json.dumps({
+            "format": "hardrank-index",
+            "version": 2,
+            "doc_ids": index.doc_ids,
+            "doc_lengths": index.doc_lengths,
+            "avg_doc_length": index.avg_doc_length,
+            "lead_terms": [" ".join(lead) for lead in index.lead_terms],
+            "postings": index.postings,
+        }))
+        with pytest.raises(ValueError, match=r"index\.json has version 2, not 3.*hardrank index --force"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "column", ["doc_ids", "doc_lengths", "lead_terms", "terms", "df", "ids", "tfs"]
+    )
+    @pytest.mark.parametrize("value", [_MISSING, None, {"0": 1}], ids=["missing", "null", "object"])
+    def test_column_missing_or_not_a_list(self, saved, column, value):
+        def edit(p):
+            if value is _MISSING:
+                del p[column]
+            else:
+                p[column] = value
+
+        self._rewrite(saved, edit)
+        with pytest.raises(ValueError, match=rf"index\.json: {column} is not a list"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("column", ["doc_lengths", "df", "ids", "tfs"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_column_holds_a_non_int(self, saved, column, value):
+        self._rewrite(saved, lambda p: p[column].__setitem__(0, value))
+        with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value that is not an int"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "column, position, value, message",
+        [
+            ("tfs", 1, 0, r"postings of term 'b' hold a tf below 1"),
+            ("tfs", -1, -3, r"postings of term 'e' hold a tf below 1"),
+            ("df", 0, 0, r"df holds a count below 1"),
+            ("doc_lengths", 1, -1, r"doc_lengths holds a negative length"),
+        ],
+    )
+    def test_count_out_of_range(self, saved, column, position, value, message):
+        self._rewrite(saved, lambda p: p[column].__setitem__(position, value))
+        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["df"].append(1), r"5 terms but 6 df"),
+            (lambda p: p["df"].__setitem__(0, 2), r"df counts 8 postings but ids holds 7"),
+            (lambda p: p["ids"].pop(), r"df counts 7 postings but ids holds 6"),
+            (lambda p: p["tfs"].append(1), r"df counts 7 postings but tfs holds 8"),
+        ],
+        ids=["df_long", "df_sum_high", "ids_short", "tfs_long"],
+    )
+    def test_postings_columns_disagree(self, saved, edit, message):
+        self._rewrite(saved, edit)
+        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "doc_ids, message",
+        [
+            (["d1", 2], r"doc_ids holds a value that is not a string"),
+            (["d1", None], r"doc_ids holds a value that is not a string"),
+            (["d1", "d1"], r"doc_ids are not distinct"),
+            ([], r"doc_ids is empty"),
+        ],
+        ids=["int", "null", "duplicate", "empty"],
+    )
+    def test_doc_ids_not_distinct_strings(self, saved, doc_ids, message):
+        self._rewrite(saved, lambda p: p.__setitem__("doc_ids", doc_ids))
+        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (["a", "c", "b", "d", "e"], r"terms are not strictly ascending"),
+            (["a", "b", "b", "d", "e"], r"terms are not strictly ascending"),
+            (["a", 1, "c", "d", "e"], r"terms holds a value that is not a string"),
+        ],
+        ids=["unsorted", "duplicate", "int"],
+    )
+    def test_terms_not_ascending_strings(self, saved, terms, message):
+        self._rewrite(saved, lambda p: p.__setitem__("terms", terms))
+        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
             load_index(saved)
 
     def test_doc_ids_and_lengths_disagree(self, saved):
