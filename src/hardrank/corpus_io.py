@@ -8,7 +8,6 @@ Formats (one record per line everywhere):
 - Run file (TREC 6-column): ``qid Q0 docid rank score tag``
 - Qrels: ``qid 0 docid grade``
 - Queries: ``qid<TAB>query text``
-- QPP scores: ``qid<TAB>score`` with score in [0, 1]
 - Corpus: one JSON object per line with keys ``doc_id`` and ``text``
 
 Determinism rules shared by all writers:
@@ -32,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -165,8 +164,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
     input line order. Doc ids are interned, so runs read side by side
     share one string per document rather than holding one per record.
     """
-    by_query: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
+    by_query: dict[str, dict[str, float]] = {}
     tag = ""
     for line_no, line in _iter_lines(lines):
         fields = line.split()
@@ -178,14 +176,14 @@ def parse_run(lines: Iterable[str]) -> RunList:
         except ValueError:
             raise ParseError(f"non-numeric rank {rank_s!r}", line_no) from None
         score = _parse_score(score_s, line_no)
-        if (qid, doc_id) in seen:
+        scores = by_query.setdefault(qid, {})
+        if doc_id in scores:
             raise DuplicateEntryError(f"duplicate record ({qid}, {doc_id})", line_no)
-        seen.add((qid, doc_id))
-        by_query.setdefault(qid, []).append((sys.intern(doc_id), score))
+        scores[sys.intern(doc_id)] = score
         if not tag:
             tag = line_tag
     return RunList(
-        entries={qid: rank_records(pairs) for qid, pairs in by_query.items()},
+        entries={qid: rank_records(scores.items()) for qid, scores in by_query.items()},
         tag=tag,
     )
 
@@ -258,27 +256,6 @@ def parse_queries(lines: Iterable[str]) -> list[Query]:
 
 def write_queries(queries: Iterable[Query]) -> list[str]:
     return [f"{q.query_id}\t{q.text}" for q in queries]
-
-
-def parse_qpp_scores(lines: Iterable[str]) -> dict[str, float]:
-    """Parse ``qid<TAB>score`` lines; scores must lie in [0, 1]."""
-    scores: dict[str, float] = {}
-    for line_no, line in _iter_lines(lines):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 TAB-separated fields, got {len(parts)}", line_no)
-        qid, score_s = parts[0].strip(), parts[1].strip()
-        score = _parse_score(score_s, line_no)
-        if not 0.0 <= score <= 1.0:
-            raise ParseError(f"score {score} outside [0, 1]", line_no)
-        if qid in scores:
-            raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
-        scores[qid] = score
-    return scores
-
-
-def write_qpp_scores(scores: Mapping[str, float]) -> list[str]:
-    return [f"{qid}\t{scores[qid]!r}" for qid in sorted(scores)]
 
 
 def parse_corpus(lines: Iterable[str]) -> list[Document]:
@@ -366,10 +343,6 @@ def read_queries_file(path) -> list[Query]:
 
 def write_queries_file(queries: Iterable[Query], path) -> None:
     write_lines(path, write_queries(queries))
-
-
-def read_qpp_scores_file(path) -> dict[str, float]:
-    return parse_qpp_scores(read_lines(path))
 
 
 def read_corpus_file(path) -> list[Document]:

@@ -52,7 +52,7 @@ from .lexical_retrieval import (
     save_index,
 )
 from .linear_model import LogisticScorer, load_scorer, save_scorer
-from .pointwise_ranker import ModelRanker, build_training_set, train
+from .pointwise_ranker import ModelRanker, ScoreFileRanker, build_training_set, train
 from .qpp import ModelQppProvider, train_qpp
 
 log = logging.getLogger(__name__)
@@ -265,60 +265,85 @@ def _fusion_config(config: PipelineConfig, method: str) -> FusionConfig:
     )
 
 
+def _ranked_test_queries(config: PipelineConfig, index: InvertedIndex):
+    """The test queries that retrieved candidates, in file order, and those candidates."""
+    queries = read_queries_file(_require(config.path("test_queries"), "test queries"))
+    candidates = candidates_for(config, index, queries)
+    return [q for q in queries if q.query_id in candidates], candidates
+
+
+def _fusion_inputs(config: PipelineConfig, expected=None, test_ids=frozenset()):
+    """Parse `br.txt` and `sr.txt`; each must rank exactly the documents
+    `expected` maps each query id to, by default (BSF) those of `br.txt` on
+    the test queries. A missing run file, or one that ranks other queries or
+    documents, raises ConfigError naming it.
+    """
+    bsf_inputs = expected is None
+    reference = "the test queries" if bsf_inputs else "the BM25 test candidates"
+    runs = []
+    for which in ("br", "sr"):
+        hint = f"produce it with `hardrank run --method {which}`"
+        path = _require(config.path("runs_dir") / f"{which}.txt", hint)
+        run = read_run_file(path)
+        docs = {qid: {rec.doc_id for rec in recs} for qid, recs in run.entries.items()}
+        if expected is None:
+            expected = {qid: ids for qid, ids in docs.items() if qid in test_ids}
+        differ = sorted(q for q in docs.keys() | expected.keys() if docs.get(q) != expected.get(q))
+        if differ:
+            raise ConfigError(
+                f"{path} ranks other queries or documents than {reference} (query ids "
+                f"{differ[:5]}); rerun `hardrank run --method br` and `--method sr`"
+            )
+        runs.append(run)
+        if bsf_inputs:
+            reference = str(path)
+    return runs
+
+
 def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]:
     """Rank the test queries by one method and write the run file.
 
-    Returns (run path, routing log path or None). Methods 'br' and 'sr'
-    emit the single-ranker baselines the fusion methods are compared to.
+    Returns (run path, routing log path or None). 'br' and 'sr' rerank the
+    BM25 test candidates with one trained model. The fusion methods combine
+    the two run files those wrote, so `run --method br` and `sr` come first:
+    'bsf' reads nothing else, and 'r_qpp' and 'w_qpps' also load the index
+    and the QPP model for each query's psi.
     """
     if method not in RUN_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {RUN_METHODS}")
-    corpus, index = _load_retrieval(config)
-    queries = read_queries_file(_require(config.path("test_queries"), "test queries"))
-    candidates = candidates_for(config, index, queries)
-    queries = [q for q in queries if q.query_id in candidates]
-    params = config.bm25_params()
-
-    def ranker(which: str) -> ModelRanker:
-        path = _require(_model_path(config, which), f"train {which} first")
-        return ModelRanker(load_scorer(path, "ranker"), corpus, index, params)
-
-    def runs(*which: str) -> list[RunList]:
-        # Each query goes through every ranker in turn, so they share its
-        # feature pass (see pointwise_ranker.rerank).
-        rankers = [ranker(w) for w in which]
-        entries: list[dict] = [{} for _ in which]
-        for q in queries:
-            for re_ranker, out in zip(rankers, entries):
-                out[q.query_id] = re_ranker.rerank_query(q, candidates[q.query_id])
-        return [RunList(entries=e, tag=w) for e, w in zip(entries, which)]
-
     routing_log: Path | None = None
     if method in ("br", "sr"):
-        (run,) = runs(method)
+        corpus, index = _load_retrieval(config)
+        queries, candidates = _ranked_test_queries(config, index)
+        model_path = _require(_model_path(config, method), f"train {method} first")
+        ranker = ModelRanker(load_scorer(model_path, "ranker"), corpus, index, config.bm25_params())
+        entries = {q.query_id: ranker.rerank_query(q, candidates[q.query_id]) for q in queries}
+        run = RunList(entries=entries, tag=method)
     elif method == "bsf":
-        run = bsf(*runs("br", "sr"), _fusion_config(config, "bsf"))
+        queries = read_queries_file(_require(config.path("test_queries"), "test queries"))
+        br, sr = _fusion_inputs(config, test_ids={q.query_id for q in queries})
+        run = bsf(br, sr, _fusion_config(config, "bsf"))
     else:
+        index = _load_index(config)
+        queries, candidates = _ranked_test_queries(config, index)
         qpp_path = _require(_model_path(config, "qpp"), "train qpp first")
         provider = ModelQppProvider(load_scorer(qpp_path, "qpp"), index)
+        tau = config.section("fusion")["routing_threshold"]
+        if method == "r_qpp" and tau == "train_median":
+            tau = provider.model.metadata.get("train_median_psi")
+            if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
+                raise ConfigError(
+                    f"{qpp_path} holds no train_median_psi in [0, 1] (found {tau!r}); "
+                    "rerun `hardrank train --which qpp`"
+                )
+        br, sr = _fusion_inputs(
+            config, {qid: {rec.doc_id for rec in hits} for qid, hits in candidates.items()}
+        )
         if method == "r_qpp":
-            tau = config.section("fusion")["routing_threshold"]
-            if tau == "train_median":
-                tau = provider.model.metadata.get("train_median_psi")
-                if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
-                    raise ConfigError(
-                        f"{qpp_path} holds no train_median_psi in [0, 1] (found {tau!r}); "
-                        "rerun `hardrank train --which qpp`"
-                    )
-            run, decisions = route_qpp(
-                ranker("br"),
-                ranker("sr"),
-                provider,
-                queries,
-                candidates,
-                tau,
-                _fusion_config(config, "r_qpp"),
-            )
+            rankers = ScoreFileRanker.from_run(br), ScoreFileRanker.from_run(sr)
+            del br, sr  # the rankers hold every score; routing needs no second copy
+            fusion_config = _fusion_config(config, "r_qpp")
+            run, decisions = route_qpp(*rankers, provider, queries, candidates, tau, fusion_config)
             routing_log = config.path("runs_dir") / "r_qpp.routing.tsv"
             write_lines(routing_log, write_routing_log(decisions))
         else:
@@ -326,7 +351,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
                 q.query_id: provider.estimate_query(q, candidates[q.query_id]).psi
                 for q in queries
             }
-            run = w_qpps(*runs("br", "sr"), psis, _fusion_config(config, "w_qpps"))
+            run = w_qpps(br, sr, psis, _fusion_config(config, "w_qpps"))
 
     run_path = config.path("runs_dir") / f"{method}.txt"
     write_run_file(run, run_path)

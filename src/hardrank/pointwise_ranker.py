@@ -162,8 +162,9 @@ def rerank(
     `feature_matrix` pass over the list, read from the index alone (equal
     to the text-derived values whenever `corpus` is the corpus that was
     indexed); `corpus` only vouches that each candidate exists. Reranking
-    the same list for the same query text again, as BR and SR do in turn,
-    reuses that pass (see `_candidate_features`).
+    the same list for the same query text again reuses that pass (see
+    `_candidate_features`): serving scores each list with BR and then SR.
+    `hardrank run` ranks with one model per command, so it never does.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -186,8 +187,9 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     """The feature matrix of the candidates' documents, read-only.
 
     Returns the previous call's matrix when the index, the params, the
-    query text and the candidate ids are the same, so ranking one list by
-    several models costs one feature pass. A candidate missing from the
+    query text and the candidate ids are the same, so a caller that ranks
+    one list with both models in turn, as serving does, pays one feature
+    pass; `hardrank run` ranks with one model. A candidate missing from the
     corpus or the index raises ValueError, and the first faulty candidate
     in list order is the one named.
     """

@@ -9,8 +9,9 @@ model is a "qpp" `LogisticScorer` whose metadata holds the top-k depth and
 the orientation; the orientation is recorded in the provider id of every
 estimate.
 
-A file-backed provider serves precomputed scores through the same contract
-so externally produced estimates can stand in for the trained model.
+`FileQppProvider` serves precomputed per-query scores through the same
+contract, so externally produced estimates can stand in for the trained
+model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus_io import Query, RunRecord, read_qpp_scores_file
+from .corpus_io import Query, RunRecord
 from .lexical_retrieval import InvertedIndex
 from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
@@ -147,8 +148,3 @@ class FileQppProvider:
         if query.query_id not in self.scores:
             raise ValueError(f"no QPP score for query {query.query_id!r}")
         return QppEstimate(query.query_id, self.scores[query.query_id], self.provider_id)
-
-
-def file_provider(path) -> FileQppProvider:
-    """Load a `qid<TAB>score` file into a provider (scores validated in [0,1])."""
-    return FileQppProvider(read_qpp_scores_file(path))

@@ -275,6 +275,20 @@ class TestRunAndEval:
         """A private copy of the trained directory (its config paths are relative)."""
         return shutil.copytree(trained_template, tmp_path / "trained")
 
+    @pytest.fixture(scope="class")
+    def ranked_template(self, trained_template, tmp_path_factory, run_cli):
+        """The trained fixture after `run --method br` and `sr`, which fusion reads."""
+        workdir = shutil.copytree(trained_template, tmp_path_factory.mktemp("ranked") / "w")
+        for method in ("br", "sr"):
+            result = run_cli("run", "--config", "config.json", "--method", method, cwd=workdir)
+            assert result.returncode == 0, result.stderr
+        return workdir
+
+    @pytest.fixture
+    def ranked(self, ranked_template, tmp_path):
+        """A private copy of the ranked directory."""
+        return shutil.copytree(ranked_template, tmp_path / "ranked")
+
     def test_unknown_method_is_usage_error(self, workdir, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "rrf", cwd=workdir)
         assert result.returncode == 2  # argparse usage error
@@ -300,18 +314,18 @@ class TestRunAndEval:
         shared = ("epochs", "learning_rate", "seed")
         assert {k: br.metadata[k] for k in shared} == {k: sr.metadata[k] for k in shared}
 
-    def test_ranker_file_as_qpp_model_is_input_error(self, trained, run_cli):
-        models = trained / "work" / "models"
+    def test_ranker_file_as_qpp_model_is_input_error(self, ranked, run_cli):
+        models = ranked / "work" / "models"
         shutil.copyfile(models / "br.json", models / "qpp.json")
-        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=trained)
+        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=ranked)
         assert result.returncode == 1, result.stderr
         assert "work/models/qpp.json" in result.stderr
         assert "'ranker' model" in result.stderr
-        assert not (trained / "work" / "runs" / "w_qpps.txt").exists()
+        assert not (ranked / "work" / "runs" / "w_qpps.txt").exists()
 
-    def test_version_1_qpp_model_is_input_error(self, trained, run_cli):
+    def test_version_1_qpp_model_is_input_error(self, ranked, run_cli):
         # the QPP file format before models became one format with a kind
-        qpp_path = trained / "work" / "models" / "qpp.json"
+        qpp_path = ranked / "work" / "models" / "qpp.json"
         current = json.loads(qpp_path.read_text())
         qpp_path.write_text(json.dumps({
             "format": "hardrank-qpp",
@@ -324,11 +338,11 @@ class TestRunAndEval:
             "orientation": "hardness",
             "metadata": {},
         }))
-        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=trained)
+        result = run_cli("run", "--config", "config.json", "--method", "w_qpps", cwd=ranked)
         assert result.returncode == 1, result.stderr
         assert "work/models/qpp.json" in result.stderr
         assert "retrain" in result.stderr
-        assert not (trained / "work" / "runs" / "w_qpps.txt").exists()
+        assert not (ranked / "work" / "runs" / "w_qpps.txt").exists()
 
     def test_version_1_index_is_input_error(self, trained, run_cli):
         # the index format before it kept each document's lead terms
@@ -362,58 +376,113 @@ class TestRunAndEval:
         assert "hardrank index --force" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
-    def test_r_qpp_writes_routing_log(self, trained, run_cli):
-        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)
+    def test_r_qpp_writes_routing_log(self, ranked, run_cli):
+        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=ranked)
         assert result.returncode == 0, result.stderr
-        log_lines = (trained / "work" / "runs" / "r_qpp.routing.tsv").read_text().splitlines()
+        log_lines = (ranked / "work" / "runs" / "r_qpp.routing.tsv").read_text().splitlines()
         assert len(log_lines) == 4
         for line in log_lines:
             qid, psi, route = line.split("\t")
             assert route in ("br", "sr")
             assert 0.0 <= float(psi) <= 1.0
 
-    def test_r_qpp_reads_no_training_data(self, trained, run_cli):
+    def test_r_qpp_reads_no_training_data(self, ranked, run_cli):
         args = ("run", "--config", "config.json", "--method", "r_qpp")
-        assert run_cli(*args, cwd=trained).returncode == 0
-        run_path = trained / "work" / "runs" / "r_qpp.txt"
+        assert run_cli(*args, cwd=ranked).returncode == 0
+        run_path = ranked / "work" / "runs" / "r_qpp.txt"
         first = run_path.read_bytes()
         run_path.unlink()
         result = run_cli(
             *args, "--set", "paths.train_queries=absent.tsv",
-            "--set", "paths.train_qrels=absent.txt", cwd=trained,
+            "--set", "paths.train_qrels=absent.txt", cwd=ranked,
         )
         assert result.returncode == 0, result.stderr
         assert run_path.read_bytes() == first
 
     @pytest.mark.parametrize("stored", [None, "0.5", True, 1.5, float("nan")])
     def test_qpp_model_without_a_valid_train_median_is_input_error(
-        self, trained, run_cli, stored
+        self, ranked, run_cli, stored
     ):
-        set_train_median(trained, stored)
-        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=trained)
+        set_train_median(ranked, stored)
+        result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=ranked)
         assert result.returncode == 1, result.stderr
         assert "work/models/qpp.json" in result.stderr
         assert "train --which qpp" in result.stderr
-        assert not (trained / "work" / "runs" / "r_qpp.txt").exists()
+        assert not (ranked / "work" / "runs" / "r_qpp.txt").exists()
 
     @pytest.mark.parametrize("tau, route", [("0.0", "sr"), ("1.0", "br")])
-    def test_fixed_routing_threshold_decides_every_route(self, trained, run_cli, tau, route):
+    def test_fixed_routing_threshold_decides_every_route(self, ranked, run_cli, tau, route):
         # a fixed tau needs no train_median_psi; psi lies in (0, 1), so 0.0
         # routes every query to SR and 1.0 every query to BR
-        set_train_median(trained, None)
+        set_train_median(ranked, None)
         for method in (route, "r_qpp"):
             result = run_cli(
                 "run", "--config", "config.json", "--method", method,
-                "--set", f"fusion.routing_threshold={tau}", cwd=trained,
+                "--set", f"fusion.routing_threshold={tau}", cwd=ranked,
             )
             assert result.returncode == 0, result.stderr
-        runs = trained / "work" / "runs"
+        runs = ranked / "work" / "runs"
         log_lines = (runs / "r_qpp.routing.tsv").read_text().splitlines()
         assert len(log_lines) == 4
         assert {line.split("\t")[2] for line in log_lines} == {route}
         routed = read_run_file(runs / "r_qpp.txt")
         chosen = read_run_file(runs / f"{route}.txt")
         assert routed.entries == chosen.entries
+
+    @pytest.mark.parametrize("method", ["bsf", "r_qpp", "w_qpps"])
+    @pytest.mark.parametrize("missing", ["br", "sr"])
+    def test_fusion_without_a_ranker_run_is_input_error(self, trained, run_cli, method, missing):
+        other = "sr" if missing == "br" else "br"
+        args = ("run", "--config", "config.json", "--method")
+        assert run_cli(*args, other, cwd=trained).returncode == 0
+        result = run_cli(*args, method, cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert f"work/runs/{missing}.txt does not exist" in result.stderr
+        assert f"hardrank run --method {missing}" in result.stderr
+        assert sorted(p.name for p in (trained / "work" / "runs").iterdir()) == [f"{other}.txt"]
+
+    @pytest.mark.parametrize("method", ["bsf", "r_qpp", "w_qpps"])
+    @pytest.mark.parametrize(
+        "which, edit",
+        [
+            ("br", lambda lines: [line for line in lines if not line.startswith("q1 ")]),
+            ("sr", lambda lines: [line for line in lines if not line.startswith("q1 ")]
+             + [line for line in lines if line.startswith("q1 ")][:-1]),
+            ("br", lambda lines: lines + ["q9 Q0 a_rel 1 0.5 br"]),
+        ],
+        ids=["br-query-dropped", "sr-document-dropped", "br-non-test-query"],
+    )
+    def test_fusion_of_mismatched_runs_is_input_error(self, ranked, run_cli, method, which, edit):
+        runs = ranked / "work" / "runs"
+        path = runs / f"{which}.txt"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        result = run_cli("run", "--config", "config.json", "--method", method, cwd=ranked)
+        assert result.returncode == 1, result.stderr
+        assert "ranks other queries or documents" in result.stderr
+        assert f"work/runs/{which}.txt" in result.stderr
+        assert sorted(p.name for p in runs.iterdir()) == ["br.txt", "sr.txt"]
+
+    @pytest.mark.parametrize(
+        "method, absent",
+        [
+            ("bsf", ["corpus", "index", "models_dir"]),
+            ("r_qpp", ["corpus"]),
+            ("w_qpps", ["corpus"]),
+        ],
+        ids=["bsf", "r_qpp", "w_qpps"],
+    )
+    def test_fusion_reads_no_corpus_and_no_ranker_model(self, ranked, run_cli, method, absent):
+        args = ("run", "--config", "config.json", "--method", method)
+        assert run_cli(*args, cwd=ranked).returncode == 0
+        run_path = ranked / "work" / "runs" / f"{method}.txt"
+        first = run_path.read_bytes()
+        run_path.unlink()
+        for which in ("br", "sr"):
+            (ranked / "work" / "models" / f"{which}.json").unlink()
+        overrides = [arg for key in absent for arg in ("--set", f"paths.{key}=absent")]
+        result = run_cli(*args, *overrides, cwd=ranked)
+        assert result.returncode == 0, result.stderr
+        assert run_path.read_bytes() == first
 
     def test_eval_reports_zero_delta_for_baseline_only(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)

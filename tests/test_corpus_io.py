@@ -19,13 +19,11 @@ from hardrank.corpus_io import (
     RunList,
     RunRecord,
     parse_corpus,
-    parse_qpp_scores,
     parse_qrels,
     parse_queries,
     parse_run,
     rank_records,
     write_corpus,
-    write_qpp_scores,
     write_qrels,
     write_queries,
     write_artifact,
@@ -232,23 +230,6 @@ class TestQueries:
     def test_roundtrip(self):
         queries = parse_queries(["q1\twhat is lbm", "q2\tdefine NASA budget"])
         assert parse_queries(write_queries(queries)) == queries
-
-
-class TestQppScores:
-    def test_parse(self):
-        assert parse_qpp_scores(["q1\t0.9"]) == {"q1": 0.9}
-
-    def test_out_of_range(self):
-        with pytest.raises(ParseError):
-            parse_qpp_scores(["q1\t1.5"])
-
-    def test_duplicate(self):
-        with pytest.raises(DuplicateEntryError):
-            parse_qpp_scores(["q1\t0.5", "q1\t0.5"])
-
-    def test_roundtrip(self):
-        scores = {"q1": 0.123456789, "q2": 1.0, "q3": 0.0}
-        assert parse_qpp_scores(write_qpp_scores(scores)) == scores
 
 
 class TestCorpus:

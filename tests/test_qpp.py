@@ -14,7 +14,6 @@ from hardrank.qpp import (
     ModelQppProvider,
     QppEstimate,
     estimate,
-    file_provider,
     qpp_features,
     train_qpp,
 )
@@ -167,18 +166,6 @@ class TestEstimate:
 
 
 class TestFileProvider:
-    def test_lookup(self, tmp_path):
-        path = tmp_path / "scores.tsv"
-        path.write_text("q1\t0.9\n")
-        provider = file_provider(path)
-        assert provider.estimate_query(Query("q1", "x")).psi == 0.9
-
-    def test_out_of_range_load_error(self, tmp_path):
-        path = tmp_path / "scores.tsv"
-        path.write_text("q1\t1.5\n")
-        with pytest.raises(ValueError):
-            file_provider(path)
-
     def test_unknown_query_error(self):
         provider = FileQppProvider({"q1": 0.5})
         with pytest.raises(ValueError, match="q2"):

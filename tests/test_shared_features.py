@@ -246,13 +246,22 @@ def trained(tmp_path_factory):
     train_ranker(config, "br")
     train_ranker(config, "sr")
     train_qpp_model(config)
+    produce_run(config, "br")
+    produce_run(config, "sr")
     return config
 
 
-@pytest.mark.parametrize("method", ["br", "bsf", "w_qpps"])
+@pytest.mark.parametrize("method", ["br", "sr"])
 def test_produce_run_builds_each_query_features_once(trained, kernel_calls, method):
     produce_run(trained, method)
     queries = read_queries_file(trained.path("test_queries"))
     ranked = candidates_for(trained, load_index(trained.path("index")), queries)
     assert len(kernel_calls) == len(ranked)
     assert set(Counter(kernel_calls).values()) == {1}
+
+
+@pytest.mark.parametrize("method", ["bsf", "r_qpp", "w_qpps"])
+def test_fusion_builds_no_features(trained, kernel_calls, method):
+    # fusion reads the scores in br.txt and sr.txt instead of reranking
+    produce_run(trained, method)
+    assert kernel_calls == []
