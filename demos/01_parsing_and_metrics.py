@@ -5,13 +5,8 @@ rank by hand-checkable steps, and shows the relative-improvement and
 paired-significance arithmetic used in reports.
 """
 
-from hardrank import (
-    ndcg_at_k,
-    paired_test,
-    reciprocal_rank,
-    relative_improvement,
-)
 from hardrank.corpus_io import parse_qrels, parse_run, write_run
+from hardrank.evaluation import ndcg_at_k, paired_test, reciprocal_rank, relative_improvement
 
 run_lines = [
     "q1 Q0 docB 1 9.0 demo",

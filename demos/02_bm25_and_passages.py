@@ -1,6 +1,7 @@
 """First-stage retrieval: inverted index, BM25 search, passage selection."""
 
-from hardrank import Bm25Params, Document, Query, bm25_search, build_index, select_passage
+from hardrank.corpus_io import Document, Query
+from hardrank.lexical_retrieval import Bm25Params, bm25_search, build_index, select_passage
 
 corpus = [
     Document("d1", "Lean body mass (LBM) is total body weight minus fat weight. "

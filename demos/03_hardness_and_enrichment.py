@@ -1,16 +1,14 @@
 """Hard-query detection and context-grounded rewriting with the stub generator."""
 
-from hardrank import (
-    Document,
+from hardrank.corpus_io import Document, Query, corpus_by_id
+from hardrank.enrichment import (
     HardnessRule,
-    Query,
     StubGenerator,
-    build_index,
     build_prompt,
     classify_hardness,
     enrich,
 )
-from hardrank.corpus_io import corpus_by_id
+from hardrank.lexical_retrieval import build_index
 
 rule = HardnessRule(max_token_count=5, acronym_pattern=True, min_context_terms=2)
 for text in (

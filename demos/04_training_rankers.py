@@ -6,18 +6,11 @@ and a trained hardness estimate next to its file-backed stand-in.
 
 import numpy as np
 
-from hardrank import (
-    Document,
-    Query,
-    build_index,
-    extract_features,
-    qpp_features,
-    train,
-    train_qpp,
-)
 from hardrank.benchmark import toy_qpp_set, toy_ranker_instances
-from hardrank.pointwise_ranker import FEATURE_NAMES, score
-from hardrank.qpp import FileQppProvider, estimate
+from hardrank.corpus_io import Document, Query
+from hardrank.lexical_retrieval import build_index
+from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, score, train
+from hardrank.qpp import FileQppProvider, estimate, qpp_features, train_qpp
 
 corpus = [
     Document("d1", "solar panels convert sunlight into electricity"),

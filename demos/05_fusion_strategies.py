@@ -6,8 +6,8 @@ hardness estimate. The endpoint identities (psi in {0, 0.5, 1}) are shown
 explicitly.
 """
 
-from hardrank import FusionConfig, Query, bsf, route_qpp, w_qpps
-from hardrank.corpus_io import RunList, rank_records
+from hardrank.corpus_io import Query, RunList, rank_records
+from hardrank.fusion import FusionConfig, bsf, route_qpp, w_qpps
 from hardrank.pointwise_ranker import ScoreFileRanker
 from hardrank.qpp import FileQppProvider
 
@@ -25,10 +25,8 @@ for psi in (0.0, 0.5, 1.0):
     print(f"W-QPPS psi={psi}:", [r.doc_id for r in fused.entries["q1"]])
 
 candidates = {"q1": br.entries["q1"], "q2": rank_records([("a", 1.0), ("b", 0.5)])}
-br_ranker = ScoreFileRanker({("q1", "a"): 0.9, ("q1", "b"): 0.5, ("q1", "c"): 0.1,
-                             ("q2", "a"): 0.9, ("q2", "b"): 0.1})
-sr_ranker = ScoreFileRanker({("q1", "a"): 0.2, ("q1", "b"): 0.6, ("q1", "c"): 0.8,
-                             ("q2", "a"): 0.1, ("q2", "b"): 0.9})
+br_ranker = ScoreFileRanker({"q1": {"a": 0.9, "b": 0.5, "c": 0.1}, "q2": {"a": 0.9, "b": 0.1}})
+sr_ranker = ScoreFileRanker({"q1": {"a": 0.2, "b": 0.6, "c": 0.8}, "q2": {"a": 0.1, "b": 0.9}})
 provider = FileQppProvider({"q1": 0.85, "q2": 0.10})
 routed, decisions = route_qpp(
     br_ranker, sr_ranker, provider,

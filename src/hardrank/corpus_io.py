@@ -8,7 +8,10 @@ Formats (one record per line everywhere):
 - Run file (TREC 6-column): ``qid Q0 docid rank score tag``
 - Qrels: ``qid 0 docid grade``
 - Queries: ``qid<TAB>query text``
-- Corpus: one JSON object per line with keys ``doc_id`` and ``text``
+- Corpus: one JSON object per line with keys ``doc_id`` (a string or an
+  integer) and ``text`` (a string)
+
+Query and document ids must be non-empty and hold no whitespace.
 
 Determinism rules shared by all writers:
 
@@ -155,6 +158,15 @@ def _parse_score(token: str, line_no: int, what: str = "score") -> float:
     return value
 
 
+def _check_id(value: str, what: str, line_no: int) -> None:
+    """An id must be non-empty and hold no whitespace, which would split its
+    field in a run file."""
+    if not value:
+        raise ParseError(f"empty {what}", line_no)
+    if value.split() != [value]:
+        raise ParseError(f"{what} {value!r} contains whitespace", line_no)
+
+
 def parse_run(lines: Iterable[str]) -> RunList:
     """Parse a TREC run file into a RunList.
 
@@ -243,8 +255,7 @@ def parse_queries(lines: Iterable[str]) -> list[Query]:
         qid, text = line.split("\t")
         qid = qid.strip()
         text = text.strip()
-        if not qid:
-            raise ParseError("empty query id", line_no)
+        _check_id(qid, "query id", line_no)
         if not text:
             raise ParseError(f"empty text for query {qid!r}", line_no)
         if qid in seen:
@@ -269,13 +280,19 @@ def parse_corpus(lines: Iterable[str]) -> list[Document]:
             raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
         if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
             raise ParseError("record must be an object with doc_id and text", line_no)
-        doc_id = str(record["doc_id"])
-        if not doc_id:
-            raise ParseError("empty doc_id", line_no)
+        doc_id, text = record["doc_id"], record["text"]
+        if type(doc_id) not in (str, int):
+            kind = type(doc_id).__name__
+            raise ParseError(f"doc_id must be a string or an integer, got {kind}", line_no)
+        doc_id = str(doc_id)
+        _check_id(doc_id, "doc_id", line_no)
+        if not isinstance(text, str):
+            kind = type(text).__name__
+            raise ParseError(f"text of doc_id {doc_id!r} must be a string, got {kind}", line_no)
         if doc_id in seen:
             raise DuplicateEntryError(f"duplicate doc_id {doc_id!r}", line_no)
         seen.add(doc_id)
-        docs.append(Document(doc_id=doc_id, text=str(record["text"])))
+        docs.append(Document(doc_id=doc_id, text=text))
     return docs
 
 
@@ -312,9 +329,16 @@ def write_artifact(path, text: str) -> None:
         raise
 
 
-def read_lines(path) -> list[str]:
+def parse_file(parse, path):
+    """`parse` the lines of the UTF-8 file `path`. A ParseError keeps its
+    class and `line_no`, and its message gains the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.readlines()
+        lines = fh.readlines()
+    try:
+        return parse(lines)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -322,7 +346,7 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def read_run_file(path) -> RunList:
-    return parse_run(read_lines(path))
+    return parse_file(parse_run, path)
 
 
 def write_run_file(run: RunList, path, tag: str | None = None) -> None:
@@ -330,7 +354,7 @@ def write_run_file(run: RunList, path, tag: str | None = None) -> None:
 
 
 def read_qrels_file(path) -> Qrels:
-    return parse_qrels(read_lines(path))
+    return parse_file(parse_qrels, path)
 
 
 def write_qrels_file(qrels: Qrels, path) -> None:
@@ -338,7 +362,7 @@ def write_qrels_file(qrels: Qrels, path) -> None:
 
 
 def read_queries_file(path) -> list[Query]:
-    return parse_queries(read_lines(path))
+    return parse_file(parse_queries, path)
 
 
 def write_queries_file(queries: Iterable[Query], path) -> None:
@@ -346,7 +370,7 @@ def write_queries_file(queries: Iterable[Query], path) -> None:
 
 
 def read_corpus_file(path) -> list[Document]:
-    return parse_corpus(read_lines(path))
+    return parse_file(parse_corpus, path)
 
 
 def write_corpus_file(docs: Iterable[Document], path) -> None:

@@ -278,33 +278,22 @@ def enrich_all(
     max_workers: int = 1,
     **kwargs,
 ) -> tuple[list[EnrichedQuery], list[EnrichmentError]]:
-    """Enrich many queries, optionally in parallel, preserving input order.
+    """Enrich many queries on `max_workers` threads, preserving input order.
 
-    Failures are collected rather than raised so one bad generator call does
-    not lose the rest of the batch.
+    Failures are collected, sorted by query id, rather than raised so one
+    bad generator call does not lose the rest of the batch.
     """
-    results: list[EnrichedQuery | None] = [None] * len(queries)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [pool.submit(enrich, q, index, corpus, generator, **kwargs) for q in queries]
+    enriched: list[EnrichedQuery] = []
     errors: list[EnrichmentError] = []
-
-    def work(i: int) -> None:
-        results[i] = enrich(queries[i], index, corpus, generator, **kwargs)
-
-    if max_workers <= 1:
-        for i in range(len(queries)):
-            try:
-                work(i)
-            except EnrichmentError as exc:
-                errors.append(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {pool.submit(work, i): i for i in range(len(queries))}
-            for future in futures:
-                try:
-                    future.result()
-                except EnrichmentError as exc:
-                    errors.append(exc)
-        errors.sort(key=lambda e: e.query_id)
-    return [r for r in results if r is not None], errors
+    for future in futures:
+        try:
+            enriched.append(future.result())
+        except EnrichmentError as exc:
+            errors.append(exc)
+    errors.sort(key=lambda e: e.query_id)
+    return enriched, errors
 
 
 # Enriched queries persist as TSV: qid, enriched text, context doc id, flags.

@@ -17,8 +17,8 @@ from .corpus_io import (
     Query,
     RunList,
     corpus_by_id,
+    parse_file,
     read_corpus_file,
-    read_lines,
     read_qrels_file,
     read_queries_file,
     read_run_file,
@@ -169,7 +169,7 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
     else:
         enriched_path = config.path("enriched_queries")
         hint = "the specialized ranker needs enriched training queries; run the enrich command"
-        enriched = parse_enriched(read_lines(_require(enriched_path, hint)))
+        enriched = parse_file(parse_enriched, _require(enriched_path, hint))
         if not enriched:
             raise ConfigError(f"{enriched_path} holds no queries ({hint})")
         texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
-from .lexical_retrieval import EARLY_WINDOW  # noqa: F401 - early_coverage's window
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
 from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoid
 from .text import tokenize
@@ -232,29 +231,25 @@ class ModelRanker:
 
 @dataclass
 class ScoreFileRanker:
-    """Ranker backed by a preloaded (query_id, doc_id) -> score map."""
+    """Ranker backed by preloaded scores: query_id -> {doc_id: score}."""
 
-    scores: Mapping[tuple[str, str], float]
+    scores: Mapping[str, Mapping[str, float]]
 
     @classmethod
     def from_run(cls, run) -> "ScoreFileRanker":
-        return cls(
-            {
-                (qid, rec.doc_id): rec.score
-                for qid, records in run.entries.items()
-                for rec in records
-            }
-        )
+        return cls({
+            qid: {rec.doc_id: rec.score for rec in records} for qid, records in run.entries.items()
+        })
 
     def rerank_query(self, query: Query, candidates: Sequence[RunRecord]) -> list[RunRecord]:
         if not candidates:
             raise ValueError("candidate list is empty")
+        scores = self.scores.get(query.query_id, {})
         pairs = []
         for rec in candidates:
-            key = (query.query_id, rec.doc_id)
-            if key not in self.scores:
-                raise ValueError(f"no stored score for {key}")
-            pairs.append((rec.doc_id, self.scores[key]))
+            if rec.doc_id not in scores:
+                raise ValueError(f"no stored score for {(query.query_id, rec.doc_id)}")
+            pairs.append((rec.doc_id, scores[rec.doc_id]))
         return rank_records(pairs)
 
 

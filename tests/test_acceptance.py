@@ -166,11 +166,8 @@ class TestCriterion4OracleRoutingDominance:
                     candidates[qid] = rank_records([(d, 1.0 - j * 0.1) for j, d in enumerate(docs)])
                     good = {"rel3": 0.9, "rel1": 0.8, "x1": 0.3, "x2": 0.2, "x3": 0.1}
                     bad = {"rel3": 0.2, "rel1": 0.1, "x1": 0.9, "x2": 0.8, "x3": 0.7}
-                    sr_q = good if winner == "sr" else bad
-                    br_q = bad if winner == "sr" else good
-                    for d in docs:
-                        sr_scores[(qid, d)] = sr_q[d]
-                        br_scores[(qid, d)] = br_q[d]
+                    sr_scores[qid] = good if winner == "sr" else bad
+                    br_scores[qid] = bad if winner == "sr" else good
             qrels = Qrels(qrels)
             br_ranker = ScoreFileRanker(br_scores)
             sr_ranker = ScoreFileRanker(sr_scores)

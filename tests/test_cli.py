@@ -118,6 +118,14 @@ class TestIndexCommand:
         assert result.returncode == 1
         assert "missing.jsonl" in result.stderr
 
+    def test_doc_id_with_whitespace_is_input_error(self, workdir, run_cli):
+        with open(workdir / "corpus.jsonl", "a") as fh:
+            fh.write('{"doc_id": "a b", "text": "split id"}\n')
+        result = run_cli("index", "--config", "config.json", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "corpus.jsonl: line 10: doc_id 'a b' contains whitespace" in result.stderr
+        assert not (workdir / "work" / "index.json").exists()
+
     @pytest.mark.parametrize("value, shown", [('""', "."), ("a_dir", "a_dir")])
     def test_directory_as_corpus_is_input_error(self, workdir, run_cli, value, shown):
         (workdir / "a_dir").mkdir()
@@ -234,6 +242,14 @@ class TestTrainCommand:
         assert "error: work is not a file" in result.stderr
         assert not (workdir / "work" / "models" / "sr.json").exists()
 
+    def test_malformed_enriched_queries_error_names_the_file(self, workdir, run_cli):
+        run_cli("index", "--config", "config.json", cwd=workdir)
+        (workdir / "work" / "enriched.tsv").write_text("q1\tcanoe paddle\ta_rel\t-\nq2\tsolar\n")
+        result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "work/enriched.tsv: line 2: expected 4 TAB-separated fields" in result.stderr
+        assert not (workdir / "work" / "models" / "sr.json").exists()
+
     def test_br_writes_model_and_loss_curve(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
         result = run_cli("train", "--config", "config.json", "--which", "br", cwd=workdir)
@@ -292,6 +308,16 @@ class TestRunAndEval:
     def test_unknown_method_is_usage_error(self, workdir, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "rrf", cwd=workdir)
         assert result.returncode == 2  # argparse usage error
+
+    def test_malformed_test_queries_error_names_the_file(self, trained, run_cli):
+        (trained / "bad_queries.tsv").write_text("q1\tcanoe\nq2 solar\n")
+        result = run_cli(
+            "run", "--config", "config.json", "--method", "br",
+            "--set", "paths.test_queries=bad_queries.tsv", cwd=trained,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "bad_queries.tsv: line 2: expected exactly one TAB, got 0" in result.stderr
+        assert not (trained / "work" / "runs").exists()
 
     def test_bsf_run_matches_library_output(self, trained, run_cli):
         for method in ("br", "sr", "bsf"):
@@ -540,6 +566,23 @@ class TestChildInterpreter:
         )
         assert result.returncode == 0, result.stderr
         assert Path(result.stdout.strip()).resolve() == Path(hardrank.__file__).resolve()
+
+    def test_parsing_modules_load_no_numpy_or_scipy(self, tmp_path, child_env):
+        # `import hardrank.benchmark` is the whole set-up of a CLI benchmark run
+        code = (
+            "import sys, hardrank.benchmark, hardrank.corpus_io, hardrank.text; "
+            "print('\\n'.join(sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=child_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        heavy = sorted(m for m in result.stdout.split() if m.split(".")[0] in ("numpy", "scipy"))
+        assert not heavy, f"loaded {heavy[:5]}"
 
     def test_cli_import_skips_scipy_stats_and_loads_traced_modules(self, tmp_path, child_env):
         # start-up cost: scipy.stats alone took about 0.8 s of CPU per command;

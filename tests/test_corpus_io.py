@@ -1,6 +1,7 @@
 """Parser/writer round-trips and error handling for all file formats."""
 
 import ast
+import json
 import os
 import random
 from pathlib import Path
@@ -23,6 +24,10 @@ from hardrank.corpus_io import (
     parse_queries,
     parse_run,
     rank_records,
+    read_corpus_file,
+    read_qrels_file,
+    read_queries_file,
+    read_run_file,
     write_corpus,
     write_qrels,
     write_queries,
@@ -231,11 +236,16 @@ class TestQueries:
         queries = parse_queries(["q1\twhat is lbm", "q2\tdefine NASA budget"])
         assert parse_queries(write_queries(queries)) == queries
 
+    def test_query_id_with_whitespace_rejected(self):
+        # a run written for "q 1" would have 7 fields
+        with pytest.raises(ParseError, match=r"line 2: query id 'q 1' contains whitespace"):
+            parse_queries(["q0\ta", "q 1\tb"])
+
 
 class TestCorpus:
     def test_parse(self):
-        docs = parse_corpus(['{"doc_id": "d1", "text": "hello"}'])
-        assert docs == [Document("d1", "hello")]
+        docs = parse_corpus(['{"doc_id": "d1", "text": "hello"}', '{"doc_id": 7, "text": "x"}'])
+        assert docs == [Document("d1", "hello"), Document("7", "x")]
 
     def test_bad_json(self):
         with pytest.raises(ParseError):
@@ -257,6 +267,41 @@ class TestCorpus:
     def test_extra_keys_ignored(self):
         line = '{"doc_id": "d1", "passages": ["a b", "c"], "text": "a b c"}'
         assert parse_corpus([line]) == [Document("d1", "a b c")]
+
+    @pytest.mark.parametrize("doc_id", ["null", "true", "1.5", '{"a": 1}', '["d1"]'])
+    def test_doc_id_of_other_json_type_rejected(self, doc_id):
+        with pytest.raises(ParseError, match="line 1: doc_id must be a string or an integer"):
+            parse_corpus([f'{{"doc_id": {doc_id}, "text": "x"}}'])
+
+    @pytest.mark.parametrize("doc_id", ["a b", " d1", "d1\t"])
+    def test_doc_id_with_whitespace_rejected(self, doc_id):
+        line = json.dumps({"doc_id": doc_id, "text": "x"})
+        with pytest.raises(ParseError, match="line 2: doc_id .* contains whitespace"):
+            parse_corpus(['{"doc_id": "d0", "text": "x"}', line])
+
+    @pytest.mark.parametrize("text", ["null", "3", '["a"]'])
+    def test_text_that_is_not_a_string_rejected(self, text):
+        with pytest.raises(ParseError, match="line 1: text of doc_id 'd1' must be a string"):
+            parse_corpus([f'{{"doc_id": "d1", "text": {text}}}'])
+
+
+@pytest.mark.parametrize(
+    "read, lines",
+    [
+        (read_run_file, ["q1 Q0 d1 1 0.5 t", "q1 Q0 d1 2 0.4 t"]),
+        (read_qrels_file, ["q1 0 d1 1", "q1 0 d1 2"]),
+        (read_queries_file, ["q1\ta", "q1\tb"]),
+        (read_corpus_file, ['{"doc_id": "d1", "text": "a"}', '{"doc_id": "d1", "text": "b"}']),
+    ],
+    ids=["run", "qrels", "queries", "corpus"],
+)
+def test_file_reader_error_names_the_path(tmp_path, read, lines):
+    path = tmp_path / "input.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DuplicateEntryError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: line 2: duplicate ")
+    assert info.value.line_no == 2
 
 
 class TestWriteArtifact:

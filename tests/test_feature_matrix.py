@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardrank.corpus_io import Document, Query, rank_records
-from hardrank.lexical_retrieval import Bm25Params, bm25_term_score, build_index
+from hardrank.lexical_retrieval import EARLY_WINDOW, Bm25Params, bm25_term_score, build_index
 from hardrank.linear_model import LogisticScorer
 from hardrank.pointwise_ranker import (
-    EARLY_WINDOW,
     FEATURE_NAMES,
     extract_features,
     feature_matrix,

@@ -121,10 +121,8 @@ class TestRouteQpp:
             "q1": rank_records([("a", 3.0), ("b", 2.0)]),
             "q2": rank_records([("a", 3.0), ("b", 2.0)]),
         }
-        br = ScoreFileRanker({("q1", "a"): 0.9, ("q1", "b"): 0.1,
-                              ("q2", "a"): 0.8, ("q2", "b"): 0.2})
-        sr = ScoreFileRanker({("q1", "a"): 0.1, ("q1", "b"): 0.9,
-                              ("q2", "a"): 0.2, ("q2", "b"): 0.8})
+        br = ScoreFileRanker({"q1": {"a": 0.9, "b": 0.1}, "q2": {"a": 0.8, "b": 0.2}})
+        sr = ScoreFileRanker({"q1": {"a": 0.1, "b": 0.9}, "q2": {"a": 0.2, "b": 0.8}})
         queries = [Query("q1", "one"), Query("q2", "two")]
         return br, sr, queries, candidates
 

@@ -262,17 +262,17 @@ class TestRerank:
 
 class TestScoreFileRanker:
     def test_returns_stored_scores(self):
-        ranker = ScoreFileRanker({("q1", "d1"): 0.9})
+        ranker = ScoreFileRanker({"q1": {"d1": 0.9}})
         out = ranker.rerank_query(Query("q1", "x"), rank_records([("d1", 1.0)]))
         assert out == [RunRecord("d1", 0.9, 1)]
 
     def test_missing_pair_error_names_pair(self):
-        ranker = ScoreFileRanker({("q1", "d1"): 0.9})
+        ranker = ScoreFileRanker({"q1": {"d1": 0.9}})
         with pytest.raises(ValueError, match=r"q1.*d2"):
             ranker.rerank_query(Query("q1", "x"), rank_records([("d1", 1.0), ("d2", 0.5)]))
 
     def test_equal_scores_tie_break(self):
-        ranker = ScoreFileRanker({("q1", "b"): 0.5, ("q1", "a"): 0.5})
+        ranker = ScoreFileRanker({"q1": {"b": 0.5, "a": 0.5}})
         out = ranker.rerank_query(Query("q1", "x"), rank_records([("b", 2.0), ("a", 1.0)]))
         assert [r.doc_id for r in out] == ["a", "b"]
 

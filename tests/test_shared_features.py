@@ -24,7 +24,13 @@ from hardrank import pointwise_ranker
 from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import Document, RunRecord, rank_records, read_queries_file
-from hardrank.lexical_retrieval import Bm25Params, build_index, load_index, save_index
+from hardrank.lexical_retrieval import (
+    EARLY_WINDOW,
+    Bm25Params,
+    build_index,
+    load_index,
+    save_index,
+)
 from hardrank.linear_model import LogisticScorer
 from hardrank.pipeline import (
     build_and_save_index,
@@ -34,7 +40,7 @@ from hardrank.pipeline import (
     train_qpp_model,
     train_ranker,
 )
-from hardrank.pointwise_ranker import EARLY_WINDOW, rerank, score
+from hardrank.pointwise_ranker import rerank, score
 from hardrank.text import tokenize
 
 DOCS = [
