@@ -69,15 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_index(args) -> int:
-    config = load_config(args.config, args.overrides)
+def _cmd_index(args, config) -> int:
     index = build_and_save_index(config, force=args.force)
     print(f"indexed {index.n_docs} documents -> {config.path('index')}")
     return EXIT_OK
 
 
-def _cmd_enrich(args) -> int:
-    config = load_config(args.config, args.overrides)
+def _cmd_enrich(args, config) -> int:
     enriched, errors, n_hard = enrich_training_queries(config)
     fallbacks = sum(1 for e in enriched if e.fallback)
     summary = f"hard queries: {n_hard}; enriched: {len(enriched)} ({fallbacks} fallback)"
@@ -90,8 +88,7 @@ def _cmd_enrich(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    config = load_config(args.config, args.overrides)
+def _cmd_train(args, config) -> int:
     if args.which == "qpp":
         path = train_qpp_model(config)
     else:
@@ -100,8 +97,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config, args.overrides)
+def _cmd_run(args, config) -> int:
     run_path, routing_log = produce_run(config, args.method)
     print(f"run written -> {run_path}")
     if routing_log is not None:
@@ -109,8 +105,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    config = load_config(args.config, args.overrides)
+def _cmd_eval(args, config) -> int:
     report, text_path, jsonl_path = evaluate_runs(config, args.runs, args.baseline)
     print(render_report(report))
     print(f"report -> {text_path} and {jsonl_path}")
@@ -131,7 +126,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "run": _cmd_run,
     "eval": _cmd_eval,
-    "config": _cmd_config,
 }
 
 
@@ -140,7 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "config":
+            return _cmd_config(args)
+        return _COMMANDS[args.command](args, load_config(args.config, args.overrides))
     except (ConfigError, ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,18 +2,20 @@
 
 `SCHEMA` is the one list of config keys. Each key has one row: its
 default, the types it accepts, a numeric range and the allowed strings.
-`DEFAULTS` is derived from it, and `validate` checks every value against
-its row. The defaults are the documented toolkit choices (BM25
-k1=0.9/b=0.4, run depth 100, hardness thresholds, inverted QPP
-orientation, train-median routing threshold). Any key can be overridden
-by the file and any file key by a ``--set section.key=value`` flag;
-unknown keys are rejected so typos fail loudly instead of silently using
+One walk over it, `_resolve`, turns a partial config into the full one:
+`DEFAULTS` is that walk over an empty object, and `validate` is that walk
+plus the one rule that spans keys. The defaults are the documented
+toolkit choices (BM25 k1=0.9/b=0.4, run depth 100, hardness thresholds,
+inverted QPP orientation, train-median routing threshold). The file
+overrides the defaults, and each ``--set section.key=value`` flag is the
+object ``{"section": {"key": value}}`` layered over the file: objects
+merge key by key, so ``--set section={...}`` merges like a file section.
+Unknown keys are rejected so typos fail loudly instead of silently using
 a default.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -102,15 +104,6 @@ SCHEMA: dict[str, Any] = {
 }
 
 
-def _defaults(schema: dict[str, Any]) -> dict[str, Any]:
-    return {
-        name: _defaults(row) if isinstance(row, dict) else row.default
-        for name, row in schema.items()
-    }
-
-
-DEFAULTS: dict[str, Any] = _defaults(SCHEMA)
-
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
                _NONE: "null"}
 
@@ -161,21 +154,6 @@ class PipelineConfig:
         return self.raw[name]
 
 
-def _merge(base: dict, override: dict, trail: str = "") -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{trail}.{key}" if trail else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and not isinstance(value, dict):
-            raise ConfigError(f"config key {where!r} must be an object")
-        if isinstance(base[key], dict):
-            merged[key] = _merge(base[key], value, where)
-        else:
-            merged[key] = value
-    return merged
-
-
 def _accepts(kind: type, value: Any) -> bool:
     if isinstance(value, bool):
         return kind is bool
@@ -190,7 +168,7 @@ def _check(where: str, key: Key, value: Any) -> None:
         if key.choices is not None and value not in key.choices:
             raise ConfigError(f"{where} must be one of {key.choices}, got {value!r}")
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where} must be a finite number, got {value!r}")
         if key.lo is not None and value < key.lo:
             raise ConfigError(f"{where} must be >= {key.lo}, got {value}")
@@ -198,50 +176,70 @@ def _check(where: str, key: Key, value: Any) -> None:
             raise ConfigError(f"{where} must be <= {key.hi}, got {value}")
 
 
-def _walk(schema: dict[str, Any], raw: dict[str, Any], trail: str) -> None:
+def _resolve(schema: dict[str, Any], value: Any, trail: str = "") -> dict[str, Any]:
+    """The full config for `value`, a possibly partial object shaped like
+    `schema`: unknown keys fail, sections must be objects, missing keys take
+    their defaults and every value is checked against its row."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {trail!r} must be an object")
+    prefix = f"{trail}." if trail else ""
+    for name in value:
+        if name not in schema:
+            raise ConfigError(f"unknown config key {prefix + name!r}")
+    out = {}
     for name, row in schema.items():
-        where = f"{trail}{name}"
         if isinstance(row, dict):
-            if not isinstance(raw[name], dict):
-                raise ConfigError(f"config key {where!r} must be an object")
-            _walk(row, raw[name], f"{where}.")
+            out[name] = _resolve(row, value.get(name, {}), prefix + name)
         else:
-            _check(where, row, raw[name])
+            out[name] = value.get(name, row.default)
+            _check(prefix + name, row, out[name])
+    return out
 
 
-def validate(raw: dict[str, Any]) -> None:
-    """Check every value against its `SCHEMA` row, independent of the filesystem."""
-    _walk(SCHEMA, raw, "")
+DEFAULTS: dict[str, Any] = _resolve(SCHEMA, {})
+
+
+def _layer(base: Any, top: Any) -> Any:
+    """`top` over `base`: objects merge key by key, any other value replaces."""
+    if not (isinstance(base, dict) and isinstance(top, dict)):
+        return top
+    return {**base, **{name: _layer(base.get(name), value) for name, value in top.items()}}
+
+
+def validate(raw: dict[str, Any]) -> dict[str, Any]:
+    """Resolve `raw` against `SCHEMA` and check that the http generator has
+    an endpoint, independent of the filesystem; returns the full config."""
+    raw = _resolve(SCHEMA, raw)
     generator = raw["generator"]
     if generator["type"] == "http" and not generator["endpoint_url"]:
         raise ConfigError("generator.endpoint_url required for the http generator")
+    return raw
 
 
-def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
-    """Apply ``section.key=value`` strings; values parse as JSON, else string."""
-    out = copy.deepcopy(raw)
+def _overridden(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         dotted, value_s = item.split("=", 1)
-        keys = dotted.split(".")
         try:
             value = json.loads(value_s)
-        except json.JSONDecodeError:
+        except ValueError:
             value = value_s
-        node = out
-        for key in keys[:-1]:
-            if key not in node or not isinstance(node[key], dict):
-                raise ConfigError(f"unknown config section {dotted!r}")
-            node = node[key]
-        if keys[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node[keys[-1]] = value
-    return out
+        for name in reversed(dotted.split(".")):
+            value = {name: value}
+        raw = _layer(raw, value)
+    return raw
+
+
+def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
+    """Layer each ``section.key=value`` string over `raw` as the object
+    ``{"section": {"key": value}}`` and resolve the result against `SCHEMA`.
+    Values parse as JSON, else as a string."""
+    return _resolve(SCHEMA, _overridden(raw, overrides))
 
 
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
-    """Read, merge over defaults, override, and validate a config file."""
+    """Read a config file, layer the overrides over it, and validate the result."""
     path = Path(path)
     try:
         raw_file = json.loads(path.read_text(encoding="utf-8"))
@@ -251,15 +249,12 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
     if not isinstance(raw_file, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    raw = _merge(DEFAULTS, raw_file)
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    validate(raw)
+    raw = validate(_overridden(raw_file, overrides or []))
     return PipelineConfig(raw=raw, base_dir=path.parent)
 
 
 def default_config() -> PipelineConfig:
-    return PipelineConfig(raw=copy.deepcopy(DEFAULTS))
+    return PipelineConfig(raw=validate({}))
 
 
 def dump_defaults() -> str:

@@ -1,7 +1,12 @@
-"""Parsers and writers for every on-disk artifact.
+"""The record types and line formats shared by every stage, and the
+atomic file writer.
 
-Every artifact of the package reaches disk through `write_artifact`, which
-writes a temporary file and renames it into place.
+This module parses and writes the run, qrels, query and corpus files
+below. The index, the model files, the enriched-query TSV, the routing log
+and the loss curves have their formats in the modules that own them
+(`lexical_retrieval`, `linear_model`, `enrichment`, `fusion`, `pipeline`),
+but every artifact of the package reaches disk through `write_artifact`,
+which writes a temporary file and renames it into place.
 
 Formats (one record per line everywhere):
 

@@ -97,12 +97,6 @@ def _scores_by_doc(
     return {rec.doc_id: rec.score for rec in records}
 
 
-def _query_ids(br_run: RunList, sr_run: RunList, queries: Iterable[str] | None) -> list[str]:
-    if queries is not None:
-        return list(queries)
-    return sorted(set(br_run.entries) | set(sr_run.entries))
-
-
 def _combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> list[RunRecord]:
     """One query's weighted CombSUM: w_sr * s_sr + w_br * s_br per document
     of either entry, a missing side counting 0. The weights (1, 1) give
@@ -120,20 +114,19 @@ def bsf(
     br_run: RunList,
     sr_run: RunList,
     config: FusionConfig = FusionConfig(method="bsf"),
-    queries: Iterable[str] | None = None,
 ) -> RunList:
-    """CombSUM the two runs: fused = s_br + s_sr per (query, document).
+    """CombSUM the two runs: fused = s_br + s_sr per (query, document) over
+    the queries of either run.
 
     Documents present in only one run take 0 for the missing side (after
-    normalization). Requesting a query found in neither run is an error.
+    normalization).
     """
-    entries: dict[str, list[RunRecord]] = {}
-    for qid in _query_ids(br_run, sr_run, queries):
-        br_entry = br_run.entries.get(qid)
-        sr_entry = sr_run.entries.get(qid)
-        if br_entry is None and sr_entry is None:
-            raise ValueError(f"query {qid!r} present in neither run")
-        entries[qid] = _combine(br_entry, sr_entry, 1.0, 1.0, config.normalize)
+    entries = {
+        qid: _combine(
+            br_run.entries.get(qid), sr_run.entries.get(qid), 1.0, 1.0, config.normalize
+        )
+        for qid in sorted(br_run.entries.keys() | sr_run.entries.keys())
+    }
     return RunList(entries=entries, tag=f"bsf-{config.config_hash()}")
 
 
@@ -183,7 +176,6 @@ def w_qpps(
     sr_run: RunList,
     psi: Mapping[str, float],
     config: FusionConfig = FusionConfig(method="w_qpps"),
-    queries: Iterable[str] | None = None,
 ) -> RunList:
     """Interpolate the two runs per document, weighted by hardness.
 
@@ -191,7 +183,7 @@ def w_qpps(
     mismatch between the two runs' documents for a query is an error.
     """
     entries: dict[str, list[RunRecord]] = {}
-    for qid in _query_ids(br_run, sr_run, queries):
+    for qid in sorted(br_run.entries.keys() | sr_run.entries.keys()):
         if qid not in psi:
             raise ValueError(f"no hardness estimate for query {qid!r}")
         weight = psi[qid]

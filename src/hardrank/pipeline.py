@@ -172,6 +172,12 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
         enriched = parse_file(parse_enriched, _require(enriched_path, hint))
         if not enriched:
             raise ConfigError(f"{enriched_path} holds no queries ({hint})")
+        foreign = sorted(enriched.keys() - {q.query_id for q in queries})
+        if foreign:
+            raise ConfigError(
+                f"{enriched_path} holds queries that are not training queries "
+                f"({foreign[:5]}); rerun `hardrank enrich`"
+            )
         texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]
 
     section = config.section("ranker")
@@ -363,11 +369,14 @@ def evaluate_runs(
 ) -> tuple[MetricReport, Path, Path]:
     """Score named run files against the test qrels and persist the report."""
     qrels = read_qrels_file(_require(config.path("test_qrels"), "test qrels"))
-    runs = {}
-    for path in run_paths:
-        path = Path(path)
-        _require(path, "run file")
-        runs[path.stem] = read_run_file(path)
+    paths: dict[str, Path] = {}
+    for path in map(Path, run_paths):
+        if path.stem in paths:
+            raise ConfigError(
+                f"run files {paths[path.stem]} and {path} share the system name {path.stem!r}"
+            )
+        paths[path.stem] = _require(path, "run file")
+    runs = {name: read_run_file(path) for name, path in paths.items()}
     metrics = config.section("metrics")
     report = build_report(
         runs,

@@ -168,6 +168,7 @@ class TestIndexCommand:
             'run_depth="5"', "run_depth=true", "seed=true", "fusion.routing_threshold=true",
             "bm25.k1=NaN", "bm25.k1=Infinity", "ranker.learning_rate=NaN",
             "qpp.learning_rate=NaN", "hardness.acronym_pattern=5",
+            pytest.param("bm25.b=" + "9" * 400, id="bm25.b=9x400"),
         ],
     )
     def test_wrongly_typed_config_value_is_input_error(self, workdir, run_cli, override):
@@ -175,6 +176,18 @@ class TestIndexCommand:
         assert result.returncode == 1, result.stderr
         assert override.split("=")[0] in result.stderr
         assert not (workdir / "work" / "index.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "override, code",
+        [("bm25={}", 0), ('bm25={"k1":1.2}', 0), ('bm25={"zz":1}', 1)],
+        ids=["empty", "partial", "unknown-key"],
+    )
+    def test_section_override_merges_like_a_file_section(self, workdir, run_cli, override, code):
+        result = run_cli("index", "--config", "config.json", "--set", override, cwd=workdir)
+        assert result.returncode == code, result.stderr
+        if code:
+            assert "unknown config key 'bm25.zz'" in result.stderr
 
 
 class TestEnrichCommand:
@@ -248,6 +261,22 @@ class TestTrainCommand:
         result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
         assert result.returncode == 1, result.stderr
         assert "work/enriched.tsv: line 2: expected 4 TAB-separated fields" in result.stderr
+        assert not (workdir / "work" / "models" / "sr.json").exists()
+
+    def test_sr_on_enriched_queries_that_are_not_training_queries_fails(self, workdir, run_cli):
+        for args in (("index",), ("enrich",)):
+            assert run_cli(*args, "--config", "config.json", cwd=workdir).returncode == 0
+        kept = [line for line in (workdir / "queries.tsv").read_text().splitlines()
+                if not line.startswith("q1\t")]
+        (workdir / "queries_without_q1.tsv").write_text("\n".join(kept) + "\n")
+        result = run_cli(
+            "train", "--config", "config.json", "--which", "sr",
+            "--set", "paths.train_queries=queries_without_q1.tsv", cwd=workdir,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "work/enriched.tsv" in result.stderr
+        assert "['q1']" in result.stderr
+        assert "hardrank enrich" in result.stderr
         assert not (workdir / "work" / "models" / "sr.json").exists()
 
     def test_br_writes_model_and_loss_curve(self, workdir, run_cli):
@@ -535,6 +564,18 @@ class TestRunAndEval:
         result = run_cli(*command, "--config", "config.json", cwd=trained)
         assert result.returncode == 1, result.stderr
         assert f"error: {output} is a directory, not a file" in result.stderr
+
+    def test_eval_of_two_runs_with_one_system_name_is_input_error(self, trained, run_cli):
+        assert run_cli("run", "--config", "config.json", "--method", "br", cwd=trained).returncode == 0
+        (trained / "x").mkdir()
+        shutil.copyfile(trained / "work" / "runs" / "br.txt", trained / "x" / "br.txt")
+        result = run_cli(
+            "eval", "work/runs/br.txt", "x/br.txt", "--baseline", "br",
+            "--config", "config.json", cwd=trained,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "work/runs/br.txt and x/br.txt share the system name 'br'" in result.stderr
+        assert not (trained / "work" / "reports").exists()
 
     def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)

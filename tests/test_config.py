@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardrank.config import (
     DEFAULTS,
@@ -176,3 +178,62 @@ class TestDefaults:
     def test_default_config_validates(self):
         config = default_config()
         assert config.hardness_rule().max_token_count == 5
+
+
+class TestSectionOverrides:
+    """A ``--set section={...}`` object merges like a file section."""
+
+    @pytest.mark.parametrize(
+        "file_bm25, override, expected",
+        [
+            ({}, "bm25={}", {"k1": 0.9, "b": 0.4}),
+            ({}, 'bm25={"k1": 1.2}', {"k1": 1.2, "b": 0.4}),
+            ({"b": 0.7}, 'bm25={"k1": 1.2}', {"k1": 1.2, "b": 0.7}),
+            ({"k1": 1.2}, "bm25={}", {"k1": 1.2, "b": 0.4}),
+        ],
+    )
+    def test_section_object_merges_over_the_file(self, tmp_path, file_bm25, override, expected):
+        config = load_config(write_config(tmp_path, {"bm25": file_bm25}), [override])
+        assert config.raw == {**DEFAULTS, "bm25": expected}
+
+    def test_unknown_key_inside_a_section_object_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown config key 'bm25\.zz'"):
+            load_config(write_config(tmp_path, {}), ['bm25={"k1": 1.2, "b": 0.4, "zz": 1}'])
+
+
+_SECTIONS = sorted(name for name, row in SCHEMA.items() if isinstance(row, dict))
+_KEYS = sorted({name for row in SCHEMA.values() if isinstance(row, dict) for name in row})
+_junk = st.sampled_from(["", "zz", "k9"]) | st.text(max_size=4)
+_names = st.sampled_from(_SECTIONS + _KEYS + ["seed", "run_depth"]) | _junk
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_names, inner, max_size=3),
+    max_leaves=8,
+)
+_overrides = st.lists(
+    st.builds(
+        lambda dotted, value: f"{'.'.join(dotted)}={value}",
+        st.tuples(st.sampled_from(_SECTIONS + ["seed"]) | _junk)
+        | st.tuples(st.sampled_from(_SECTIONS) | _junk, _names)
+        | st.lists(_names, min_size=1, max_size=3),
+        _json_values.map(json.dumps) | st.text(max_size=8),
+    ),
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def partial_config(tmp_path_factory):
+    return write_config(
+        tmp_path_factory.mktemp("config"), {"bm25": {"k1": 1.2}, "paths": {"corpus": "c.jsonl"}}
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=_overrides)
+def test_any_overrides_give_a_config_or_a_config_error(partial_config, overrides):
+    try:
+        config = load_config(partial_config, overrides)
+    except ConfigError:
+        return
+    assert validate(config.raw) == config.raw

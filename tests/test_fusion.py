@@ -96,11 +96,6 @@ class TestBsf:
         br, sr = random_runs(4)
         assert bsf(br, sr).entries == bsf(sr, br).entries
 
-    def test_query_in_neither_run_is_error(self):
-        br, sr = random_runs(5)
-        with pytest.raises(ValueError, match="qX"):
-            bsf(br, sr, queries=["qX"])
-
     @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
     def test_scores_equal_the_written_out_sum_bit_for_bit(self, normalize):
         br, sr = random_runs(6)
