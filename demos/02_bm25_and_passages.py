@@ -17,8 +17,9 @@ index = build_index(corpus)
 print(f"indexed {index.n_docs} docs, avg length {index.avg_doc_length:.2f} tokens")
 
 query = Query("q1", "lean body mass")
-for rec in bm25_search(index, query, k=4, params=Bm25Params(k1=0.9, b=0.4)):
-    print(f"  rank {rec.rank}: {rec.doc_id} score {rec.score:.4f}")
+hits = bm25_search(index, query, k=4, params=Bm25Params(k1=0.9, b=0.4))
+for rank, rec in enumerate(hits, start=1):
+    print(f"  rank {rank}: {rec.doc_id} score {rec.score:.4f}")
 
 print()
 print("passage selection (window=12 tokens) on the top document:")

@@ -33,7 +33,8 @@ query, topk, label = toy_qpp_set()[1]
 print("\nQPP features (query with weak retrieval):",
       np.round(qpp_features(query, topk, index), 3))
 est = estimate(qpp_model, query, topk, index)
-print(f"trained hardness estimate psi = {est.psi:.3f} ({est.provider_id})")
+print(f"trained hardness estimate psi = {est.psi:.3f}",
+      f"(orientation: {qpp_model.metadata['orientation']})")
 
 file_backed = FileQppProvider({query.query_id: 0.9})
 print("file-backed estimate psi =", file_backed.estimate_query(query).psi)

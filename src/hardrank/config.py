@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .enrichment import HardnessRule
 from .evaluation import GAINS
@@ -206,17 +206,12 @@ def _layer(base: Any, top: Any) -> Any:
     return {**base, **{name: _layer(base.get(name), value) for name, value in top.items()}}
 
 
-def validate(raw: dict[str, Any]) -> dict[str, Any]:
-    """Resolve `raw` against `SCHEMA` and check that the http generator has
-    an endpoint, independent of the filesystem; returns the full config."""
-    raw = _resolve(SCHEMA, raw)
-    generator = raw["generator"]
-    if generator["type"] == "http" and not generator["endpoint_url"]:
-        raise ConfigError("generator.endpoint_url required for the http generator")
-    return raw
-
-
-def _overridden(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
+def validate(raw: dict[str, Any], overrides: Iterable[str] = ()) -> dict[str, Any]:
+    """Layer each ``section.key=value`` override over `raw` as the object
+    ``{"section": {"key": value}}`` (the value parses as JSON, else as a
+    string), resolve the result against `SCHEMA` and check that the http
+    generator has an endpoint, independent of the filesystem; returns the
+    full config."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
@@ -228,14 +223,11 @@ def _overridden(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
         for name in reversed(dotted.split(".")):
             value = {name: value}
         raw = _layer(raw, value)
+    raw = _resolve(SCHEMA, raw)
+    generator = raw["generator"]
+    if generator["type"] == "http" and not generator["endpoint_url"]:
+        raise ConfigError("generator.endpoint_url required for the http generator")
     return raw
-
-
-def apply_overrides(raw: dict[str, Any], overrides: list[str]) -> dict[str, Any]:
-    """Layer each ``section.key=value`` string over `raw` as the object
-    ``{"section": {"key": value}}`` and resolve the result against `SCHEMA`.
-    Values parse as JSON, else as a string."""
-    return _resolve(SCHEMA, _overridden(raw, overrides))
 
 
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
@@ -245,12 +237,11 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         raw_file = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an oversized integer
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw_file, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    raw = validate(_overridden(raw_file, overrides or []))
-    return PipelineConfig(raw=raw, base_dir=path.parent)
+    return PipelineConfig(raw=validate(raw_file, overrides or ()), base_dir=path.parent)
 
 
 def default_config() -> PipelineConfig:

@@ -21,8 +21,8 @@ Query and document ids must be non-empty and hold no whitespace.
 Determinism rules shared by all writers:
 
 - Queries of a run are written in ascending qid order; records within a
-  query sorted by score descending, ties broken by doc_id ascending, ranks
-  rewritten 1..n.
+  query sorted by score descending, ties broken by doc_id ascending. A
+  record's rank is its position in the list, written 1..n.
 - Scores are rendered with ``repr`` (shortest round-trip decimal), so
   ``parse_run(write_run(r)) == r`` bit-exactly.
 
@@ -72,9 +72,10 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
+    """One ranked document; its rank is its 1-based position in the list."""
+
     doc_id: str
     score: float
-    rank: int
 
 
 @dataclass
@@ -109,8 +110,8 @@ class Qrels:
 class RunList:
     """Per-query ranked lists; the common currency between all stages.
 
-    Invariants: within each query, ranks are contiguous 1..n, scores are
-    non-increasing with rank, and no doc_id repeats.
+    Invariants: within each query, scores are non-increasing down the list
+    and no doc_id repeats.
     """
 
     entries: dict[str, list[RunRecord]] = field(default_factory=dict)
@@ -124,8 +125,6 @@ class RunList:
             seen: set[str] = set()
             prev_score = math.inf
             for i, rec in enumerate(records, start=1):
-                if rec.rank != i:
-                    raise ValueError(f"{qid}: rank {rec.rank} at position {i}")
                 if rec.score > prev_score:
                     raise ValueError(f"{qid}: score increases at rank {i}")
                 if rec.doc_id in seen:
@@ -137,10 +136,10 @@ class RunList:
 def rank_records(scored: Iterable[tuple[str, float]]) -> list[RunRecord]:
     """Sort (doc_id, score) pairs into a valid ranked list.
 
-    Score descending, ties by doc_id ascending, ranks assigned 1..n.
+    Score descending, ties by doc_id ascending.
     """
     ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    return [RunRecord(doc_id, score, i) for i, (doc_id, score) in enumerate(ordered, 1)]
+    return [RunRecord(doc_id, score) for doc_id, score in ordered]
 
 
 def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -153,13 +152,13 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
-def _parse_score(token: str, line_no: int, what: str = "score") -> float:
+def _parse_score(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"non-numeric {what} {token!r}", line_no) from None
+        raise ParseError(f"non-numeric score {token!r}", line_no) from None
     if not math.isfinite(value):
-        raise ParseError(f"non-finite {what} {token!r}", line_no)
+        raise ParseError(f"non-finite score {token!r}", line_no)
     return value
 
 
@@ -176,10 +175,10 @@ def parse_run(lines: Iterable[str]) -> RunList:
     """Parse a TREC run file into a RunList.
 
     Input ranks are checked for being integers but otherwise ignored; each
-    query's records are re-sorted by score (ties by doc_id) and ranks are
-    rewritten, so the output satisfies the RunList invariants regardless of
-    input line order. Doc ids are interned, so runs read side by side
-    share one string per document rather than holding one per record.
+    query's records are re-sorted by score (ties by doc_id), so the output
+    satisfies the RunList invariants regardless of input line order. Doc
+    ids are interned, so runs read side by side share one string per
+    document rather than holding one per record.
     """
     by_query: dict[str, dict[str, float]] = {}
     tag = ""
@@ -205,14 +204,15 @@ def parse_run(lines: Iterable[str]) -> RunList:
     )
 
 
-def write_run(run: RunList, tag: str | None = None) -> list[str]:
-    """Render a RunList as TREC 6-column lines (no trailing newlines)."""
+def write_run(run: RunList) -> list[str]:
+    """Render a RunList as TREC 6-column lines (no trailing newlines), each
+    record's rank its position in its list and the tag the run's, or "run"."""
     run.validate()
-    out_tag = tag if tag is not None else (run.tag or "run")
+    tag = run.tag or "run"
     lines = []
     for qid in sorted(run.entries):
-        for rec in run.entries[qid]:
-            lines.append(f"{qid} Q0 {rec.doc_id} {rec.rank} {rec.score!r} {out_tag}")
+        for rank, rec in enumerate(run.entries[qid], start=1):
+            lines.append(f"{qid} Q0 {rec.doc_id} {rank} {rec.score!r} {tag}")
     return lines
 
 
@@ -354,8 +354,8 @@ def read_run_file(path) -> RunList:
     return parse_file(parse_run, path)
 
 
-def write_run_file(run: RunList, path, tag: str | None = None) -> None:
-    write_lines(path, write_run(run, tag))
+def write_run_file(run: RunList, path) -> None:
+    write_lines(path, write_run(run))
 
 
 def read_qrels_file(path) -> Qrels:

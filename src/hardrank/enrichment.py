@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query
+from .corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query, _iter_lines
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, raw_tokens, tokenize
 
@@ -311,10 +311,7 @@ def write_enriched(enriched: Iterable[EnrichedQuery]) -> list[str]:
 def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
     """Read the enriched-query TSV back as qid -> (text, context_doc_id, fallback)."""
     out: dict[str, tuple[str, str, bool]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for line_no, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", line_no)

@@ -77,6 +77,13 @@ def relative_improvement(sys_value: float, base_value: float) -> float:
     return (sys_value - base_value) / base_value * 100.0
 
 
+def significance_level(p: float | None) -> int | None:
+    """95 when p < 0.05, 90 when p < 0.10, else (and for no test) None."""
+    if p is not None and p < 0.10:
+        return 95 if p < 0.05 else 90
+    return None
+
+
 @dataclass(frozen=True)
 class PairedTestResult:
     t: float
@@ -86,19 +93,15 @@ class PairedTestResult:
 
     @property
     def significant_95(self) -> bool:
-        return self.p_two_tailed < 0.05
+        return self.level == 95
 
     @property
     def significant_90(self) -> bool:
-        return self.p_two_tailed < 0.10
+        return self.level is not None
 
     @property
     def level(self) -> int | None:
-        if self.significant_95:
-            return 95
-        if self.significant_90:
-            return 90
-        return None
+        return significance_level(self.p_two_tailed)
 
 
 def paired_test(
@@ -138,17 +141,19 @@ class SystemReport:
     name: str
     per_query: dict[str, dict[str, float]]  # qid -> metric -> value
     means: dict[str, float]
-    n_queries: int
-    n_excluded: int
     delta_pct: dict[str, float | None] = field(default_factory=dict)
     p_value: dict[str, float | None] = field(default_factory=dict)
-    sig_level: dict[str, int | None] = field(default_factory=dict)
 
 
 @dataclass
 class MetricReport:
+    """Every system's report, each over the same `n_queries` evaluated
+    queries; `n_excluded` judged queries had no positive judgment."""
+
     systems: list[SystemReport]
     baseline: str
+    n_queries: int
+    n_excluded: int
     test_name: str = "paired-t (two-tailed)"
 
     def system(self, name: str) -> SystemReport:
@@ -204,8 +209,6 @@ def build_report(
             name=name,
             per_query=per_query,
             means=means,
-            n_queries=len(included),
-            n_excluded=len(qids) - len(included),
         )
 
     base = reports[baseline]
@@ -214,7 +217,6 @@ def build_report(
             if name == baseline:
                 report.delta_pct[metric] = None
                 report.p_value[metric] = None
-                report.sig_level[metric] = None
                 continue
             try:
                 report.delta_pct[metric] = relative_improvement(
@@ -227,12 +229,16 @@ def build_report(
                 [base.per_query[qid][metric] for qid in included],
             )
             report.p_value[metric] = result.p_two_tailed
-            report.sig_level[metric] = result.level
 
     ordered = [reports[baseline]] + [
         reports[name] for name in sorted(reports) if name != baseline
     ]
-    return MetricReport(systems=ordered, baseline=baseline)
+    return MetricReport(
+        systems=ordered,
+        baseline=baseline,
+        n_queries=len(included),
+        n_excluded=len(qids) - len(included),
+    )
 
 
 _SIG_MARK = {95: "*", 90: "#", None: ""}
@@ -241,7 +247,7 @@ _SIG_MARK = {95: "*", 90: "#", None: ""}
 def _fmt_metric(report: SystemReport, metric: str) -> str:
     value = f"{report.means[metric]:.3f}"
     delta = report.delta_pct.get(metric)
-    mark = _SIG_MARK[report.sig_level.get(metric)]
+    mark = _SIG_MARK[significance_level(report.p_value.get(metric))]
     if delta is None:
         return value
     return f"{value} ({delta:+.1f}%){mark}"
@@ -269,9 +275,8 @@ def render_report(report: MetricReport) -> str:
         "  ".join("-" * w for w in widths),
     ]
     lines += ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
-    first = report.systems[0]
     lines.append(
-        f"queries: {first.n_queries} evaluated, {first.n_excluded} excluded "
+        f"queries: {report.n_queries} evaluated, {report.n_excluded} excluded "
         f"(no positive judgments); significance: {report.test_name}, "
         f"* = 95%, # = 90%"
     )
@@ -285,16 +290,16 @@ def report_jsonl(report: MetricReport) -> list[str]:
         record = {
             "system": sys_report.name,
             "baseline": report.baseline,
-            "n_queries": sys_report.n_queries,
-            "n_excluded": sys_report.n_excluded,
+            "n_queries": report.n_queries,
+            "n_excluded": report.n_excluded,
             "ndcg10": round(sys_report.means["ndcg10"], 3),
             "rr": round(sys_report.means["rr"], 3),
             "delta_ndcg10_pct": _round1(sys_report.delta_pct.get("ndcg10")),
             "delta_rr_pct": _round1(sys_report.delta_pct.get("rr")),
             "p_ndcg10": sys_report.p_value.get("ndcg10"),
             "p_rr": sys_report.p_value.get("rr"),
-            "sig_ndcg10": sys_report.sig_level.get("ndcg10"),
-            "sig_rr": sys_report.sig_level.get("rr"),
+            "sig_ndcg10": significance_level(sys_report.p_value.get("ndcg10")),
+            "sig_rr": significance_level(sys_report.p_value.get("rr")),
             "test": report.test_name,
         }
         lines.append(json.dumps(record, sort_keys=True))

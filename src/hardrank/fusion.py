@@ -82,9 +82,9 @@ def normalize_scores(records: Sequence[RunRecord]) -> list[RunRecord]:
     lo = min(rec.score for rec in records)
     hi = max(rec.score for rec in records)
     if hi == lo:
-        return [RunRecord(rec.doc_id, 0.5, rec.rank) for rec in records]
+        return [RunRecord(rec.doc_id, 0.5) for rec in records]
     span = hi - lo
-    return [RunRecord(rec.doc_id, (rec.score - lo) / span, rec.rank) for rec in records]
+    return [RunRecord(rec.doc_id, (rec.score - lo) / span) for rec in records]
 
 
 def _scores_by_doc(

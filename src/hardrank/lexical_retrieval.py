@@ -53,21 +53,23 @@ class InvertedIndex:
     """Term postings plus the per-document statistics BM25 and reranking need.
 
     Each postings list is strictly ascending by internal id, so one
-    document's tf is a binary search away (`posting_tf`).
+    document's tf is a binary search away (`posting_tf`). The average
+    document length and the doc_id -> internal id map are derived from
+    `doc_lengths` and `doc_ids` at construction.
     """
 
     postings: dict[str, list[tuple[int, int]]]  # term -> [(internal_id, tf)], id-sorted
     doc_lengths: list[int]  # internal_id -> token count
     doc_ids: list[str]  # internal_id -> external doc_id
-    avg_doc_length: float
     # internal_id -> distinct terms among the first EARLY_WINDOW tokens, each
     # interned so that documents share one string object per term
     lead_terms: list[tuple[str, ...]]
-    internal_ids: dict[str, int] = field(default_factory=dict)
+    avg_doc_length: float = field(init=False)
+    internal_ids: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.internal_ids:
-            self.internal_ids = {d: i for i, d in enumerate(self.doc_ids)}
+        self.avg_doc_length = sum(self.doc_lengths) / len(self.doc_lengths)
+        self.internal_ids = {d: i for i, d in enumerate(self.doc_ids)}
 
     @property
     def n_docs(self) -> int:
@@ -126,12 +128,10 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
         lead_terms.append(tuple(map(sys.intern, dict.fromkeys(tokens[:EARLY_WINDOW]))))
         for term, tf in sorted(Counter(tokens).items()):
             postings.setdefault(term, []).append((internal_id, tf))
-    avg = sum(doc_lengths) / len(doc_lengths)
     return InvertedIndex(
         postings=postings,
         doc_lengths=doc_lengths,
         doc_ids=doc_ids,
-        avg_doc_length=avg,
         lead_terms=lead_terms,
     )
 
@@ -225,13 +225,12 @@ def select_passage(
     doc: Document,
     query: Query,
     window: int = 120,
-    tf_k1: float = 0.9,
 ) -> tuple[str, int]:
     """Pick the document window that best covers the query's terms.
 
     Windows of `window` tokens slide with 50% overlap. The winner maximizes
     the number of distinct query terms present; ties prefer a higher
-    saturated term-frequency mass (sum of tf/(tf + tf_k1) over matched
+    saturated term-frequency mass (sum of tf/(tf + 0.9) over matched
     terms), then the earliest window. Returns the original-text span of the
     winning window and its distinct-match count.
     """
@@ -245,7 +244,7 @@ def select_passage(
     def window_key(tokens: list[str]) -> tuple[int, float]:
         counts = Counter(tokens)
         matched = query_terms & counts.keys()
-        tf_mass = sum(counts[t] / (counts[t] + tf_k1) for t in matched)
+        tf_mass = sum(counts[t] / (counts[t] + 0.9) for t in matched)
         return len(matched), tf_mass
 
     if len(spans) <= window:
@@ -278,7 +277,7 @@ def save_index(index: InvertedIndex, path) -> None:
     the file parses into a few long lists of ints rather than one small
     list per posting. Each document's lead terms are one space-joined
     string: tokens never hold a space. The average document length is not
-    stored; `load_index` derives it from `doc_lengths`.
+    stored; the loaded index derives it from `doc_lengths`.
     """
     terms = sorted(index.postings)
     plists = [index.postings[term] for term in terms]
@@ -384,6 +383,5 @@ def load_index(path) -> InvertedIndex:
         postings=postings,
         doc_lengths=doc_lengths,
         doc_ids=doc_ids,
-        avg_doc_length=sum(doc_lengths) / len(doc_lengths),
         lead_terms=lead_terms,
     )

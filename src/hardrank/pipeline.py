@@ -263,7 +263,11 @@ def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Pa
 
 
 def _fusion_config(config: PipelineConfig, method: str) -> FusionConfig:
+    """The method's fusion settings; only R-QPP reads the routing threshold,
+    so only its config, and the tag of its run, carry it."""
     section = config.section("fusion")
+    if method != "r_qpp":
+        return FusionConfig(method=method, normalize=section["normalize"])
     return FusionConfig(
         method=method,
         normalize=section["normalize"],

@@ -6,8 +6,7 @@ Because the training target measures how WELL retrieval did (higher =
 easier), the default orientation inverts the prediction so that the emitted
 estimate psi is a hardness score: psi = 1 - predicted effectiveness. The
 model is a "qpp" `LogisticScorer` whose metadata holds the top-k depth and
-the orientation; the orientation is recorded in the provider id of every
-estimate.
+the orientation.
 
 `FileQppProvider` serves precomputed per-query scores through the same
 contract, so externally produced estimates can stand in for the trained
@@ -40,7 +39,6 @@ QPP_FEATURE_NAMES = (
 class QppEstimate:
     query_id: str
     psi: float
-    provider_id: str
 
     def __post_init__(self):
         if not 0.0 <= self.psi <= 1.0:
@@ -109,8 +107,8 @@ def estimate(
     feats = qpp_features(query, topk[: model.metadata["k"]], index)
     effectiveness = float(model.score_rows(feats[np.newaxis])[0])
     if model.metadata["orientation"] == "hardness":
-        return QppEstimate(query.query_id, 1.0 - effectiveness, "qpp-logistic-v1[1-minus-ndcg10]")
-    return QppEstimate(query.query_id, effectiveness, "qpp-logistic-v1[ndcg10]")
+        return QppEstimate(query.query_id, 1.0 - effectiveness)
+    return QppEstimate(query.query_id, effectiveness)
 
 
 class QppProvider(Protocol):
@@ -140,11 +138,10 @@ class FileQppProvider:
     """Precomputed per-query scores; lookup of an unknown query is an error."""
 
     scores: dict[str, float]
-    provider_id: str = "qpp-file"
 
     def estimate_query(
         self, query: Query, topk: Sequence[RunRecord] | None = None
     ) -> QppEstimate:
         if query.query_id not in self.scores:
             raise ValueError(f"no QPP score for query {query.query_id!r}")
-        return QppEstimate(query.query_id, self.scores[query.query_id], self.provider_id)
+        return QppEstimate(query.query_id, self.scores[query.query_id])

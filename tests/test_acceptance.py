@@ -182,7 +182,7 @@ class TestCriterion4OracleRoutingDominance:
             oracle_psi = {
                 qid: 1.0 if n_sr > n_br else 0.0 for qid, (n_br, n_sr) in per_query.items()
             }
-            provider = FileQppProvider(oracle_psi, provider_id="oracle")
+            provider = FileQppProvider(oracle_psi)
             routed, decisions = route_qpp(
                 br_ranker, sr_ranker, provider, queries, candidates, tau=0.5
             )

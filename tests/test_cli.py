@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hardrank
+from hardrank.config import load_config
 from hardrank.corpus_io import (
     Document,
     Qrels,
@@ -20,6 +21,7 @@ from hardrank.corpus_io import (
     write_queries_file,
 )
 from hardrank.lexical_retrieval import load_index
+from hardrank.pipeline import produce_run
 
 
 @pytest.fixture(scope="session")
@@ -483,6 +485,24 @@ class TestRunAndEval:
         routed = read_run_file(runs / "r_qpp.txt")
         chosen = read_run_file(runs / f"{route}.txt")
         assert routed.entries == chosen.entries
+
+    def test_routing_threshold_reaches_only_the_r_qpp_run(self, ranked):
+        # BSF and W-QPPS never read the threshold, so neither their scores nor
+        # the config hash in their tag may follow it; R-QPP's tag does
+        written = {}
+        for overrides in ([], ["fusion.routing_threshold=0.3"]):
+            config = load_config(ranked / "config.json", overrides)
+            for method in ("bsf", "r_qpp", "w_qpps"):
+                run_path, _ = produce_run(config, method)
+                written[method, bool(overrides)] = run_path.read_bytes()
+        for method in ("bsf", "w_qpps"):
+            assert written[method, True] == written[method, False]
+        tags = {
+            fixed: {line.split()[5] for line in written["r_qpp", fixed].splitlines()}
+            for fixed in (False, True)
+        }
+        assert len(tags[False]) == len(tags[True]) == 1
+        assert tags[False] != tags[True]
 
     @pytest.mark.parametrize("method", ["bsf", "r_qpp", "w_qpps"])
     @pytest.mark.parametrize("missing", ["br", "sr"])

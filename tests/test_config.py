@@ -10,7 +10,6 @@ from hardrank.config import (
     DEFAULTS,
     SCHEMA,
     ConfigError,
-    apply_overrides,
     default_config,
     dump_defaults,
     load_config,
@@ -59,6 +58,17 @@ class TestLoadConfig:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"seed": ' + b"9" * 5000 + b"}", b'{"paths": {"corpus": "c\xff.jsonl"}}'],
+        ids=["integer-over-the-digit-limit", "byte-that-is-not-utf-8"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=r"config file .*bad\.json is not valid JSON"):
             load_config(path)
 
     def test_non_object_root_names_the_file(self, tmp_path):
@@ -115,20 +125,22 @@ class TestLoadConfig:
 
 class TestOverrides:
     def test_set_numeric(self):
-        raw = apply_overrides(DEFAULTS, ["bm25.k1=1.4"])
+        raw = validate(DEFAULTS, ["bm25.k1=1.4"])
         assert raw["bm25"]["k1"] == 1.4
 
     def test_set_string(self):
-        raw = apply_overrides(DEFAULTS, ["generator.type=http"])
+        raw = validate(
+            DEFAULTS, ["generator.type=http", "generator.endpoint_url=http://localhost"]
+        )
         assert raw["generator"]["type"] == "http"
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
-            apply_overrides(DEFAULTS, ["bm25.zzz=1"])
+            validate(DEFAULTS, ["bm25.zzz=1"])
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="section.key=value"):
-            apply_overrides(DEFAULTS, ["bm25.k1"])
+            validate(DEFAULTS, ["bm25.k1"])
 
 
 def _rows(schema, trail=""):
@@ -140,7 +152,7 @@ def _rows(schema, trail=""):
 
 
 def _with(dotted, value):
-    return apply_overrides(DEFAULTS, [f"{dotted}={json.dumps(value)}"])
+    return validate(DEFAULTS, [f"{dotted}={json.dumps(value)}"])
 
 
 class TestSchema:

@@ -44,12 +44,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hardrank"
 class TestParseRun:
     def test_single_line(self):
         run = parse_run(["q1 Q0 d7 1 12.5 bm25"])
-        assert run.entries == {"q1": [RunRecord("d7", 12.5, 1)]}
+        assert run.entries == {"q1": [RunRecord("d7", 12.5)]}
         assert run.tag == "bm25"
 
     def test_resorts_by_score_descending(self):
         run = parse_run(["q1 Q0 a 1 3.0 t", "q1 Q0 b 2 9.0 t"])
-        assert run.entries["q1"] == [RunRecord("b", 9.0, 1), RunRecord("a", 3.0, 2)]
+        assert run.entries["q1"] == [RunRecord("b", 9.0), RunRecord("a", 3.0)]
 
     def test_non_numeric_rank_is_parse_error(self):
         with pytest.raises(ParseError) as exc:
@@ -90,7 +90,7 @@ class TestParseRun:
         ]
         run = parse_run(lines)
         run.validate()
-        assert [r.rank for r in run.entries["q1"]] == [1, 2]
+        assert [r.doc_id for r in run.entries["q1"]] == ["n", "m"]
 
     def test_runs_share_doc_id_strings(self):
         # Built at run time so the two lines hold distinct "doc-42" objects.
@@ -102,16 +102,16 @@ class TestParseRun:
 
 class TestWriteRun:
     def test_single_record(self):
-        run = RunList(entries={"q1": [RunRecord("d7", 12.5, 1)]})
-        assert write_run(run, "bsf") == ["q1 Q0 d7 1 12.5 bsf"]
+        run = RunList(entries={"q1": [RunRecord("d7", 12.5)]}, tag="bsf")
+        assert write_run(run) == ["q1 Q0 d7 1 12.5 bsf"]
 
     def test_empty_run(self):
-        assert write_run(RunList(), "t") == []
+        assert write_run(RunList(tag="t")) == []
 
     def test_invalid_run_rejected(self):
-        run = RunList(entries={"q1": [RunRecord("d7", 12.5, 2)]})
+        run = RunList(entries={"q1": [RunRecord("d7", 12.5), RunRecord("d8", 13.0)]}, tag="t")
         with pytest.raises(ValueError):
-            write_run(run, "t")
+            write_run(run)
 
     def test_roundtrip_random_100_lines(self):
         rng = random.Random(42)

@@ -1,6 +1,7 @@
 """Hardness classification, prompt building, and the enrichment flow."""
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -253,6 +254,12 @@ class TestEnrichedTsv:
         parsed = parse_enriched(write_enriched(enriched))
         assert parsed["q1"] == ("REWRITTEN: lbm | Lean body mass", "d1", False)
         assert parsed["q2"] == ("zzz", "", True)
+
+    def test_blank_line_skipped_with_a_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="hardrank.corpus_io"):
+            parsed = parse_enriched(["q1\tfirst\td1\t-", "", "q2\tother\t-\tfallback"])
+        assert parsed == {"q1": ("first", "d1", False), "q2": ("other", "", True)}
+        assert "line 2: blank line skipped" in caplog.text
 
     def test_duplicate_qid_rejected(self):
         lines = ["q1\tfirst\td1\t-", "q2\tother\t-\tfallback", "q1\tsecond\td2\t-"]

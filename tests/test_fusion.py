@@ -77,7 +77,7 @@ class TestBsf:
         br = run_from({"q1": {"a": 0.7, "b": 0.0}})
         sr = run_from({"q1": {"a": 0.4, "b": 0.0}})
         fused = bsf(br, sr, FusionConfig(method="bsf", normalize="none"))
-        assert fused.entries["q1"][0] == RunRecord("a", pytest.approx(1.1), 1)
+        assert fused.entries["q1"][0] == RunRecord("a", pytest.approx(1.1))
 
     def test_identical_runs_preserve_ordering(self):
         br = run_from({"q1": {"a": 5.0, "b": 3.0, "c": 1.0}})

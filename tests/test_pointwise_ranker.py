@@ -234,7 +234,6 @@ class TestRerank:
                      {d.doc_id: d for d in docs}, idx)
         assert len(out) == 1
         assert out[0].doc_id == "d2"
-        assert out[0].rank == 1
 
     def test_order_matches_bruteforce_scoring(self, small_corpus):
         docs, idx = small_corpus
@@ -264,7 +263,7 @@ class TestScoreFileRanker:
     def test_returns_stored_scores(self):
         ranker = ScoreFileRanker({"q1": {"d1": 0.9}})
         out = ranker.rerank_query(Query("q1", "x"), rank_records([("d1", 1.0)]))
-        assert out == [RunRecord("d1", 0.9, 1)]
+        assert out == [RunRecord("d1", 0.9)]
 
     def test_missing_pair_error_names_pair(self):
         ranker = ScoreFileRanker({"q1": {"d1": 0.9}})

@@ -151,7 +151,6 @@ class TestEstimate:
         e = estimate(eff, Query("q", "alpha"), entry([3.0]), index)
         h = estimate(hard, Query("q", "alpha"), entry([3.0]), index)
         assert h.psi == pytest.approx(1.0 - e.psi)
-        assert "1-minus-ndcg10" in h.provider_id
 
     def test_empty_topk_is_error(self, index):
         with pytest.raises(ValueError):
@@ -175,7 +174,7 @@ class TestFileProvider:
 class TestQppEstimateInvariant:
     def test_psi_bounds_enforced(self):
         with pytest.raises(ValueError):
-            QppEstimate("q1", 1.5, "p")
+            QppEstimate("q1", 1.5)
 
 
 class TestPersistence:

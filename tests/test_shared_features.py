@@ -218,14 +218,14 @@ class TestLeadTerms:
 
 class TestRunRecordSlots:
     def test_slotted_frozen_hashable_and_equal_by_value(self):
-        rec = RunRecord("d1", 0.5, 1)
+        rec = RunRecord("d1", 0.5)
         assert not hasattr(rec, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.score = 1.0
-        assert rec == RunRecord("d1", 0.5, 1)
-        assert rec != RunRecord("d1", 0.5, 2)
-        assert hash(rec) == hash(RunRecord("d1", 0.5, 1))
-        assert len({rec, RunRecord("d1", 0.5, 1)}) == 1
+        assert rec == RunRecord("d1", 0.5)
+        assert rec != RunRecord("d1", 0.6)
+        assert hash(rec) == hash(RunRecord("d1", 0.5))
+        assert len({rec, RunRecord("d1", 0.5)}) == 1
 
 
 README_CONFIG = {
