@@ -237,6 +237,8 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         raw_file = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, no read permission
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an oversized integer
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw_file, dict):

@@ -89,15 +89,6 @@ class PairedTestResult:
     t: float
     df: int
     p_two_tailed: float
-    zero_variance: bool = False
-
-    @property
-    def significant_95(self) -> bool:
-        return self.level == 95
-
-    @property
-    def significant_90(self) -> bool:
-        return self.level is not None
 
     @property
     def level(self) -> int | None:
@@ -110,8 +101,8 @@ def paired_test(
     """Two-tailed paired t-test on per-query metric differences.
 
     Degenerate inputs follow fixed conventions: all-zero differences give
-    p = 1 (no evidence); zero-variance nonzero-mean differences give p = 0
-    with the zero_variance flag set.
+    p = 1 and t = 0 (no evidence); zero-variance nonzero-mean differences
+    give p = 0 and a t of infinity with the mean's sign.
     """
     if len(per_query_sys) != len(per_query_base):
         raise ValueError(
@@ -127,9 +118,7 @@ def paired_test(
     if sd == 0.0:
         if mean == 0.0:
             return PairedTestResult(t=0.0, df=df, p_two_tailed=1.0)
-        return PairedTestResult(
-            t=math.copysign(math.inf, mean), df=df, p_two_tailed=0.0, zero_variance=True
-        )
+        return PairedTestResult(t=math.copysign(math.inf, mean), df=df, p_two_tailed=0.0)
     t = mean / (sd / math.sqrt(n))
     # Student's t survival function, as scipy.stats.t.sf computes it.
     p = 2.0 * float(stdtr(df, -abs(t)))

@@ -9,25 +9,30 @@ and the standard saturated term frequency with length normalization:
     score(q, d) = sum over distinct query terms t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg_len))
 
-Documents scoring exactly zero are excluded from results. Ties break by
-doc_id ascending. The index is immutable once built; searches over it are
-safe to run concurrently. Besides the postings, it keeps what reranking
-reads of each document, so reranking never reads document text.
+The sum runs over the terms in sorted order, one float add at a time, so
+every path gives the same bits. Documents scoring exactly zero are
+excluded from results. Ties break by doc_id ascending. The postings are
+numpy columns in compressed sparse row layout: a search adds each term's
+contributions into a dense score array, and a document's tf is a gather.
+The index is immutable once built; searches over it are safe to run
+concurrently. Besides the postings, it keeps what reranking reads of each
+document, so reranking never reads document text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import sys
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .corpus_io import Document, Query, RunRecord, rank_records, write_artifact
+import numpy as np
+
+from .corpus_io import Document, Query, RunRecord, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
@@ -50,33 +55,62 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
-    """Term postings plus the per-document statistics BM25 and reranking need.
+    """Term postings as CSR columns plus the per-document statistics BM25
+    and reranking need.
 
-    Each postings list is strictly ascending by internal id, so one
-    document's tf is a binary search away (`posting_tf`). The average
-    document length and the doc_id -> internal id map are derived from
-    `doc_lengths` and `doc_ids` at construction.
+    A term's postings are `ids[start:end]` and `tfs[start:end]` for
+    `(start, end) = spans[term]`; `spans` lists the terms in sorted order
+    and their spans tile the columns. Each term's ids are strictly
+    ascending, so the tfs of a set of documents are one `searchsorted`
+    gather away (`tf_matrix`). Every array is int64 or float64 and read-only.
+    The average length, the doc_id -> internal id map, each document's
+    `math.log1p(length)`, tf-vector norm and position in sorted doc_id
+    order are derived at construction.
     """
 
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(internal_id, tf)], id-sorted
-    doc_lengths: list[int]  # internal_id -> token count
+    spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids and tfs
+    ids: np.ndarray  # every posting's internal id, term by term
+    tfs: np.ndarray  # every posting's term frequency, aligned with ids
+    doc_lengths: np.ndarray  # internal_id -> token count
     doc_ids: list[str]  # internal_id -> external doc_id
     # internal_id -> distinct terms among the first EARLY_WINDOW tokens, each
     # interned so that documents share one string object per term
     lead_terms: list[tuple[str, ...]]
     avg_doc_length: float = field(init=False)
     internal_ids: dict[str, int] = field(init=False)
+    log_lengths: np.ndarray = field(init=False)  # internal_id -> math.log1p(length)
+    doc_norms: np.ndarray = field(init=False)  # internal_id -> Euclidean norm of its tfs
+    doc_order: np.ndarray = field(init=False)  # internal_id -> position in sorted doc_ids
 
     def __post_init__(self):
-        self.avg_doc_length = sum(self.doc_lengths) / len(self.doc_lengths)
+        lengths = self.doc_lengths.tolist()
+        n = len(lengths)
+        self.avg_doc_length = sum(lengths) / n
         self.internal_ids = {d: i for i, d in enumerate(self.doc_ids)}
+        # math.log1p, not np.log1p: the two may differ in the last bit
+        self.log_lengths = np.array([math.log1p(length) for length in lengths])
+        # integer-valued float sums below 2**53 are exact, as is the root
+        squares = np.bincount(self.ids, weights=np.square(self.tfs, dtype=float), minlength=n)
+        self.doc_norms = np.sqrt(squares)
+        self.doc_order = np.empty(n, dtype=np.int64)
+        self.doc_order[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
+        for array in (self.ids, self.tfs, self.doc_lengths, self.log_lengths,
+                      self.doc_norms, self.doc_order):
+            array.flags.writeable = False
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
+    @property
+    def postings(self) -> dict[str, list[tuple[int, int]]]:
+        """term -> [(internal_id, tf)], id-sorted: a copy built from the columns."""
+        ids, tfs = self.ids.tolist(), self.tfs.tolist()
+        return {term: list(zip(ids[s:e], tfs[s:e])) for term, (s, e) in self.spans.items()}
+
     def document_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        start, end = self.spans.get(term, (0, 0))
+        return end - start
 
     def idf(self, term: str) -> float:
         """Robertson idf with 0.5 smoothing, floored at 0."""
@@ -88,22 +122,31 @@ class InvertedIndex:
             raise ValueError(f"doc_id {doc_id!r} not in index")
         return self.internal_ids[doc_id]
 
-    @cached_property
-    def doc_norms(self) -> list[float]:
-        """internal_id -> Euclidean norm of the document's term-frequency vector."""
-        squares = [0] * self.n_docs
-        for plist in self.postings.values():
-            for internal_id, tf in plist:
-                squares[internal_id] += tf * tf
-        return [math.sqrt(s) for s in squares]
+    def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray) -> np.ndarray:
+        """(len(terms), len(internal_ids)) int64 tfs; 0 where a document lacks
+        a term or the term is not indexed.
+
+        One `searchsorted` per term into its postings, then one gather for
+        all of them, so the numpy calls do not grow with the documents.
+        """
+        positions = np.empty((len(terms), len(internal_ids)), dtype=np.int64)
+        bounds = [self.spans.get(term, (0, 0)) for term in terms]
+        for row, (start, end) in enumerate(bounds):
+            positions[row] = self.ids[start:end].searchsorted(internal_ids)
+        limits = np.array(bounds, dtype=np.int64).reshape(len(terms), 2)
+        positions += limits[:, :1]
+        rows, cols = np.nonzero(positions < limits[:, 1:])
+        at = positions[rows, cols]
+        found = self.ids[at] == internal_ids[cols]
+        tfs = np.zeros(positions.shape, dtype=np.int64)
+        tfs[rows[found], cols[found]] = self.tfs[at[found]]
+        return tfs
 
 
-def posting_tf(plist: Sequence[tuple[int, int]], internal_id: int) -> int:
-    """tf of one document in an id-sorted postings list; 0 if it is not there."""
-    pos = bisect_left(plist, (internal_id,))
-    if pos < len(plist) and plist[pos][0] == internal_id:
-        return plist[pos][1]
-    return 0
+def _spans(terms: Sequence[str], dfs: Sequence[int]) -> dict[str, tuple[int, int]]:
+    """term -> [start, end) for postings laid out term by term."""
+    ends = list(itertools.accumulate(dfs))
+    return dict(zip(terms, zip([0, *ends[:-1]], ends)))
 
 
 def build_index(corpus: Sequence[Document]) -> InvertedIndex:
@@ -113,7 +156,8 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     """
     if not corpus:
         raise ValueError("cannot index an empty corpus")
-    postings: dict[str, list[tuple[int, int]]] = {}
+    term_ids: dict[str, list[int]] = {}  # term -> internal ids, ascending
+    term_tfs: dict[str, list[int]] = {}  # term -> tfs, aligned with term_ids
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
     lead_terms: list[tuple[str, ...]] = []
@@ -126,62 +170,53 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
         doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
         lead_terms.append(tuple(map(sys.intern, dict.fromkeys(tokens[:EARLY_WINDOW]))))
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.setdefault(term, []).append((internal_id, tf))
+        for term, tf in Counter(tokens).items():
+            term_ids.setdefault(term, []).append(internal_id)
+            term_tfs.setdefault(term, []).append(tf)
+    terms = sorted(term_ids)
     return InvertedIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
+        spans=_spans(terms, [len(term_ids[term]) for term in terms]),
+        ids=np.fromiter(itertools.chain.from_iterable(map(term_ids.get, terms)), np.int64),
+        tfs=np.fromiter(itertools.chain.from_iterable(map(term_tfs.get, terms)), np.int64),
+        doc_lengths=np.array(doc_lengths, dtype=np.int64),
         doc_ids=doc_ids,
         lead_terms=lead_terms,
     )
 
 
-def bm25_term_score(
-    tf: int, idf: float, doc_length: int, avg_doc_length: float, params: Bm25Params
-) -> float:
-    """One term's contribution to a document's BM25 score."""
+def bm25_term_score(tf, idf, doc_length, avg_doc_length: float, params: Bm25Params):
+    """One term's contribution to a document's BM25 score.
+
+    Plain arithmetic, so it runs elementwise on arrays with the bits the
+    scalar expression gives.
+    """
     norm = params.k1 * (1.0 - params.b + params.b * doc_length / avg_doc_length)
     return idf * tf * (params.k1 + 1.0) / (tf + norm)
 
 
 def bm25_sum(
-    tf_idfs: Iterable[tuple[int, float]],
-    doc_length: int,
+    tfs: np.ndarray,
+    idfs: Sequence[float],
+    doc_lengths: np.ndarray,
     avg_doc_length: float,
     params: Bm25Params,
-) -> float:
-    """One document's BM25 score from its (tf, idf) per distinct query term.
+) -> np.ndarray:
+    """BM25 score of each column of a (terms, documents) tf matrix.
 
-    Terms must come in sorted order: the float sum runs in that order, so
-    every caller reproduces the same last bits. Terms with a zero idf or a
-    zero tf add nothing.
+    `idfs` holds one idf per row and `doc_lengths` one length per column.
+    Rows must be the distinct query terms in sorted order: each score is
+    0.0 plus the rows' contributions added one at a time in row order, so
+    every caller reproduces the same last bits. A zero tf adds nothing.
     """
-    total = 0.0
-    for tf, idf in tf_idfs:
-        if tf and idf != 0.0:
-            total += bm25_term_score(tf, idf, doc_length, avg_doc_length, params)
-    return total
-
-
-def bm25_scores(
-    index: InvertedIndex,
-    query_terms: Iterable[str],
-    params: Bm25Params = Bm25Params(),
-) -> dict[int, float]:
-    """BM25 scores by internal doc id for every document matching any term.
-
-    Iterates distinct query terms; repeated terms in a query contribute once.
-    """
-    scores: dict[int, float] = {}
-    for term in sorted(set(query_terms)):
-        idf = index.idf(term)
-        if idf == 0.0:
-            continue
-        for internal_id, tf in index.postings.get(term, ()):
-            scores[internal_id] = scores.get(internal_id, 0.0) + bm25_term_score(
-                tf, idf, index.doc_lengths[internal_id], index.avg_doc_length, params
-            )
-    return scores
+    contributions = np.zeros((len(tfs) + 1, tfs.shape[1]))
+    # a lane with tf 0 is never copied, whatever its arithmetic gave
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = bm25_term_score(
+            tfs, np.asarray(idfs, dtype=float)[:, None], doc_lengths, avg_doc_length, params
+        )
+    np.copyto(contributions[1:], scores, where=tfs > 0)
+    # accumulate adds row by row: never a pairwise or BLAS sum
+    return np.add.accumulate(contributions, axis=0)[-1]
 
 
 def bm25_search(
@@ -190,16 +225,31 @@ def bm25_search(
     k: int,
     params: Bm25Params = Bm25Params(),
 ) -> list[RunRecord]:
-    """Top-k documents for the query; zero-scoring documents are excluded."""
+    """Top-k documents for the query; zero-scoring documents are excluded.
+
+    Each distinct query term, in sorted order, adds its contribution to its
+    postings' entries of one dense score array; repeated terms in a query
+    contribute once. Only the top k become records.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = bm25_scores(index, tokenize(query.text), params)
-    pairs = [
-        (index.doc_ids[internal_id], score)
-        for internal_id, score in scores.items()
-        if score > 0.0
+    scores = np.zeros(index.n_docs)
+    for term in sorted(set(tokenize(query.text))):
+        start, end = index.spans.get(term, (0, 0))
+        idf = index.idf(term)
+        if start == end or idf == 0.0:
+            continue
+        ids = index.ids[start:end]  # distinct, so the fancy += adds once each
+        scores[ids] += bm25_term_score(
+            index.tfs[start:end], idf, index.doc_lengths[ids], index.avg_doc_length, params
+        )
+    hits = np.flatnonzero(scores > 0.0)
+    hit_scores = scores[hits]
+    top = np.lexsort((index.doc_order[hits], -hit_scores))[:k]
+    return [
+        RunRecord(index.doc_ids[internal_id], score)
+        for internal_id, score in zip(hits[top].tolist(), hit_scores[top].tolist())
     ]
-    return rank_records(pairs)[:k]
 
 
 def score_pair(
@@ -209,16 +259,15 @@ def score_pair(
     params: Bm25Params = Bm25Params(),
 ) -> float:
     """BM25 score of one (query, document) pair; the document must be indexed."""
-    internal_id = index.internal_id(doc_id)
-    return bm25_sum(
-        (
-            (posting_tf(index.postings.get(term, ()), internal_id), index.idf(term))
-            for term in sorted(set(tokenize(query_text)))
-        ),
-        index.doc_lengths[internal_id],
+    internal_ids = np.array([index.internal_id(doc_id)], dtype=np.int64)
+    terms = sorted(set(tokenize(query_text)))
+    return float(bm25_sum(
+        index.tf_matrix(terms, internal_ids),
+        [index.idf(term) for term in terms],
+        index.doc_lengths[internal_ids],
         index.avg_doc_length,
         params,
-    )
+    )[0])
 
 
 def select_passage(
@@ -279,18 +328,16 @@ def save_index(index: InvertedIndex, path) -> None:
     string: tokens never hold a space. The average document length is not
     stored; the loaded index derives it from `doc_lengths`.
     """
-    terms = sorted(index.postings)
-    plists = [index.postings[term] for term in terms]
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
-        "doc_lengths": index.doc_lengths,
+        "doc_lengths": index.doc_lengths.tolist(),
         "lead_terms": [" ".join(lead) for lead in index.lead_terms],
-        "terms": terms,
-        "df": [len(plist) for plist in plists],
-        "ids": [internal_id for plist in plists for internal_id, _ in plist],
-        "tfs": [tf for plist in plists for _, tf in plist],
+        "terms": list(index.spans),
+        "df": [end - start for start, end in index.spans.values()],
+        "ids": index.ids.tolist(),
+        "tfs": index.tfs.tolist(),
     }
     write_artifact(path, json.dumps(payload))
 
@@ -308,7 +355,8 @@ def load_index(path) -> InvertedIndex:
     the wrong length; doc_ids empty or not distinct; terms not strictly
     ascending; a negative length or a df or tf below 1; or a term's
     postings not strictly ascending by internal id or holding an id out of
-    range. Lookups by binary search rely on the last two.
+    range. The `searchsorted` gathers of `InvertedIndex.tf_matrix` rely
+    on the last two.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -364,24 +412,38 @@ def load_index(path) -> InvertedIndex:
             raise fault(f"lead_terms of doc {doc_id!r} are not a string")
         lead_terms.append(tuple(map(sys.intern, joined.split())))
 
+    def int64_column(name: str) -> np.ndarray:
+        try:
+            return np.array(payload[name], dtype=np.int64)
+        except OverflowError:
+            raise fault(f"{name} holds a value outside the int64 range") from None
+
+    ids = int64_column("ids")
+    tfs = int64_column("tfs")
     n_docs = len(doc_ids)
-    postings = {}
-    start = 0
-    for term, df in zip(terms, dfs):
-        end = start + df
-        term_ids = ids[start:end]
-        term_tfs = tfs[start:end]
-        if not all(map(operator.lt, term_ids, term_ids[1:])):
-            raise fault(f"postings of term {term!r} are not strictly ascending by id")
-        if term_ids[0] < 0 or term_ids[-1] >= n_docs:
-            raise fault(f"postings of term {term!r} hold an id outside [0, {n_docs})")
-        if min(term_tfs) < 1:
-            raise fault(f"postings of term {term!r} hold a tf below 1")
-        postings[term] = list(zip(term_ids, term_tfs))
-        start = end
+    # Each check runs over whole columns. A term's first faulty posting
+    # gives its row, and the term of the lowest row is named, with the
+    # message of the first check (in this order) that its postings fail.
+    ends = np.cumsum(dfs, dtype=np.int64)
+    descending = ids[1:] <= ids[:-1]
+    descending[ends[:-1] - 1] = False  # where one term's postings end and the next begin
+    faults = [
+        (int(ends.searchsorted(bad[0], side="right")), message)
+        for message, bad in (
+            ("are not strictly ascending by id", np.flatnonzero(descending) + 1),
+            (f"hold an id outside [0, {n_docs})", np.flatnonzero((ids < 0) | (ids >= n_docs))),
+            ("hold a tf below 1", np.flatnonzero(tfs < 1)),
+        )
+        if bad.size
+    ]
+    if faults:
+        row, message = min(faults, key=operator.itemgetter(0))
+        raise fault(f"postings of term {terms[row]!r} {message}")
     return InvertedIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
+        spans=_spans(terms, dfs),
+        ids=ids,
+        tfs=tfs,
+        doc_lengths=int64_column("doc_lengths"),
         doc_ids=doc_ids,
         lead_terms=lead_terms,
     )

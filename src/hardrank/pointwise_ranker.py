@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import random
 import weakref
 from collections import Counter
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
-from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum, posting_tf
+from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum
 from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoid
 from .text import tokenize
 
@@ -60,38 +59,40 @@ def feature_matrix(query, doc_ids: Iterable[str], index: InvertedIndex,
 
     The query's tokens, counts, sorted distinct terms, idfs and norm are
     computed once. Each document must be indexed, and everything about it
-    is read from the index: its tf per query term is a binary search in
-    the term's postings, and its length, term-frequency norm and
-    early-window terms are per-document index entries. Each value equals
-    the one derived from the text of the document that was indexed.
+    is read from the index: its tf per query term is a gather from the
+    postings columns (`InvertedIndex.tf_matrix`), and its length, log
+    length, term-frequency norm and early-window terms are per-document
+    index entries. The numpy calls per query do not grow with the list.
+    Each value equals the one derived from the text of the document that
+    was indexed.
     """
     text = _query_text(query)
     q_tokens = tokenize(text)
     q_counts = Counter(q_tokens)
     terms = sorted(q_counts)
     term_set = frozenset(terms)
-    q_tfs = [q_counts[t] for t in terms]
-    term_postings = [index.postings.get(t, ()) for t in terms]
-    idfs = [index.idf(t) for t in terms]
-    q_norm = math.sqrt(sum(c * c for c in q_tfs))
-    doc_norms = index.doc_norms
-    lead_terms = index.lead_terms
-    rows = []
-    for doc_id in doc_ids:
-        internal_id = index.internal_id(doc_id)
-        length = index.doc_lengths[internal_id]
-        tfs = [posting_tf(plist, internal_id) for plist in term_postings]
-        bm25 = bm25_sum(zip(tfs, idfs), length, index.avg_doc_length, params)
-        if terms:
-            overlap = (len(tfs) - tfs.count(0)) / len(terms)
-            early = len(term_set.intersection(lead_terms[internal_id])) / len(terms)
-        else:
-            overlap = 0.0
-            early = 0.0
-        dot = sum(map(operator.mul, q_tfs, tfs))
-        cosine = dot / (q_norm * doc_norms[internal_id]) if dot else 0.0
-        rows.append([bm25, overlap, cosine, float(len(q_tokens)), math.log1p(length), early])
-    return np.array(rows, dtype=float).reshape(len(rows), len(FEATURE_NAMES))
+    q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
+    internal_ids = [index.internal_id(doc_id) for doc_id in doc_ids]
+    candidates = np.array(internal_ids, dtype=np.int64)
+    n = len(internal_ids)
+    tfs = index.tf_matrix(terms, candidates)
+    bm25 = bm25_sum(tfs, [index.idf(t) for t in terms], index.doc_lengths[candidates],
+                    index.avg_doc_length, params)
+    if terms:
+        overlap = np.count_nonzero(tfs, axis=0) / len(terms)
+        lead_terms = index.lead_terms
+        early = np.array(
+            [len(term_set.intersection(lead_terms[i])) for i in internal_ids], dtype=np.int64
+        ) / len(terms)
+    else:
+        overlap = early = np.zeros(n)
+    # integer products and sums: exact in any order
+    dot = np.array([q_counts[t] for t in terms], dtype=np.int64) @ tfs
+    cosine = np.divide(dot, q_norm * index.doc_norms[candidates], out=np.zeros(n), where=dot > 0)
+    return np.column_stack([
+        bm25, overlap, cosine, np.full(n, float(len(q_tokens))),
+        index.log_lengths[candidates], early,
+    ])
 
 
 def extract_features(query, doc: Document, index: InvertedIndex,

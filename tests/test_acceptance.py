@@ -387,6 +387,4 @@ class TestCriterion8Significance:
             assert result.t == pytest.approx(3.4641, abs=1e-4)
             assert result.df == 2
             assert result.p_two_tailed == pytest.approx(0.0742, abs=1e-3)
-            assert result.significant_90
-            assert not result.significant_95
             assert result.level == 90

@@ -422,7 +422,7 @@ class TestRunAndEval:
             "format": "hardrank-index",
             "version": 2,
             "doc_ids": index.doc_ids,
-            "doc_lengths": index.doc_lengths,
+            "doc_lengths": index.doc_lengths.tolist(),
             "avg_doc_length": index.avg_doc_length,
             "lead_terms": [" ".join(lead) for lead in index.lead_terms],
             "postings": index.postings,

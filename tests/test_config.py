@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardrank import cli
 from hardrank.config import (
     DEFAULTS,
     SCHEMA,
@@ -53,6 +54,17 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    def test_directory_names_the_path(self, tmp_path):
+        (tmp_path / "cfgdir").mkdir()
+        with pytest.raises(ConfigError, match=r"config file .*cfgdir cannot be read: Is a directory"):
+            load_config(tmp_path / "cfgdir")
+
+    def test_directory_exits_1_from_the_cli(self, tmp_path, capsys):
+        (tmp_path / "cfgdir").mkdir()
+        assert cli.main(["index", "--config", str(tmp_path / "cfgdir")]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cfgdir cannot be read" in err and "runtime failure" not in err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -155,19 +155,19 @@ class TestPairedTest:
         assert result.df == 2
         assert result.p_two_tailed == pytest.approx(p_expected, abs=1e-12)
         assert result.p_two_tailed == pytest.approx(0.0742, abs=1e-3)
-        assert result.significant_90 and not result.significant_95
         assert result.level == 90
 
     def test_identical_vectors_p_one(self):
         result = paired_test([0.3, 0.4], [0.3, 0.4])
         assert result.p_two_tailed == 1.0
         assert result.level is None
-        assert not result.zero_variance
+        assert result.t == 0.0
 
     def test_constant_nonzero_diffs_flagged(self):
         result = paired_test([0.5, 0.6, 0.7], [0.4, 0.5, 0.6])
         assert result.p_two_tailed == 0.0
-        assert result.zero_variance
+        assert result.t == math.inf
+        assert paired_test([0.4, 0.5, 0.6], [0.5, 0.6, 0.7]).t == -math.inf
         assert result.level == 95
 
     def test_antisymmetric_t(self):
@@ -211,7 +211,7 @@ class TestPairedTestPValue:
         diffs = diffs_with_t(df, (-1.0 if negative else 1.0) * 10.0**log10_abs_t)
         result = paired_test(diffs, np.zeros_like(diffs))
         assert result.df == df
-        assert not result.zero_variance
+        assert math.isfinite(result.t)
         reference = 2.0 * float(scipy_stats.t.sf(abs(result.t), result.df))
         assert result.p_two_tailed == reference
 

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,7 @@ class TestBuildIndex:
     def test_tokenizer_and_postings(self):
         idx = build_index([Document("d1", "Cats cats dog")])
         assert idx.postings == {"cats": [(0, 2)], "dog": [(0, 1)]}
-        assert idx.doc_lengths == [3]
+        assert idx.doc_lengths.tolist() == [3]
 
     def test_average_length(self):
         idx = build_index([Document("d1", "a b"), Document("d2", "a b c d")])
@@ -141,6 +142,98 @@ class TestBm25Search:
             bm25_search(idx, Query("q", "a"), 0)
 
 
+def oracle_search(corpus, query_text, k, params):
+    """The search as plain Python over the texts: a dict accumulator that
+    adds each document's term contributions in sorted-term order, then a
+    full sort by (-score, doc_id) before keeping the top k."""
+    counts = [Counter(tokenize(d.text)) for d in corpus]
+    lengths = [sum(c.values()) for c in counts]
+    n = len(corpus)
+    avg = sum(lengths) / n
+    scores = {}
+    for term in sorted(set(tokenize(query_text))):
+        df = sum(1 for c in counts if term in c)
+        idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
+        if idf == 0.0:
+            continue
+        for doc, c, length in zip(corpus, counts, lengths):
+            tf = c.get(term, 0)
+            if tf:
+                norm = params.k1 * (1.0 - params.b + params.b * length / avg)
+                contribution = idf * tf * (params.k1 + 1.0) / (tf + norm)
+                scores[doc.doc_id] = scores.get(doc.doc_id, 0.0) + contribution
+    ranked = sorted(
+        ((d, s) for d, s in scores.items() if s > 0.0), key=lambda pair: (-pair[1], pair[0])
+    )
+    return [(d, s.hex()) for d, s in ranked[:k]]
+
+
+_COMMON = "the"  # in most documents: df > N/2, so its idf is 0
+_SEARCH_WORDS = ["solar", "Wind", "grid", "x2", "42", "power", "café", "ΟΔΟΣ", "rain", "fog"]
+_UNKNOWN = ["zebra", "quagga"]
+
+
+@st.composite
+def search_cases(draw):
+    words = st.sampled_from(_SEARCH_WORDS)
+    texts = draw(st.lists(st.lists(words, max_size=6).map(" ".join), min_size=1, max_size=10))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=3))  # copies tie
+    texts = [f"{_COMMON} {text}" if i % 4 else text for i, text in enumerate(texts)]
+    # "d10" sorts before "d2", so sorted doc_id order is not index order
+    numbers = draw(st.permutations(range(1, 14)))
+    corpus = [Document(f"d{j}", text) for j, text in zip(numbers, texts)]
+    query = " ".join(draw(st.lists(st.sampled_from(_SEARCH_WORDS + _UNKNOWN + [_COMMON]),
+                                   max_size=8)))
+    k = draw(st.integers(1, len(corpus) + 2))
+    params = Bm25Params(k1=draw(st.floats(0.1, 3.0)), b=draw(st.floats(0.0, 1.0)))
+    return corpus, query, k, params
+
+
+def _hex_records(records):
+    return [(rec.doc_id, rec.score.hex()) for rec in records]
+
+
+class TestBm25SearchExactness:
+    """bm25_search gives the oracle's documents in the oracle's order, with
+    the same bits in every score, before and after a save and reload."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases())
+    def test_equals_the_python_oracle_bit_for_bit(self, case):
+        corpus, query, k, params = case
+        index = build_index(corpus)
+        found = bm25_search(index, Query("q", query), k, params)
+        assert _hex_records(found) == oracle_search(corpus, query, k, params)
+        assert all(type(rec.score) is float for rec in found)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "index.json"
+            save_index(index, path)
+            reloaded = bm25_search(load_index(path), Query("q", query), k, params)
+        assert _hex_records(reloaded) == _hex_records(found)
+
+    def test_ties_zero_idf_unknown_terms_and_k(self):
+        # d10 and d9 tie and "d10" sorts first; 'the' is in 5 of 7 documents,
+        # so its idf is 0; 'zebra' is in none
+        corpus = [
+            Document("d9", "the solar grid"),
+            Document("d10", "the solar grid"),
+            Document("d2", "the wind"),
+            Document("d1", "solar solar"),
+            Document("d3", "the rain"),
+            Document("d4", "snow"),
+            Document("d5", "the fog"),
+        ]
+        index = build_index(corpus)
+        assert index.idf("the") == 0.0
+        query = "the solar grid zebra"
+        for k in (1, 2, 3, 4, 10):
+            found = bm25_search(index, Query("q", query), k)
+            assert _hex_records(found) == oracle_search(corpus, query, k, Bm25Params())
+        assert [rec.doc_id for rec in found] == ["d10", "d9", "d1"]
+        assert found[0].score == found[1].score
+        assert bm25_search(index, Query("q", "the zebra"), 5) == []
+
+
 class TestSelectPassage:
     def test_short_doc_returned_whole(self):
         doc = Document("d1", "lean body mass")
@@ -198,7 +291,7 @@ class TestIndexPersistence:
         loaded = load_index(path)
         assert loaded.postings == idx.postings
         assert loaded.doc_ids == idx.doc_ids
-        assert loaded.doc_lengths == idx.doc_lengths
+        assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist()
         assert loaded.avg_doc_length == idx.avg_doc_length
         assert loaded.lead_terms == idx.lead_terms == [("a", "b", "c"), ("b", "c", "d", "e")]
 
@@ -212,7 +305,7 @@ class TestIndexPersistence:
             loaded = load_index(path)
         assert loaded.postings == idx.postings
         assert loaded.doc_ids == idx.doc_ids
-        assert loaded.doc_lengths == idx.doc_lengths
+        assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist()
         assert loaded.lead_terms == idx.lead_terms
         # derived on load, not stored: the same bits as at build time
         assert struct.pack("<d", loaded.avg_doc_length) == struct.pack("<d", idx.avg_doc_length)
@@ -272,7 +365,7 @@ class TestLoadIndexRejectsUntrustedFiles:
             "format": "hardrank-index",
             "version": 2,
             "doc_ids": index.doc_ids,
-            "doc_lengths": index.doc_lengths,
+            "doc_lengths": index.doc_lengths.tolist(),
             "avg_doc_length": index.avg_doc_length,
             "lead_terms": [" ".join(lead) for lead in index.lead_terms],
             "postings": index.postings,
@@ -300,6 +393,12 @@ class TestLoadIndexRejectsUntrustedFiles:
     def test_column_holds_a_non_int(self, saved, column, value):
         self._rewrite(saved, lambda p: p[column].__setitem__(0, value))
         with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value that is not an int"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("column", ["doc_lengths", "ids", "tfs"])
+    def test_column_holds_an_int_beyond_int64(self, saved, column):
+        self._rewrite(saved, lambda p: p[column].__setitem__(-1, 2**63))
+        with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value outside the int64 range"):
             load_index(saved)
 
     @pytest.mark.parametrize(
