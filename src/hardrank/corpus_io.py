@@ -38,6 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -136,9 +137,13 @@ class RunList:
 def rank_records(scored: Iterable[tuple[str, float]]) -> list[RunRecord]:
     """Sort (doc_id, score) pairs into a valid ranked list.
 
-    Score descending, ties by doc_id ascending.
+    Score descending, ties by doc_id ascending: the order of the key
+    `(-score, doc_id)`, built without a key tuple per pair. A stable sort by
+    doc_id and then a stable sort by score with `reverse=True` (which keeps
+    equal scores in their order) give it, ties and +/-0.0 included.
     """
-    ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    ordered = sorted(scored, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
     return [RunRecord(doc_id, score) for doc_id, score in ordered]
 
 

@@ -72,19 +72,20 @@ class RoutingDecision:
     route: str  # "sr" or "br"
 
 
-def normalize_scores(records: Sequence[RunRecord]) -> list[RunRecord]:
-    """Min-max normalize one query's scores into [0, 1], order preserved.
+def normalize_scores(records: Sequence[RunRecord]) -> dict[str, float]:
+    """One query's scores by doc_id, min-max normalized into [0, 1], in list
+    order.
 
     All-equal scores (including a single document) map to 0.5.
     """
     if not records:
         raise ValueError("cannot normalize an empty entry")
-    lo = min(rec.score for rec in records)
-    hi = max(rec.score for rec in records)
+    scores = [rec.score for rec in records]
+    lo, hi = min(scores), max(scores)
     if hi == lo:
-        return [RunRecord(rec.doc_id, 0.5) for rec in records]
+        return dict.fromkeys([rec.doc_id for rec in records], 0.5)
     span = hi - lo
-    return [RunRecord(rec.doc_id, (rec.score - lo) / span) for rec in records]
+    return {rec.doc_id: (rec.score - lo) / span for rec in records}
 
 
 def _scores_by_doc(
@@ -93,7 +94,7 @@ def _scores_by_doc(
     if not records:
         return {}
     if normalize == "per_query_min_max":
-        records = normalize_scores(records)
+        return normalize_scores(records)
     return {rec.doc_id: rec.score for rec in records}
 
 

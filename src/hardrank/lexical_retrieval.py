@@ -122,6 +122,14 @@ class InvertedIndex:
             raise ValueError(f"doc_id {doc_id!r} not in index")
         return self.internal_ids[doc_id]
 
+    def internal_id_array(self, doc_ids: Sequence[str]) -> np.ndarray:
+        """int64 internal ids of `doc_ids`, in order, in one pass; the first
+        document that is not indexed raises ValueError naming it."""
+        try:
+            return np.fromiter(map(self.internal_ids.__getitem__, doc_ids), np.int64, len(doc_ids))
+        except KeyError as exc:
+            raise ValueError(f"doc_id {exc.args[0]!r} not in index") from None
+
     def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray) -> np.ndarray:
         """(len(terms), len(internal_ids)) int64 tfs; 0 where a document lacks
         a term or the term is not indexed.

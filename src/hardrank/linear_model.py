@@ -156,12 +156,14 @@ class LogisticScorer:
         """Score in (0, 1) of every row of an (n, d) feature matrix.
 
         The z-scores, bias, sigmoid and clamp run over the whole matrix, as
-        they are elementwise. The dot product stays one `np.dot` per row: a
-        matrix-vector product may sum in another order and change a last
-        bit, so each row equals `open_unit_sigmoid(np.dot(w, z) + b)`.
+        they are elementwise. The dot products are one `np.vecdot`, which
+        calls the same BLAS `ddot` per row as `np.dot` does, in one C loop;
+        a matrix-vector product (`z @ w`) may sum in another order and
+        change a last bit. So each row equals
+        `open_unit_sigmoid(np.dot(w, z) + b)`.
         """
         z = apply_zscore(features, self.feature_means, self.feature_stds)
-        logits = np.array([float(np.dot(self.weights, row)) for row in z], dtype=float)
+        logits = np.vecdot(z, self.weights)
         return open_unit_sigmoids(logits + self.bias)
 
 

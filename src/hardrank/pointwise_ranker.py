@@ -16,7 +16,7 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -53,16 +53,17 @@ def _query_text(query) -> str:
     return query.text if isinstance(query, Query) else str(query)
 
 
-def feature_matrix(query, doc_ids: Iterable[str], index: InvertedIndex,
+def feature_matrix(query, doc_ids: Sequence[str], index: InvertedIndex,
                    params: Bm25Params = Bm25Params()) -> np.ndarray:
     """One query's (n, 6) feature matrix, one row per document id in order.
 
     The query's tokens, counts, sorted distinct terms, idfs and norm are
-    computed once. Each document must be indexed, and everything about it
-    is read from the index: its tf per query term is a gather from the
-    postings columns (`InvertedIndex.tf_matrix`), and its length, log
-    length, term-frequency norm and early-window terms are per-document
-    index entries. The numpy calls per query do not grow with the list.
+    computed once. Each document must be indexed (the first that is not
+    raises ValueError), and everything about it is read from the index:
+    its tf per query term is a gather from the postings columns
+    (`InvertedIndex.tf_matrix`), and its length, log length,
+    term-frequency norm and early-window terms are per-document index
+    entries. The numpy calls per query do not grow with the list.
     Each value equals the one derived from the text of the document that
     was indexed.
     """
@@ -72,9 +73,8 @@ def feature_matrix(query, doc_ids: Iterable[str], index: InvertedIndex,
     terms = sorted(q_counts)
     term_set = frozenset(terms)
     q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
-    internal_ids = [index.internal_id(doc_id) for doc_id in doc_ids]
-    candidates = np.array(internal_ids, dtype=np.int64)
-    n = len(internal_ids)
+    candidates = index.internal_id_array(doc_ids)
+    n = len(candidates)
     tfs = index.tf_matrix(terms, candidates)
     bm25 = bm25_sum(tfs, [index.idf(t) for t in terms], index.doc_lengths[candidates],
                     index.avg_doc_length, params)
@@ -82,7 +82,8 @@ def feature_matrix(query, doc_ids: Iterable[str], index: InvertedIndex,
         overlap = np.count_nonzero(tfs, axis=0) / len(terms)
         lead_terms = index.lead_terms
         early = np.array(
-            [len(term_set.intersection(lead_terms[i])) for i in internal_ids], dtype=np.int64
+            [len(term_set.intersection(lead_terms[i])) for i in candidates.tolist()],
+            dtype=np.int64,
         ) / len(terms)
     else:
         overlap = early = np.zeros(n)
@@ -157,8 +158,10 @@ def rerank(
 ) -> list[RunRecord]:
     """Re-score the candidate documents with the model.
 
-    Keeps exactly the input doc set; sorts by model score descending with
-    doc_id tie-breaks; rewrites ranks. The features come from one
+    Keeps exactly the input doc set, ordered by model score descending
+    with doc_id tie-breaks: one `np.lexsort` over the scores and the
+    documents' `index.doc_order`, as in `bm25_search`, with the records
+    built from the ordered arrays. The features come from one
     `feature_matrix` pass over the list, read from the index alone (equal
     to the text-derived values whenever `corpus` is the corpus that was
     indexed); `corpus` only vouches that each candidate exists. Reranking
@@ -169,8 +172,14 @@ def rerank(
     if not candidates:
         raise ValueError("candidate list is empty")
     features = _candidate_features(_query_text(query), candidates, corpus, index, params)
-    scores = model.score_rows(features).tolist()
-    return rank_records(zip([rec.doc_id for rec in candidates], scores))
+    scores = model.score_rows(features)
+    ids = index.internal_id_array([rec.doc_id for rec in candidates])
+    order = np.lexsort((index.doc_order[ids], -scores))
+    doc_ids = index.doc_ids
+    return [
+        RunRecord(doc_ids[i], score)
+        for i, score in zip(ids[order].tolist(), scores[order].tolist())
+    ]
 
 
 # The last matrix `_candidate_features` built and what it was built from:
@@ -191,19 +200,23 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     one list with both models in turn, as serving does, pays one feature
     pass; `hardrank run` ranks with one model. A candidate missing from the
     corpus or the index raises ValueError, and the first faulty candidate
-    in list order is the one named.
+    in list order is the one named. The corpus check is one pass over the
+    ids on every call; a hit looks nothing up in the index, and a miss
+    looks each candidate up once, in `feature_matrix`.
     """
     global _last_features
-    doc_ids = []
-    for rec in candidates:
-        if rec.doc_id not in corpus:
-            raise ValueError(f"doc_id {rec.doc_id!r} not in corpus")
-        index.internal_id(rec.doc_id)
-        doc_ids.append(rec.doc_id)
-    key = (params, text, tuple(doc_ids))
+    doc_ids = tuple([rec.doc_id for rec in candidates])
+    if not all(map(corpus.__contains__, doc_ids)):
+        missing = next(doc_id for doc_id in doc_ids if doc_id not in corpus)
+        # a candidate before it that is not indexed is the first faulty one
+        index.internal_id_array(doc_ids[:doc_ids.index(missing)])
+        raise ValueError(f"doc_id {missing!r} not in corpus")
+    key = (params, text, doc_ids)
     memo = _last_features
     if memo is not None and memo[0]() is index and memo[1] == key:
         return memo[2]
+    # every candidate is in the corpus, so the first one feature_matrix
+    # finds unindexed is the first faulty one
     matrix = feature_matrix(text, doc_ids, index, params)
     matrix.flags.writeable = False
     _last_features = (weakref.ref(index), key, matrix)

@@ -56,7 +56,8 @@ def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) 
     if not topk:
         raise ValueError("topk must be non-empty")
     scores = np.array([rec.score for rec in topk], dtype=float)
-    terms = sorted(set(tokenize(query.text)))
+    tokens = tokenize(query.text)
+    terms = sorted(set(tokens))
     mean_idf = float(np.mean([index.idf(term) for term in terms])) if terms else 0.0
     return np.array(
         [
@@ -64,7 +65,7 @@ def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) 
             float(scores.std()),
             float(scores.max()),
             float(scores[0] - scores[-1]),
-            float(len(tokenize(query.text))),
+            float(len(tokens)),
             mean_idf,
         ]
     )

@@ -100,6 +100,21 @@ class TestParseRun:
         assert first.entries["q1"][0].doc_id is second.entries["q1"][0].doc_id
 
 
+class TestRankRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "B", "d2", "d10", "d1"]),
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+    )))
+    def test_order_equals_the_key_tuple_sort(self, pairs):
+        # few distinct ids and scores, so ties and repeated pairs are common;
+        # float.hex tells 0.0 from -0.0, so equal keys must keep input order
+        expected = sorted(pairs, key=lambda p: (-p[1], p[0]))
+        got = rank_records(iter(pairs))
+        assert [(r.doc_id, r.score.hex()) for r in got] == [(d, s.hex()) for d, s in expected]
+
+
 class TestWriteRun:
     def test_single_record(self):
         run = RunList(entries={"q1": [RunRecord("d7", 12.5)]}, tag="bsf")

@@ -35,7 +35,7 @@ def normalized(run, qid, normalize):
     """One query's scores by doc as fusion reads them; {} for an absent query."""
     records = run.entries.get(qid, [])
     if records and normalize == "per_query_min_max":
-        records = normalize_scores(records)
+        return normalize_scores(records)
     return {rec.doc_id: rec.score for rec in records}
 
 
@@ -54,21 +54,21 @@ class TestNormalizeScores:
     def test_minmax_arithmetic(self):
         records = rank_records([("a", 2.0), ("b", 4.0), ("c", 6.0)])
         out = normalize_scores(records)
-        assert [r.score for r in out] == [1.0, 0.5, 0.0]
+        assert list(out.items()) == [("c", 1.0), ("b", 0.5), ("a", 0.0)]
 
     def test_constant_scores_map_to_half(self):
         records = rank_records([("a", 3.0), ("b", 3.0)])
-        assert [r.score for r in normalize_scores(records)] == [0.5, 0.5]
+        assert list(normalize_scores(records).values()) == [0.5, 0.5]
 
     def test_single_doc(self):
-        assert normalize_scores(rank_records([("a", 9.0)]))[0].score == 0.5
+        assert normalize_scores(rank_records([("a", 9.0)])) == {"a": 0.5}
 
     def test_order_preserved(self):
         rng = random.Random(1)
         records = rank_records([(f"d{i}", rng.uniform(-10, 10)) for i in range(10)])
         out = normalize_scores(records)
-        assert [r.doc_id for r in out] == [r.doc_id for r in records]
-        scores = [r.score for r in out]
+        assert list(out) == [r.doc_id for r in records]
+        scores = list(out.values())
         assert scores == sorted(scores, reverse=True)
 
 
@@ -208,6 +208,15 @@ class TestWQpps:
             expected = {d: weight * sr_scores[d] + (1.0 - weight) * br_scores[d]
                         for d in br_scores}
             assert entry == rank_records(expected.items())
+
+    def test_equal_fused_scores_break_by_doc_id(self):
+        # q1: the two sides swap after min-max, so psi = 0.5 fuses each
+        # document to 0.5; q2: both sides are constant, so all map to 0.5
+        br = run_from({"q1": {"d2": 1.0, "d10": 0.0, "a": 0.5}, "q2": {"y": 3.0, "x": 3.0}})
+        sr = run_from({"q1": {"d2": 0.0, "d10": 1.0, "a": 0.5}, "q2": {"y": 7.0, "x": 7.0}})
+        fused = w_qpps(br, sr, {"q1": 0.5, "q2": 0.25})
+        assert fused.entries["q1"] == [RunRecord(d, 0.5) for d in ("a", "d10", "d2")]
+        assert fused.entries["q2"] == [RunRecord(d, 0.5) for d in ("x", "y")]
 
     def test_candidate_mismatch_lists_difference(self):
         br = run_from({"q1": {"a": 1.0, "b": 0.5}})

@@ -227,6 +227,17 @@ class TestRerank:
         assert [r.doc_id for r in out] == ["d1", "d2", "d3"]
         assert all(r.score == 0.5 for r in out)
 
+    def test_ties_follow_doc_id_order_not_index_or_candidate_order(self):
+        # the index's build order, the candidate order and the doc_id order
+        # all differ, and "d10" sorts before "d2"
+        docs = [Document(d, "solar wind") for d in ("zeta", "d2", "d10", "alpha", "d1")]
+        index = build_index(docs)
+        model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
+        candidates = [RunRecord(d, 1.0) for d in ("d1", "zeta", "d10", "alpha", "d2")]
+        out = rerank(model, Query("q", "solar"), candidates, {d.doc_id: d for d in docs}, index)
+        assert [r.doc_id for r in out] == ["alpha", "d1", "d10", "d2", "zeta"]
+        assert all(r.score == 0.5 for r in out)
+
     def test_single_candidate(self, small_corpus):
         docs, idx = small_corpus
         model = LogisticScorer(np.ones(6), 0.0, np.zeros(6), np.ones(6))

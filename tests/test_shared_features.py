@@ -10,6 +10,7 @@ built with the index, and `RunRecord` has slots.
 import dataclasses
 import gc
 import json
+import subprocess
 import sys
 import threading
 import weakref
@@ -184,6 +185,31 @@ class TestSharedFeaturePass:
         assert pointwise_ranker._last_features[-1] is matrix
 
 
+# Run by a child interpreter: `score_rows` against per-row `score` on fixed
+# random matrices, the 1e6 scale saturating the sigmoid into the clamp.
+# Prints the rows checked and how many of them were clamped.
+KERNEL_CHECK = """
+import numpy as np
+from hardrank.linear_model import LogisticScorer
+from hardrank.pointwise_ranker import score
+
+rows = clamped = 0
+for seed in range(40):
+    rng = np.random.default_rng(seed)
+    model = LogisticScorer(weights=rng.normal(size=6), bias=float(rng.normal()),
+                           feature_means=rng.normal(size=6),
+                           feature_stds=rng.uniform(0.5, 2.0, size=6))
+    for scale in (1e-3, 1.0, 10.0, 1e3, 1e6):
+        features = rng.normal(scale=scale, size=(50, 6))
+        got = model.score_rows(features)
+        expected = np.array([score(model, row) for row in features])
+        assert got.tobytes() == expected.tobytes(), (seed, scale)
+        rows += len(got)
+        clamped += int(np.count_nonzero((got == 1e-12) | (got == 1.0 - 1e-12)))
+print(rows, clamped)
+"""
+
+
 class TestMatrixScoring:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -198,6 +224,17 @@ class TestMatrixScoring:
         features = rng.normal(scale=scale, size=(rows, 6))
         expected = np.array([score(model, row) for row in features])
         assert model.score_rows(features).tobytes() == expected.tobytes()
+
+    def test_score_rows_equals_per_row_score_on_another_blas_kernel(self, child_env):
+        # `np.vecdot` calls the per-row BLAS ddot that `score`'s `np.dot`
+        # calls, so the two agree on any kernel; Prescott is an old one
+        env = {**child_env, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", KERNEL_CHECK], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        rows, clamped = map(int, result.stdout.split())
+        assert rows == 40 * 5 * 50
+        assert clamped > 0
 
 
 class TestLeadTerms:
