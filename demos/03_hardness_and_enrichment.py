@@ -26,7 +26,7 @@ corpus = [
 index = build_index(corpus)
 
 print()
-print("prompt sent to the generator:")
+print("prompt the HTTP generator sends:")
 print(build_prompt(Query("q1", "what is lbm"), corpus[0].text))
 
 out = enrich(Query("q1", "what is lbm"), index, corpus_by_id(corpus), StubGenerator())

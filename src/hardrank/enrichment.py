@@ -2,7 +2,7 @@
 
 A query is flagged hard by cheap heuristics (very short, acronym-laden or
 out-of-lexicon terms, too few content words). Hard queries are rewritten by
-a pluggable text generator prompted with the query plus the most relevant
+a pluggable text generator given the query plus the most relevant
 passage of its top retrieved (or highest-judged) document, so the rewrite
 stays grounded in real context instead of drifting off-topic.
 """
@@ -103,24 +103,12 @@ def build_prompt(query: Query, passage: str) -> str:
 
 
 class TextGenerator(Protocol):
-    """Prompt in, completion out."""
+    """A query and its non-empty context passage in, completion out."""
 
     generator_id: str
 
-    def generate(self, prompt: str, max_tokens: int) -> str:
+    def generate(self, query: Query, passage: str) -> str:
         ...
-
-
-def _prompt_fields(prompt: str) -> tuple[str, str]:
-    """Recover the query and passage from the versioned prompt template."""
-    query = passage = ""
-    q_start = prompt.find("Query: ")
-    c_start = prompt.find("Context: ", q_start)
-    if q_start >= 0 and c_start > q_start:
-        query = prompt[q_start + len("Query: "):prompt.index("\n", q_start)]
-        c_end = prompt.find("\n\nRewritten query:", c_start)
-        passage = prompt[c_start + len("Context: "):c_end if c_end >= 0 else None]
-    return query, passage
 
 
 @dataclass
@@ -135,9 +123,8 @@ class StubGenerator:
     context_terms: int = 6
     generator_id: str = "stub-v1"
 
-    def generate(self, prompt: str, max_tokens: int) -> str:
-        query, passage = _prompt_fields(prompt)
-        have = set(tokenize(query))
+    def generate(self, query: Query, passage: str) -> str:
+        have = set(tokenize(query.text))
         added: list[str] = []
         for term in tokenize(passage):
             if term in STOPWORDS or term in have:
@@ -146,19 +133,19 @@ class StubGenerator:
             added.append(term)
             if len(added) >= self.context_terms:
                 break
-        return " ".join([query] + added) if added else query
+        return " ".join([query.text] + added) if added else query.text
 
 
 @dataclass
 class HttpGenerator:
     """Client for a chat-completion-style HTTP endpoint.
 
-    Sends ``{"prompt": ..., "max_tokens": ...}`` and expects ``{"text": ...}``
-    back. The auth token is read from the environment variable named by
-    `auth_token_env` (sent as a Bearer header when present). Transient
-    failures (connection errors, HTTP 429/5xx) are retried up to
-    `max_retries` times with exponential backoff; concurrent calls are
-    bounded by `max_in_flight`.
+    Sends ``{"prompt": build_prompt(query, passage), "max_tokens":
+    MAX_ENRICHED_TOKENS}`` and expects ``{"text": ...}`` back. The auth
+    token is read from the environment variable named by `auth_token_env`
+    (sent as a Bearer header when present). Transient failures (connection
+    errors, HTTP 429/5xx) are retried up to `max_retries` times with
+    exponential backoff; concurrent calls are bounded by `max_in_flight`.
     """
 
     endpoint_url: str
@@ -172,14 +159,14 @@ class HttpGenerator:
     def __post_init__(self):
         self._gate = threading.Semaphore(self.max_in_flight)
 
-    def generate(self, prompt: str, max_tokens: int) -> str:
+    def generate(self, query: Query, passage: str) -> str:
         import requests
 
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_token_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        payload = {"prompt": prompt, "max_tokens": max_tokens}
+        payload = {"prompt": build_prompt(query, passage), "max_tokens": MAX_ENRICHED_TOKENS}
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -243,9 +230,9 @@ def enrich(
 
     The context document is the BM25 rank-1 hit, or the highest-graded
     judged document when `use_judged_context` is set and judgments exist.
-    If no context can be retrieved, or the completion is blank, the original
-    text is kept and the result is flagged as a fallback. Generator failures
-    raise EnrichmentError.
+    If no context can be retrieved, its passage is empty, or the completion
+    is blank, the original text is kept and the result is flagged as a
+    fallback. Generator failures raise EnrichmentError.
     """
     doc_id: str | None = None
     if use_judged_context and qrels is not None:
@@ -253,11 +240,12 @@ def enrich(
     if doc_id is None:
         hits = bm25_search(index, query, 1, params)
         doc_id = hits[0].doc_id if hits else None
-    rewrite = ""
+    passage = rewrite = ""
     if doc_id is not None:
         passage, _ = select_passage(corpus[doc_id], query, passage_window)
+    if passage:
         try:
-            completion = generator.generate(build_prompt(query, passage), MAX_ENRICHED_TOKENS)
+            completion = generator.generate(query, passage)
         except Exception as exc:
             raise EnrichmentError(query.query_id, str(exc)) from exc
         rewrite = _truncate_one_line(completion)

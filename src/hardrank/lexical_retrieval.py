@@ -117,11 +117,6 @@ class InvertedIndex:
         df = self.document_frequency(term)
         return max(0.0, math.log((self.n_docs - df + 0.5) / (df + 0.5)))
 
-    def internal_id(self, doc_id: str) -> int:
-        if doc_id not in self.internal_ids:
-            raise ValueError(f"doc_id {doc_id!r} not in index")
-        return self.internal_ids[doc_id]
-
     def internal_id_array(self, doc_ids: Sequence[str]) -> np.ndarray:
         """int64 internal ids of `doc_ids`, in order, in one pass; the first
         document that is not indexed raises ValueError naming it."""
@@ -267,7 +262,7 @@ def score_pair(
     params: Bm25Params = Bm25Params(),
 ) -> float:
     """BM25 score of one (query, document) pair; the document must be indexed."""
-    internal_ids = np.array([index.internal_id(doc_id)], dtype=np.int64)
+    internal_ids = index.internal_id_array([doc_id])
     terms = sorted(set(tokenize(query_text)))
     return float(bm25_sum(
         index.tf_matrix(terms, internal_ids),

@@ -84,16 +84,13 @@ class EchoGenerator:
         self.reply = reply
         self.fail = fail
 
-    def generate(self, prompt, max_tokens):
+    def generate(self, query, passage):
         if self.fail:
             raise RuntimeError("backend down")
         if self.reply is not None:
             return self.reply
         # deterministic echo: query plus first 3 passage tokens
-        from hardrank.enrichment import _prompt_fields
-
-        query, passage = _prompt_fields(prompt)
-        return f"REWRITTEN: {query} | {' '.join(passage.split()[:3])}"
+        return f"REWRITTEN: {query.text} | {' '.join(passage.split()[:3])}"
 
 
 @pytest.fixture
@@ -158,6 +155,15 @@ class TestEnrich:
         )
         assert out.context_doc_id == "d2"
 
+    def test_empty_context_passage_falls_back_without_calling_the_generator(self):
+        docs = [Document("d1", "Lean body mass lbm is total weight"), Document("blank", "")]
+        qrels = Qrels({("q1", "blank"): 3, ("q1", "d1"): 1})
+        out = enrich(
+            Query("q1", "lbm"), build_index(docs), corpus_by_id(docs), EchoGenerator(fail=True),
+            qrels=qrels, use_judged_context=True,
+        )
+        assert (out.enriched_text, out.context_doc_id, out.fallback) == ("lbm", "blank", True)
+
     def test_enrich_all_collects_errors(self, setting):
         docs, corpus, index = setting
         queries = [Query("q1", "lbm"), Query("q2", "solar")]
@@ -176,27 +182,32 @@ class TestEnrich:
 class TestStubGenerator:
     def test_appends_new_content_terms(self):
         stub = StubGenerator(context_terms=3)
-        prompt = build_prompt(Query("q", "lbm"), "the lean body mass of an athlete")
-        out = stub.generate(prompt, 64)
+        out = stub.generate(Query("q", "lbm"), "the lean body mass of an athlete")
         assert out == "lbm lean body mass"
 
     def test_no_new_terms_returns_query(self):
         stub = StubGenerator()
-        prompt = build_prompt(Query("q", "lean body mass"), "lean body mass")
-        assert stub.generate(prompt, 64) == "lean body mass"
+        assert stub.generate(Query("q", "lean body mass"), "lean body mass") == "lean body mass"
+
+    def test_passage_holding_the_prompt_closing_line_is_read_whole(self):
+        stub = StubGenerator(context_terms=3)
+        passage = "one two\n\nRewritten query: three four five"
+        assert stub.generate(Query("q", "XYZ"), passage) == "XYZ one two rewritten"
 
 
 class _Handler(BaseHTTPRequestHandler):
     failures_left = 0
+    bodies: list = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        _Handler.bodies.append(body)
         if _Handler.failures_left > 0:
             _Handler.failures_left -= 1
             self.send_response(503)
             self.end_headers()
             return
-        reply = json.dumps({"text": f"echo: {body['prompt'].splitlines()[-3][7:]}"})
+        reply = json.dumps({"text": "echo: ok"})
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -219,20 +230,23 @@ class TestHttpGenerator:
     def test_round_trip(self, http_endpoint):
         gen = HttpGenerator(endpoint_url=http_endpoint, backoff_base=0.01)
         _Handler.failures_left = 0
-        out = gen.generate(build_prompt(Query("q", "lbm"), "some passage"), 64)
+        _Handler.bodies = []
+        query = Query("q", "lbm")
+        out = gen.generate(query, "some passage")
         assert out.startswith("echo:")
+        assert _Handler.bodies == [{"prompt": build_prompt(query, "some passage"), "max_tokens": 64}]
 
     def test_retries_transient_failures(self, http_endpoint):
         gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=3, backoff_base=0.01)
         _Handler.failures_left = 2
-        out = gen.generate(build_prompt(Query("q", "lbm"), "some passage"), 64)
+        out = gen.generate(Query("q", "lbm"), "some passage")
         assert out.startswith("echo:")
 
     def test_gives_up_after_retries(self, http_endpoint):
         gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=1, backoff_base=0.01)
         _Handler.failures_left = 99
         with pytest.raises(RuntimeError, match="retries"):
-            gen.generate("Query: x\nContext: y\n\nRewritten query:", 64)
+            gen.generate(Query("q", "x"), "y")
         _Handler.failures_left = 0
 
     def test_unreachable_endpoint(self):
@@ -241,7 +255,7 @@ class TestHttpGenerator:
             timeout=0.5,
         )
         with pytest.raises(RuntimeError):
-            gen.generate("Query: x\nContext: y\n\nRewritten query:", 64)
+            gen.generate(Query("q", "x"), "y")
 
 
 class TestEnrichedTsv:

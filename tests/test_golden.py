@@ -6,7 +6,9 @@ SHA-256 of each run file, of R-QPP's routing log (every query's psi and
 route) and of ``report.jsonl`` is pinned, so any change that is meant to
 keep outputs byte-identical (a faster feature path, a different
 summation, a new index layout, tau computed at another stage) is checked
-against the exact bytes the pipeline wrote before it.
+against the exact bytes the pipeline wrote before it. The run digests see
+the enriched queries only through SR, so ``enriched.tsv`` (context doc ids
+and fallback flags included) is pinned as well, under both context sources.
 """
 
 import hashlib
@@ -45,19 +47,31 @@ GOLDEN_SHA256 = {
     "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
 }
 
+ENRICHED_SHA256 = {
+    # README config: the highest-judged document gives the context passage
+    "judged": "9d838a15501de6f00c4651192e4729eb8f38c32e2d1b6c9ae9719bfbddc117c6",
+    # default enrichment settings: the BM25 rank-1 document gives it
+    "bm25": "c16e3231e44f9f226949aec3d560374978c8b70fafcb245bb254ee3f8b06058a",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _benchmark_config(root, config: dict):
+    write_benchmark(root, seed=7)
+    (root / "config.json").write_text(json.dumps(config))
+    return load_config(root / "config.json")
+
+
 def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
-    write_benchmark(tmp_path, seed=7)
-    (tmp_path / "config.json").write_text(json.dumps(README_CONFIG))
-    config = load_config(tmp_path / "config.json")
+    config = _benchmark_config(tmp_path, README_CONFIG)
 
     build_and_save_index(config)
     _, errors, _ = enrich_training_queries(config)
     assert not errors
+    assert _sha256(config.path("enriched_queries")) == ENRICHED_SHA256["judged"]
     train_ranker(config, "br")
     train_ranker(config, "sr")
     train_qpp_model(config)
@@ -68,3 +82,28 @@ def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
 
     digests = {path.name: _sha256(path) for path in [*run_paths, *routing_logs, report_path]}
     assert digests == GOLDEN_SHA256
+
+
+def test_bm25_context_enriched_queries_are_byte_identical(tmp_path):
+    config = _benchmark_config(tmp_path, {"paths": README_CONFIG["paths"]})
+    build_and_save_index(config)
+    _, errors, _ = enrich_training_queries(config)
+    assert not errors
+    assert _sha256(config.path("enriched_queries")) == ENRICHED_SHA256["bm25"]
+
+
+def test_empty_judged_context_is_a_fallback(tmp_path):
+    config = _benchmark_config(tmp_path, README_CONFIG)
+    corpus_path = config.path("corpus")
+    docs = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+    for doc in docs:
+        if doc["doc_id"] == "h00_rel3":
+            doc["text"] = ""
+    corpus_path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+
+    build_and_save_index(config)
+    enriched, errors, _ = enrich_training_queries(config)
+    assert not errors
+    h00 = next(eq for eq in enriched if eq.query_id == "h00")
+    assert (h00.enriched_text, h00.context_doc_id, h00.fallback) == ("DBNQ celowi", "h00_rel3", True)
+    assert "h00\tDBNQ celowi\th00_rel3\tfallback" in config.path("enriched_queries").read_text()

@@ -244,7 +244,7 @@ class TestLeadTerms:
                        Document("empty", "--")]
         index = build_index(docs)
         for doc in docs:
-            lead = index.lead_terms[index.internal_id(doc.doc_id)]
+            lead = index.lead_terms[index.internal_ids[doc.doc_id]]
             assert list(lead) == list(dict.fromkeys(tokenize(doc.text)[:EARLY_WINDOW]))
             assert all(sys.intern(term) is term for term in lead)
         save_index(index, tmp_path / "index.json")
