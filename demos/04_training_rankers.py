@@ -10,7 +10,7 @@ from hardrank.benchmark import toy_qpp_set, toy_ranker_instances
 from hardrank.corpus_io import Document, Query
 from hardrank.lexical_retrieval import build_index
 from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, score, train
-from hardrank.qpp import FileQppProvider, estimate, qpp_features, train_qpp
+from hardrank.qpp import estimate, qpp_features, train_qpp
 
 corpus = [
     Document("d1", "solar panels convert sunlight into electricity"),
@@ -35,6 +35,3 @@ print("\nQPP features (query with weak retrieval):",
 est = estimate(qpp_model, query, topk, index)
 print(f"trained hardness estimate psi = {est.psi:.3f}",
       f"(orientation: {qpp_model.metadata['orientation']})")
-
-file_backed = FileQppProvider({query.query_id: 0.9})
-print("file-backed estimate psi =", file_backed.estimate_query(query).psi)

@@ -13,10 +13,10 @@ from hardrank.benchmark import generate_benchmark
 from hardrank.corpus_io import RunList, corpus_by_id
 from hardrank.enrichment import StubGenerator, enrich
 from hardrank.evaluation import build_report, ndcg_at_k, render_report
-from hardrank.fusion import FusionConfig, bsf, route_qpp, train_median_threshold, w_qpps
+from hardrank.fusion import FusionConfig, bsf, r_qpp, train_median_threshold, w_qpps
 from hardrank.lexical_retrieval import bm25_search, build_index
-from hardrank.pointwise_ranker import ModelRanker, build_training_set, train
-from hardrank.qpp import ModelQppProvider, train_qpp
+from hardrank.pointwise_ranker import build_training_set, rerank, train
+from hardrank.qpp import estimate, train_qpp
 
 bench = generate_benchmark(seed=7)
 corpus = corpus_by_id(bench.corpus)
@@ -41,11 +41,9 @@ br_model = train(build_training_set(
 sr_model = train(build_training_set(
     sorted(enriched.items()), bench.qrels, index, corpus, seed=13))
 
-br_ranker = ModelRanker(br_model, corpus, index)
-sr_ranker = ModelRanker(sr_model, corpus, index)
-br_run = RunList(entries={q.query_id: br_ranker.rerank_query(q, candidates[q.query_id])
+br_run = RunList(entries={q.query_id: rerank(br_model, q, candidates[q.query_id], corpus, index)
                           for q in bench.queries}, tag="br")
-sr_run = RunList(entries={q.query_id: sr_ranker.rerank_query(q, candidates[q.query_id])
+sr_run = RunList(entries={q.query_id: rerank(sr_model, q, candidates[q.query_id], corpus, index)
                           for q in bench.queries}, tag="sr")
 
 # hardness estimator trained against nDCG@10 of the first-stage run
@@ -55,15 +53,14 @@ labeled = [
     for q in bench.queries
 ]
 qpp_model = train_qpp(labeled, index)
-provider = ModelQppProvider(qpp_model, index)
-psis = {q.query_id: provider.estimate_query(q, candidates[q.query_id]).psi
+psis = {q.query_id: estimate(qpp_model, q, candidates[q.query_id], index).psi
         for q in bench.queries}
 print("mean psi: hard %.3f, easy %.3f" % (
     np.mean([psis[q] for q in bench.hard_query_ids]),
     np.mean([psis[q] for q in bench.easy_query_ids])))
 
 tau = train_median_threshold(psis.values())
-routed, _ = route_qpp(br_ranker, sr_ranker, provider, bench.queries, candidates, tau)
+routed, _ = r_qpp(br_run, sr_run, psis, tau)
 runs = {
     "br": br_run,
     "sr": sr_run,

@@ -230,9 +230,10 @@ def enrich(
 
     The context document is the BM25 rank-1 hit, or the highest-graded
     judged document when `use_judged_context` is set and judgments exist.
-    If no context can be retrieved, its passage is empty, or the completion
-    is blank, the original text is kept and the result is flagged as a
-    fallback. Generator failures raise EnrichmentError.
+    If no context can be retrieved, its passage holds no token, or the
+    completion is blank, the original text is kept and the result is
+    flagged as a fallback; the generator sees only a passage with a token.
+    Generator failures raise EnrichmentError.
     """
     doc_id: str | None = None
     if use_judged_context and qrels is not None:

@@ -2,16 +2,18 @@
 
 Three strategies:
 
-- Balanced score fusion (CombSUM): fused score = s_br + s_sr per document,
-  with a document missing from one run contributing 0 on that side.
+- Balanced score fusion (CombSUM): fused score = s_br + s_sr per document.
 - Hardness routing: each query is answered entirely by one ranker, the
   specialized one when the hardness estimate psi reaches the threshold.
 - Hardness-weighted interpolation: per document,
   s = psi * s_sr + (1 - psi) * s_br, so harder queries lean on the
   specialized ranker continuously instead of a hard switch.
 
-The first and the last are one per-document weighted sum with weights
-(1, 1) and (1 - psi, psi); routing keeps the chosen ranker's raw list.
+Each is a function of the base run and the specialized run, which must
+rank the same queries and, per query, the same documents; routing and
+interpolation also take psi per query. The first and the last are one
+per-document weighted sum with weights (1, 1) and (1 - psi, psi); routing
+keeps the chosen run's raw list.
 
 Raw scores from different rankers rarely share a scale, so scores are
 min-max normalized per query by default; `none` keeps raw scores for the
@@ -88,11 +90,7 @@ def normalize_scores(records: Sequence[RunRecord]) -> dict[str, float]:
     return {rec.doc_id: (rec.score - lo) / span for rec in records}
 
 
-def _scores_by_doc(
-    records: Sequence[RunRecord] | None, normalize: str
-) -> dict[str, float]:
-    if not records:
-        return {}
+def _scores_by_doc(records: Sequence[RunRecord], normalize: str) -> dict[str, float]:
     if normalize == "per_query_min_max":
         return normalize_scores(records)
     return {rec.doc_id: rec.score for rec in records}
@@ -100,15 +98,42 @@ def _scores_by_doc(
 
 def _combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> list[RunRecord]:
     """One query's weighted CombSUM: w_sr * s_sr + w_br * s_br per document
-    of either entry, a missing side counting 0. The weights (1, 1) give
-    BSF's s_br + s_sr and (1 - psi, psi) give W-QPPS's interpolation, each
-    with the same bits as the sum written out."""
+    of the two entries, which hold the same documents. The weights (1, 1)
+    give BSF's s_br + s_sr and (1 - psi, psi) give W-QPPS's interpolation,
+    each with the same bits as the sum written out."""
     br_scores = _scores_by_doc(br_entry, normalize)
     sr_scores = _scores_by_doc(sr_entry, normalize)
     return rank_records(
-        (doc_id, w_sr * sr_scores.get(doc_id, 0.0) + w_br * br_scores.get(doc_id, 0.0))
-        for doc_id in set(br_scores) | set(sr_scores)
+        (doc_id, w_sr * sr_scores[doc_id] + w_br * br_score)
+        for doc_id, br_score in br_scores.items()
     )
+
+
+def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = None):
+    """Yield (qid, BR entry, SR entry, psi or None) per query: in psi's order
+    when psi is given, else by query id.
+
+    Both runs must rank the same queries and, per query, the same
+    documents; a psi mapping must hold exactly those queries, each psi in
+    [0, 1]. A ValueError names the first query that breaks a rule.
+    """
+    br, sr = br_run.entries, sr_run.entries
+    unpaired = sorted(br.keys() ^ sr.keys())
+    if unpaired:
+        raise ValueError(f"query {unpaired[0]!r} missing from one run")
+    unestimated = [] if psi is None else sorted(psi.keys() ^ br.keys())
+    if unestimated:
+        what = "no hardness estimate" if unestimated[0] in br else "an estimate but no ranking"
+        raise ValueError(f"{what} for query {unestimated[0]!r}")
+    weights = dict.fromkeys(sorted(br)) if psi is None else psi
+    for qid, weight in weights.items():
+        if weight is not None and not 0.0 <= weight <= 1.0:
+            raise ValueError(f"psi for query {qid!r} outside [0, 1]: {weight}")
+        br_entry, sr_entry = br[qid], sr[qid]
+        differ = sorted({rec.doc_id for rec in br_entry} ^ {rec.doc_id for rec in sr_entry})
+        if differ:
+            raise ValueError(f"query {qid!r}: candidate sets differ on {differ}")
+        yield qid, br_entry, sr_entry, weight
 
 
 def bsf(
@@ -116,17 +141,10 @@ def bsf(
     sr_run: RunList,
     config: FusionConfig = FusionConfig(method="bsf"),
 ) -> RunList:
-    """CombSUM the two runs: fused = s_br + s_sr per (query, document) over
-    the queries of either run.
-
-    Documents present in only one run take 0 for the missing side (after
-    normalization).
-    """
+    """CombSUM the two runs: fused = s_br + s_sr per (query, document)."""
     entries = {
-        qid: _combine(
-            br_run.entries.get(qid), sr_run.entries.get(qid), 1.0, 1.0, config.normalize
-        )
-        for qid in sorted(br_run.entries.keys() | sr_run.entries.keys())
+        qid: _combine(br_entry, sr_entry, 1.0, 1.0, config.normalize)
+        for qid, br_entry, sr_entry, _ in _paired(br_run, sr_run)
     }
     return RunList(entries=entries, tag=f"bsf-{config.config_hash()}")
 
@@ -139,6 +157,26 @@ def train_median_threshold(psis: Iterable[float]) -> float:
     return float(statistics.median(values))
 
 
+def r_qpp(
+    br_run: RunList,
+    sr_run: RunList,
+    psi: Mapping[str, float],
+    tau: float,
+    config: FusionConfig = FusionConfig(method="r_qpp"),
+) -> tuple[RunList, list[RoutingDecision]]:
+    """Answer each query with one run's raw entry, chosen by its hardness:
+    the specialized run's when its psi reaches tau (inclusive), else the
+    base run's. Returns the run and the routing decisions, in psi's order."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    entries, decisions = {}, []
+    for qid, br_entry, sr_entry, query_psi in _paired(br_run, sr_run, psi):
+        route = "sr" if query_psi >= tau else "br"
+        entries[qid] = sr_entry if route == "sr" else br_entry
+        decisions.append(RoutingDecision(qid, query_psi, route))
+    return RunList(entries=entries, tag=f"r_qpp-{config.config_hash()}"), decisions
+
+
 def route_qpp(
     br_ranker: Ranker,
     sr_ranker: Ranker,
@@ -148,28 +186,18 @@ def route_qpp(
     tau: float,
     config: FusionConfig = FusionConfig(method="r_qpp"),
 ) -> tuple[RunList, list[RoutingDecision]]:
-    """Answer each query with exactly one ranker chosen by its hardness.
-
-    psi >= tau routes to the specialized ranker (threshold inclusive),
-    otherwise to the base ranker. Returns the combined run plus the
-    per-query routing decisions.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    entries: dict[str, list[RunRecord]] = {}
-    decisions: list[RoutingDecision] = []
+    """`r_qpp` over both rankers' reranked candidates of each query, with
+    psi from the provider; the decisions follow `queries`."""
+    br, sr, psi = {}, {}, {}
     for query in queries:
-        cands = candidates.get(query.query_id)
+        qid = query.query_id
+        cands = candidates.get(qid)
         if not cands:
-            raise ValueError(f"query {query.query_id!r} has no candidates")
-        est = qpp_provider.estimate_query(query, cands)
-        if est.psi >= tau:
-            route, ranker = "sr", sr_ranker
-        else:
-            route, ranker = "br", br_ranker
-        entries[query.query_id] = ranker.rerank_query(query, cands)
-        decisions.append(RoutingDecision(query.query_id, est.psi, route))
-    return RunList(entries=entries, tag=f"r_qpp-{config.config_hash()}"), decisions
+            raise ValueError(f"query {qid!r} has no candidates")
+        psi[qid] = qpp_provider.estimate_query(query, cands).psi
+        br[qid] = br_ranker.rerank_query(query, cands)
+        sr[qid] = sr_ranker.rerank_query(query, cands)
+    return r_qpp(RunList(br), RunList(sr), psi, tau, config)
 
 
 def w_qpps(
@@ -178,28 +206,12 @@ def w_qpps(
     psi: Mapping[str, float],
     config: FusionConfig = FusionConfig(method="w_qpps"),
 ) -> RunList:
-    """Interpolate the two runs per document, weighted by hardness.
-
-    s = psi * s_sr + (1 - psi) * s_br over identical candidate sets; a
-    mismatch between the two runs' documents for a query is an error.
-    """
-    entries: dict[str, list[RunRecord]] = {}
-    for qid in sorted(br_run.entries.keys() | sr_run.entries.keys()):
-        if qid not in psi:
-            raise ValueError(f"no hardness estimate for query {qid!r}")
-        weight = psi[qid]
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"psi for query {qid!r} outside [0, 1]: {weight}")
-        br_entry = br_run.entries.get(qid)
-        sr_entry = sr_run.entries.get(qid)
-        if br_entry is None or sr_entry is None:
-            raise ValueError(f"query {qid!r} missing from one run")
-        br_docs = {rec.doc_id for rec in br_entry}
-        sr_docs = {rec.doc_id for rec in sr_entry}
-        if br_docs != sr_docs:
-            diff = sorted(br_docs ^ sr_docs)
-            raise ValueError(f"query {qid!r}: candidate sets differ on {diff}")
-        entries[qid] = _combine(br_entry, sr_entry, 1.0 - weight, weight, config.normalize)
+    """Interpolate the two runs per document, weighted by hardness:
+    s = psi * s_sr + (1 - psi) * s_br."""
+    entries = {
+        qid: _combine(br_entry, sr_entry, 1.0 - weight, weight, config.normalize)
+        for qid, br_entry, sr_entry, weight in _paired(br_run, sr_run, psi)
+    }
     return RunList(entries=entries, tag=f"w_qpps-{config.config_hash()}")
 
 

@@ -284,14 +284,15 @@ def select_passage(
     the number of distinct query terms present; ties prefer a higher
     saturated term-frequency mass (sum of tf/(tf + 0.9) over matched
     terms), then the earliest window. Returns the original-text span of the
-    winning window and its distinct-match count.
+    winning window and its distinct-match count; a document with no tokens
+    has no passage, so it gives ("", 0).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     spans = tokenize_with_spans(doc.text)
     query_terms = set(tokenize(query.text))
     if not spans:
-        return doc.text, 0
+        return "", 0
 
     def window_key(tokens: list[str]) -> tuple[int, float]:
         counts = Counter(tokens)

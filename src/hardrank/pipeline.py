@@ -36,14 +36,7 @@ from .enrichment import (
     write_enriched,
 )
 from .evaluation import MetricReport, build_report, ndcg_at_k, render_report, report_jsonl
-from .fusion import (
-    FusionConfig,
-    bsf,
-    route_qpp,
-    train_median_threshold,
-    w_qpps,
-    write_routing_log,
-)
+from .fusion import FusionConfig, bsf, r_qpp, train_median_threshold, w_qpps, write_routing_log
 from .lexical_retrieval import (
     InvertedIndex,
     bm25_search,
@@ -52,8 +45,8 @@ from .lexical_retrieval import (
     save_index,
 )
 from .linear_model import LogisticScorer, load_scorer, save_scorer
-from .pointwise_ranker import ModelRanker, ScoreFileRanker, build_training_set, train
-from .qpp import ModelQppProvider, train_qpp
+from .pointwise_ranker import build_training_set, rerank, train
+from .qpp import estimate, train_qpp
 
 log = logging.getLogger(__name__)
 
@@ -224,9 +217,8 @@ def train_qpp_model(config: PipelineConfig) -> Path:
         k=section["k"],
         orientation=section["orientation"],
     )
-    provider = ModelQppProvider(model, index)
     model.metadata["train_median_psi"] = train_median_threshold(
-        provider.estimate_query(q, candidates[q.query_id]).psi
+        estimate(model, q, candidates[q.query_id], index).psi
         for q in queries
         if q.query_id in candidates
     )
@@ -266,13 +258,8 @@ def _fusion_config(config: PipelineConfig, method: str) -> FusionConfig:
     """The method's fusion settings; only R-QPP reads the routing threshold,
     so only its config, and the tag of its run, carry it."""
     section = config.section("fusion")
-    if method != "r_qpp":
-        return FusionConfig(method=method, normalize=section["normalize"])
-    return FusionConfig(
-        method=method,
-        normalize=section["normalize"],
-        routing_threshold=section["routing_threshold"],
-    )
+    threshold = {"routing_threshold": section["routing_threshold"]} if method == "r_qpp" else {}
+    return FusionConfig(method=method, normalize=section["normalize"], **threshold)
 
 
 def _ranked_test_queries(config: PipelineConfig, index: InvertedIndex):
@@ -326,21 +313,24 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         corpus, index = _load_retrieval(config)
         queries, candidates = _ranked_test_queries(config, index)
         model_path = _require(_model_path(config, method), f"train {method} first")
-        ranker = ModelRanker(load_scorer(model_path, "ranker"), corpus, index, config.bm25_params())
-        entries = {q.query_id: ranker.rerank_query(q, candidates[q.query_id]) for q in queries}
+        model, params = load_scorer(model_path, "ranker"), config.bm25_params()
+        entries = {
+            q.query_id: rerank(model, q.text, candidates[q.query_id], corpus, index, params)
+            for q in queries
+        }
         run = RunList(entries=entries, tag=method)
     elif method == "bsf":
         queries = read_queries_file(_require(config.path("test_queries"), "test queries"))
         br, sr = _fusion_inputs(config, test_ids={q.query_id for q in queries})
-        run = bsf(br, sr, _fusion_config(config, "bsf"))
+        run = bsf(br, sr, _fusion_config(config, method))
     else:
         index = _load_index(config)
         queries, candidates = _ranked_test_queries(config, index)
         qpp_path = _require(_model_path(config, "qpp"), "train qpp first")
-        provider = ModelQppProvider(load_scorer(qpp_path, "qpp"), index)
+        qpp_model = load_scorer(qpp_path, "qpp")
         tau = config.section("fusion")["routing_threshold"]
         if method == "r_qpp" and tau == "train_median":
-            tau = provider.model.metadata.get("train_median_psi")
+            tau = qpp_model.metadata.get("train_median_psi")
             if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
                 raise ConfigError(
                     f"{qpp_path} holds no train_median_psi in [0, 1] (found {tau!r}); "
@@ -349,19 +339,16 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         br, sr = _fusion_inputs(
             config, {qid: {rec.doc_id for rec in hits} for qid, hits in candidates.items()}
         )
+        # in test-query file order, which the routing log follows
+        psi = {q.query_id: estimate(qpp_model, q, candidates[q.query_id], index).psi
+               for q in queries}
+        fusion_config = _fusion_config(config, method)
         if method == "r_qpp":
-            rankers = ScoreFileRanker.from_run(br), ScoreFileRanker.from_run(sr)
-            del br, sr  # the rankers hold every score; routing needs no second copy
-            fusion_config = _fusion_config(config, "r_qpp")
-            run, decisions = route_qpp(*rankers, provider, queries, candidates, tau, fusion_config)
+            run, decisions = r_qpp(br, sr, psi, tau, fusion_config)
             routing_log = config.path("runs_dir") / "r_qpp.routing.tsv"
             write_lines(routing_log, write_routing_log(decisions))
         else:
-            psis = {
-                q.query_id: provider.estimate_query(q, candidates[q.query_id]).psi
-                for q in queries
-            }
-            run = w_qpps(br, sr, psis, _fusion_config(config, "w_qpps"))
+            run = w_qpps(br, sr, psi, fusion_config)
 
     run_path = config.path("runs_dir") / f"{method}.txt"
     write_run_file(run, run_path)

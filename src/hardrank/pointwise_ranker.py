@@ -3,9 +3,6 @@
 The same code path is instantiated twice: a base ranker trained on all
 original queries and a specialized ranker trained only on enriched hard
 queries. The two differ in nothing but their training data.
-
-A score-file ranker with the same reranking contract lets externally
-produced scores (e.g. from a neural model) stand in for either ranker.
 """
 
 from __future__ import annotations
@@ -67,13 +64,17 @@ def feature_matrix(query, doc_ids: Sequence[str], index: InvertedIndex,
     Each value equals the one derived from the text of the document that
     was indexed.
     """
-    text = _query_text(query)
+    return _feature_rows(_query_text(query), index.internal_id_array(doc_ids), index, params)
+
+
+def _feature_rows(text: str, candidates: np.ndarray, index: InvertedIndex,
+                  params: Bm25Params) -> np.ndarray:
+    """`feature_matrix` of the documents with these internal ids."""
     q_tokens = tokenize(text)
     q_counts = Counter(q_tokens)
     terms = sorted(q_counts)
     term_set = frozenset(terms)
     q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
-    candidates = index.internal_id_array(doc_ids)
     n = len(candidates)
     tfs = index.tf_matrix(terms, candidates)
     bm25 = bm25_sum(tfs, [index.idf(t) for t in terms], index.doc_lengths[candidates],
@@ -171,9 +172,8 @@ def rerank(
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    features = _candidate_features(_query_text(query), candidates, corpus, index, params)
+    ids, features = _candidate_features(_query_text(query), candidates, corpus, index, params)
     scores = model.score_rows(features)
-    ids = index.internal_id_array([rec.doc_id for rec in candidates])
     order = np.lexsort((index.doc_order[ids], -scores))
     doc_ids = index.doc_ids
     return [
@@ -184,25 +184,26 @@ def rerank(
 
 # The last matrix `_candidate_features` built and what it was built from:
 # (weakref to the index, (params, query text, candidate doc ids), read-only
-# matrix). The weak reference keeps no index alive, and the entry is
-# replaced in one assignment, so a concurrent reader sees either the old
-# entry or the new one, never a mix.
+# internal ids, read-only matrix). The weak reference keeps no index alive,
+# and the entry is replaced in one assignment, so a concurrent reader sees
+# either the old entry or the new one, never a mix.
 _last_features: tuple | None = None
 
 
 def _candidate_features(text: str, candidates: Sequence[RunRecord],
                         corpus: Mapping[str, Document], index: InvertedIndex,
-                        params: Bm25Params) -> np.ndarray:
-    """The feature matrix of the candidates' documents, read-only.
+                        params: Bm25Params) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates' internal ids and their documents' feature matrix,
+    both read-only.
 
-    Returns the previous call's matrix when the index, the params, the
+    Returns the previous call's pair when the index, the params, the
     query text and the candidate ids are the same, so a caller that ranks
     one list with both models in turn, as serving does, pays one feature
     pass; `hardrank run` ranks with one model. A candidate missing from the
     corpus or the index raises ValueError, and the first faulty candidate
     in list order is the one named. The corpus check is one pass over the
     ids on every call; a hit looks nothing up in the index, and a miss
-    looks each candidate up once, in `feature_matrix`.
+    looks each candidate up once.
     """
     global _last_features
     doc_ids = tuple([rec.doc_id for rec in candidates])
@@ -214,13 +215,14 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     key = (params, text, doc_ids)
     memo = _last_features
     if memo is not None and memo[0]() is index and memo[1] == key:
-        return memo[2]
-    # every candidate is in the corpus, so the first one feature_matrix
-    # finds unindexed is the first faulty one
-    matrix = feature_matrix(text, doc_ids, index, params)
-    matrix.flags.writeable = False
-    _last_features = (weakref.ref(index), key, matrix)
-    return matrix
+        return memo[2:]
+    # every candidate is in the corpus, so the first one not indexed is the
+    # first faulty one
+    ids = index.internal_id_array(doc_ids)
+    matrix = _feature_rows(text, ids, index, params)
+    ids.flags.writeable = matrix.flags.writeable = False
+    _last_features = (weakref.ref(index), key, ids, matrix)
+    return ids, matrix
 
 
 class Ranker(Protocol):

@@ -7,10 +7,6 @@ easier), the default orientation inverts the prediction so that the emitted
 estimate psi is a hardness score: psi = 1 - predicted effectiveness. The
 model is a "qpp" `LogisticScorer` whose metadata holds the top-k depth and
 the orientation.
-
-`FileQppProvider` serves precomputed per-query scores through the same
-contract, so externally produced estimates can stand in for the trained
-model.
 """
 
 from __future__ import annotations

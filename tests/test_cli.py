@@ -443,6 +443,16 @@ class TestRunAndEval:
             assert route in ("br", "sr")
             assert 0.0 <= float(psi) <= 1.0
 
+    def test_routing_log_follows_the_test_query_file(self, ranked):
+        # the decisions keep the file's query order, not the query ids'
+        lines = (ranked / "queries.tsv").read_text().splitlines()
+        (ranked / "reversed.tsv").write_text("\n".join(lines[::-1]) + "\n")
+        for queries, expected in (("queries.tsv", lines), ("reversed.tsv", lines[::-1])):
+            config = load_config(ranked / "config.json", [f"paths.test_queries={queries}"])
+            _, log_path = produce_run(config, "r_qpp")
+            logged = [line.split("\t")[0] for line in log_path.read_text().splitlines()]
+            assert logged == [line.split("\t")[0] for line in expected]
+
     def test_r_qpp_reads_no_training_data(self, ranked, run_cli):
         args = ("run", "--config", "config.json", "--method", "r_qpp")
         assert run_cli(*args, cwd=ranked).returncode == 0

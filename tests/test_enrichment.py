@@ -164,6 +164,16 @@ class TestEnrich:
         )
         assert (out.enriched_text, out.context_doc_id, out.fallback) == ("lbm", "blank", True)
 
+    def test_tokenless_context_passage_falls_back_without_calling_the_generator(self):
+        # punctuation only: the document is not empty, but it has no passage
+        docs = [Document("d1", "Lean body mass lbm is total weight"), Document("marks", "-- !!")]
+        qrels = Qrels({("q1", "marks"): 3, ("q1", "d1"): 1})
+        out = enrich(
+            Query("q1", "lbm"), build_index(docs), corpus_by_id(docs), EchoGenerator(fail=True),
+            qrels=qrels, use_judged_context=True,
+        )
+        assert (out.enriched_text, out.context_doc_id, out.fallback) == ("lbm", "marks", True)
+
     def test_enrich_all_collects_errors(self, setting):
         docs, corpus, index = setting
         queries = [Query("q1", "lbm"), Query("q2", "solar")]

@@ -11,6 +11,7 @@ from hardrank.fusion import (
     FusionConfig,
     bsf,
     normalize_scores,
+    r_qpp,
     route_qpp,
     train_median_threshold,
     w_qpps,
@@ -32,9 +33,9 @@ def order(run, qid):
 
 
 def normalized(run, qid, normalize):
-    """One query's scores by doc as fusion reads them; {} for an absent query."""
-    records = run.entries.get(qid, [])
-    if records and normalize == "per_query_min_max":
+    """One query's scores by doc as fusion reads them."""
+    records = run.entries[qid]
+    if normalize == "per_query_min_max":
         return normalize_scores(records)
     return {rec.doc_id: rec.score for rec in records}
 
@@ -84,14 +85,6 @@ class TestBsf:
         fused = bsf(br, br, FusionConfig(method="bsf"))
         assert order(fused, "q1") == ["a", "b", "c"]
 
-    def test_missing_side_counts_zero(self):
-        br = run_from({"q1": {"a": 9.0, "b": 6.0, "c": 3.0}})
-        sr = run_from({"q1": {"a": 1.0, "b": 2.0}})
-        fused = bsf(br, sr, FusionConfig(method="bsf", normalize="per_query_min_max"))
-        by_doc = {r.doc_id: r.score for r in fused.entries["q1"]}
-        # c only in BR: normalized BR score 0.0 + missing SR 0.0
-        assert by_doc["c"] == 0.0
-
     def test_symmetry(self):
         br, sr = random_runs(4)
         assert bsf(br, sr).entries == bsf(sr, br).entries
@@ -99,70 +92,111 @@ class TestBsf:
     @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
     def test_scores_equal_the_written_out_sum_bit_for_bit(self, normalize):
         br, sr = random_runs(6)
-        del sr.entries["q0"][2:]  # docs only in BR, and q1 only in BR
-        del sr.entries["q1"]
         fused = bsf(br, sr, FusionConfig(method="bsf", normalize=normalize))
+        assert sorted(fused.entries) == sorted(br.entries)
         for qid, entry in fused.entries.items():
             br_scores = normalized(br, qid, normalize)
             sr_scores = normalized(sr, qid, normalize)
-            expected = {d: br_scores.get(d, 0.0) + sr_scores.get(d, 0.0)
-                        for d in set(br_scores) | set(sr_scores)}
+            expected = {d: br_scores[d] + sr_scores[d] for d in br_scores}
             assert entry == rank_records(expected.items())
 
 
-class TestRouteQpp:
-    def _setup(self):
-        candidates = {
-            "q1": rank_records([("a", 3.0), ("b", 2.0)]),
-            "q2": rank_records([("a", 3.0), ("b", 2.0)]),
-        }
-        br = ScoreFileRanker({"q1": {"a": 0.9, "b": 0.1}, "q2": {"a": 0.8, "b": 0.2}})
-        sr = ScoreFileRanker({"q1": {"a": 0.1, "b": 0.9}, "q2": {"a": 0.2, "b": 0.8}})
-        queries = [Query("q1", "one"), Query("q2", "two")]
-        return br, sr, queries, candidates
+def routing_runs():
+    br = run_from({"q1": {"a": 0.9, "b": 0.1}, "q2": {"a": 0.8, "b": 0.2}}, "br")
+    sr = run_from({"q1": {"a": 0.1, "b": 0.9}, "q2": {"a": 0.2, "b": 0.8}}, "sr")
+    return br, sr
 
+
+class TestRQpp:
     def test_high_psi_routes_to_sr(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.9, "q2": 0.1})
-        run, decisions = route_qpp(br, sr, provider, queries, candidates, tau=0.5)
+        br, sr = routing_runs()
+        run, decisions = r_qpp(br, sr, {"q1": 0.9, "q2": 0.1}, tau=0.5)
         assert order(run, "q1") == ["b", "a"]  # SR's ordering
         assert order(run, "q2") == ["a", "b"]  # BR's ordering
         assert [(d.query_id, d.route) for d in decisions] == [("q1", "sr"), ("q2", "br")]
 
     def test_boundary_inclusive_to_sr(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.5, "q2": 0.5})
-        run, decisions = route_qpp(br, sr, provider, queries, candidates, tau=0.5)
+        br, sr = routing_runs()
+        run, decisions = r_qpp(br, sr, {"q1": 0.5, "q2": 0.5}, tau=0.5)
         assert all(d.route == "sr" for d in decisions)
+        assert run.entries == sr.entries
 
     def test_all_below_threshold_equals_br_run(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.0, "q2": 0.0})
-        run, _ = route_qpp(br, sr, provider, queries, candidates, tau=0.5)
-        for query in queries:
-            assert run.entries[query.query_id] == br.rerank_query(
-                query, candidates[query.query_id]
-            )
+        br, sr = routing_runs()
+        run, _ = r_qpp(br, sr, {"q1": 0.0, "q2": 0.0}, tau=0.5)
+        assert run.entries == br.entries
 
     def test_missing_estimate_names_query(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.5})
-        with pytest.raises(ValueError, match="q2"):
-            route_qpp(br, sr, provider, queries, candidates, tau=0.5)
+        br, sr = routing_runs()
+        with pytest.raises(ValueError, match="no hardness estimate for query 'q2'"):
+            r_qpp(br, sr, {"q1": 0.5}, tau=0.5)
+
+    def test_estimate_for_a_query_no_run_ranks_names_it(self):
+        br, sr = routing_runs()
+        with pytest.raises(ValueError, match="an estimate but no ranking for query 'q3'"):
+            r_qpp(br, sr, {"q1": 0.5, "q2": 0.5, "q3": 0.5}, tau=0.5)
 
     def test_partition_every_query_once(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.7, "q2": 0.2})
-        run, decisions = route_qpp(br, sr, provider, queries, candidates, tau=0.5)
+        br, sr = routing_runs()
+        run, decisions = r_qpp(br, sr, {"q1": 0.7, "q2": 0.2}, tau=0.5)
         assert sorted(run.entries) == ["q1", "q2"]
-        assert len(decisions) == 2
+        assert sorted(d.query_id for d in decisions) == ["q1", "q2"]
+
+    def test_decisions_follow_psi_order_not_query_id(self):
+        br, sr = routing_runs()
+        _, decisions = r_qpp(br, sr, {"q2": 0.2, "q1": 0.7}, tau=0.5)
+        assert [d.query_id for d in decisions] == ["q2", "q1"]
 
     def test_routing_log_format(self):
-        br, sr, queries, candidates = self._setup()
-        provider = FileQppProvider({"q1": 0.7, "q2": 0.2})
-        _, decisions = route_qpp(br, sr, provider, queries, candidates, tau=0.5)
+        br, sr = routing_runs()
+        _, decisions = r_qpp(br, sr, {"q1": 0.7, "q2": 0.2}, tau=0.5)
         lines = write_routing_log(decisions)
         assert lines == ["q1\t0.7\tsr", "q2\t0.2\tbr"]
+
+    def test_psi_out_of_range_rejected(self):
+        br, sr = routing_runs()
+        with pytest.raises(ValueError, match="query 'q2'.*outside"):
+            r_qpp(br, sr, {"q1": 0.5, "q2": -0.1}, tau=0.5)
+
+
+class TestRouteQpp:
+    def test_equals_r_qpp_over_the_reranked_runs(self):
+        # the adapter reranks each query's candidates with both rankers and
+        # routes the two runs; decisions follow the queries, not the ids
+        br, sr = routing_runs()
+        queries = [Query("q2", "two"), Query("q1", "one")]
+        candidates = {q.query_id: rank_records([("a", 3.0), ("b", 2.0)]) for q in queries}
+        psi = {"q2": 0.1, "q1": 0.9}
+        routed = route_qpp(
+            ScoreFileRanker.from_run(br), ScoreFileRanker.from_run(sr),
+            FileQppProvider(psi), queries, candidates, tau=0.5,
+        )
+        assert routed == r_qpp(br, sr, psi, 0.5)
+        assert [d.query_id for d in routed[1]] == ["q2", "q1"]
+
+
+@pytest.mark.parametrize("method", ["bsf", "w_qpps", "r_qpp"])
+class TestPairing:
+    @staticmethod
+    def fuse(method, br, sr):
+        psi = {qid: 0.5 for qid in br.entries}
+        if method == "bsf":
+            return bsf(br, sr)
+        if method == "w_qpps":
+            return w_qpps(br, sr, psi)
+        return r_qpp(br, sr, psi, 0.5)
+
+    def test_mismatched_documents_name_the_query(self, method):
+        br = run_from({"q1": {"a": 1.0, "b": 0.5}, "q2": {"a": 9.0, "b": 6.0, "c": 3.0}})
+        sr = run_from({"q1": {"a": 1.0, "b": 0.5}, "q2": {"a": 1.0, "b": 2.0}})
+        with pytest.raises(ValueError, match=r"query 'q2': candidate sets differ on \['c'\]"):
+            self.fuse(method, br, sr)
+
+    def test_query_in_one_run_only_is_named(self, method):
+        br, sr = random_runs(7)
+        del sr.entries["q3"]
+        with pytest.raises(ValueError, match="query 'q3' missing from one run"):
+            self.fuse(method, br, sr)
 
 
 class TestWQpps:

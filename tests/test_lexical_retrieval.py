@@ -273,6 +273,10 @@ class TestSelectPassage:
         assert matched == 1
         assert passage.startswith("apple x")
 
+    @pytest.mark.parametrize("text", ["", "   ", "-- !!"])
+    def test_document_without_tokens_has_no_passage(self, text):
+        assert select_passage(Document("d1", text), Query("q", "apple")) == ("", 0)
+
 
 _MISSING = object()  # a column deleted from the file, not set to a value
 _WORDS = st.sampled_from(["alpha", "Beta", "gamma", "x", "7"])

@@ -74,16 +74,15 @@ def setting():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(query, doc ids) of every `feature_matrix` call; the memo starts empty."""
+    """(query text, internal ids) of every feature pass; the memo starts empty."""
     calls = []
-    original = pointwise_ranker.feature_matrix
+    original = pointwise_ranker._feature_rows
 
-    def counted(query, doc_ids, index, params=Bm25Params()):
-        doc_ids = tuple(doc_ids)
-        calls.append((query, doc_ids))
-        return original(query, doc_ids, index, params)
+    def counted(text, ids, index, params):
+        calls.append((text, tuple(ids.tolist())))
+        return original(text, ids, index, params)
 
-    monkeypatch.setattr(pointwise_ranker, "feature_matrix", counted)
+    monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
     monkeypatch.setattr(pointwise_ranker, "_last_features", None)
     return calls
 
@@ -176,13 +175,16 @@ class TestSharedFeaturePass:
 
     def test_memo_matrix_is_read_only(self, setting):
         corpus, index, candidates = setting
-        matrix = pointwise_ranker._candidate_features(
+        ids, matrix = pointwise_ranker._candidate_features(
             "solar", candidates, corpus, index, Bm25Params()
         )
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
-        assert pointwise_ranker._last_features[-1] is matrix
+        assert ids.tolist() == [index.internal_ids[rec.doc_id] for rec in candidates]
+        for array in (ids, matrix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        memo = pointwise_ranker._last_features
+        assert memo[-2] is ids and memo[-1] is matrix
 
 
 # Run by a child interpreter: `score_rows` against per-row `score` on fixed

@@ -87,3 +87,53 @@ def test_every_package_definition_has_a_reader():
     }
     checked = [str(path.relative_to(ROOT)) for path in sorted(SRC.glob("*.py"))]
     assert unread_definitions(trees, checked) == []
+
+
+# The adapter layer between rankers and runs. Only the benchmark's serving
+# workload still builds it, so nothing under src/ or demos/ may import or
+# read these names outside their own definitions; once perfbench stops
+# reading them, the check above flags them for deletion.
+PERFBENCH_ONLY = frozenset(
+    {"ModelRanker", "ScoreFileRanker", "ModelQppProvider", "FileQppProvider", "route_qpp"}
+)
+
+
+def adapter_readers(path: str, tree: ast.Module) -> list[str]:
+    """``path:line: name`` of each import or read of a PERFBENCH_ONLY name in
+    `tree` outside that name's own module-level definition."""
+    own = {
+        node.name: (node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and node.name in PERFBENCH_ONLY
+    }
+    imports = (
+        (alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    found = []
+    for name, line in [*reads(tree), *imports]:
+        first, last = own.get(name, (0, -1))
+        if name in PERFBENCH_ONLY and not first <= line <= last:
+            found.append(f"{path}:{line}: {name}")
+    return found
+
+
+class TestAdapterReaders:
+    def test_import_and_read_are_found_but_the_definition_is_not(self):
+        source = (
+            "from a import route_qpp\nroute_qpp()\n\n\n"
+            "class ModelRanker:\n    x = 'ModelRanker'\n"
+        )
+        found = adapter_readers("b.py", ast.parse(source))
+        assert sorted(found) == ["b.py:1: route_qpp", "b.py:2: route_qpp"]
+
+
+def test_adapter_layer_is_read_only_under_perfbench():
+    found = []
+    for directory in ("src", "demos"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += adapter_readers(str(path.relative_to(ROOT)), tree)
+    assert found == []
