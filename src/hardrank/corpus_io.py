@@ -111,8 +111,8 @@ class Qrels:
 class RunList:
     """Per-query ranked lists; the common currency between all stages.
 
-    Invariants: within each query, scores are non-increasing down the list
-    and no doc_id repeats.
+    Invariants: within each query, scores are finite and non-increasing
+    down the list, and no doc_id repeats.
     """
 
     entries: dict[str, list[RunRecord]] = field(default_factory=dict)
@@ -126,6 +126,8 @@ class RunList:
             seen: set[str] = set()
             prev_score = math.inf
             for i, rec in enumerate(records, start=1):
+                if not math.isfinite(rec.score):
+                    raise ValueError(f"{qid}: non-finite score {rec.score!r} at rank {i}")
                 if rec.score > prev_score:
                     raise ValueError(f"{qid}: score increases at rank {i}")
                 if rec.doc_id in seen:

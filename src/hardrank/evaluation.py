@@ -145,12 +145,6 @@ class MetricReport:
     n_excluded: int
     test_name: str = "paired-t (two-tailed)"
 
-    def system(self, name: str) -> SystemReport:
-        for sys_report in self.systems:
-            if sys_report.name == name:
-                return sys_report
-        raise KeyError(name)
-
 
 def build_report(
     runs: Mapping[str, RunList],

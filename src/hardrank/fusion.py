@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus_io import Query, RunList, RunRecord, rank_records
-from .pointwise_ranker import Ranker
-from .qpp import QppProvider
 
 METHODS = ("bsf", "r_qpp", "w_qpps")
 NORMALIZATIONS = ("per_query_min_max", "none")
@@ -178,16 +176,18 @@ def r_qpp(
 
 
 def route_qpp(
-    br_ranker: Ranker,
-    sr_ranker: Ranker,
-    qpp_provider: QppProvider,
+    br_ranker,
+    sr_ranker,
+    qpp_provider,
     queries: Sequence[Query],
     candidates: Mapping[str, Sequence[RunRecord]],
     tau: float,
     config: FusionConfig = FusionConfig(method="r_qpp"),
 ) -> tuple[RunList, list[RoutingDecision]]:
     """`r_qpp` over both rankers' reranked candidates of each query, with
-    psi from the provider; the decisions follow `queries`."""
+    psi from the provider; the decisions follow `queries`. A ranker is
+    anything with `rerank_query(query, candidates)`, and the provider
+    anything with `estimate_query(query, topk)`."""
     br, sr, psi = {}, {}, {}
     for query in queries:
         qid = query.query_id

@@ -9,6 +9,9 @@ same either way:
     L = -(1/N) sum_i [ t_i * ln(p_i) + (1 - t_i) * ln(1 - p_i) ]
     dL/dw = (1/N) Z^T (p - t),   dL/db = mean(p - t)
 
+Each epoch runs one forward pass: the predictions p computed after an
+update give that epoch's loss and the next epoch's gradient.
+
 Both models are one `LogisticScorer`, stored in one versioned JSON format
 whose `kind` field says which model a file holds.
 """
@@ -32,14 +35,9 @@ QPP_ORIENTATIONS = ("hardness", "effectiveness")
 _ARRAYS = ("weights", "feature_means", "feature_stds")
 
 
-def open_unit_sigmoid(x: float) -> float:
+def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
     """Sigmoid clamped just inside (0, 1) so float saturation never emits an
     exact 0 or 1 (log-loss and interval contracts depend on this)."""
-    return float(min(max(expit(x), _CLAMP), 1.0 - _CLAMP))
-
-
-def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
-    """`open_unit_sigmoid` of every element, with the same bits."""
     return np.clip(expit(x), _CLAMP, 1.0 - _CLAMP)
 
 
@@ -57,15 +55,12 @@ def bce_loss(targets: np.ndarray, preds: np.ndarray, clamp: bool = False) -> flo
     return float(-np.mean(terms))
 
 
-def bce_gradient(
-    features: np.ndarray, targets: np.ndarray, weights: np.ndarray, bias: float
-) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the mean BCE at (weights, bias)."""
-    preds = expit(features @ weights + bias)
+def bce_gradient(features: np.ndarray, targets: np.ndarray,
+                 preds: np.ndarray) -> tuple[np.ndarray, float]:
+    """Analytic gradient of the mean BCE with respect to (weights, bias) at
+    the parameters that predicted `preds = expit(features @ weights + bias)`."""
     residual = preds - targets
-    grad_w = features.T @ residual / len(targets)
-    grad_b = float(np.mean(residual))
-    return grad_w, grad_b
+    return features.T @ residual / len(targets), float(np.mean(residual))
 
 
 def zscore_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,22 +75,16 @@ def apply_zscore(features: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     return (np.asarray(features, dtype=float) - means) / stds
 
 
-@dataclass
-class FitResult:
-    weights: np.ndarray
-    bias: float
-    losses: list[float]  # loss at init, then after each epoch's update
-
-
 def fit_logistic(
     features: np.ndarray,
     targets: np.ndarray,
     epochs: int,
     learning_rate: float,
-) -> FitResult:
+) -> tuple[np.ndarray, float, list[float]]:
     """Full-batch gradient descent on the BCE from zero-initialized parameters.
 
-    `features` must already be normalized; `targets` in [0, 1].
+    `features` must already be normalized; `targets` in [0, 1]. Returns the
+    weights, the bias and the losses: at init, then after each epoch's update.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -105,16 +94,17 @@ def fit_logistic(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    n, dim = features.shape
-    weights = np.zeros(dim)
+    weights = np.zeros(features.shape[1])
     bias = 0.0
-    losses = [bce_loss(targets, expit(features @ weights + bias), clamp=True)]
+    preds = expit(features @ weights + bias)
+    losses = [bce_loss(targets, preds, clamp=True)]
     for _ in range(epochs):
-        grad_w, grad_b = bce_gradient(features, targets, weights, bias)
+        grad_w, grad_b = bce_gradient(features, targets, preds)
         weights = weights - learning_rate * grad_w
         bias = bias - learning_rate * grad_b
-        losses.append(bce_loss(targets, expit(features @ weights + bias), clamp=True))
-    return FitResult(weights=weights, bias=bias, losses=losses)
+        preds = expit(features @ weights + bias)
+        losses.append(bce_loss(targets, preds, clamp=True))
+    return weights, bias, losses
 
 
 @dataclass(eq=False)
@@ -122,8 +112,9 @@ class LogisticScorer:
     """sigmoid(w . z + b) over z-scored features: a ranker or a QPP model.
 
     A "qpp" scorer carries its top-k depth and orientation in `metadata`
-    under "k" and "orientation"; a scorer with bad ones cannot be built,
-    so it can be neither trained nor loaded.
+    under "k" and "orientation". A scorer with bad ones, a non-finite
+    weight, mean or bias, or a feature stdev that is not > 0 cannot be
+    built, so it can be neither trained nor loaded.
     """
 
     weights: np.ndarray
@@ -138,6 +129,11 @@ class LogisticScorer:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if len({len(getattr(self, name)) for name in _ARRAYS}) != 1:
             raise ValueError(f"{', '.join(_ARRAYS)} differ in length")
+        for name in (*_ARRAYS, "bias"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} holds a non-finite value")
+        if not np.all(self.feature_stds > 0.0):
+            raise ValueError("feature_stds holds a value that is not > 0")
         if self.kind == "qpp":
             k, orientation = self.metadata.get("k"), self.metadata.get("orientation")
             if type(k) is not int or k < 1 or orientation not in QPP_ORIENTATIONS:
@@ -160,7 +156,7 @@ class LogisticScorer:
         calls the same BLAS `ddot` per row as `np.dot` does, in one C loop;
         a matrix-vector product (`z @ w`) may sum in another order and
         change a last bit. So each row equals
-        `open_unit_sigmoid(np.dot(w, z) + b)`.
+        `open_unit_sigmoids(np.dot(w, z) + b)`.
         """
         z = apply_zscore(features, self.feature_means, self.feature_stds)
         logits = np.vecdot(z, self.weights)
@@ -179,10 +175,11 @@ def fit_scorer(
     the z-score statistics into the scorer. Its metadata is `metadata`
     plus the epochs, learning rate and loss curve."""
     means, stds = zscore_stats(features)
-    fit = fit_logistic(apply_zscore(features, means, stds), targets, epochs, learning_rate)
+    weights, bias, losses = fit_logistic(
+        apply_zscore(features, means, stds), targets, epochs, learning_rate)
     metadata = {**metadata, "epochs": epochs, "learning_rate": learning_rate,
-                "loss_curve": fit.losses}
-    return LogisticScorer(fit.weights, fit.bias, means, stds, metadata, kind)
+                "loss_curve": losses}
+    return LogisticScorer(weights, bias, means, stds, metadata, kind)
 
 
 def save_scorer(scorer: LogisticScorer, path) -> None:
@@ -194,7 +191,9 @@ def save_scorer(scorer: LogisticScorer, path) -> None:
 
 def load_scorer(path, kind: str) -> LogisticScorer:
     """Read a scorer of `kind`. Any other file, version 1 files included,
-    raises ValueError naming the path."""
+    raises ValueError naming the path, as does a file whose weights, means,
+    stdevs or bias hold anything but JSON numbers (a `true` included) or a
+    value that `LogisticScorer` refuses."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -205,13 +204,17 @@ def load_scorer(path, kind: str) -> LogisticScorer:
                              f"{SCORER_FORMAT!r} version {SCORER_VERSION}; retrain the model")
         if payload.get("kind") != kind:
             raise ValueError(f"holds a {payload.get('kind')!r} model, not a {kind!r} one")
+        numbers = {**{name: payload[name] for name in _ARRAYS}, "bias": [payload["bias"]]}
+        for name, values in numbers.items():  # type(True) is bool, so true is no number
+            if type(values) is not list or not all(type(v) in (int, float) for v in values):
+                raise ValueError(f"{name} must hold numbers only, got {payload[name]!r}")
         return LogisticScorer(
-            **{name: np.array(payload[name], dtype=float) for name in _ARRAYS},
+            **{name: np.array(numbers[name], dtype=float) for name in _ARRAYS},
             bias=float(payload["bias"]),
             metadata=dict(payload["metadata"]),
             kind=kind,
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -45,8 +45,8 @@ from .lexical_retrieval import (
     save_index,
 )
 from .linear_model import LogisticScorer, load_scorer, save_scorer
-from .pointwise_ranker import build_training_set, rerank, train
-from .qpp import estimate, train_qpp
+from .pointwise_ranker import FEATURE_NAMES, build_training_set, rerank, train
+from .qpp import QPP_FEATURE_NAMES, estimate, train_qpp
 
 log = logging.getLogger(__name__)
 
@@ -245,6 +245,19 @@ def _qpp_labels(config, queries, candidates, qrels: Qrels):
     return labeled
 
 
+def _load_model(config: PipelineConfig, which: str) -> LogisticScorer:
+    """The trained 'br', 'sr' or 'qpp' model. A file that holds no model of
+    that kind, or not one weight per feature, raises ValueError naming the
+    path."""
+    path = _require(_model_path(config, which), f"train {which} first")
+    kind, names = ("qpp", QPP_FEATURE_NAMES) if which == "qpp" else ("ranker", FEATURE_NAMES)
+    model = load_scorer(path, kind)
+    if len(model.weights) != len(names):
+        raise ValueError(f"{path}: holds {len(model.weights)} weights, not one per "
+                         f"{kind} feature ({len(names)}); retrain the model")
+    return model
+
+
 def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Path:
     """Write the model file and, beside it, its loss curve as `epoch<TAB>loss` lines."""
     path = _model_path(config, which)
@@ -312,8 +325,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
     if method in ("br", "sr"):
         corpus, index = _load_retrieval(config)
         queries, candidates = _ranked_test_queries(config, index)
-        model_path = _require(_model_path(config, method), f"train {method} first")
-        model, params = load_scorer(model_path, "ranker"), config.bm25_params()
+        model, params = _load_model(config, method), config.bm25_params()
         entries = {
             q.query_id: rerank(model, q.text, candidates[q.query_id], corpus, index, params)
             for q in queries
@@ -326,15 +338,14 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
     else:
         index = _load_index(config)
         queries, candidates = _ranked_test_queries(config, index)
-        qpp_path = _require(_model_path(config, "qpp"), "train qpp first")
-        qpp_model = load_scorer(qpp_path, "qpp")
+        qpp_model = _load_model(config, "qpp")
         tau = config.section("fusion")["routing_threshold"]
         if method == "r_qpp" and tau == "train_median":
             tau = qpp_model.metadata.get("train_median_psi")
             if type(tau) not in (int, float) or not 0.0 <= tau <= 1.0:
                 raise ConfigError(
-                    f"{qpp_path} holds no train_median_psi in [0, 1] (found {tau!r}); "
-                    "rerun `hardrank train --which qpp`"
+                    f"{_model_path(config, 'qpp')} holds no train_median_psi in [0, 1] "
+                    f"(found {tau!r}); rerun `hardrank train --which qpp`"
                 )
         br, sr = _fusion_inputs(
             config, {qid: {rec.doc_id for rec in hits} for qid, hits in candidates.items()}

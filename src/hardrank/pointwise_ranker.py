@@ -13,13 +13,13 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum
-from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoid
+from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoids
 from .text import tokenize
 
 log = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ def score(model: LogisticScorer, features: np.ndarray) -> float:
     """Relevance score in (0, 1) of one feature vector; the per-row
     reference that `LogisticScorer.score_rows` equals bit for bit."""
     z = apply_zscore(features, model.feature_means, model.feature_stds)
-    return open_unit_sigmoid(float(np.dot(model.weights, z)) + model.bias)
+    return float(open_unit_sigmoids(float(np.dot(model.weights, z)) + model.bias))
 
 
 def train(
@@ -223,13 +223,6 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     ids.flags.writeable = matrix.flags.writeable = False
     _last_features = (weakref.ref(index), key, ids, matrix)
     return ids, matrix
-
-
-class Ranker(Protocol):
-    """Anything that can rerank a candidate list for a query."""
-
-    def rerank_query(self, query: Query, candidates: Sequence[RunRecord]) -> list[RunRecord]:
-        ...
 
 
 @dataclass

@@ -12,7 +12,7 @@ the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,15 +106,6 @@ def estimate(
     if model.metadata["orientation"] == "hardness":
         return QppEstimate(query.query_id, 1.0 - effectiveness)
     return QppEstimate(query.query_id, effectiveness)
-
-
-class QppProvider(Protocol):
-    """Source of hardness estimates, model-backed or file-backed."""
-
-    def estimate_query(
-        self, query: Query, topk: Sequence[RunRecord] | None = None
-    ) -> QppEstimate:
-        ...
 
 
 @dataclass

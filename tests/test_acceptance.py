@@ -218,7 +218,7 @@ class TestCriterion5TrainingCorrectness:
                     targets = rng.uniform(0, 1, size=n)
                 weights = rng.normal(scale=0.6, size=d)
                 bias = float(rng.normal(scale=0.6))
-                grad_w, grad_b = bce_gradient(features, targets, weights, bias)
+                grad_w, grad_b = bce_gradient(features, targets, expit(features @ weights + bias))
 
                 def loss_at(w, b):
                     return bce_loss(targets, expit(features @ w + b))
@@ -317,8 +317,8 @@ class TestCriterion6EndToEndPipeline:
                 for name in ("br", "w_qpps")
             }
             report = build_report(runs, qrels, baseline="br")
-            br_ndcg = report.system("br").means["ndcg10"]
-            wqpps_ndcg = report.system("w_qpps").means["ndcg10"]
+            means = {sys_report.name: sys_report.means["ndcg10"] for sys_report in report.systems}
+            br_ndcg, wqpps_ndcg = means["br"], means["w_qpps"]
             assert wqpps_ndcg >= br_ndcg, f"w_qpps {wqpps_ndcg} < br {br_ndcg}"
 
 

@@ -87,6 +87,9 @@ def write_fixture(tmp_path):
     }))
 
 
+FEATURE_ARRAYS = ("weights", "feature_means", "feature_stds")
+
+
 def set_train_median(trained, value):
     """Store `value` as the QPP model's train_median_psi; None removes the field."""
     qpp_path = trained / "work" / "models" / "qpp.json"
@@ -370,6 +373,37 @@ class TestRunAndEval:
         sr = load_scorer(trained / "work" / "models" / "sr.json", "ranker")
         shared = ("epochs", "learning_rate", "seed")
         assert {k: br.metadata[k] for k in shared} == {k: sr.metadata[k] for k in shared}
+
+    @pytest.mark.parametrize(
+        "which, method, edit, message",
+        [
+            ("br", "br", lambda m: m["weights"].__setitem__(0, float("nan")),
+             "weights holds a non-finite value"),
+            ("br", "br", lambda m: m.update(bias=float("inf")), "bias holds a non-finite value"),
+            ("br", "br", lambda m: m.update(bias=True), "bias must hold numbers only, got True"),
+            ("br", "br", lambda m: m["feature_stds"].__setitem__(2, 0.0),
+             "feature_stds holds a value that is not > 0"),
+            ("br", "br", lambda m: m.update({n: m[n][:5] for n in FEATURE_ARRAYS}),
+             "holds 5 weights, not one per ranker feature (6)"),
+            ("qpp", "w_qpps", lambda m: m.update({n: m[n][:5] for n in FEATURE_ARRAYS}),
+             "holds 5 weights, not one per qpp feature (6)"),
+        ],
+        ids=["nan_weight", "infinite_bias", "bool_bias", "zero_std", "short_arrays",
+             "short_qpp_arrays"],
+    )
+    def test_model_that_cannot_score_is_input_error(
+        self, ranked, run_cli, which, method, edit, message
+    ):
+        model_path = ranked / "work" / "models" / f"{which}.json"
+        payload = json.loads(model_path.read_text())
+        edit(payload)
+        model_path.write_text(json.dumps(payload))
+        (ranked / "work" / "runs" / f"{method}.txt").unlink(missing_ok=True)
+        result = run_cli("run", "--config", "config.json", "--method", method, cwd=ranked)
+        assert result.returncode == 1, result.stderr
+        assert f"work/models/{which}.json: {message}" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not (ranked / "work" / "runs" / f"{method}.txt").exists()
 
     def test_ranker_file_as_qpp_model_is_input_error(self, ranked, run_cli):
         models = ranked / "work" / "models"

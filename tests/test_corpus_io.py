@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import random
 from pathlib import Path
@@ -126,6 +127,13 @@ class TestWriteRun:
     def test_invalid_run_rejected(self):
         run = RunList(entries={"q1": [RunRecord("d7", 12.5), RunRecord("d8", 13.0)]}, tag="t")
         with pytest.raises(ValueError):
+            write_run(run)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected_naming_query_and_rank(self, bad):
+        # the run reader refuses it, so the writer must not write it
+        run = RunList(entries={"q1": [RunRecord("d7", 12.5), RunRecord("d8", bad)]}, tag="t")
+        with pytest.raises(ValueError, match=r"q1: non-finite score .* at rank 2"):
             write_run(run)
 
     def test_roundtrip_random_100_lines(self):

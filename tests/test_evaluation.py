@@ -22,6 +22,11 @@ from hardrank.evaluation import (
 )
 
 
+def system(report, name):
+    """The named system's part of a report."""
+    return next(sys_report for sys_report in report.systems if sys_report.name == name)
+
+
 def oracle_ndcg(doc_grades_in_rank_order, all_grades, k):
     """Direct formula evaluation: exponential gain, log2(rank+1) discount,
     ideal from all judged grades sorted descending."""
@@ -256,7 +261,7 @@ class TestBuildReport:
     def test_identical_runs_zero_delta_p_one(self):
         qrels, good, _ = two_system_fixture()
         report = build_report({"base": good, "same": good}, qrels, baseline="base")
-        same = report.system("same")
+        same = system(report, "same")
         assert same.delta_pct["ndcg10"] == 0.0
         assert same.p_value["ndcg10"] == 1.0
 
@@ -266,11 +271,11 @@ class TestBuildReport:
     def test_three_run_deltas_match_hand_computation(self):
         qrels, good, bad = two_system_fixture()
         report = build_report({"base": bad, "good": good, "also": bad}, qrels, "base")
-        base_mean = report.system("base").means["ndcg10"]
-        good_mean = report.system("good").means["ndcg10"]
+        base_mean = system(report, "base").means["ndcg10"]
+        good_mean = system(report, "good").means["ndcg10"]
         expected = (good_mean - base_mean) / base_mean * 100
-        assert report.system("good").delta_pct["ndcg10"] == pytest.approx(expected)
-        assert report.system("also").delta_pct["ndcg10"] == 0.0
+        assert system(report, "good").delta_pct["ndcg10"] == pytest.approx(expected)
+        assert system(report, "also").delta_pct["ndcg10"] == 0.0
 
     def test_missing_baseline_rejected(self):
         qrels, good, _ = two_system_fixture()
@@ -281,7 +286,7 @@ class TestBuildReport:
         qrels, good, _ = two_system_fixture()
         partial = RunList(entries={"q1": good.entries["q1"]}, tag="partial")
         report = build_report({"base": good, "partial": partial}, qrels, "base")
-        assert report.system("partial").per_query["q2"]["ndcg10"] == 0.0
+        assert system(report, "partial").per_query["q2"]["ndcg10"] == 0.0
 
     def test_no_positive_queries_excluded_from_means(self):
         qrels = Qrels({("q1", "d1"): 2, ("q2", "d2"): 0})
@@ -295,7 +300,7 @@ class TestBuildReport:
         report = build_report({"base": run}, qrels, "base")
         assert report.n_queries == 1
         assert report.n_excluded == 1
-        assert report.system("base").means["ndcg10"] == 1.0
+        assert system(report, "base").means["ndcg10"] == 1.0
 
     def test_render_and_jsonl(self):
         qrels, good, bad = two_system_fixture()
@@ -308,5 +313,5 @@ class TestBuildReport:
         assert {r["system"] for r in records} == {"base", "good"}
         good_record = next(r for r in records if r["system"] == "good")
         assert good_record["delta_ndcg10_pct"] == round(
-            report.system("good").delta_pct["ndcg10"], 1
+            system(report, "good").delta_pct["ndcg10"], 1
         )

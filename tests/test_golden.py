@@ -9,6 +9,8 @@ summation, a new index layout, tau computed at another stage) is checked
 against the exact bytes the pipeline wrote before it. The run digests see
 the enriched queries only through SR, so ``enriched.tsv`` (context doc ids
 and fallback flags included) is pinned as well, under both context sources.
+So are the three model files and their loss curves: a change to training
+that happens to leave every ranking as it was still shows there.
 """
 
 import hashlib
@@ -47,6 +49,15 @@ GOLDEN_SHA256 = {
     "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
 }
 
+MODEL_SHA256 = {
+    "br.json": "c25eafcee7483e8d8731d97fb1b26a978a78f0918b03aa02e33dfc60ce4509ce",
+    "br.loss.tsv": "1f9750d68d73169156ecef385200023ae4f62c0344ad971ddd98bc3699fb952a",
+    "sr.json": "068c0d7f3c38e8fbe910ed8c552010605552731eabf08558031078a32f2a8d86",
+    "sr.loss.tsv": "cb57d086689a2de723ca775d3d6d3afaad8e433bbc60a39f84f81869c91f48b7",
+    "qpp.json": "0d3ec9509e856b484edaf62dc0e0999035d243c3f4d4d47b78a5592ad94e1b7e",
+    "qpp.loss.tsv": "fa2f9f2f0aeeb842a22d8865242508ffa8ddfdb7a284501f4872e75c5665d89a",
+}
+
 ENRICHED_SHA256 = {
     # README config: the highest-judged document gives the context passage
     "judged": "9d838a15501de6f00c4651192e4729eb8f38c32e2d1b6c9ae9719bfbddc117c6",
@@ -75,6 +86,8 @@ def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
     train_ranker(config, "br")
     train_ranker(config, "sr")
     train_qpp_model(config)
+    models = {path.name: _sha256(path) for path in config.path("models_dir").iterdir()}
+    assert models == MODEL_SHA256
     outputs = [produce_run(config, method) for method in RUN_METHODS]
     run_paths = [run_path for run_path, _ in outputs]
     routing_logs = [log for _, log in outputs if log is not None]

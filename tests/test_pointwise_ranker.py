@@ -1,15 +1,25 @@
 """Feature extraction, logistic training (with finite-difference gradient
 oracle), reranking, and model persistence."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from hardrank import linear_model
 from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from hardrank.lexical_retrieval import build_index
-from hardrank.linear_model import LogisticScorer, bce_gradient, bce_loss, load_scorer, save_scorer
+from hardrank.linear_model import (
+    LogisticScorer,
+    bce_gradient,
+    bce_loss,
+    fit_logistic,
+    load_scorer,
+    save_scorer,
+)
 from hardrank.pointwise_ranker import (
     ScoreFileRanker,
     TrainingInstance,
@@ -111,6 +121,12 @@ class TestScore:
         assert 0.0 < score(model, np.full(6, 100.0)) < 1.0
         assert 0.0 < score(model, np.full(6, -100.0)) < 1.0
 
+    def test_nan_feature_scores_nan_as_score_rows_does(self):
+        model = self._zero_model()
+        row = np.array([np.nan, 0, 0, 0, 0, 0])
+        assert math.isnan(score(model, row))
+        assert math.isnan(model.score_rows(row[np.newaxis])[0])
+
 
 class TestBceLoss:
     def test_half_prediction_positive_label_is_ln2(self):
@@ -135,11 +151,9 @@ class TestGradient:
             weights = rng.normal(scale=0.5, size=d)
             bias = float(rng.normal(scale=0.5))
 
-            grad_w, grad_b = bce_gradient(features, targets, weights, bias)
+            grad_w, grad_b = bce_gradient(features, targets, expit(features @ weights + bias))
 
             def loss_at(w, b):
-                from scipy.special import expit
-
                 return bce_loss(targets, expit(features @ w + b))
 
             fd_w = np.zeros(d)
@@ -202,6 +216,24 @@ class TestTrain:
         losses = model.metadata["loss_curve"]
         assert len(losses) == 201
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("epochs", [1, 7])
+    def test_one_forward_pass_per_epoch(self, monkeypatch, epochs):
+        calls = []
+
+        def counting_expit(x):
+            calls.append(1)
+            return expit(x)
+
+        monkeypatch.setattr(linear_model, "expit", counting_expit)
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(20, 3))
+        targets = rng.integers(0, 2, size=20).astype(float)
+        weights, bias, losses = fit_logistic(features, targets, epochs, 0.1)
+        assert len(calls) == epochs + 1
+        assert len(losses) == epochs + 1
+        # the last loss is the loss of the returned parameters
+        assert losses[-1] == bce_loss(targets, expit(features @ weights + bias), clamp=True)
 
     def test_deterministic(self):
         instances = make_separable_instances()
@@ -320,4 +352,39 @@ class TestPersistence:
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="x.json"):
+            load_scorer(path, "ranker")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weights", np.array([0.0, np.nan, 0, 0, 0, 0]), "weights holds a non-finite"),
+            ("feature_means", np.full(6, np.inf), "feature_means holds a non-finite"),
+            ("bias", -np.inf, "bias holds a non-finite"),
+            ("feature_stds", np.array([1.0, 1, 1, 1, 1, -2]), "feature_stds .* not > 0"),
+        ],
+        ids=["nan_weight", "infinite_means", "infinite_bias", "negative_std"],
+    )
+    def test_scorer_that_cannot_score_cannot_be_built(self, field, value, message):
+        parts = {"weights": np.zeros(6), "bias": 0.0, "feature_means": np.zeros(6),
+                 "feature_stds": np.ones(6), field: value}
+        with pytest.raises(ValueError, match=message):
+            LogisticScorer(**parts)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weights", [0.0, False, 0, 0, 0, 0], r"weights must hold numbers only, got \[0.0, F"),
+            ("feature_means", ["0.0"] * 6, r"feature_means must hold numbers only, got \['0.0'"),
+            ("feature_stds", 1.0, "feature_stds must hold numbers only, got 1.0"),
+            ("bias", 10**400, "int too large to convert to float"),
+        ],
+        ids=["bool_weight", "string_means", "scalar_stds", "huge_int_bias"],
+    )
+    def test_non_numbers_rejected_naming_the_path(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        save_scorer(LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6)), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"model.json: {message}"):
             load_scorer(path, "ranker")
