@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,25 +125,33 @@ def paired_test(
     return PairedTestResult(t=t, df=df, p_two_tailed=p)
 
 
-@dataclass
+TEST_NAME = "paired-t (two-tailed)"
+
+
+@dataclass(frozen=True)
 class SystemReport:
+    """Per metric: each judged query's value, the evaluated queries' mean, and the
+    change (%) and paired p against the baseline (None for the baseline itself)."""
+
     name: str
     per_query: dict[str, dict[str, float]]  # qid -> metric -> value
     means: dict[str, float]
-    delta_pct: dict[str, float | None] = field(default_factory=dict)
-    p_value: dict[str, float | None] = field(default_factory=dict)
+    delta_pct: dict[str, float | None]
+    p_value: dict[str, float | None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricReport:
-    """Every system's report, each over the same `n_queries` evaluated
-    queries; `n_excluded` judged queries had no positive judgment."""
+    """Every system's report (baseline first, then by name), each over the same
+    `n_queries` evaluated queries; `n_excluded` judged queries had no positive
+    judgment. `k` and `rr_cutoff` are the nDCG and RR cutoffs."""
 
     systems: list[SystemReport]
     baseline: str
     n_queries: int
     n_excluded: int
-    test_name: str = "paired-t (two-tailed)"
+    k: int
+    rr_cutoff: int | None
 
 
 def build_report(
@@ -152,76 +160,54 @@ def build_report(
     baseline: str,
     k: int = 10,
     rr_cutoff: int | None = None,
-    rel_threshold: int = 1,
     gain: str = "exp",
     include_no_positive: bool = False,
 ) -> MetricReport:
     """Per-query and aggregate metrics for named runs, with baseline deltas.
 
-    Every judged query is evaluated for every system (a query absent from a
-    run scores 0). Queries with no positive judgment are excluded from the
-    aggregate means unless include_no_positive is set; the same query set is
-    used for every system so the significance tests pair correctly.
+    Every judged query's judgments are looked up once and evaluated for
+    every system (a query absent from a run scores 0; RR counts grade >= 1).
+    Queries with no positive judgment are excluded from the aggregate means
+    unless include_no_positive is set; the same query set is used for every
+    system so the significance tests pair correctly.
     """
     if baseline not in runs:
         raise ValueError(f"baseline {baseline!r} not among runs {sorted(runs)}")
-    qids = qrels.query_ids()
-    included = [
-        qid
-        for qid in qids
-        if include_no_positive or qrels.has_positive(qid, rel_threshold)
-    ]
+    judged = {qid: qrels.for_query(qid) for qid in qrels.query_ids()}
+    included = [qid for qid in judged if include_no_positive or qrels.has_positive(qid)]
     if not included:
         raise ValueError("no evaluable queries (none with positive judgments)")
 
-    reports: dict[str, SystemReport] = {}
-    for name, run in runs.items():
-        per_query: dict[str, dict[str, float]] = {}
-        for qid in qids:
-            judgments = qrels.for_query(qid)
-            entry = run.entries.get(qid, [])
-            per_query[qid] = {
-                "ndcg10": ndcg_at_k(entry, judgments, k, gain),
-                "rr": reciprocal_rank(entry, judgments, rr_cutoff, rel_threshold),
+    def column(per_query: dict[str, dict[str, float]], metric: str) -> list[float]:
+        return [per_query[qid][metric] for qid in included]
+
+    def system_report(name: str, base: SystemReport | None) -> SystemReport:
+        entries = runs[name].entries
+        per_query = {
+            qid: {
+                "ndcg10": ndcg_at_k(entries.get(qid, []), judgments, k, gain),
+                "rr": reciprocal_rank(entries.get(qid, []), judgments, rr_cutoff),
             }
-        means = {
-            metric: float(np.mean([per_query[qid][metric] for qid in included]))
-            for metric in METRIC_NAMES
+            for qid, judgments in judged.items()
         }
-        reports[name] = SystemReport(
-            name=name,
-            per_query=per_query,
-            means=means,
-        )
+        means = {metric: float(np.mean(column(per_query, metric))) for metric in METRIC_NAMES}
+        if base is None:  # the baseline itself
+            none = dict.fromkeys(METRIC_NAMES)
+            return SystemReport(name, per_query, means, none, dict(none))
+        delta = {
+            m: None if base.means[m] == 0.0 else relative_improvement(means[m], base.means[m])
+            for m in METRIC_NAMES
+        }
+        p = {
+            m: paired_test(column(per_query, m), column(base.per_query, m)).p_two_tailed
+            for m in METRIC_NAMES
+        }
+        return SystemReport(name, per_query, means, delta, p)
 
-    base = reports[baseline]
-    for name, report in reports.items():
-        for metric in METRIC_NAMES:
-            if name == baseline:
-                report.delta_pct[metric] = None
-                report.p_value[metric] = None
-                continue
-            try:
-                report.delta_pct[metric] = relative_improvement(
-                    report.means[metric], base.means[metric]
-                )
-            except ValueError:
-                report.delta_pct[metric] = None
-            result = paired_test(
-                [report.per_query[qid][metric] for qid in included],
-                [base.per_query[qid][metric] for qid in included],
-            )
-            report.p_value[metric] = result.p_two_tailed
-
-    ordered = [reports[baseline]] + [
-        reports[name] for name in sorted(reports) if name != baseline
-    ]
-    return MetricReport(
-        systems=ordered,
-        baseline=baseline,
-        n_queries=len(included),
-        n_excluded=len(qids) - len(included),
-    )
+    base = system_report(baseline, None)
+    systems = [base] + [system_report(name, base) for name in sorted(runs) if name != baseline]
+    return MetricReport(systems, baseline, len(included), len(judged) - len(included),
+                        k, rr_cutoff)
 
 
 _SIG_MARK = {95: "*", 90: "#", None: ""}
@@ -229,27 +215,27 @@ _SIG_MARK = {95: "*", 90: "#", None: ""}
 
 def _fmt_metric(report: SystemReport, metric: str) -> str:
     value = f"{report.means[metric]:.3f}"
-    delta = report.delta_pct.get(metric)
-    mark = _SIG_MARK[significance_level(report.p_value.get(metric))]
+    delta = report.delta_pct[metric]
+    mark = _SIG_MARK[significance_level(report.p_value[metric])]
     if delta is None:
         return value
     return f"{value} ({delta:+.1f}%){mark}"
 
 
 def render_report(report: MetricReport) -> str:
-    """Aligned plain-text table; metrics to 3 decimals, deltas to 1."""
-    headers = ["system", "nDCG@10", "RR", "p(nDCG@10)", "p(RR)"]
+    """Aligned plain-text table; metrics to 3 decimals, deltas to 1. The
+    header names the report's cutoffs: nDCG@k, and RR@cutoff when RR has one."""
+    ndcg = f"nDCG@{report.k}"
+    rr = "RR" if report.rr_cutoff is None else f"RR@{report.rr_cutoff}"
+    headers = ["system", ndcg, rr, f"p({ndcg})", f"p({rr})"]
     rows = []
     for sys_report in report.systems:
-        p_n = sys_report.p_value.get("ndcg10")
-        p_r = sys_report.p_value.get("rr")
+        p_values = [sys_report.p_value[metric] for metric in METRIC_NAMES]
         rows.append(
             [
                 sys_report.name + (" [baseline]" if sys_report.name == report.baseline else ""),
-                _fmt_metric(sys_report, "ndcg10"),
-                _fmt_metric(sys_report, "rr"),
-                "-" if p_n is None else f"{p_n:.4f}",
-                "-" if p_r is None else f"{p_r:.4f}",
+                *(_fmt_metric(sys_report, metric) for metric in METRIC_NAMES),
+                *("-" if p is None else f"{p:.4f}" for p in p_values),
             ]
         )
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
@@ -260,7 +246,7 @@ def render_report(report: MetricReport) -> str:
     lines += ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
     lines.append(
         f"queries: {report.n_queries} evaluated, {report.n_excluded} excluded "
-        f"(no positive judgments); significance: {report.test_name}, "
+        f"(no positive judgments); significance: {TEST_NAME}, "
         f"* = 95%, # = 90%"
     )
     return "\n".join(lines)
@@ -275,19 +261,13 @@ def report_jsonl(report: MetricReport) -> list[str]:
             "baseline": report.baseline,
             "n_queries": report.n_queries,
             "n_excluded": report.n_excluded,
-            "ndcg10": round(sys_report.means["ndcg10"], 3),
-            "rr": round(sys_report.means["rr"], 3),
-            "delta_ndcg10_pct": _round1(sys_report.delta_pct.get("ndcg10")),
-            "delta_rr_pct": _round1(sys_report.delta_pct.get("rr")),
-            "p_ndcg10": sys_report.p_value.get("ndcg10"),
-            "p_rr": sys_report.p_value.get("rr"),
-            "sig_ndcg10": significance_level(sys_report.p_value.get("ndcg10")),
-            "sig_rr": significance_level(sys_report.p_value.get("rr")),
-            "test": report.test_name,
+            "test": TEST_NAME,
         }
+        for metric in METRIC_NAMES:
+            delta, p = sys_report.delta_pct[metric], sys_report.p_value[metric]
+            record[metric] = round(sys_report.means[metric], 3)
+            record[f"delta_{metric}_pct"] = None if delta is None else round(delta, 1)
+            record[f"p_{metric}"] = p
+            record[f"sig_{metric}"] = significance_level(p)
         lines.append(json.dumps(record, sort_keys=True))
     return lines
-
-
-def _round1(value: float | None) -> float | None:
-    return None if value is None else round(value, 1)

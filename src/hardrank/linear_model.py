@@ -75,6 +75,10 @@ def apply_zscore(features: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     return (np.asarray(features, dtype=float) - means) / stds
 
 
+class DivergedFit(ValueError):
+    """Gradient descent diverged: a logit overflowed or the loss rose."""
+
+
 def fit_logistic(
     features: np.ndarray,
     targets: np.ndarray,
@@ -85,6 +89,7 @@ def fit_logistic(
 
     `features` must already be normalized; `targets` in [0, 1]. Returns the
     weights, the bias and the losses: at init, then after each epoch's update.
+    Raises DivergedFit when a logit is not finite or the last loss is above the first.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -98,12 +103,18 @@ def fit_logistic(
     bias = 0.0
     preds = expit(features @ weights + bias)
     losses = [bce_loss(targets, preds, clamp=True)]
-    for _ in range(epochs):
-        grad_w, grad_b = bce_gradient(features, targets, preds)
-        weights = weights - learning_rate * grad_w
-        bias = bias - learning_rate * grad_b
-        preds = expit(features @ weights + bias)
-        losses.append(bce_loss(targets, preds, clamp=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
+        for epoch in range(1, epochs + 1):
+            grad_w, grad_b = bce_gradient(features, targets, preds)
+            weights = weights - learning_rate * grad_w
+            bias = bias - learning_rate * grad_b
+            logits = features @ weights + bias
+            if not np.all(np.isfinite(logits)):
+                raise DivergedFit(f"a logit is not finite after epoch {epoch}")
+            preds = expit(logits)
+            losses.append(bce_loss(targets, preds, clamp=True))
+    if losses[-1] > losses[0]:
+        raise DivergedFit(f"the loss rose from {losses[0]:.4g} to {losses[-1]:.4g}")
     return weights, bias, losses
 
 

@@ -44,7 +44,7 @@ from .lexical_retrieval import (
     load_index,
     save_index,
 )
-from .linear_model import LogisticScorer, load_scorer, save_scorer
+from .linear_model import DivergedFit, LogisticScorer, load_scorer, save_scorer
 from .pointwise_ranker import FEATURE_NAMES, build_training_set, rerank, train
 from .qpp import QPP_FEATURE_NAMES, estimate, train_qpp
 
@@ -185,13 +185,16 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
         label_threshold=section["label_threshold"],
         seed=config.seed,
     )
-    model = train(
-        instances,
-        epochs=section["epochs"],
-        learning_rate=section["learning_rate"],
-        seed=config.seed,
-        model_id=f"pointwise-logistic-v1:{which}",
-    )
+    try:
+        model = train(
+            instances,
+            epochs=section["epochs"],
+            learning_rate=section["learning_rate"],
+            seed=config.seed,
+            model_id=f"pointwise-logistic-v1:{which}",
+        )
+    except DivergedFit as exc:
+        raise ConfigError(f"ranker.learning_rate: {exc}; lower it") from None
     return _save_model(config, which, model)
 
 
@@ -209,14 +212,17 @@ def train_qpp_model(config: PipelineConfig) -> Path:
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
     candidates = candidates_for(config, index, queries)
     section = config.section("qpp")
-    model = train_qpp(
-        _qpp_labels(config, queries, candidates, qrels),
-        index,
-        epochs=section["epochs"],
-        learning_rate=section["learning_rate"],
-        k=section["k"],
-        orientation=section["orientation"],
-    )
+    try:
+        model = train_qpp(
+            _qpp_labels(config, queries, candidates, qrels),
+            index,
+            epochs=section["epochs"],
+            learning_rate=section["learning_rate"],
+            k=section["k"],
+            orientation=section["orientation"],
+        )
+    except DivergedFit as exc:
+        raise ConfigError(f"qpp.learning_rate: {exc}; lower it") from None
     model.metadata["train_median_psi"] = train_median_threshold(
         estimate(model, q, candidates[q.query_id], index).psi
         for q in queries

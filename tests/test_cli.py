@@ -10,16 +10,19 @@ from pathlib import Path
 import pytest
 
 import hardrank
+from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import (
     Document,
     Qrels,
     Query,
+    read_qrels_file,
     read_run_file,
     write_corpus_file,
     write_qrels_file,
     write_queries_file,
 )
+from hardrank.evaluation import build_report, report_jsonl
 from hardrank.lexical_retrieval import load_index
 from hardrank.pipeline import produce_run
 
@@ -291,6 +294,40 @@ class TestTrainCommand:
         assert (workdir / "work" / "models" / "br.json").exists()
         curve = (workdir / "work" / "models" / "br.loss.tsv").read_text().splitlines()
         assert len(curve) == 51  # initial loss + one per epoch
+
+    def test_ranker_fit_whose_logits_overflow_is_input_error(self, workdir, run_cli):
+        run_cli("index", "--config", "config.json", cwd=workdir)
+        result = run_cli(
+            "train", "--config", "config.json", "--which", "br",
+            "--set", "ranker.learning_rate=1e308", cwd=workdir,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "error: ranker.learning_rate: a logit is not finite after epoch" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not (workdir / "work" / "models" / "br.json").exists()
+        assert not (workdir / "work" / "models" / "br.loss.tsv").exists()
+
+    def test_qpp_fit_whose_loss_rises_is_input_error(self, tmp_path, run_cli):
+        # the tiny fixture's QPP labels are separable, so any step lowers
+        # the loss there; on the README benchmark a step of 1e6 raises it
+        write_benchmark(tmp_path, seed=7)
+        (tmp_path / "config.json").write_text(json.dumps({"paths": {
+            "corpus": "corpus.jsonl",
+            "train_queries": "queries.tsv",
+            "train_qrels": "qrels.txt",
+            "test_queries": "queries.tsv",
+            "test_qrels": "qrels.txt",
+        }}))
+        assert run_cli("index", "--config", "config.json", cwd=tmp_path).returncode == 0
+        result = run_cli(
+            "train", "--config", "config.json", "--which", "qpp",
+            "--set", "qpp.learning_rate=1e6", cwd=tmp_path,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "error: qpp.learning_rate: the loss rose from 0.6931 to" in result.stderr
+        assert "; lower it" in result.stderr
+        assert not (tmp_path / "work" / "models" / "qpp.json").exists()
+        assert not (tmp_path / "work" / "models" / "qpp.loss.tsv").exists()
 
     def test_qpp_without_qrels_fails(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
@@ -640,6 +677,38 @@ class TestRunAndEval:
         assert result.returncode == 1, result.stderr
         assert "work/runs/br.txt and x/br.txt share the system name 'br'" in result.stderr
         assert not (trained / "work" / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "override, header",
+        [
+            ("metrics.ndcg_k=3", ["system", "nDCG@3", "RR", "p(nDCG@3)", "p(RR)"]),
+            ("metrics.rr_cutoff=1", ["system", "nDCG@10", "RR@1", "p(nDCG@10)", "p(RR@1)"]),
+        ],
+        ids=["ndcg_k", "rr_cutoff"],
+    )
+    def test_eval_header_names_the_cutoffs(self, ranked, run_cli, override, header):
+        result = run_cli(
+            "eval", "work/runs/br.txt", "work/runs/sr.txt", "--baseline", "br",
+            "--config", "config.json", "--set", override, cwd=ranked,
+        )
+        assert result.returncode == 0, result.stderr
+        text = (ranked / "work" / "reports" / "report.txt").read_text()
+        assert text.splitlines()[0].split() == header
+        assert result.stdout.startswith(text)
+        # the jsonl keys stay put; their values follow the cutoff
+        config = load_config(ranked / "config.json", [override])
+        metrics = config.section("metrics")
+        runs_dir = ranked / "work" / "runs"
+        runs = {name: read_run_file(runs_dir / f"{name}.txt") for name in ("br", "sr")}
+        expected = build_report(
+            runs,
+            read_qrels_file(ranked / "qrels.txt"),
+            "br",
+            k=metrics["ndcg_k"],
+            rr_cutoff=metrics["rr_cutoff"],
+        )
+        records = (ranked / "work" / "reports" / "report.jsonl").read_text().splitlines()
+        assert records == report_jsonl(expected)
 
     def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)

@@ -1,5 +1,6 @@
 """Metrics against brute-force oracles, delta arithmetic, significance."""
 
+import dataclasses
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from hardrank import evaluation
 from hardrank.corpus_io import Qrels, RunList, rank_records
 from hardrank.evaluation import (
     build_report,
@@ -301,6 +303,64 @@ class TestBuildReport:
         assert report.n_queries == 1
         assert report.n_excluded == 1
         assert system(report, "base").means["ndcg10"] == 1.0
+
+    def test_judgments_looked_up_once_per_judged_query(self, monkeypatch):
+        qrels, good, bad = two_system_fixture()
+        looked_up = []
+        for_query = Qrels.for_query
+
+        def counting_for_query(self, query_id):
+            looked_up.append(query_id)
+            return for_query(self, query_id)
+
+        monkeypatch.setattr(Qrels, "for_query", counting_for_query)
+        report = build_report({"base": bad, "good": good, "also": bad}, qrels, "base")
+        assert len(report.systems) == 3
+        assert sorted(looked_up) == qrels.query_ids()
+
+    def test_reports_are_frozen_and_complete(self):
+        qrels, good, bad = two_system_fixture()
+        report = build_report({"base": bad, "good": good}, qrels, "base")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.baseline = "good"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.systems[0].means = {}
+        base, other = report.systems
+        assert base.delta_pct == base.p_value == {"ndcg10": None, "rr": None}
+        assert set(other.delta_pct) == set(other.p_value) == {"ndcg10", "rr"}
+        assert all(p is not None for p in other.p_value.values())
+
+    def test_zero_baseline_mean_has_no_change_but_a_p_value(self):
+        qrels, good, _ = two_system_fixture()
+        misses = RunList(entries={qid: rank_records([("x", 1.0)]) for qid in good.entries})
+        report = build_report({"base": misses, "good": good}, qrels, "base")
+        other = system(report, "good")
+        assert system(report, "base").means == {"ndcg10": 0.0, "rr": 0.0}
+        assert other.delta_pct == {"ndcg10": None, "rr": None}
+        assert other.p_value["ndcg10"] == paired_test(
+            [other.per_query[qid]["ndcg10"] for qid in qrels.query_ids()], [0.0] * 3
+        ).p_two_tailed
+        assert render_report(report).splitlines()[3].split() == [
+            "good", "1.000", "1.000", "0.0000", "0.0000"
+        ]
+
+    def test_p_values_come_from_the_module_paired_test(self, monkeypatch):
+        qrels, good, bad = two_system_fixture()
+        fixed = evaluation.PairedTestResult(t=0.0, df=1, p_two_tailed=0.5)
+        monkeypatch.setattr(evaluation, "paired_test", lambda _sys, _base: fixed)
+        report = build_report({"base": bad, "good": good}, qrels, "base")
+        assert system(report, "good").p_value == {"ndcg10": 0.5, "rr": 0.5}
+
+    def test_header_names_the_cutoffs(self):
+        qrels, good, bad = two_system_fixture()
+        runs = {"base": bad, "good": good}
+        default = render_report(build_report(runs, qrels, "base")).splitlines()[0].split()
+        assert default == ["system", "nDCG@10", "RR", "p(nDCG@10)", "p(RR)"]
+        report = build_report(runs, qrels, "base", k=1, rr_cutoff=2)
+        assert (report.k, report.rr_cutoff) == (1, 2)
+        header = render_report(report).splitlines()[0].split()
+        assert header == ["system", "nDCG@1", "RR@2", "p(nDCG@1)", "p(RR@2)"]
+        assert [json.loads(line)["ndcg10"] for line in report_jsonl(report)] == [0.0, 1.0]
 
     def test_render_and_jsonl(self):
         qrels, good, bad = two_system_fixture()

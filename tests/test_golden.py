@@ -3,10 +3,11 @@
 The README experiment (``write_benchmark(seed=7)``; index, enrich, train
 x3, run x5, eval) runs in-process through ``hardrank.pipeline``. The
 SHA-256 of each run file, of R-QPP's routing log (every query's psi and
-route) and of ``report.jsonl`` is pinned, so any change that is meant to
-keep outputs byte-identical (a faster feature path, a different
-summation, a new index layout, tau computed at another stage) is checked
-against the exact bytes the pipeline wrote before it. The run digests see
+route) and of both reports (``report.jsonl`` and ``report.txt``) is
+pinned, so any change that is meant to keep outputs byte-identical (a
+faster feature path, a different summation, a new index layout, tau
+computed at another stage) is checked against the exact bytes the
+pipeline wrote before it. The run digests see
 the enriched queries only through SR, so ``enriched.tsv`` (context doc ids
 and fallback flags included) is pinned as well, under both context sources.
 So are the three model files and their loss curves: a change to training
@@ -47,6 +48,7 @@ GOLDEN_SHA256 = {
     "r_qpp.routing.tsv": "a61b0ed254fe0fd1741121e22b02e3cdea52927652d4f8213a851c661404db64",
     "w_qpps.txt": "fcb6c790e4bad380e0f2e7ff80e9cb534e7683259582b518736cf73dffcd089e",
     "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
+    "report.txt": "6c0651ec9700e28fa4fd9326d87cba6ca122ffec934370019fec0e9cf0a5ada4",
 }
 
 MODEL_SHA256 = {
@@ -91,9 +93,10 @@ def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
     outputs = [produce_run(config, method) for method in RUN_METHODS]
     run_paths = [run_path for run_path, _ in outputs]
     routing_logs = [log for _, log in outputs if log is not None]
-    _, _, report_path = evaluate_runs(config, sorted(run_paths), "br")
+    _, text_path, jsonl_path = evaluate_runs(config, sorted(run_paths), "br")
 
-    digests = {path.name: _sha256(path) for path in [*run_paths, *routing_logs, report_path]}
+    written = [*run_paths, *routing_logs, text_path, jsonl_path]
+    digests = {path.name: _sha256(path) for path in written}
     assert digests == GOLDEN_SHA256
 
 

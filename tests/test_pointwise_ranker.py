@@ -13,6 +13,7 @@ from hardrank import linear_model
 from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from hardrank.lexical_retrieval import build_index
 from hardrank.linear_model import (
+    DivergedFit,
     LogisticScorer,
     bce_gradient,
     bce_loss,
@@ -234,6 +235,22 @@ class TestTrain:
         assert len(losses) == epochs + 1
         # the last loss is the loss of the returned parameters
         assert losses[-1] == bce_loss(targets, expit(features @ weights + bias), clamp=True)
+
+    def test_overflowing_logit_refused(self):
+        features, targets = np.array([[3.0], [-3.0]]), np.array([1.0, 0.0])
+        # the weight after one step, 1.5e308, is finite; the logit 4.5e308 is not
+        with pytest.raises(DivergedFit, match="a logit is not finite after epoch 1"):
+            fit_logistic(features, targets, 10, 1e308)
+
+    def test_rising_loss_refused(self):
+        # not separable: one feature value is labelled both ways, so a step
+        # far too long overshoots into a loss higher than at init
+        features = np.array([[-1.0], [-1.0], [1.0], [1.0], [1.0]])
+        targets = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+        losses = fit_logistic(features, targets, 20, 1.0)[-1]
+        assert losses[-1] < losses[0]
+        with pytest.raises(DivergedFit, match="the loss rose from 0.6931 to"):
+            fit_logistic(features, targets, 20, 1e4)
 
     def test_deterministic(self):
         instances = make_separable_instances()
