@@ -1,72 +1,42 @@
-"""The whole pipeline on the shipped synthetic benchmark, via the library.
+"""The whole pipeline on the shipped synthetic benchmark, in memory.
 
 Generates the 200-doc / 40-query benchmark (20 hard acronym queries, 20
-easy long ones), trains the base ranker on all queries and the specialized
-ranker on enriched hard queries, trains the hardness estimator, and
-compares all strategies. Equivalent to the CLI sequence
-index/enrich/train/run/eval; see the README for that form.
+easy long ones) and runs `hardrank.pipeline.experiment` with the README
+config: it enriches the hard queries, trains the base ranker on all
+queries, the specialized ranker on the enriched hard ones and the
+hardness estimator, ranks by every method and evaluates. It writes no
+file, and prints the report of the README's CLI sequence
+index/enrich/train/run/eval.
 """
 
-import numpy as np
+from statistics import mean
 
 from hardrank.benchmark import generate_benchmark
-from hardrank.corpus_io import RunList, corpus_by_id
-from hardrank.enrichment import StubGenerator, enrich
-from hardrank.evaluation import build_report, ndcg_at_k, render_report
-from hardrank.fusion import FusionConfig, bsf, r_qpp, train_median_threshold, w_qpps
-from hardrank.lexical_retrieval import bm25_search, build_index
-from hardrank.pointwise_ranker import build_training_set, rerank, train
-from hardrank.qpp import estimate, train_qpp
+from hardrank.config import PipelineConfig, validate
+from hardrank.evaluation import render_report
+from hardrank.pipeline import experiment
 
 bench = generate_benchmark(seed=7)
-corpus = corpus_by_id(bench.corpus)
-index = build_index(bench.corpus)
 print(f"benchmark: {len(bench.corpus)} docs, {len(bench.queries)} queries "
       f"({len(bench.hard_query_ids)} hard / {len(bench.easy_query_ids)} easy)")
 
-candidates = {q.query_id: bm25_search(index, q, 100) for q in bench.queries}
+# the README config; its paths name the files the CLI reads, which this never opens
+config = PipelineConfig(raw=validate({"enrichment": {"use_judged_context": True}}))
+result = experiment(config, bench.corpus, bench.queries, bench.qrels, bench.queries, bench.qrels)
 
-# enrich the hard training queries with the deterministic stub generator
-stub = StubGenerator()
-enriched = {
-    q.query_id: enrich(q, index, corpus, stub,
-                       qrels=bench.qrels, use_judged_context=True).enriched_text
-    for q in bench.queries if q.query_id in bench.hard_query_ids
-}
-print("example rewrite:", next(iter(enriched.items())))
+rewrite = result.enriched[0]
+print(f"enriched {len(result.enriched)} hard queries, e.g. {rewrite.query_id}: "
+      f"{rewrite.enriched_text!r} (context {rewrite.context_doc_id})")
 
-# base ranker on all original queries, specialized on enriched hard ones
-br_model = train(build_training_set(
-    [(q.query_id, q.text) for q in bench.queries], bench.qrels, index, corpus, seed=13))
-sr_model = train(build_training_set(
-    sorted(enriched.items()), bench.qrels, index, corpus, seed=13))
+psi = {d.query_id: d.psi for d in result.decisions}
+tau = result.models["qpp"].metadata["train_median_psi"]
+routed = sum(d.route == "sr" for d in result.decisions)
+print("mean psi: hard %.3f, easy %.3f; tau %.3f routes %d of %d queries to SR" % (
+    mean(psi[q] for q in bench.hard_query_ids), mean(psi[q] for q in bench.easy_query_ids),
+    tau, routed, len(result.decisions)))
 
-br_run = RunList(entries={q.query_id: rerank(br_model, q, candidates[q.query_id], corpus, index)
-                          for q in bench.queries}, tag="br")
-sr_run = RunList(entries={q.query_id: rerank(sr_model, q, candidates[q.query_id], corpus, index)
-                          for q in bench.queries}, tag="sr")
-
-# hardness estimator trained against nDCG@10 of the first-stage run
-labeled = [
-    (q, candidates[q.query_id][:10],
-     ndcg_at_k(candidates[q.query_id], bench.qrels.for_query(q.query_id)))
-    for q in bench.queries
-]
-qpp_model = train_qpp(labeled, index)
-psis = {q.query_id: estimate(qpp_model, q, candidates[q.query_id], index).psi
-        for q in bench.queries}
-print("mean psi: hard %.3f, easy %.3f" % (
-    np.mean([psis[q] for q in bench.hard_query_ids]),
-    np.mean([psis[q] for q in bench.easy_query_ids])))
-
-tau = train_median_threshold(psis.values())
-routed, _ = r_qpp(br_run, sr_run, psis, tau)
-runs = {
-    "br": br_run,
-    "sr": sr_run,
-    "bsf": bsf(br_run, sr_run, FusionConfig(method="bsf")),
-    "r_qpp": routed,
-    "w_qpps": w_qpps(br_run, sr_run, psis),
-}
+qid = rewrite.query_id
+print(f"top document for {qid}:",
+      ", ".join(f"{method} {run.entries[qid][0].doc_id}" for method, run in result.runs.items()))
 print()
-print(render_report(build_report(runs, bench.qrels, baseline="br")))
+print(render_report(result.report))

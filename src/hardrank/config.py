@@ -80,7 +80,7 @@ SCHEMA: dict[str, Any] = {
     "ranker": {
         "epochs": Key(500, _INT, lo=1),
         "learning_rate": Key(0.1, _NUM, lo=1e-12),
-        "negatives_per_positive": Key(4, _INT, lo=0),
+        "negatives_per_positive": Key(4, _INT, lo=1),
         "label_threshold": Key(1, _INT, lo=1),
     },
     "qpp": {

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hardrank
+from hardrank import pointwise_ranker
 
 # The directory that holds the ``hardrank`` package this test process imported.
 PACKAGE_ROOT = Path(hardrank.__file__).resolve().parents[1]
@@ -23,3 +24,18 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(query text, internal ids) of every feature pass; the memo starts empty."""
+    calls = []
+    original = pointwise_ranker._feature_rows
+
+    def counted(text, ids, index, params):
+        calls.append((text, tuple(ids.tolist())))
+        return original(text, ids, index, params)
+
+    monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
+    monkeypatch.setattr(pointwise_ranker, "_last_features", None)
+    return calls

@@ -329,6 +329,38 @@ class TestTrainCommand:
         assert not (tmp_path / "work" / "models" / "qpp.json").exists()
         assert not (tmp_path / "work" / "models" / "qpp.loss.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "which, message",
+        [("br", "error: cannot train br: no training query has a corpus document graded >= "
+                "ranker.label_threshold (1) in qrels.txt, so there is no positive example"),
+         ("qpp", "error: QPP training needs at least 2 training queries with a BM25 candidate "
+                 "and a document graded >= ranker.label_threshold (1) in qrels.txt; 0 have both")],
+    )
+    def test_qrels_without_a_positive_name_the_file_and_threshold(
+        self, workdir, run_cli, which, message
+    ):
+        qrels_path = workdir / "qrels.txt"
+        zeroed = {key: 0 for key in read_qrels_file(qrels_path).judgments}
+        write_qrels_file(Qrels(zeroed), qrels_path)
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        result = run_cli("train", "--config", "config.json", "--which", which, cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert message in result.stderr
+        # one warning for the stage, not one per skipped query
+        warnings = [line for line in result.stderr.splitlines() if line.startswith("WARNING")]
+        assert len(warnings) == (which == "qpp")
+        if warnings:
+            assert "4 skipped, first ['q1', 'q2', 'q3', 'q4']" in warnings[0]
+        assert not (workdir / "work" / "models" / f"{which}.json").exists()
+
+    def test_no_negatives_per_positive_is_input_error(self, workdir, run_cli):
+        result = run_cli(
+            "train", "--config", "config.json", "--which", "br",
+            "--set", "ranker.negatives_per_positive=0", cwd=workdir,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "error: ranker.negatives_per_positive must be >= 1, got 0" in result.stderr
+
     def test_qpp_without_qrels_fails(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
         result = run_cli(

@@ -1,0 +1,134 @@
+"""The experiment in memory equals the CLI stages on disk, bit for bit.
+
+`pipeline.experiment` chains the pure stages with no file I/O. Rendered
+with the writers the CLI stages use, its enriched queries, models, runs,
+routing log and reports are the bytes those stages write: on the README
+benchmark, where `tests/test_golden.py` pins them, and on a held-out
+split (even topics train, odd topics test) built as the benchmark under
+`perfbench/` builds it.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from hardrank import pipeline
+from hardrank.benchmark import generate_benchmark
+from hardrank.config import ConfigError, PipelineConfig, load_config, validate
+from hardrank.corpus_io import Qrels, corpus_by_id, write_run
+from hardrank.enrichment import write_enriched
+from hardrank.evaluation import render_report, report_jsonl
+from hardrank.fusion import write_routing_log
+from hardrank.lexical_retrieval import build_index
+from test_golden import ENRICHED_SHA256, GOLDEN_SHA256, MODEL_SHA256, README_CONFIG
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _text(lines) -> bytes:
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def artifacts(result: pipeline.Experiment, models_dir: Path) -> dict[str, bytes]:
+    """What the CLI stages would write for `result`, by file name. The
+    models go through the stages' own model writer, into `models_dir`."""
+    config = PipelineConfig(raw=validate({"paths": {"models_dir": str(models_dir)}}))
+    out = {
+        "enriched.tsv": _text(write_enriched(result.enriched)),
+        "r_qpp.routing.tsv": _text(write_routing_log(result.decisions)),
+        "report.txt": (render_report(result.report) + "\n").encode(),
+        "report.jsonl": _text(report_jsonl(result.report)),
+    }
+    for method, run in result.runs.items():
+        out[f"{method}.txt"] = _text(write_run(run))
+    for which, model in result.models.items():
+        pipeline._save_model(config, which, model)
+    out.update((path.name, path.read_bytes()) for path in models_dir.iterdir())
+    return out
+
+
+def on_disk(config) -> dict[str, bytes]:
+    """Every CLI stage in order, then what they wrote but the index, by file name."""
+    pipeline.build_and_save_index(config)
+    _, errors, _ = pipeline.enrich_training_queries(config)
+    assert not errors
+    for which in ("br", "sr"):
+        pipeline.train_ranker(config, which)
+    pipeline.train_qpp_model(config)
+    run_paths = [pipeline.produce_run(config, method)[0] for method in pipeline.RUN_METHODS]
+    pipeline.evaluate_runs(config, run_paths, "br")
+    written = [config.path("enriched_queries")]
+    for name in ("models_dir", "runs_dir", "reports_dir"):
+        written.extend(config.path(name).iterdir())
+    return {path.name: path.read_bytes() for path in written}
+
+
+@pytest.fixture(scope="module")
+def readme():
+    """The README benchmark, its config and its in-memory experiment."""
+    bench = generate_benchmark(seed=7)
+    config = PipelineConfig(raw=validate(README_CONFIG))
+    queries, qrels = bench.queries, bench.qrels
+    return bench, config, pipeline.experiment(config, bench.corpus, queries, qrels, queries, qrels)
+
+
+def test_readme_experiment_gives_the_golden_bytes(readme, tmp_path):
+    _, _, result = readme
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in artifacts(result, tmp_path).items()}
+    assert digests.pop("enriched.tsv") == ENRICHED_SHA256["judged"]
+    assert {name: digests.pop(name) for name in MODEL_SHA256} == MODEL_SHA256
+    assert digests == GOLDEN_SHA256
+
+
+def test_held_out_experiment_equals_the_on_disk_stages(tmp_path):
+    workloads = _load_workloads()
+    inputs = workloads.scaled_inputs(1, 1)
+    config = load_config(workloads.write_inputs(inputs, tmp_path / "inputs"))
+    result = pipeline.experiment(config, inputs.corpus, inputs.train_queries, inputs.train_qrels,
+                                 inputs.test_queries, inputs.test_qrels)
+    assert {q.query_id for q in inputs.train_queries}.isdisjoint(result.runs["br"].entries)
+    assert artifacts(result, tmp_path / "models") == on_disk(config)
+
+
+def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
+    bench, config, result = readme
+    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+    runs, decisions = pipeline.rank(config, result.models, index, corpus, bench.queries)
+    assert [text for text, _ in kernel_calls] == [q.text for q in bench.queries]
+    assert runs == result.runs
+    assert decisions == result.decisions
+
+
+def test_rank_with_one_ranker_reads_no_other_model(readme, kernel_calls):
+    bench, config, result = readme
+    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+    runs, decisions = pipeline.rank(config, {"sr": result.models["sr"]}, index, corpus,
+                                    bench.queries, ("sr",))
+    assert list(runs) == ["sr"] and decisions is None
+    assert runs["sr"] == result.runs["sr"]
+    assert len(kernel_calls) == len(bench.queries)
+
+
+def test_training_set_without_a_negative_names_the_qrels_and_threshold(readme):
+    # every BM25 candidate of every query judged relevant leaves no negative
+    bench, config, _ = readme
+    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+    queries = bench.queries[:2]
+    candidates = pipeline.candidates_for(config, index, queries)
+    qrels = Qrels({(qid, rec.doc_id): 1 for qid, hits in candidates.items() for rec in hits})
+    texts = [(q.query_id, q.text) for q in queries]
+    with pytest.raises(ConfigError, match="no negative example") as raised:
+        pipeline.fit_ranker(config, "br", texts, index, corpus, qrels)
+    assert "ranker.label_threshold (1) in qrels.txt" in str(raised.value)

@@ -72,21 +72,6 @@ def setting():
     return corpus, build_index(DOCS), candidates
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """(query text, internal ids) of every feature pass; the memo starts empty."""
-    calls = []
-    original = pointwise_ranker._feature_rows
-
-    def counted(text, ids, index, params):
-        calls.append((text, tuple(ids.tolist())))
-        return original(text, ids, index, params)
-
-    monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
-    monkeypatch.setattr(pointwise_ranker, "_last_features", None)
-    return calls
-
-
 def fresh_rerank(model, query, candidates, corpus, index, params=Bm25Params()):
     pointwise_ranker._last_features = None
     return rerank(model, query, candidates, corpus, index, params)
