@@ -1,37 +1,44 @@
 """Training the pointwise ranker and the hardness estimator.
 
-Shows the 6-feature extraction, the BCE loss curve from full-batch descent,
-and a trained hardness estimate next to its file-backed stand-in.
+On the shipped benchmark with the README config: the 6 features of a hard
+query's BM25 candidates, the base ranker's BCE loss curve from full-batch
+descent and its scores for those candidates, and the trained hardness
+estimate psi of an easy and a hard query.
 """
 
-import numpy as np
-
-from hardrank.benchmark import toy_qpp_set, toy_ranker_instances
-from hardrank.corpus_io import Document, Query
+from hardrank.benchmark import generate_benchmark
+from hardrank.config import PipelineConfig, validate
+from hardrank.corpus_io import corpus_by_id
 from hardrank.lexical_retrieval import build_index
-from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, score, train
-from hardrank.qpp import estimate, qpp_features, train_qpp
+from hardrank.pipeline import candidates_for, fit_qpp, fit_ranker
+from hardrank.pointwise_ranker import FEATURE_NAMES, feature_matrix
+from hardrank.qpp import estimate
 
-corpus = [
-    Document("d1", "solar panels convert sunlight into electricity"),
-    Document("d2", "wind turbines spin to generate power"),
-    Document("d3", "solar energy and wind energy are renewable power sources"),
-]
-index = build_index(corpus)
-features = extract_features(Query("q", "solar power"), corpus[2], index)
-print("feature vector for ('solar power', d3):")
-for name, value in zip(FEATURE_NAMES, features):
+bench = generate_benchmark(seed=7)
+# the README config; its paths name the files the CLI reads, which this never opens
+config = PipelineConfig(raw=validate({"enrichment": {"use_judged_context": True}}))
+index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+queries = {q.query_id: q for q in bench.queries}
+candidates = candidates_for(config, index, bench.queries)
+
+query, hits = queries["h00"], candidates["h00"]
+features = feature_matrix(query, [rec.doc_id for rec in hits], index, config.bm25_params())
+print(f"features of {query.query_id} {query.text!r} and its BM25 top document {hits[0].doc_id}:")
+for name, value in zip(FEATURE_NAMES, features[0]):
     print(f"  {name:>15} = {value:.4f}")
 
-model = train(toy_ranker_instances(), epochs=500, learning_rate=0.1)
+texts = [(q.query_id, q.text) for q in bench.queries]
+model = fit_ranker(config, "br", texts, index, corpus, bench.qrels)
 curve = model.metadata["loss_curve"]
-print(f"\nranker BCE loss: {curve[0]:.4f} -> {curve[-1]:.4f} over {len(curve) - 1} epochs")
-print("score for the vector above:", round(score(model, features), 4))
+print(f"\nbase ranker BCE loss: {curve[0]:.4f} -> {curve[-1]:.4f} over {len(curve) - 1} epochs")
+scores = model.score_rows(features)
+print(f"the base ranker's top 3 of the {len(hits)} BM25 candidates of {query.query_id}:")
+for i in sorted(range(len(hits)), key=lambda i: (-scores[i], hits[i].doc_id))[:3]:
+    print(f"  {hits[i].doc_id:>8}  BM25 rank {i + 1:3d}  BR score {scores[i]:.4f}")
 
-qpp_model = train_qpp(toy_qpp_set(), index, epochs=500, learning_rate=0.05)
-query, topk, label = toy_qpp_set()[1]
-print("\nQPP features (query with weak retrieval):",
-      np.round(qpp_features(query, topk, index), 3))
-est = estimate(qpp_model, query, topk, index)
-print(f"trained hardness estimate psi = {est.psi:.3f}",
-      f"(orientation: {qpp_model.metadata['orientation']})")
+qpp_model = fit_qpp(config, index, bench.queries, bench.qrels)
+print(f"\nhardness estimates (orientation: {qpp_model.metadata['orientation']}, "
+      f"training median {qpp_model.metadata['train_median_psi']:.3f}):")
+for qid in ("e00", "h00"):
+    print(f"  {qid} {queries[qid].text!r}: psi = "
+          f"{estimate(qpp_model, queries[qid], candidates[qid], index).psi:.3f}")

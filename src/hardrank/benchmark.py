@@ -15,9 +15,6 @@ that spam the acronym. Raw term statistics favor the distractors, so a
 ranker must learn the population's layout cues (document length, early
 coverage) to get them right - which is exactly what a ranker specialized on
 these queries can do and a population-agnostic one dilutes.
-
-Also provides the small fixture training sets used by the training
-invariants (loss curves, separability).
 """
 
 from __future__ import annotations
@@ -183,48 +180,3 @@ def write_benchmark(directory, seed: int = 7) -> Benchmark:
     write_qrels_file(bench.qrels, directory / "qrels.txt")
     return bench
 
-
-def toy_qpp_set(n: int = 24, seed: int = 5):
-    """Deterministic (query, top-k, effectiveness label) fixture triples.
-
-    Half the queries look well-served (tight high scores, high label), half
-    poorly served (low flat scores, low label).
-    """
-    from .corpus_io import Query, rank_records
-
-    rng = random.Random(seed)
-    labeled = []
-    for i in range(n):
-        good = i % 2 == 0
-        base = rng.uniform(6.0, 9.0) if good else rng.uniform(0.2, 1.5)
-        spread = rng.uniform(0.5, 1.5) if good else rng.uniform(0.05, 0.2)
-        scores = sorted(
-            (base - rng.uniform(0.0, spread) for _ in range(10)), reverse=True
-        )
-        topk = rank_records([(f"d{j}", s) for j, s in enumerate(scores)])
-        n_terms = rng.randint(4, 8) if good else rng.randint(1, 2)
-        text = " ".join(rng.choice(_SYLLABLES) + rng.choice(_SYLLABLES) for _ in range(n_terms))
-        label = rng.uniform(0.75, 0.95) if good else rng.uniform(0.05, 0.3)
-        labeled.append((Query(f"t{i:02d}", text), topk, label))
-    return labeled
-
-
-def toy_ranker_instances(n: int = 80, seed: int = 3):
-    """Linearly separable training fixture: label = overlap ratio > 0.5."""
-    from .pointwise_ranker import TrainingInstance
-
-    rng = random.Random(seed)
-    instances = []
-    for i in range(n):
-        label = i % 2
-        overlap = rng.uniform(0.7, 1.0) if label else rng.uniform(0.0, 0.3)
-        features = (
-            rng.uniform(0.0, 10.0),
-            overlap,
-            rng.uniform(0.0, 1.0),
-            float(rng.randint(1, 10)),
-            rng.uniform(1.0, 6.0),
-            rng.uniform(0.0, 1.0),
-        )
-        instances.append(TrainingInstance(f"q{i}", f"d{i}", features, label))
-    return instances

@@ -9,6 +9,7 @@ stays grounded in real context instead of drifting off-topic.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import threading
@@ -146,6 +147,8 @@ class HttpGenerator:
     (sent as a Bearer header when present). Transient failures (connection
     errors, HTTP 429/5xx) are retried up to `max_retries` times with
     exponential backoff; concurrent calls are bounded by `max_in_flight`.
+    The client is the standard library's `urllib.request`: HTTPS is checked
+    against the system CA store, and a 307 or 308 redirect is an error.
     """
 
     endpoint_url: str
@@ -157,35 +160,41 @@ class HttpGenerator:
     generator_id: str = "http-v1"
 
     def __post_init__(self):
+        if not self.endpoint_url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"endpoint_url must be an http(s) URL, got {self.endpoint_url!r}")
         self._gate = threading.Semaphore(self.max_in_flight)
 
     def generate(self, query: Query, passage: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_token_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         payload = {"prompt": build_prompt(query, passage), "max_tokens": MAX_ENRICHED_TOKENS}
+        request = urllib.request.Request(self.endpoint_url, json.dumps(payload).encode(),
+                                         headers, method="POST")
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
-                with self._gate:
-                    resp = requests.post(
-                        self.endpoint_url, json=payload, headers=headers,
-                        timeout=self.timeout,
-                    )
-            except requests.RequestException as exc:
+                with self._gate, urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # 4xx, 5xx and unfollowed 3xx
+                exc.close()
+                status = exc.code
+            except (OSError, http.client.HTTPException) as exc:  # connection, timeout
                 last_error = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = RuntimeError(f"HTTP {resp.status_code}")
+            if status == 429 or status >= 500:
+                last_error = RuntimeError(f"HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise RuntimeError(f"generator returned HTTP {resp.status_code}")
-            body = resp.json()
+            if status != 200:
+                raise RuntimeError(f"generator returned HTTP {status}")
+            body = json.loads(body)
             if "text" not in body:
                 raise RuntimeError("generator response missing 'text'")
             return str(body["text"])
@@ -194,26 +203,15 @@ class HttpGenerator:
 
 def _truncate_one_line(completion: str) -> str:
     """First non-empty line, capped at MAX_ENRICHED_TOKENS whitespace tokens."""
-    line = ""
-    for candidate in completion.splitlines():
-        if candidate.strip():
-            line = candidate.strip()
-            break
-    tokens = line.split()
-    return " ".join(tokens[:MAX_ENRICHED_TOKENS])
+    line = next((candidate for candidate in completion.splitlines() if candidate.strip()), "")
+    return " ".join(line.split()[:MAX_ENRICHED_TOKENS])
 
 
 def _judged_context_doc(query: Query, qrels: Qrels, corpus: Mapping[str, Document]) -> str | None:
     """Highest-graded judged doc present in the corpus; ties by doc_id."""
-    judged = [
-        (grade, doc_id)
-        for doc_id, grade in qrels.for_query(query.query_id).items()
-        if grade >= 1 and doc_id in corpus
-    ]
-    if not judged:
-        return None
-    judged.sort(key=lambda pair: (-pair[0], pair[1]))
-    return judged[0][1]
+    judged = [(-grade, doc_id) for doc_id, grade in qrels.for_query(query.query_id).items()
+              if grade >= 1 and doc_id in corpus]
+    return min(judged)[1] if judged else None
 
 
 def enrich(

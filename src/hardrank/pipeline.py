@@ -140,7 +140,7 @@ def fit_qpp(config: PipelineConfig, index: InvertedIndex, queries: list[Query],
 
 
 def _qpp_labels(config, queries, candidates, qrels: Qrels):
-    metrics, k = config.section("metrics"), config.section("qpp")["k"]
+    metrics = config.section("metrics")
     threshold = config.section("ranker")["label_threshold"]
     labeled, unjudged = [], []
     for query in queries:
@@ -149,7 +149,7 @@ def _qpp_labels(config, queries, candidates, qrels: Qrels):
             unjudged.append(qid)
         elif hits:
             label = ndcg_at_k(hits, qrels.for_query(qid), metrics["ndcg_k"], metrics["gain"])
-            labeled.append((query, hits[:k], label))
+            labeled.append((query, hits, label))
     _warn_skipped(f"QPP training queries with no document {_graded(config)}", unjudged)
     if len(labeled) < 2:
         raise ConfigError(f"QPP training needs at least 2 training queries with a BM25 "
@@ -421,8 +421,11 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
 
 def evaluate_runs(config: PipelineConfig, run_paths: list[Path],
                   baseline: str) -> tuple[MetricReport, Path, Path]:
-    """Score named run files against the test qrels (`evaluate`) and persist the report."""
-    qrels = read_qrels_file(_require(config.path("test_qrels"), "test qrels"))
+    """Score named run files against the test qrels (`evaluate`) and persist the
+    report. Qrels with no positive judgment are an error, unless
+    `metrics.include_no_positive` is set."""
+    qrels_path = _require(config.path("test_qrels"), "test qrels")
+    qrels = read_qrels_file(qrels_path)
     paths: dict[str, Path] = {}
     for path in map(Path, run_paths):
         if path.stem in paths:
@@ -430,6 +433,10 @@ def evaluate_runs(config: PipelineConfig, run_paths: list[Path],
                               f"{path.stem!r}")
         paths[path.stem] = _require(path, "run file")
     runs = {name: read_run_file(path) for name, path in paths.items()}
+    if not (config.section("metrics")["include_no_positive"]
+            or any(map(qrels.has_positive, qrels.query_ids()))):
+        raise ConfigError(f"no test query in {qrels_path} has a document graded >= 1, so none "
+                          "is evaluable; set metrics.include_no_positive=true to evaluate them")
     report = evaluate(config, runs, qrels, baseline)
     reports_dir = config.path("reports_dir")
     text_path = reports_dir / "report.txt"

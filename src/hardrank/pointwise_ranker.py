@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum
-from .linear_model import LogisticScorer, apply_zscore, fit_scorer, open_unit_sigmoids
+from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
 
 log = logging.getLogger(__name__)
@@ -116,13 +116,6 @@ def extract_features(query, doc: Document, index: InvertedIndex,
     that was indexed.
     """
     return feature_matrix(query, [doc.doc_id], index, params)[0]
-
-
-def score(model: LogisticScorer, features: np.ndarray) -> float:
-    """Relevance score in (0, 1) of one feature vector; the per-row
-    reference that `LogisticScorer.score_rows` equals bit for bit."""
-    z = apply_zscore(features, model.feature_means, model.feature_stds)
-    return float(open_unit_sigmoids(float(np.dot(model.weights, z)) + model.bias))
 
 
 def train(
@@ -278,18 +271,17 @@ def build_training_set(
     Positives are the judged documents with grade >= label_threshold.
     Negatives are sampled (without replacement, seeded) from the BM25
     top-`depth` documents that are unjudged or judged below the threshold,
-    capped at negatives_per_positive per positive.
+    capped at negatives_per_positive per positive. Positives not in the
+    corpus are skipped, with one warning per call.
     """
     rng = random.Random(seed)
     instances: list[TrainingInstance] = []
+    missing: list[str] = []
     for qid, text in query_texts:
         judged = qrels.for_query(qid)
-        positives = [
-            d for d, g in sorted(judged.items()) if g >= label_threshold and d in corpus
-        ]
-        skipped = [d for d, g in judged.items() if g >= label_threshold and d not in corpus]
-        if skipped:
-            log.warning("query %s: %d judged docs missing from corpus", qid, len(skipped))
+        graded = [d for d, g in sorted(judged.items()) if g >= label_threshold]
+        positives = [d for d in graded if d in corpus]
+        missing += [d for d in graded if d not in corpus]
         if not positives:
             continue
         candidates = bm25_search(index, Query(qid, text), depth, params)
@@ -304,4 +296,7 @@ def build_training_set(
         features = feature_matrix(text, [d for d, _ in labeled], index, params)
         for (doc_id, label), row in zip(labeled, features):
             instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
+    if missing:
+        log.warning("positive judgments of documents not in the corpus: %d skipped, first %s",
+                    len(missing), missing[:5])
     return instances

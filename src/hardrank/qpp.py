@@ -75,22 +75,23 @@ def train_qpp(
     k: int = 10,
     orientation: str = "hardness",
 ) -> LogisticScorer:
-    """Fit the estimator on (query, top-k, nDCG@10 label) triples.
+    """Fit the estimator on (query, ranked list, nDCG@10 label) triples.
 
-    Soft-target BCE over the effectiveness labels; the model itself always
-    predicts effectiveness, and `orientation` controls whether estimates are
+    The features read each list's top `k`, as `estimate` does. Soft-target
+    BCE over the effectiveness labels; the model itself always predicts
+    effectiveness, and `orientation` controls whether estimates are
     inverted into hardness scores at inference time. A bad `k` or
     `orientation` raises ValueError.
     """
+    if type(k) is not int or k < 1:
+        raise ValueError(f"the top-k depth must be an integer k >= 1, got {k!r}")
     if len(labeled) < 2:
         raise ValueError("need at least 2 labeled queries")
     labels = np.array([label for _, _, label in labeled], dtype=float)
     if np.any((labels < 0.0) | (labels > 1.0)):
         bad = labels[(labels < 0.0) | (labels > 1.0)][0]
         raise ValueError(f"labels must lie in [0, 1], got {bad}")
-    features = np.array(
-        [qpp_features(query, topk, index) for query, topk, _ in labeled], dtype=float
-    )
+    features = np.array([qpp_features(query, ranked[:k], index) for query, ranked, _ in labeled])
     metadata = {"k": k, "orientation": orientation, "n_queries": len(labeled)}
     return fit_scorer(features, labels, epochs, learning_rate, "qpp", metadata)
 
@@ -99,8 +100,6 @@ def estimate(
     model: LogisticScorer, query: Query, topk: Sequence[RunRecord], index: InvertedIndex
 ) -> QppEstimate:
     """Hardness estimate for one query given its top-k retrieval."""
-    if not topk:
-        raise ValueError("topk must be non-empty")
     feats = qpp_features(query, topk[: model.metadata["k"]], index)
     effectiveness = float(model.score_rows(feats[np.newaxis])[0])
     if model.metadata["orientation"] == "hardness":

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from hardrank.benchmark import toy_qpp_set, toy_ranker_instances, write_benchmark
+from hardrank.benchmark import write_benchmark
 from hardrank.corpus_io import (
     Document,
     Qrels,
@@ -45,8 +45,9 @@ from hardrank.linear_model import (
     load_scorer,
     save_scorer,
 )
-from hardrank.pointwise_ranker import ScoreFileRanker, score, train
+from hardrank.pointwise_ranker import ScoreFileRanker, train
 from hardrank.qpp import FileQppProvider, train_qpp
+from oracles import score, toy_qpp_set, toy_ranker_instances
 
 
 @contextmanager

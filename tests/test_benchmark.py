@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from hardrank.benchmark import generate_benchmark, toy_ranker_instances, write_benchmark
+from hardrank.benchmark import generate_benchmark, write_benchmark
 from hardrank.corpus_io import read_corpus_file, read_qrels_file, read_queries_file
 from hardrank.enrichment import HardnessRule, classify_hardness
 from hardrank.evaluation import ndcg_at_k
 from hardrank.lexical_retrieval import bm25_search, build_index
+from oracles import toy_ranker_instances
 
 
 def test_sizes():

@@ -742,6 +742,20 @@ class TestRunAndEval:
         records = (ranked / "work" / "reports" / "report.jsonl").read_text().splitlines()
         assert records == report_jsonl(expected)
 
+    def test_eval_without_a_positive_judgment_names_the_qrels_and_setting(self, ranked, run_cli):
+        graded = (ranked / "qrels.txt").read_text().splitlines()
+        zeroed = [" ".join(line.split()[:-1] + ["0"]) for line in graded]
+        (ranked / "zero_qrels.txt").write_text("\n".join(zeroed) + "\n")
+        args = ("eval", "work/runs/br.txt", "work/runs/sr.txt", "--baseline", "br",
+                "--config", "config.json", "--set", "paths.test_qrels=zero_qrels.txt")
+        result = run_cli(*args, cwd=ranked)
+        assert result.returncode == 1, result.stderr
+        assert "zero_qrels.txt has a document graded >= 1" in result.stderr
+        assert "metrics.include_no_positive" in result.stderr
+        assert not (ranked / "work" / "reports").exists()
+        result = run_cli(*args, "--set", "metrics.include_no_positive=true", cwd=ranked)
+        assert result.returncode == 0, result.stderr
+
     def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         result = run_cli(
@@ -804,6 +818,8 @@ class TestChildInterpreter:
         loaded = set(result.stdout.split())
         stats = sorted(m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats."))
         assert not stats, f"import hardrank.cli loaded {stats}"
+        # the HTTP generator imports its client when it first sends
+        assert not loaded & {"urllib.request", "http.client", "requests"}
         spec = importlib.util.spec_from_file_location(
             "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         )

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -207,14 +208,19 @@ class TestStubGenerator:
 
 class _Handler(BaseHTTPRequestHandler):
     failures_left = 0
+    failure_status = 503
     bodies: list = []
+    headers_seen: list = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         _Handler.bodies.append(body)
+        _Handler.headers_seen.append(dict(self.headers))
         if _Handler.failures_left > 0:
             _Handler.failures_left -= 1
-            self.send_response(503)
+            self.send_response(_Handler.failure_status)
+            self.send_header("Location", self.path)  # read by a redirect
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         reply = json.dumps({"text": "echo: ok"})
@@ -229,15 +235,21 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_endpoint():
+    _Handler.failures_left, _Handler.failure_status = 0, 503
+    _Handler.bodies, _Handler.headers_seen = [], []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/generate"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpGenerator:
-    def test_round_trip(self, http_endpoint):
+    def test_round_trip(self, http_endpoint, monkeypatch):
+        # the package installs with numpy and scipy alone
+        monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv("HARDRANK_GENERATOR_TOKEN", "secret")
         gen = HttpGenerator(endpoint_url=http_endpoint, backoff_base=0.01)
         _Handler.failures_left = 0
         _Handler.bodies = []
@@ -245,6 +257,8 @@ class TestHttpGenerator:
         out = gen.generate(query, "some passage")
         assert out.startswith("echo:")
         assert _Handler.bodies == [{"prompt": build_prompt(query, "some passage"), "max_tokens": 64}]
+        assert _Handler.headers_seen[0]["Content-Type"] == "application/json"
+        assert _Handler.headers_seen[0]["Authorization"] == "Bearer secret"
 
     def test_retries_transient_failures(self, http_endpoint):
         gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=3, backoff_base=0.01)
@@ -258,6 +272,24 @@ class TestHttpGenerator:
         with pytest.raises(RuntimeError, match="retries"):
             gen.generate(Query("q", "x"), "y")
         _Handler.failures_left = 0
+
+    def test_rate_limit_is_retried(self, http_endpoint):
+        gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=1, backoff_base=0.01)
+        _Handler.failures_left, _Handler.failure_status = 1, 429
+        assert gen.generate(Query("q", "x"), "y") == "echo: ok"
+        assert len(_Handler.bodies) == 2
+
+    @pytest.mark.parametrize("status", [404, 307])
+    def test_client_error_and_post_redirect_are_not_retried(self, http_endpoint, status):
+        gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=3, backoff_base=0.01)
+        _Handler.failures_left, _Handler.failure_status = 1, status
+        with pytest.raises(RuntimeError, match=f"generator returned HTTP {status}"):
+            gen.generate(Query("q", "x"), "y")
+        assert len(_Handler.bodies) == 1
+
+    def test_endpoint_must_be_http(self):
+        with pytest.raises(ValueError, match="endpoint_url must be an http"):
+            HttpGenerator(endpoint_url="file:///etc/hosts")
 
     def test_unreachable_endpoint(self):
         gen = HttpGenerator(

@@ -21,14 +21,9 @@ from hypothesis import strategies as st
 from hardrank.corpus_io import Document, Query, rank_records
 from hardrank.lexical_retrieval import EARLY_WINDOW, Bm25Params, bm25_term_score, build_index
 from hardrank.linear_model import LogisticScorer
-from hardrank.pointwise_ranker import (
-    FEATURE_NAMES,
-    extract_features,
-    feature_matrix,
-    rerank,
-    score,
-)
+from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, feature_matrix, rerank
 from hardrank.text import tokenize
+from oracles import score
 
 
 def oracle_bm25(index, query_text, doc_id, params):

@@ -2,6 +2,7 @@
 oracle), reranking, and model persistence."""
 
 import json
+import logging
 import math
 import random
 
@@ -27,9 +28,9 @@ from hardrank.pointwise_ranker import (
     build_training_set,
     extract_features,
     rerank,
-    score,
     train,
 )
+from oracles import score, toy_ranker_instances
 
 
 @pytest.fixture
@@ -95,7 +96,11 @@ class TestExtractFeatures:
             assert 0.0 <= feats[5] <= 1.0
 
 
-class TestScore:
+class TestScoreRows:
+    @staticmethod
+    def _score(model, row):
+        return float(model.score_rows(np.asarray(row, dtype=float)[np.newaxis])[0])
+
     def _zero_model(self):
         return LogisticScorer(
             weights=np.zeros(6),
@@ -106,12 +111,12 @@ class TestScore:
 
     def test_zero_model_scores_half(self):
         model = self._zero_model()
-        assert score(model, np.array([3.0, 0.5, 0.2, 4.0, 2.0, 1.0])) == 0.5
+        assert self._score(model, [3.0, 0.5, 0.2, 4.0, 2.0, 1.0]) == 0.5
 
     def test_sigmoid_monotone_towards_one(self):
         model = self._zero_model()
         model.weights = np.array([1.0, 0, 0, 0, 0, 0])
-        values = [score(model, np.array([x, 0, 0, 0, 0, 0])) for x in (0, 2, 10, 20)]
+        values = [self._score(model, [x, 0, 0, 0, 0, 0]) for x in (0, 2, 10, 20)]
         assert values[0] == 0.5
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 1.0
@@ -119,8 +124,8 @@ class TestScore:
     def test_output_in_open_interval_even_when_saturated(self):
         model = self._zero_model()
         model.weights = np.full(6, 50.0)
-        assert 0.0 < score(model, np.full(6, 100.0)) < 1.0
-        assert 0.0 < score(model, np.full(6, -100.0)) < 1.0
+        assert 0.0 < self._score(model, np.full(6, 100.0)) < 1.0
+        assert 0.0 < self._score(model, np.full(6, -100.0)) < 1.0
 
     def test_nan_feature_scores_nan_as_score_rows_does(self):
         model = self._zero_model()
@@ -170,25 +175,6 @@ class TestGradient:
         assert worst < 1e-4
 
 
-def make_separable_instances(n=80, seed=3):
-    """Toy set: label = 1 iff overlap ratio > 0.5, with a margin band."""
-    rng = random.Random(seed)
-    instances = []
-    for i in range(n):
-        label = i % 2
-        overlap = rng.uniform(0.7, 1.0) if label else rng.uniform(0.0, 0.3)
-        feats = (
-            rng.uniform(0, 10),
-            overlap,
-            rng.uniform(0, 1),
-            float(rng.randint(1, 10)),
-            rng.uniform(1, 6),
-            rng.uniform(0, 1),
-        )
-        instances.append(TrainingInstance(f"q{i}", f"d{i}", feats, label))
-    return instances
-
-
 class TestTrain:
     def test_rejects_empty_and_single_class(self):
         with pytest.raises(ValueError):
@@ -198,7 +184,7 @@ class TestTrain:
             train(ones)
 
     def test_separable_toy_set_accuracy(self):
-        instances = make_separable_instances()
+        instances = toy_ranker_instances()
         # brute-force separability check on the overlap feature
         pos = [i.features[1] for i in instances if i.label == 1]
         neg = [i.features[1] for i in instances if i.label == 0]
@@ -212,7 +198,7 @@ class TestTrain:
         assert correct / len(instances) >= 0.95
 
     def test_loss_non_increasing_small_lr(self):
-        instances = make_separable_instances()
+        instances = toy_ranker_instances()
         model = train(instances, epochs=200, learning_rate=0.01)
         losses = model.metadata["loss_curve"]
         assert len(losses) == 201
@@ -253,7 +239,7 @@ class TestTrain:
             fit_logistic(features, targets, 20, 1e4)
 
     def test_deterministic(self):
-        instances = make_separable_instances()
+        instances = toy_ranker_instances()
         m1 = train(instances, epochs=50, learning_rate=0.1, seed=1)
         m2 = train(instances, epochs=50, learning_rate=0.1, seed=1)
         assert m1 == m2
@@ -298,7 +284,7 @@ class TestRerank:
     def test_order_matches_bruteforce_scoring(self, small_corpus):
         docs, idx = small_corpus
         corpus = {d.doc_id: d for d in docs}
-        instances = make_separable_instances()
+        instances = toy_ranker_instances()
         model = train(instances, epochs=100)
         candidates = rank_records([("d1", 5.0), ("d2", 4.0), ("d3", 3.0)])
         out = rerank(model, Query("q", "solar wind power"), candidates, corpus, idx)
@@ -356,10 +342,25 @@ class TestBuildTrainingSet:
         b = build_training_set([("q1", "solar energy")], qrels, idx, corpus, seed=9)
         assert a == b
 
+    def test_missing_positives_get_one_warning_per_call(self, small_corpus, caplog):
+        docs, idx = small_corpus
+        corpus = {d.doc_id: d for d in docs}
+        texts = [(f"q{i}", "solar wind power") for i in range(7)]
+        judged = {(qid, "d1"): 1 for qid, _ in texts}
+        judged.update({(qid, f"gone{qid}"): 2 for qid, _ in texts})
+        judged[("q0", "gone-low")] = 0  # below the threshold: not a positive
+        with caplog.at_level(logging.WARNING, logger="hardrank.pointwise_ranker"):
+            instances = build_training_set(texts, Qrels(judged), idx, corpus)
+        assert [r.getMessage() for r in caplog.records] == [
+            "positive judgments of documents not in the corpus: 7 skipped, first "
+            "['goneq0', 'goneq1', 'goneq2', 'goneq3', 'goneq4']"
+        ]
+        assert {inst.doc_id for inst in instances if inst.label} == {"d1"}
+
 
 class TestPersistence:
     def test_roundtrip_exact(self, tmp_path):
-        instances = make_separable_instances()
+        instances = toy_ranker_instances()
         model = train(instances, epochs=25, learning_rate=0.1)
         path = tmp_path / "model.json"
         save_scorer(model, path)

@@ -96,6 +96,17 @@ class TestTrainQpp:
             (Query("q4", "kappa qqq"), entry([0.9, 0.2]), 0.2),
         ]
 
+    def test_full_lists_train_the_model_their_top_k_train(self, index):
+        ranked = [
+            (Query("q1", "alpha beta"), entry([9.0, 5.0, 1.0, 0.5, 0.4]), 0.9),
+            (Query("q2", "zzz yyy"), entry([0.5, 0.4, 0.3, 0.2]), 0.1),
+            (Query("q3", "epsilon"), entry([4.0, 3.0]), 0.7),
+        ]
+        top = [(query, hits[:3], label) for query, hits, label in ranked]
+        model = train_qpp(ranked, index, epochs=50, k=3)
+        assert model == train_qpp(top, index, epochs=50, k=3)
+        assert model != train_qpp(ranked, index, epochs=50, k=4)
+
     def test_label_out_of_range_rejected(self, index):
         bad = [(Query("q1", "a"), entry([1.0]), 1.2), (Query("q2", "b"), entry([1.0]), 0.5)]
         with pytest.raises(ValueError):

@@ -3,18 +3,20 @@
 `rerank` keeps the last feature matrix it built, keyed by the index (held
 weakly), the BM25 parameters, the query text and the candidate doc ids, so
 BR then SR on one list costs one pass. The list is scored as a matrix with
-the bits of per-row `score`, the early-window terms of each document are
-built with the index, and `RunRecord` has slots.
+the bits of the per-row `oracles.score`, the early-window terms of each
+document are built with the index, and `RunRecord` has slots.
 """
 
 import dataclasses
 import gc
 import json
+import os
 import subprocess
 import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +43,9 @@ from hardrank.pipeline import (
     train_qpp_model,
     train_ranker,
 )
-from hardrank.pointwise_ranker import rerank, score
+from hardrank.pointwise_ranker import rerank
 from hardrank.text import tokenize
+from oracles import score
 
 DOCS = [
     Document("d1", "Solar power for the grid"),
@@ -172,13 +175,16 @@ class TestSharedFeaturePass:
         assert memo[-2] is ids and memo[-1] is matrix
 
 
-# Run by a child interpreter: `score_rows` against per-row `score` on fixed
-# random matrices, the 1e6 scale saturating the sigmoid into the clamp.
-# Prints the rows checked and how many of them were clamped.
+TESTS = Path(__file__).resolve().parent
+
+# Run by a child interpreter with TESTS on its path: `score_rows` against the
+# per-row `oracles.score` on fixed random matrices, the 1e6 scale saturating
+# the sigmoid into the clamp. Prints the rows checked and how many of them
+# were clamped.
 KERNEL_CHECK = """
 import numpy as np
 from hardrank.linear_model import LogisticScorer
-from hardrank.pointwise_ranker import score
+from oracles import score
 
 rows = clamped = 0
 for seed in range(40):
@@ -215,7 +221,8 @@ class TestMatrixScoring:
     def test_score_rows_equals_per_row_score_on_another_blas_kernel(self, child_env):
         # `np.vecdot` calls the per-row BLAS ddot that `score`'s `np.dot`
         # calls, so the two agree on any kernel; Prescott is an old one
-        env = {**child_env, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
+        env = {**child_env, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(TESTS), child_env["PYTHONPATH"]])}
         result = subprocess.run([sys.executable, "-c", KERNEL_CHECK], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
