@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .corpus_io import Qrels, RunList, RunRecord
 
@@ -119,6 +118,8 @@ def paired_test(
         if mean == 0.0:
             return PairedTestResult(t=0.0, df=df, p_two_tailed=1.0)
         return PairedTestResult(t=math.copysign(math.inf, mean), df=df, p_two_tailed=0.0)
+    from scipy.special import stdtr  # here, so only `eval` loads scipy for it
+
     t = mean / (sd / math.sqrt(n))
     # Student's t survival function, as scipy.stats.t.sf computes it.
     p = 2.0 * float(stdtr(df, -abs(t)))
@@ -154,6 +155,17 @@ class MetricReport:
     rr_cutoff: int | None
 
 
+class NoEvaluableQuery(ValueError):
+    """`build_report` has no query to evaluate: the qrels judge none
+    (`judged == 0`), or none of the `judged` queries has a positive judgment
+    and those without one are excluded."""
+
+    def __init__(self, judged: int):
+        self.judged = judged
+        super().__init__("the qrels hold no judgment" if judged == 0 else
+                         f"none of the {judged} judged queries has a document graded >= 1")
+
+
 def build_report(
     runs: Mapping[str, RunList],
     qrels: Qrels,
@@ -169,14 +181,15 @@ def build_report(
     every system (a query absent from a run scores 0; RR counts grade >= 1).
     Queries with no positive judgment are excluded from the aggregate means
     unless include_no_positive is set; the same query set is used for every
-    system so the significance tests pair correctly.
+    system so the significance tests pair correctly. Raises NoEvaluableQuery
+    when that set is empty.
     """
     if baseline not in runs:
         raise ValueError(f"baseline {baseline!r} not among runs {sorted(runs)}")
     judged = {qid: qrels.for_query(qid) for qid in qrels.query_ids()}
     included = [qid for qid in judged if include_no_positive or qrels.has_positive(qid)]
     if not included:
-        raise ValueError("no evaluable queries (none with positive judgments)")
+        raise NoEvaluableQuery(len(judged))
 
     def column(per_query: dict[str, dict[str, float]], metric: str) -> list[float]:
         return [per_query[qid][metric] for qid in included]

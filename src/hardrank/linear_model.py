@@ -14,6 +14,9 @@ update give that epoch's loss and the next epoch's gradient.
 
 Both models are one `LogisticScorer`, stored in one versioned JSON format
 whose `kind` field says which model a file holds.
+
+`scipy.special` is imported inside the functions that call it, so a CLI
+command that neither trains nor scores never pays for loading scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .corpus_io import write_artifact
 
@@ -38,6 +40,8 @@ _ARRAYS = ("weights", "feature_means", "feature_stds")
 def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
     """Sigmoid clamped just inside (0, 1) so float saturation never emits an
     exact 0 or 1 (log-loss and interval contracts depend on this)."""
+    from scipy.special import expit
+
     return np.clip(expit(x), _CLAMP, 1.0 - _CLAMP)
 
 
@@ -47,6 +51,8 @@ def bce_loss(targets: np.ndarray, preds: np.ndarray, clamp: bool = False) -> flo
     With clamp=True predictions are clipped away from {0, 1} so the loss
     stays finite during training even if the sigmoid saturates.
     """
+    from scipy.special import xlogy
+
     targets = np.asarray(targets, dtype=float)
     preds = np.asarray(preds, dtype=float)
     if clamp:
@@ -99,6 +105,8 @@ def fit_logistic(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+    from scipy.special import expit
+
     weights = np.zeros(features.shape[1])
     bias = 0.0
     preds = expit(features @ weights + bias)

@@ -22,7 +22,8 @@ from .corpus_io import (Document, Qrels, Query, RunList, corpus_by_id, parse_fil
                         write_artifact, write_lines, write_run_file)
 from .enrichment import (EnrichedQuery, HttpGenerator, StubGenerator, classify_hardness,
                          enrich_all, parse_enriched, write_enriched)
-from .evaluation import MetricReport, build_report, ndcg_at_k, render_report, report_jsonl
+from .evaluation import (MetricReport, NoEvaluableQuery, build_report, ndcg_at_k, render_report,
+                         report_jsonl)
 from .fusion import (FusionConfig, RoutingDecision, bsf, r_qpp, train_median_threshold, w_qpps,
                      write_routing_log)
 from .lexical_retrieval import InvertedIndex, bm25_search, build_index, load_index, save_index
@@ -422,8 +423,8 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
 def evaluate_runs(config: PipelineConfig, run_paths: list[Path],
                   baseline: str) -> tuple[MetricReport, Path, Path]:
     """Score named run files against the test qrels (`evaluate`) and persist the
-    report. Qrels with no positive judgment are an error, unless
-    `metrics.include_no_positive` is set."""
+    report. Qrels with no judgment are an error, and so are qrels with no
+    positive judgment unless `metrics.include_no_positive` is set."""
     qrels_path = _require(config.path("test_qrels"), "test qrels")
     qrels = read_qrels_file(qrels_path)
     paths: dict[str, Path] = {}
@@ -433,11 +434,14 @@ def evaluate_runs(config: PipelineConfig, run_paths: list[Path],
                               f"{path.stem!r}")
         paths[path.stem] = _require(path, "run file")
     runs = {name: read_run_file(path) for name, path in paths.items()}
-    if not (config.section("metrics")["include_no_positive"]
-            or any(map(qrels.has_positive, qrels.query_ids()))):
-        raise ConfigError(f"no test query in {qrels_path} has a document graded >= 1, so none "
-                          "is evaluable; set metrics.include_no_positive=true to evaluate them")
-    report = evaluate(config, runs, qrels, baseline)
+    try:
+        report = evaluate(config, runs, qrels, baseline)
+    except NoEvaluableQuery as exc:
+        why = (f"test qrels file {qrels_path} holds no judgment, so no query is evaluable"
+               if exc.judged == 0 else
+               f"no test query in {qrels_path} has a document graded >= 1, so none is "
+               "evaluable; set metrics.include_no_positive=true to evaluate them")
+        raise ConfigError(why) from None
     reports_dir = config.path("reports_dir")
     text_path = reports_dir / "report.txt"
     jsonl_path = reports_dir / "report.jsonl"

@@ -21,10 +21,11 @@ from hardrank.corpus_io import (
     write_corpus_file,
     write_qrels_file,
     write_queries_file,
+    write_run_file,
 )
 from hardrank.evaluation import build_report, report_jsonl
 from hardrank.lexical_retrieval import load_index
-from hardrank.pipeline import produce_run
+from hardrank.pipeline import experiment, produce_run
 
 
 @pytest.fixture(scope="session")
@@ -756,6 +757,21 @@ class TestRunAndEval:
         result = run_cli(*args, "--set", "metrics.include_no_positive=true", cwd=ranked)
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("include", ["false", "true"])
+    def test_eval_of_empty_qrels_names_the_file_and_no_setting(self, ranked, run_cli, include):
+        # setting metrics.include_no_positive cannot help, so the error does not suggest it
+        (ranked / "empty_qrels.txt").write_text("")
+        result = run_cli(
+            "eval", "work/runs/br.txt", "work/runs/sr.txt", "--baseline", "br",
+            "--config", "config.json", "--set", "paths.test_qrels=empty_qrels.txt",
+            "--set", f"metrics.include_no_positive={include}", cwd=ranked,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "test qrels file empty_qrels.txt holds no judgment" in result.stderr
+        assert "include_no_positive" not in result.stderr
+        assert "positive" not in result.stderr
+        assert not (ranked / "work" / "reports").exists()
+
     def test_eval_missing_baseline_is_input_error(self, trained, run_cli):
         run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         result = run_cli(
@@ -805,7 +821,7 @@ class TestChildInterpreter:
         assert not heavy, f"loaded {heavy[:5]}"
 
     def test_cli_import_skips_scipy_stats_and_loads_traced_modules(self, tmp_path, child_env):
-        # start-up cost: scipy.stats alone took about 0.8 s of CPU per command;
+        # start-up cost: scipy.special took about 0.35 s of CPU per command;
         # perfbench/tracing.install wraps functions it finds in sys.modules
         result = subprocess.run(
             [sys.executable, "-c", "import hardrank.cli, sys; print('\\n'.join(sys.modules))"],
@@ -816,8 +832,8 @@ class TestChildInterpreter:
         )
         assert result.returncode == 0, result.stderr
         loaded = set(result.stdout.split())
-        stats = sorted(m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats."))
-        assert not stats, f"import hardrank.cli loaded {stats}"
+        scipy = sorted(m for m in loaded if m.split(".")[0] == "scipy")
+        assert not scipy, f"import hardrank.cli loaded {scipy[:5]}"
         # the HTTP generator imports its client when it first sends
         assert not loaded & {"urllib.request", "http.client", "requests"}
         spec = importlib.util.spec_from_file_location(
@@ -827,3 +843,42 @@ class TestChildInterpreter:
         spec.loader.exec_module(tracing)
         traced = {f"hardrank.{module}" for module, *_ in tracing.TARGETS}
         assert traced <= loaded, f"not loaded by import hardrank.cli: {sorted(traced - loaded)}"
+
+    def test_only_commands_that_train_score_or_test_load_scipy(self, tmp_path, child_env):
+        # one child runs the commands in turn through hardrank.cli.main and
+        # reports, after each, its exit code and whether any scipy module is loaded
+        bench = write_benchmark(tmp_path, seed=7)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "paths": {
+                "corpus": "corpus.jsonl",
+                "train_queries": "queries.tsv", "train_qrels": "qrels.txt",
+                "test_queries": "queries.tsv", "test_qrels": "qrels.txt",
+            },
+            "enrichment": {"use_judged_context": True},
+        }))
+        config = load_config(tmp_path / "config.json")
+        runs = experiment(config, bench.corpus, bench.queries, bench.qrels,
+                          bench.queries, bench.qrels).runs
+        for which in ("br", "sr"):  # the inputs of `run --method bsf`
+            write_run_file(runs[which], config.path("runs_dir") / f"{which}.txt")
+        steps = [["index"], ["enrich"], ["run", "--method", "bsf"], ["train", "--which", "br"]]
+        code = (
+            "import json, sys\n"
+            "from hardrank.cli import main\n"
+            "for step in json.loads(sys.argv[1]):\n"
+            "    status = main([*step, '--config', 'config.json'])\n"
+            "    scipy = any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+            "    print('RESULT', status, scipy)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(steps)],
+            cwd=tmp_path,
+            env=child_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        results = [line.split()[1:] for line in result.stdout.splitlines()
+                   if line.startswith("RESULT")]
+        # train loads scipy, so the first three are not absent by accident
+        assert results == [["0", "False"]] * 3 + [["0", "True"]], result.stderr

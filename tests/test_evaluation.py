@@ -14,6 +14,7 @@ from scipy import stats as scipy_stats
 from hardrank import evaluation
 from hardrank.corpus_io import Qrels, RunList, rank_records
 from hardrank.evaluation import (
+    NoEvaluableQuery,
     build_report,
     ndcg_at_k,
     paired_test,
@@ -303,6 +304,23 @@ class TestBuildReport:
         assert report.n_queries == 1
         assert report.n_excluded == 1
         assert system(report, "base").means["ndcg10"] == 1.0
+
+    @pytest.mark.parametrize("include_no_positive", [False, True])
+    def test_no_judgment_is_no_evaluable_query(self, include_no_positive):
+        run = RunList(entries={"q1": rank_records([("d1", 1.0)])}, tag="t")
+        with pytest.raises(NoEvaluableQuery, match="the qrels hold no judgment") as caught:
+            build_report({"base": run}, Qrels({}), "base",
+                         include_no_positive=include_no_positive)
+        assert caught.value.judged == 0
+
+    def test_no_positive_judgment_is_no_evaluable_query_unless_included(self):
+        qrels = Qrels({("q1", "d1"): 0, ("q2", "d2"): 0})
+        run = RunList(entries={"q1": rank_records([("d1", 1.0)])}, tag="t")
+        with pytest.raises(NoEvaluableQuery, match="none of the 2 judged queries") as caught:
+            build_report({"base": run}, qrels, "base")
+        assert caught.value.judged == 2
+        report = build_report({"base": run}, qrels, "base", include_no_positive=True)
+        assert (report.n_queries, report.n_excluded) == (2, 0)
 
     def test_judgments_looked_up_once_per_judged_query(self, monkeypatch):
         qrels, good, bad = two_system_fixture()

@@ -8,9 +8,9 @@ import random
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import expit
 
-from hardrank import linear_model
 from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
 from hardrank.lexical_retrieval import build_index
 from hardrank.linear_model import (
@@ -212,7 +212,8 @@ class TestTrain:
             calls.append(1)
             return expit(x)
 
-        monkeypatch.setattr(linear_model, "expit", counting_expit)
+        # fit_logistic imports expit from scipy.special when called, so it gets this one
+        monkeypatch.setattr(scipy.special, "expit", counting_expit)
         rng = np.random.default_rng(5)
         features = rng.normal(size=(20, 3))
         targets = rng.integers(0, 2, size=20).astype(float)
