@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,8 +77,8 @@ def classify_hardness(query: Query, rule: HardnessRule) -> str:
 
     Hard iff any heuristic fires:
     - token count <= max_token_count
-    - acronym_pattern enabled and either an all-caps token of length 2-5
-      appears, or (with a lexicon supplied) some token is not in the lexicon
+    - acronym_pattern enabled and an all-caps token of length 2-5 appears
+    - a lexicon supplied and some token is not in it
     - fewer than min_context_terms non-stopword tokens
     """
     tokens = tokenize(query.text)
@@ -89,8 +88,8 @@ def classify_hardness(query: Query, rule: HardnessRule) -> str:
         for tok in raw_tokens(query.text):
             if 2 <= len(tok) <= 5 and tok.isupper() and any(c.isalpha() for c in tok):
                 return "hard"
-        if rule.lexicon is not None and any(t not in rule.lexicon for t in tokens):
-            return "hard"
+    if rule.lexicon is not None and any(t not in rule.lexicon for t in tokens):
+        return "hard"
     if len(content_terms(tokens)) < rule.min_context_terms:
         return "hard"
     return "easy"
@@ -146,7 +145,9 @@ class HttpGenerator:
     token is read from the environment variable named by `auth_token_env`
     (sent as a Bearer header when present). Transient failures (connection
     errors, HTTP 429/5xx) are retried up to `max_retries` times with
-    exponential backoff; concurrent calls are bounded by `max_in_flight`.
+    exponential backoff. The client holds no lock: the caller's pool bounds
+    concurrent calls (`enrich_all`'s `max_workers`, which the pipeline sets
+    from `generator.max_in_flight`).
     The client is the standard library's `urllib.request`: HTTPS is checked
     against the system CA store, and a 307 or 308 redirect is an error.
     """
@@ -155,14 +156,12 @@ class HttpGenerator:
     auth_token_env: str = "HARDRANK_GENERATOR_TOKEN"
     max_retries: int = 3
     backoff_base: float = 0.5
-    max_in_flight: int = 4
     timeout: float = 30.0
     generator_id: str = "http-v1"
 
     def __post_init__(self):
         if not self.endpoint_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"endpoint_url must be an http(s) URL, got {self.endpoint_url!r}")
-        self._gate = threading.Semaphore(self.max_in_flight)
 
     def generate(self, query: Query, passage: str) -> str:
         import http.client
@@ -181,7 +180,7 @@ class HttpGenerator:
             if attempt:
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
-                with self._gate, urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as exc:  # 4xx, 5xx and unfollowed 3xx
                 exc.close()

@@ -11,9 +11,12 @@ and the standard saturated term frequency with length normalization:
 
 The sum runs over the terms in sorted order, one float add at a time, so
 every path gives the same bits. Documents scoring exactly zero are
-excluded from results. Ties break by doc_id ascending. The postings are
-numpy columns in compressed sparse row layout: a search adds each term's
-contributions into a dense score array, and a document's tf is a gather.
+excluded from results. Internal ids follow doc_id order, so every list
+the index ranks (`InvertedIndex.ranked`) breaks ties by doc_id ascending
+with no lookup, and the index does not depend on the corpus's order. The
+postings are numpy columns in compressed sparse row layout: a search adds
+each term's contributions into a dense score array, and a document's tf
+is a gather.
 The index is immutable once built; searches over it are safe to run
 concurrently. Besides the postings, it keeps what reranking reads of each
 document, so reranking never reads document text.
@@ -36,7 +39,7 @@ from .corpus_io import Document, Query, RunRecord, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 
@@ -62,17 +65,18 @@ class InvertedIndex:
     `(start, end) = spans[term]`; `spans` lists the terms in sorted order
     and their spans tile the columns. Each term's ids are strictly
     ascending, so the tfs of a set of documents are one `searchsorted`
-    gather away (`tf_matrix`). Every array is int64 or float64 and read-only.
-    The average length, the doc_id -> internal id map, each document's
-    `math.log1p(length)`, tf-vector norm and position in sorted doc_id
-    order are derived at construction.
+    gather away (`tf_matrix`). `doc_ids` is strictly ascending, so an
+    internal id is its document's position in doc_id order. Every array is
+    int64 or float64 and read-only. The average length, the doc_id ->
+    internal id map, and each document's `math.log1p(length)` and tf-vector
+    norm are derived at construction.
     """
 
     spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids and tfs
     ids: np.ndarray  # every posting's internal id, term by term
     tfs: np.ndarray  # every posting's term frequency, aligned with ids
     doc_lengths: np.ndarray  # internal_id -> token count
-    doc_ids: list[str]  # internal_id -> external doc_id
+    doc_ids: list[str]  # internal_id -> external doc_id, strictly ascending
     # internal_id -> distinct terms among the first EARLY_WINDOW tokens, each
     # interned so that documents share one string object per term
     lead_terms: list[tuple[str, ...]]
@@ -80,7 +84,6 @@ class InvertedIndex:
     internal_ids: dict[str, int] = field(init=False)
     log_lengths: np.ndarray = field(init=False)  # internal_id -> math.log1p(length)
     doc_norms: np.ndarray = field(init=False)  # internal_id -> Euclidean norm of its tfs
-    doc_order: np.ndarray = field(init=False)  # internal_id -> position in sorted doc_ids
 
     def __post_init__(self):
         lengths = self.doc_lengths.tolist()
@@ -92,10 +95,7 @@ class InvertedIndex:
         # integer-valued float sums below 2**53 are exact, as is the root
         squares = np.bincount(self.ids, weights=np.square(self.tfs, dtype=float), minlength=n)
         self.doc_norms = np.sqrt(squares)
-        self.doc_order = np.empty(n, dtype=np.int64)
-        self.doc_order[sorted(range(n), key=self.doc_ids.__getitem__)] = np.arange(n)
-        for array in (self.ids, self.tfs, self.doc_lengths, self.log_lengths,
-                      self.doc_norms, self.doc_order):
+        for array in (self.ids, self.tfs, self.doc_lengths, self.log_lengths, self.doc_norms):
             array.flags.writeable = False
 
     @property
@@ -124,6 +124,17 @@ class InvertedIndex:
             return np.fromiter(map(self.internal_ids.__getitem__, doc_ids), np.int64, len(doc_ids))
         except KeyError as exc:
             raise ValueError(f"doc_id {exc.args[0]!r} not in index") from None
+
+    def ranked(self, ids: np.ndarray, scores: np.ndarray, k: int | None = None) -> list[RunRecord]:
+        """The documents with these internal ids as records, by score
+        descending and then doc_id ascending (internal ids follow doc_id
+        order); only the top `k` when `k` is given."""
+        order = np.lexsort((ids, -scores))[:k]
+        doc_ids = self.doc_ids
+        return [
+            RunRecord(doc_ids[internal_id], score)
+            for internal_id, score in zip(ids[order].tolist(), scores[order].tolist())
+        ]
 
     def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray) -> np.ndarray:
         """(len(terms), len(internal_ids)) int64 tfs; 0 where a document lacks
@@ -155,22 +166,22 @@ def _spans(terms: Sequence[str], dfs: Sequence[int]) -> dict[str, tuple[int, int
 def build_index(corpus: Sequence[Document]) -> InvertedIndex:
     """Build an inverted index over the corpus.
 
-    Raises ValueError on an empty corpus or a duplicated doc_id.
+    Documents get internal ids in doc_id order, whatever the corpus's
+    order. Raises ValueError on an empty corpus or a duplicated doc_id.
     """
     if not corpus:
         raise ValueError("cannot index an empty corpus")
+    docs = sorted(corpus, key=operator.attrgetter("doc_id"))
+    doc_ids = [doc.doc_id for doc in docs]
+    for doc_id, successor in zip(doc_ids, doc_ids[1:]):
+        if doc_id == successor:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
     term_ids: dict[str, list[int]] = {}  # term -> internal ids, ascending
     term_tfs: dict[str, list[int]] = {}  # term -> tfs, aligned with term_ids
     doc_lengths: list[int] = []
-    doc_ids: list[str] = []
     lead_terms: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    for internal_id, doc in enumerate(corpus):
-        if doc.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
+    for internal_id, doc in enumerate(docs):
         tokens = tokenize(doc.text)
-        doc_ids.append(doc.doc_id)
         doc_lengths.append(len(tokens))
         lead_terms.append(tuple(map(sys.intern, dict.fromkeys(tokens[:EARLY_WINDOW]))))
         for term, tf in Counter(tokens).items():
@@ -232,7 +243,7 @@ def bm25_search(
 
     Each distinct query term, in sorted order, adds its contribution to its
     postings' entries of one dense score array; repeated terms in a query
-    contribute once. Only the top k become records.
+    contribute once. Only the top k become records (`InvertedIndex.ranked`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -247,12 +258,7 @@ def bm25_search(
             index.tfs[start:end], idf, index.doc_lengths[ids], index.avg_doc_length, params
         )
     hits = np.flatnonzero(scores > 0.0)
-    hit_scores = scores[hits]
-    top = np.lexsort((index.doc_order[hits], -hit_scores))[:k]
-    return [
-        RunRecord(index.doc_ids[internal_id], score)
-        for internal_id, score in zip(hits[top].tolist(), hit_scores[top].tolist())
-    ]
+    return index.ranked(hits, scores[hits], k)
 
 
 def score_pair(
@@ -356,11 +362,11 @@ def load_index(path) -> InvertedIndex:
     when the file is not valid JSON, not an index of this version (an older
     one must be rebuilt) or malformed: a column missing, not a list, or
     holding a value of the wrong type (a bool or float is not an int) or
-    the wrong length; doc_ids empty or not distinct; terms not strictly
-    ascending; a negative length or a df or tf below 1; or a term's
-    postings not strictly ascending by internal id or holding an id out of
-    range. The `searchsorted` gathers of `InvertedIndex.tf_matrix` rely
-    on the last two.
+    the wrong length; doc_ids empty or not strictly ascending (which also
+    catches a duplicate); terms not strictly ascending; a negative length
+    or a df or tf below 1; or a term's postings not strictly ascending by
+    internal id or holding an id out of range. The `searchsorted` gathers
+    of `InvertedIndex.tf_matrix` rely on the last two.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -392,14 +398,13 @@ def load_index(path) -> InvertedIndex:
     doc_ids, doc_lengths, joined_lead_terms, terms, dfs, ids, tfs = map(payload.get, _COLUMNS)
     if not doc_ids:
         raise fault("doc_ids is empty")
-    if len(set(doc_ids)) != len(doc_ids):
-        raise fault("doc_ids are not distinct")
     if min(doc_lengths, default=0) < 0:
         raise fault("doc_lengths holds a negative length")
     if min(dfs, default=1) < 1:
         raise fault("df holds a count below 1")
-    if not all(map(operator.lt, terms, terms[1:])):
-        raise fault("terms are not strictly ascending")
+    for name, values in (("doc_ids", doc_ids), ("terms", terms)):
+        if not all(map(operator.lt, values, values[1:])):
+            raise fault(f"{name} are not strictly ascending")
     for name, values in (("doc_lengths", doc_lengths), ("lead_terms", joined_lead_terms)):
         if len(values) != len(doc_ids):
             raise fault(f"{len(doc_ids)} doc_ids but {len(values)} {name}")

@@ -59,8 +59,7 @@ def make_generator(config: PipelineConfig):
     if section["type"] == "stub":
         return StubGenerator(context_terms=section["stub_context_terms"])
     return HttpGenerator(endpoint_url=section["endpoint_url"], max_retries=section["max_retries"],
-                         auth_token_env=section["auth_token_env"],
-                         max_in_flight=section["max_in_flight"])
+                         auth_token_env=section["auth_token_env"])
 
 
 def candidates_for(config: PipelineConfig, index: InvertedIndex,

@@ -152,27 +152,21 @@ def rerank(
 ) -> list[RunRecord]:
     """Re-score the candidate documents with the model.
 
-    Keeps exactly the input doc set, ordered by model score descending
-    with doc_id tie-breaks: one `np.lexsort` over the scores and the
-    documents' `index.doc_order`, as in `bm25_search`, with the records
-    built from the ordered arrays. The features come from one
-    `feature_matrix` pass over the list, read from the index alone (equal
-    to the text-derived values whenever `corpus` is the corpus that was
-    indexed); `corpus` only vouches that each candidate exists. Reranking
-    the same list for the same query text again reuses that pass (see
-    `_candidate_features`): serving scores each list with BR and then SR.
-    `hardrank run` ranks with one model per command, so it never does.
+    Keeps exactly the input doc set, ordered by `InvertedIndex.ranked`:
+    model score descending with doc_id tie-breaks, as in `bm25_search`.
+    The features come from one `feature_matrix` pass over the list, read
+    from the index alone (equal to the text-derived values whenever
+    `corpus` is the corpus that was indexed); `corpus` only vouches that
+    each candidate exists. Reranking the same list for the same query text
+    again reuses that pass (see `_candidate_features`): `pipeline.rank`,
+    and so `experiment`, scores each list with BR and then SR, as serving
+    does. `hardrank run` ranks with one model per command, so it never
+    reuses one.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
     ids, features = _candidate_features(_query_text(query), candidates, corpus, index, params)
-    scores = model.score_rows(features)
-    order = np.lexsort((index.doc_order[ids], -scores))
-    doc_ids = index.doc_ids
-    return [
-        RunRecord(doc_ids[i], score)
-        for i, score in zip(ids[order].tolist(), scores[order].tolist())
-    ]
+    return index.ranked(ids, model.score_rows(features))
 
 
 # The last matrix `_candidate_features` built and what it was built from:
@@ -191,12 +185,12 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
 
     Returns the previous call's pair when the index, the params, the
     query text and the candidate ids are the same, so a caller that ranks
-    one list with both models in turn, as serving does, pays one feature
-    pass; `hardrank run` ranks with one model. A candidate missing from the
-    corpus or the index raises ValueError, and the first faulty candidate
-    in list order is the one named. The corpus check is one pass over the
-    ids on every call; a hit looks nothing up in the index, and a miss
-    looks each candidate up once.
+    one list with both models in turn, as `pipeline.rank` and serving do,
+    pays one feature pass; `hardrank run` ranks with one model. A
+    candidate missing from the corpus or the index raises ValueError, and
+    the first faulty candidate in list order is the one named. The corpus
+    check is one pass over the ids on every call; a hit looks nothing up in
+    the index, and a miss looks each candidate up once.
     """
     global _last_features
     doc_ids = tuple([rec.doc_id for rec in candidates])

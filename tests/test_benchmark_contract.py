@@ -3,9 +3,10 @@
 The benchmark is changed only on its own schedule, so when the package
 changes, these names must keep working: `perfbench/tracing.install` looks
 up every traced function by module and attribute name and observes the
-searches it wraps through `InvertedIndex.document_frequency`, and the
+searches it wraps through `InvertedIndex.document_frequency`, the
 traced serving run checks that a saved and reloaded index has the same
-`postings` as the served one.
+`postings` as the served one, and `perfbench/serve.py` trains, serves and
+fuses through the package's adapters and keyword arguments.
 """
 
 import importlib.util
@@ -15,7 +16,8 @@ from pathlib import Path
 from hardrank.corpus_io import Document, Query
 from hardrank.lexical_retrieval import build_index, load_index, save_index
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 CORPUS = [
     Document("d2", "solar panels and solar power"),
     Document("d10", "wind power on the grid"),
@@ -62,3 +64,30 @@ def test_reloaded_postings_compare_as_a_plain_bool(tmp_path):
     assert type(same) is bool and same
     differ = build_index(CORPUS[:2]).postings == index.postings
     assert type(differ) is bool and not differ
+
+
+def _load_perfbench(name, monkeypatch):
+    """Execute `perfbench/{name}.py` as the module `name`, as its siblings
+    import it, for this test only; nothing under `perfbench/` is written."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_serving_path_runs_on_the_package(monkeypatch):
+    for name in ("clock", "workloads", "checks"):
+        _load_perfbench(name, monkeypatch)
+    serve = _load_perfbench("serve", monkeypatch)
+    ops = _load_perfbench("run", monkeypatch).Ops()
+    inputs = sys.modules["workloads"].scaled_inputs(1, 1, True)
+    config = serve.serve_config()
+    served = serve.set_up(inputs, config)
+    tau = serve.train_median_tau(served, inputs, config)
+    answers, _ = serve.serve_pass(served, inputs.test_queries, config, ops)
+    assert ops.errors == []
+    assert ops.attempted == len(answers) == len(inputs.test_queries)
+    runs = serve.assemble_runs(answers, inputs.test_queries, tau, config)
+    sys.modules["checks"].check_runs(runs, [q.query_id for q in inputs.test_queries])

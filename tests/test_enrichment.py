@@ -42,9 +42,10 @@ class TestClassifyHardness:
         rule = HardnessRule(max_token_count=2, acronym_pattern=False, min_context_terms=1)
         assert classify_hardness(Query("q", "define NASA budget"), rule) == "easy"
 
-    def test_lexicon_miss_is_hard(self):
+    @pytest.mark.parametrize("acronym_pattern", [True, False])
+    def test_lexicon_miss_is_hard(self, acronym_pattern):
         lexicon = frozenset("population growth trends in coastal cities of".split())
-        rule = HardnessRule(max_token_count=2, lexicon=lexicon)
+        rule = HardnessRule(max_token_count=2, acronym_pattern=acronym_pattern, lexicon=lexicon)
         hard = "population growth trends in xylographic cities"
         easy = "population growth trends in coastal cities"
         assert classify_hardness(Query("q", hard), rule) == "hard"

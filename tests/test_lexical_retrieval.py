@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardrank.benchmark import generate_benchmark
 from hardrank.corpus_io import Document, Query
 from hardrank.lexical_retrieval import (
     Bm25Params,
@@ -65,8 +66,13 @@ class TestBuildIndex:
             build_index([])
 
     def test_duplicate_doc_id_rejected(self):
-        with pytest.raises(ValueError):
-            build_index([Document("d1", "a"), Document("d1", "b")])
+        with pytest.raises(ValueError, match="duplicate doc_id 'd1'"):
+            build_index([Document("d2", "c"), Document("d1", "a"), Document("d1", "b")])
+
+    def test_internal_ids_follow_doc_id_order(self):
+        idx = build_index([Document("d2", "b c"), Document("d10", "a b"), Document("d1", "b")])
+        assert idx.doc_ids == ["d1", "d10", "d2"]
+        assert idx.postings == {"a": [(1, 1)], "b": [(0, 1), (1, 1), (2, 1)], "c": [(2, 1)]}
 
 
 class TestBm25Search:
@@ -314,6 +320,16 @@ class TestIndexPersistence:
         # derived on load, not stored: the same bits as at build time
         assert struct.pack("<d", loaded.avg_doc_length) == struct.pack("<d", idx.avg_doc_length)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bytes_do_not_depend_on_corpus_order(self, tmp_path, seed):
+        corpus = generate_benchmark().corpus
+        shuffled = random.Random(seed).sample(corpus, len(corpus))
+        assert shuffled != corpus
+        in_file_order, in_shuffled_order = tmp_path / "file_order.json", tmp_path / "shuffled.json"
+        save_index(build_index(corpus), in_file_order)
+        save_index(build_index(shuffled), in_shuffled_order)
+        assert in_shuffled_order.read_bytes() == in_file_order.read_bytes()
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
@@ -374,7 +390,16 @@ class TestLoadIndexRejectsUntrustedFiles:
             "lead_terms": [" ".join(lead) for lead in index.lead_terms],
             "postings": index.postings,
         }))
-        with pytest.raises(ValueError, match=r"index\.json has version 2, not 3.*hardrank index --force"):
+        with pytest.raises(ValueError, match=r"index\.json has version 2, not 4.*hardrank index --force"):
+            load_index(saved)
+
+    def test_version_3_file_must_be_rebuilt(self, saved):
+        # the same columns, with doc_ids in the corpus's order rather than sorted
+        def corpus_order(p):
+            p.update(version=3, doc_ids=p["doc_ids"][::-1])
+
+        self._rewrite(saved, corpus_order)
+        with pytest.raises(ValueError, match=r"index\.json has version 3, not 4.*index --force"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -439,12 +464,13 @@ class TestLoadIndexRejectsUntrustedFiles:
         [
             (["d1", 2], r"doc_ids holds a value that is not a string"),
             (["d1", None], r"doc_ids holds a value that is not a string"),
-            (["d1", "d1"], r"doc_ids are not distinct"),
+            (["d1", "d1"], r"doc_ids are not strictly ascending"),
+            (["d2", "d1"], r"doc_ids are not strictly ascending"),
             ([], r"doc_ids is empty"),
         ],
-        ids=["int", "null", "duplicate", "empty"],
+        ids=["int", "null", "duplicate", "unsorted", "empty"],
     )
-    def test_doc_ids_not_distinct_strings(self, saved, doc_ids, message):
+    def test_doc_ids_not_ascending_strings(self, saved, doc_ids, message):
         self._rewrite(saved, lambda p: p.__setitem__("doc_ids", doc_ids))
         with pytest.raises(ValueError, match=rf"index\.json: {message}"):
             load_index(saved)
