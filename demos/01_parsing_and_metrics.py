@@ -20,7 +20,7 @@ qrels_lines = [
 
 run = parse_run(run_lines)
 qrels = parse_qrels(qrels_lines)
-print("parsed records:", run.entries["q1"])
+print("parsed ranking:", run.entries["q1"])
 print("round-trip is exact:", parse_run(write_run(run)) == run)
 
 judgments = qrels.for_query("q1")

@@ -40,7 +40,10 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -73,10 +76,47 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
-    """One ranked document; its rank is its 1-based position in the list."""
+    """One ranked document, as iterating a `Ranking` yields it; its rank is
+    its 1-based position in the list."""
 
     doc_id: str
     score: float
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Ranking:
+    """One query's ranked list: its doc ids in rank order and their scores.
+
+    `doc_ids` is a tuple and `scores` a float64 array aligned with it, made
+    read-only here. The stages read and write the two fields; iterating
+    yields a `RunRecord` per document, built on demand, indexing one gives
+    the record at that position and a slice gives a `Ranking`. Two rankings
+    are equal when their doc ids and their scores are.
+    """
+
+    doc_ids: tuple[str, ...]
+    scores: np.ndarray
+
+    def __post_init__(self):
+        if len(self.doc_ids) != len(self.scores):
+            raise ValueError(f"{len(self.doc_ids)} doc ids but {len(self.scores)} scores")
+        self.scores.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return map(RunRecord, self.doc_ids, self.scores.tolist())
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return Ranking(self.doc_ids[at], self.scores[at])
+        return RunRecord(self.doc_ids[at], float(self.scores[at]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return self.doc_ids == other.doc_ids and bool((self.scores == other.scores).all())
 
 
 @dataclass
@@ -115,28 +155,28 @@ class RunList:
     down the list, and no doc_id repeats.
     """
 
-    entries: dict[str, list[RunRecord]] = field(default_factory=dict)
+    entries: dict[str, Ranking] = field(default_factory=dict)
     tag: str = ""
 
     def query_ids(self) -> list[str]:
         return sorted(self.entries)
 
     def validate(self) -> None:
-        for qid, records in self.entries.items():
+        for qid, entry in self.entries.items():
             seen: set[str] = set()
             prev_score = math.inf
-            for i, rec in enumerate(records, start=1):
-                if not math.isfinite(rec.score):
-                    raise ValueError(f"{qid}: non-finite score {rec.score!r} at rank {i}")
-                if rec.score > prev_score:
+            for i, (doc_id, score) in enumerate(zip(entry.doc_ids, entry.scores.tolist()), 1):
+                if not math.isfinite(score):
+                    raise ValueError(f"{qid}: non-finite score {score!r} at rank {i}")
+                if score > prev_score:
                     raise ValueError(f"{qid}: score increases at rank {i}")
-                if rec.doc_id in seen:
-                    raise ValueError(f"{qid}: duplicate doc_id {rec.doc_id!r}")
-                seen.add(rec.doc_id)
-                prev_score = rec.score
+                if doc_id in seen:
+                    raise ValueError(f"{qid}: duplicate doc_id {doc_id!r}")
+                seen.add(doc_id)
+                prev_score = score
 
 
-def rank_records(scored: Iterable[tuple[str, float]]) -> list[RunRecord]:
+def rank_records(scored: Iterable[tuple[str, float]]) -> Ranking:
     """Sort (doc_id, score) pairs into a valid ranked list.
 
     Score descending, ties by doc_id ascending: the order of the key
@@ -144,9 +184,12 @@ def rank_records(scored: Iterable[tuple[str, float]]) -> list[RunRecord]:
     doc_id and then a stable sort by score with `reverse=True` (which keeps
     equal scores in their order) give it, ties and +/-0.0 included.
     """
+    import numpy as np
+
     ordered = sorted(scored, key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    return [RunRecord(doc_id, score) for doc_id, score in ordered]
+    scores = np.fromiter(map(itemgetter(1), ordered), float, len(ordered))
+    return Ranking(tuple(map(itemgetter(0), ordered)), scores)
 
 
 def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -218,8 +261,9 @@ def write_run(run: RunList) -> list[str]:
     tag = run.tag or "run"
     lines = []
     for qid in sorted(run.entries):
-        for rank, rec in enumerate(run.entries[qid], start=1):
-            lines.append(f"{qid} Q0 {rec.doc_id} {rank} {rec.score!r} {tag}")
+        entry = run.entries[qid]
+        for rank, (doc_id, score) in enumerate(zip(entry.doc_ids, entry.scores.tolist()), 1):
+            lines.append(f"{qid} Q0 {doc_id} {rank} {score!r} {tag}")
     return lines
 
 

@@ -237,7 +237,7 @@ def enrich(
         doc_id = _judged_context_doc(query, qrels, corpus)
     if doc_id is None:
         hits = bm25_search(index, query, 1, params)
-        doc_id = hits[0].doc_id if hits else None
+        doc_id = hits.doc_ids[0] if hits else None
     passage = rewrite = ""
     if doc_id is not None:
         passage, _ = select_passage(corpus[doc_id], query, passage_window)

@@ -19,10 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Qrels, RunList, RunRecord
+from .corpus_io import Qrels, Ranking, RunList
 
 GAINS = ("exp", "linear")
 METRIC_NAMES = ("ndcg10", "rr")
+_UNRANKED = Ranking((), np.empty(0))  # what a run holds for a query it does not rank
 
 
 def _gain(grade: int, gain: str) -> float:
@@ -34,7 +35,7 @@ def _gain(grade: int, gain: str) -> float:
 
 
 def ndcg_at_k(
-    ranking: Sequence[RunRecord],
+    ranking: Ranking,
     judgments: Mapping[str, int],
     k: int = 10,
     gain: str = "exp",
@@ -47,14 +48,14 @@ def ndcg_at_k(
     if idcg == 0.0:
         return 0.0
     dcg = sum(
-        _gain(judgments.get(rec.doc_id, 0), gain) / math.log2(i + 2)
-        for i, rec in enumerate(ranking[:k])
+        _gain(judgments.get(doc_id, 0), gain) / math.log2(i + 2)
+        for i, doc_id in enumerate(ranking.doc_ids[:k])
     )
     return dcg / idcg
 
 
 def reciprocal_rank(
-    ranking: Sequence[RunRecord],
+    ranking: Ranking,
     judgments: Mapping[str, int],
     cutoff: int | None = None,
     rel_threshold: int = 1,
@@ -62,9 +63,8 @@ def reciprocal_rank(
     """1/rank of the first relevant document, 0 if none within the cutoff."""
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    scanned = ranking if cutoff is None else ranking[:cutoff]
-    for i, rec in enumerate(scanned, start=1):
-        if judgments.get(rec.doc_id, 0) >= rel_threshold:
+    for i, doc_id in enumerate(ranking.doc_ids[:cutoff], start=1):
+        if judgments.get(doc_id, 0) >= rel_threshold:
             return 1.0 / i
     return 0.0
 
@@ -198,8 +198,8 @@ def build_report(
         entries = runs[name].entries
         per_query = {
             qid: {
-                "ndcg10": ndcg_at_k(entries.get(qid, []), judgments, k, gain),
-                "rr": reciprocal_rank(entries.get(qid, []), judgments, rr_cutoff),
+                "ndcg10": ndcg_at_k(entries.get(qid, _UNRANKED), judgments, k, gain),
+                "rr": reciprocal_rank(entries.get(qid, _UNRANKED), judgments, rr_cutoff),
             }
             for qid, judgments in judged.items()
         }

@@ -28,7 +28,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus_io import Query, RunList, RunRecord, rank_records
+import numpy as np
+
+from .corpus_io import Query, Ranking, RunList
 
 METHODS = ("bsf", "r_qpp", "w_qpps")
 NORMALIZATIONS = ("per_query_min_max", "none")
@@ -72,39 +74,40 @@ class RoutingDecision:
     route: str  # "sr" or "br"
 
 
-def normalize_scores(records: Sequence[RunRecord]) -> dict[str, float]:
-    """One query's scores by doc_id, min-max normalized into [0, 1], in list
-    order.
+def normalize_scores(scores: np.ndarray) -> np.ndarray:
+    """One query's scores, in list order, min-max normalized into [0, 1].
 
-    All-equal scores (including a single document) map to 0.5.
+    All-equal scores (including a single document) map to 0.5. The bounds
+    are the first minimum and the first maximum in list order, as Python's
+    `min` and `max` pick them, so a -0.0 / 0.0 tie keeps its sign.
     """
-    if not records:
-        raise ValueError("cannot normalize an empty entry")
-    scores = [rec.score for rec in records]
-    lo, hi = min(scores), max(scores)
+    lo, hi = scores[scores.argmin()], scores[scores.argmax()]
     if hi == lo:
-        return dict.fromkeys([rec.doc_id for rec in records], 0.5)
-    span = hi - lo
-    return {rec.doc_id: (rec.score - lo) / span for rec in records}
+        return np.full(len(scores), 0.5)
+    return (scores - lo) / (hi - lo)
 
 
-def _scores_by_doc(records: Sequence[RunRecord], normalize: str) -> dict[str, float]:
-    if normalize == "per_query_min_max":
-        return normalize_scores(records)
-    return {rec.doc_id: rec.score for rec in records}
-
-
-def _combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> list[RunRecord]:
+def _combine(br_entry: Ranking, sr_entry: Ranking, w_br: float, w_sr: float,
+             normalize: str) -> Ranking:
     """One query's weighted CombSUM: w_sr * s_sr + w_br * s_br per document
     of the two entries, which hold the same documents. The weights (1, 1)
-    give BSF's s_br + s_sr and (1 - psi, psi) give W-QPPS's interpolation,
-    each with the same bits as the sum written out."""
-    br_scores = _scores_by_doc(br_entry, normalize)
-    sr_scores = _scores_by_doc(sr_entry, normalize)
-    return rank_records(
-        (doc_id, w_sr * sr_scores[doc_id] + w_br * br_score)
-        for doc_id, br_score in br_scores.items()
-    )
+    give BSF's s_br + s_sr and (1 - psi, psi) give W-QPPS's interpolation.
+
+    Both sides are put in doc_id order (a Python sort, so ids compare as
+    `str` does) and combined elementwise; numpy's float64 `*`, `+`, `-` and
+    `/` round as Python's float operators do, so each score has the bits
+    of the sum written out. A stable sort by score descending then leaves
+    equal scores in doc_id order.
+    """
+    br_scores, sr_scores = br_entry.scores, sr_entry.scores
+    if normalize == "per_query_min_max":
+        br_scores, sr_scores = normalize_scores(br_scores), normalize_scores(sr_scores)
+    br_ids = br_entry.doc_ids
+    br_by_id = sorted(range(len(br_ids)), key=br_ids.__getitem__)
+    sr_by_id = sorted(range(len(br_ids)), key=sr_entry.doc_ids.__getitem__)
+    fused = w_sr * sr_scores[sr_by_id] + w_br * br_scores[br_by_id]
+    order = np.argsort(-fused, kind="stable")
+    return Ranking(tuple([br_ids[br_by_id[i]] for i in order.tolist()]), fused[order])
 
 
 def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = None):
@@ -112,8 +115,9 @@ def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = 
     when psi is given, else by query id.
 
     Both runs must rank the same queries and, per query, the same
-    documents; a psi mapping must hold exactly those queries, each psi in
-    [0, 1]. A ValueError names the first query that breaks a rule.
+    documents, at least one; a psi mapping must hold exactly those queries,
+    each psi in [0, 1]. A ValueError names the first query that breaks a
+    rule.
     """
     br, sr = br_run.entries, sr_run.entries
     unpaired = sorted(br.keys() ^ sr.keys())
@@ -128,7 +132,9 @@ def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = 
         if weight is not None and not 0.0 <= weight <= 1.0:
             raise ValueError(f"psi for query {qid!r} outside [0, 1]: {weight}")
         br_entry, sr_entry = br[qid], sr[qid]
-        differ = sorted({rec.doc_id for rec in br_entry} ^ {rec.doc_id for rec in sr_entry})
+        if not br_entry or not sr_entry:
+            raise ValueError(f"query {qid!r} has an empty entry")
+        differ = sorted(set(br_entry.doc_ids) ^ set(sr_entry.doc_ids))
         if differ:
             raise ValueError(f"query {qid!r}: candidate sets differ on {differ}")
         yield qid, br_entry, sr_entry, weight
@@ -180,7 +186,7 @@ def route_qpp(
     sr_ranker,
     qpp_provider,
     queries: Sequence[Query],
-    candidates: Mapping[str, Sequence[RunRecord]],
+    candidates: Mapping[str, Ranking],
     tau: float,
     config: FusionConfig = FusionConfig(method="r_qpp"),
 ) -> tuple[RunList, list[RoutingDecision]]:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import Document, Query, RunRecord, write_artifact
+from .corpus_io import Document, Query, Ranking, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
@@ -125,16 +125,12 @@ class InvertedIndex:
         except KeyError as exc:
             raise ValueError(f"doc_id {exc.args[0]!r} not in index") from None
 
-    def ranked(self, ids: np.ndarray, scores: np.ndarray, k: int | None = None) -> list[RunRecord]:
-        """The documents with these internal ids as records, by score
-        descending and then doc_id ascending (internal ids follow doc_id
-        order); only the top `k` when `k` is given."""
+    def ranked(self, ids: np.ndarray, scores: np.ndarray, k: int | None = None) -> Ranking:
+        """The documents with these internal ids, by score descending and
+        then doc_id ascending (internal ids follow doc_id order); only the
+        top `k` when `k` is given."""
         order = np.lexsort((ids, -scores))[:k]
-        doc_ids = self.doc_ids
-        return [
-            RunRecord(doc_ids[internal_id], score)
-            for internal_id, score in zip(ids[order].tolist(), scores[order].tolist())
-        ]
+        return Ranking(tuple(map(self.doc_ids.__getitem__, ids[order].tolist())), scores[order])
 
     def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray) -> np.ndarray:
         """(len(terms), len(internal_ids)) int64 tfs; 0 where a document lacks
@@ -238,12 +234,12 @@ def bm25_search(
     query: Query,
     k: int,
     params: Bm25Params = Bm25Params(),
-) -> list[RunRecord]:
+) -> Ranking:
     """Top-k documents for the query; zero-scoring documents are excluded.
 
     Each distinct query term, in sorted order, adds its contribution to its
     postings' entries of one dense score array; repeated terms in a query
-    contribute once. Only the top k become records (`InvertedIndex.ranked`).
+    contribute once. Only the top k are kept (`InvertedIndex.ranked`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

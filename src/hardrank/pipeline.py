@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, PipelineConfig
-from .corpus_io import (Document, Qrels, Query, RunList, corpus_by_id, parse_file,
+from .corpus_io import (Document, Qrels, Query, Ranking, RunList, corpus_by_id, parse_file,
                         read_corpus_file, read_qrels_file, read_queries_file, read_run_file,
                         write_artifact, write_lines, write_run_file)
 from .enrichment import (EnrichedQuery, HttpGenerator, StubGenerator, classify_hardness,
@@ -63,7 +63,7 @@ def make_generator(config: PipelineConfig):
 
 
 def candidates_for(config: PipelineConfig, index: InvertedIndex,
-                   queries: list[Query]) -> dict[str, list]:
+                   queries: list[Query]) -> dict[str, Ranking]:
     """BM25 top-depth candidates per query; empty-result queries are dropped."""
     params = config.bm25_params()
     out = {}
@@ -364,7 +364,7 @@ def _fusion_inputs(config: PipelineConfig, expected=None, test_ids=frozenset()):
         hint = f"produce it with `hardrank run --method {which}`"
         path = _require(config.path("runs_dir") / f"{which}.txt", hint)
         run = read_run_file(path)
-        docs = {qid: {rec.doc_id for rec in recs} for qid, recs in run.entries.items()}
+        docs = {qid: set(entry.doc_ids) for qid, entry in run.entries.items()}
         if expected is None:
             expected = {qid: ids for qid, ids in docs.items() if qid in test_ids}
         differ = sorted(q for q in docs.keys() | expected.keys() if docs.get(q) != expected.get(q))
@@ -404,7 +404,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         candidates = candidates_for(config, index, queries)
         qpp_model = _load_model(config, "qpp")
         br, sr = _fusion_inputs(
-            config, {qid: {rec.doc_id for rec in hits} for qid, hits in candidates.items()}
+            config, {qid: set(hits.doc_ids) for qid, hits in candidates.items()}
         )
         # in test-query file order, which the routing log follows
         psi = _psi(qpp_model, index, queries, candidates)

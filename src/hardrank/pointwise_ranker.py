@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Document, Qrels, Query, RunRecord, rank_records
+from .corpus_io import Document, Qrels, Query, Ranking, rank_records
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum
 from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
@@ -145,11 +145,11 @@ def train(
 def rerank(
     model: LogisticScorer,
     query,
-    candidates: Sequence[RunRecord],
+    candidates: Ranking,
     corpus: Mapping[str, Document],
     index: InvertedIndex,
     params: Bm25Params = Bm25Params(),
-) -> list[RunRecord]:
+) -> Ranking:
     """Re-score the candidate documents with the model.
 
     Keeps exactly the input doc set, ordered by `InvertedIndex.ranked`:
@@ -177,7 +177,7 @@ def rerank(
 _last_features: tuple | None = None
 
 
-def _candidate_features(text: str, candidates: Sequence[RunRecord],
+def _candidate_features(text: str, candidates: Ranking,
                         corpus: Mapping[str, Document], index: InvertedIndex,
                         params: Bm25Params) -> tuple[np.ndarray, np.ndarray]:
     """The candidates' internal ids and their documents' feature matrix,
@@ -193,7 +193,7 @@ def _candidate_features(text: str, candidates: Sequence[RunRecord],
     the index, and a miss looks each candidate up once.
     """
     global _last_features
-    doc_ids = tuple([rec.doc_id for rec in candidates])
+    doc_ids = candidates.doc_ids
     if not all(map(corpus.__contains__, doc_ids)):
         missing = next(doc_id for doc_id in doc_ids if doc_id not in corpus)
         # a candidate before it that is not indexed is the first faulty one
@@ -221,7 +221,7 @@ class ModelRanker:
     index: InvertedIndex
     params: Bm25Params = Bm25Params()
 
-    def rerank_query(self, query: Query, candidates: Sequence[RunRecord]) -> list[RunRecord]:
+    def rerank_query(self, query: Query, candidates: Ranking) -> Ranking:
         return rerank(self.model, query.text, candidates, self.corpus, self.index, self.params)
 
 
@@ -234,18 +234,19 @@ class ScoreFileRanker:
     @classmethod
     def from_run(cls, run) -> "ScoreFileRanker":
         return cls({
-            qid: {rec.doc_id: rec.score for rec in records} for qid, records in run.entries.items()
+            qid: dict(zip(entry.doc_ids, entry.scores.tolist()))
+            for qid, entry in run.entries.items()
         })
 
-    def rerank_query(self, query: Query, candidates: Sequence[RunRecord]) -> list[RunRecord]:
+    def rerank_query(self, query: Query, candidates: Ranking) -> Ranking:
         if not candidates:
             raise ValueError("candidate list is empty")
         scores = self.scores.get(query.query_id, {})
         pairs = []
-        for rec in candidates:
-            if rec.doc_id not in scores:
-                raise ValueError(f"no stored score for {(query.query_id, rec.doc_id)}")
-            pairs.append((rec.doc_id, scores[rec.doc_id]))
+        for doc_id in candidates.doc_ids:
+            if doc_id not in scores:
+                raise ValueError(f"no stored score for {(query.query_id, doc_id)}")
+            pairs.append((doc_id, scores[doc_id]))
         return rank_records(pairs)
 
 
@@ -280,9 +281,7 @@ def build_training_set(
             continue
         candidates = bm25_search(index, Query(qid, text), depth, params)
         pool = sorted(
-            rec.doc_id
-            for rec in candidates
-            if judged.get(rec.doc_id, 0) < label_threshold
+            doc_id for doc_id in candidates.doc_ids if judged.get(doc_id, 0) < label_threshold
         )
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import Query, RunRecord
+from .corpus_io import Query, Ranking
 from .lexical_retrieval import InvertedIndex
 from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
@@ -41,7 +41,7 @@ class QppEstimate:
             raise ValueError(f"psi must be in [0, 1], got {self.psi}")
 
 
-def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) -> np.ndarray:
+def qpp_features(query: Query, topk: Ranking, index: InvertedIndex) -> np.ndarray:
     """Feature vector over the query and its top-k retrieval scores.
 
     Order (see QPP_FEATURE_NAMES): mean, population stdev and max of the
@@ -51,7 +51,7 @@ def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) 
     """
     if not topk:
         raise ValueError("topk must be non-empty")
-    scores = np.array([rec.score for rec in topk], dtype=float)
+    scores = topk.scores
     tokens = tokenize(query.text)
     terms = sorted(set(tokens))
     mean_idf = float(np.mean([index.idf(term) for term in terms])) if terms else 0.0
@@ -68,7 +68,7 @@ def qpp_features(query: Query, topk: Sequence[RunRecord], index: InvertedIndex) 
 
 
 def train_qpp(
-    labeled: Sequence[tuple[Query, Sequence[RunRecord], float]],
+    labeled: Sequence[tuple[Query, Ranking, float]],
     index: InvertedIndex,
     epochs: int = 500,
     learning_rate: float = 0.05,
@@ -97,7 +97,7 @@ def train_qpp(
 
 
 def estimate(
-    model: LogisticScorer, query: Query, topk: Sequence[RunRecord], index: InvertedIndex
+    model: LogisticScorer, query: Query, topk: Ranking, index: InvertedIndex
 ) -> QppEstimate:
     """Hardness estimate for one query given its top-k retrieval."""
     feats = qpp_features(query, topk[: model.metadata["k"]], index)
@@ -113,7 +113,7 @@ class ModelQppProvider:
     index: InvertedIndex
 
     def estimate_query(
-        self, query: Query, topk: Sequence[RunRecord] | None = None
+        self, query: Query, topk: Ranking | None = None
     ) -> QppEstimate:
         if not topk:
             raise ValueError(f"query {query.query_id}: topk must be non-empty")
@@ -127,7 +127,7 @@ class FileQppProvider:
     scores: dict[str, float]
 
     def estimate_query(
-        self, query: Query, topk: Sequence[RunRecord] | None = None
+        self, query: Query, topk: Ranking | None = None
     ) -> QppEstimate:
         if query.query_id not in self.scores:
             raise ValueError(f"no QPP score for query {query.query_id!r}")

@@ -7,6 +7,7 @@ import pytest
 
 import hardrank
 from hardrank import pointwise_ranker
+from hardrank.corpus_io import RunRecord
 
 # The directory that holds the ``hardrank`` package this test process imported.
 PACKAGE_ROOT = Path(hardrank.__file__).resolve().parents[1]
@@ -39,3 +40,17 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
     monkeypatch.setattr(pointwise_ranker, "_last_features", None)
     return calls
+
+
+@pytest.fixture
+def record_constructions(monkeypatch):
+    """A list that gains one entry per `RunRecord` built from now on."""
+    built = []
+    original = RunRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunRecord, "__init__", counted)
+    return built

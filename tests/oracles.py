@@ -1,17 +1,21 @@
 """Reference code that only the tests read.
 
 `score` is the per-row logistic score that `LogisticScorer.score_rows`
-must equal bit for bit. `toy_ranker_instances` and `toy_qpp_set` are the
+must equal bit for bit. `sort_records`, `normalize_scores` and `combine`
+are fusion as it was written over lists of records, with Python floats
+and a Python sort: the reference that `fusion.bsf` and `fusion.w_qpps`
+equal bit for bit. `toy_ranker_instances` and `toy_qpp_set` are the
 small fixture training sets of the training invariants (loss curves,
 separability).
 """
 
 import random
+from operator import itemgetter
 
 import numpy as np
 
 from hardrank.benchmark import _SYLLABLES
-from hardrank.corpus_io import Query, rank_records
+from hardrank.corpus_io import Query, RunRecord, rank_records
 from hardrank.linear_model import LogisticScorer, apply_zscore, open_unit_sigmoids
 from hardrank.pointwise_ranker import TrainingInstance
 
@@ -21,6 +25,40 @@ def score(model: LogisticScorer, features: np.ndarray) -> float:
     reference that `LogisticScorer.score_rows` equals bit for bit."""
     z = apply_zscore(features, model.feature_means, model.feature_stds)
     return float(open_unit_sigmoids(float(np.dot(model.weights, z)) + model.bias))
+
+
+def sort_records(scored) -> list[RunRecord]:
+    """(doc_id, score) pairs as records, by score descending and then
+    doc_id ascending: two stable Python sorts, which keep a -0.0 / 0.0 tie
+    in doc_id order."""
+    ordered = sorted(scored, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
+    return [RunRecord(doc_id, score) for doc_id, score in ordered]
+
+
+def normalize_scores(records) -> dict[str, float]:
+    """One query's scores by doc_id, min-max normalized into [0, 1], in list
+    order; all-equal scores (a single document included) map to 0.5."""
+    scores = [rec.score for rec in records]
+    lo, hi = min(scores), max(scores)
+    if hi == lo:
+        return dict.fromkeys([rec.doc_id for rec in records], 0.5)
+    span = hi - lo
+    return {rec.doc_id: (rec.score - lo) / span for rec in records}
+
+
+def combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> list[RunRecord]:
+    """One query's weighted CombSUM, w_sr * s_sr + w_br * s_br per document,
+    over the records of two entries that hold the same documents."""
+    records = (list(br_entry), list(sr_entry))
+    if normalize == "per_query_min_max":
+        br_scores, sr_scores = map(normalize_scores, records)
+    else:
+        br_scores, sr_scores = ({rec.doc_id: rec.score for rec in side} for side in records)
+    return sort_records(
+        (doc_id, w_sr * sr_scores[doc_id] + w_br * br_score)
+        for doc_id, br_score in br_scores.items()
+    )
 
 
 def toy_qpp_set(n: int = 24, seed: int = 5):

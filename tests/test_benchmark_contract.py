@@ -77,7 +77,7 @@ def _load_perfbench(name, monkeypatch):
     return module
 
 
-def test_serving_path_runs_on_the_package(monkeypatch):
+def test_serving_path_runs_on_the_package(monkeypatch, record_constructions):
     for name in ("clock", "workloads", "checks"):
         _load_perfbench(name, monkeypatch)
     serve = _load_perfbench("serve", monkeypatch)
@@ -86,7 +86,10 @@ def test_serving_path_runs_on_the_package(monkeypatch):
     config = serve.serve_config()
     served = serve.set_up(inputs, config)
     tau = serve.train_median_tau(served, inputs, config)
+    record_constructions.clear()
     answers, _ = serve.serve_pass(served, inputs.test_queries, config, ops)
+    # a served query reads and writes arrays: BM25 to fusion builds no record
+    assert record_constructions == []
     assert ops.errors == []
     assert ops.attempted == len(answers) == len(inputs.test_queries)
     runs = serve.assemble_runs(answers, inputs.test_queries, tau, config)

@@ -18,6 +18,7 @@ from hardrank.corpus_io import (
     ParseError,
     Qrels,
     Query,
+    Ranking,
     RunList,
     RunRecord,
     parse_corpus,
@@ -45,12 +46,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hardrank"
 class TestParseRun:
     def test_single_line(self):
         run = parse_run(["q1 Q0 d7 1 12.5 bm25"])
-        assert run.entries == {"q1": [RunRecord("d7", 12.5)]}
+        assert {qid: list(entry) for qid, entry in run.entries.items()} == {
+            "q1": [RunRecord("d7", 12.5)]
+        }
         assert run.tag == "bm25"
 
     def test_resorts_by_score_descending(self):
         run = parse_run(["q1 Q0 a 1 3.0 t", "q1 Q0 b 2 9.0 t"])
-        assert run.entries["q1"] == [RunRecord("b", 9.0), RunRecord("a", 3.0)]
+        assert list(run.entries["q1"]) == [RunRecord("b", 9.0), RunRecord("a", 3.0)]
 
     def test_non_numeric_rank_is_parse_error(self):
         with pytest.raises(ParseError) as exc:
@@ -104,13 +107,14 @@ class TestParseRun:
 class TestRankRecords:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
-        st.sampled_from(["a", "b", "B", "d2", "d10", "d1"]),
+        st.sampled_from(["a", "a\x00", "b", "B", "d2", "d10", "d1", "é", "Ω"]),
         st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
                   st.floats(allow_nan=False, allow_infinity=False)),
     )))
     def test_order_equals_the_key_tuple_sort(self, pairs):
         # few distinct ids and scores, so ties and repeated pairs are common;
-        # float.hex tells 0.0 from -0.0, so equal keys must keep input order
+        # float.hex tells 0.0 from -0.0, so equal keys must keep input order;
+        # ids compare as str: "a" < "a\x00", and non-ASCII by code point
         expected = sorted(pairs, key=lambda p: (-p[1], p[0]))
         got = rank_records(iter(pairs))
         assert [(r.doc_id, r.score.hex()) for r in got] == [(d, s.hex()) for d, s in expected]
@@ -118,21 +122,21 @@ class TestRankRecords:
 
 class TestWriteRun:
     def test_single_record(self):
-        run = RunList(entries={"q1": [RunRecord("d7", 12.5)]}, tag="bsf")
+        run = RunList(entries={"q1": Ranking(("d7",), np.array([12.5]))}, tag="bsf")
         assert write_run(run) == ["q1 Q0 d7 1 12.5 bsf"]
 
     def test_empty_run(self):
         assert write_run(RunList(tag="t")) == []
 
     def test_invalid_run_rejected(self):
-        run = RunList(entries={"q1": [RunRecord("d7", 12.5), RunRecord("d8", 13.0)]}, tag="t")
+        run = RunList(entries={"q1": Ranking(("d7", "d8"), np.array([12.5, 13.0]))}, tag="t")
         with pytest.raises(ValueError):
             write_run(run)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_score_rejected_naming_query_and_rank(self, bad):
         # the run reader refuses it, so the writer must not write it
-        run = RunList(entries={"q1": [RunRecord("d7", 12.5), RunRecord("d8", bad)]}, tag="t")
+        run = RunList(entries={"q1": Ranking(("d7", "d8"), np.array([12.5, bad]))}, tag="t")
         with pytest.raises(ValueError, match=r"q1: non-finite score .* at rank 2"):
             write_run(run)
 

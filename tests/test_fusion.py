@@ -3,9 +3,13 @@
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardrank.corpus_io import Query, RunList, RunRecord, rank_records
+import oracles
+from hardrank.corpus_io import Query, Ranking, RunList, RunRecord, rank_records
 from hardrank.evaluation import ndcg_at_k
 from hardrank.fusion import (
     FusionConfig,
@@ -33,10 +37,10 @@ def order(run, qid):
 
 
 def normalized(run, qid, normalize):
-    """One query's scores by doc as fusion reads them."""
+    """One query's scores by doc as fusion reads them, from the record oracle."""
     records = run.entries[qid]
     if normalize == "per_query_min_max":
-        return normalize_scores(records)
+        return oracles.normalize_scores(records)
     return {rec.doc_id: rec.score for rec in records}
 
 
@@ -53,24 +57,31 @@ def random_runs(seed, n_queries=6, n_docs=8):
 
 class TestNormalizeScores:
     def test_minmax_arithmetic(self):
-        records = rank_records([("a", 2.0), ("b", 4.0), ("c", 6.0)])
-        out = normalize_scores(records)
-        assert list(out.items()) == [("c", 1.0), ("b", 0.5), ("a", 0.0)]
+        ranking = rank_records([("a", 2.0), ("b", 4.0), ("c", 6.0)])
+        assert normalize_scores(ranking.scores).tolist() == [1.0, 0.5, 0.0]
 
     def test_constant_scores_map_to_half(self):
-        records = rank_records([("a", 3.0), ("b", 3.0)])
-        assert list(normalize_scores(records).values()) == [0.5, 0.5]
+        ranking = rank_records([("a", 3.0), ("b", 3.0)])
+        assert normalize_scores(ranking.scores).tolist() == [0.5, 0.5]
 
     def test_single_doc(self):
-        assert normalize_scores(rank_records([("a", 9.0)])) == {"a": 0.5}
+        assert normalize_scores(rank_records([("a", 9.0)]).scores).tolist() == [0.5]
 
     def test_order_preserved(self):
         rng = random.Random(1)
-        records = rank_records([(f"d{i}", rng.uniform(-10, 10)) for i in range(10)])
-        out = normalize_scores(records)
-        assert list(out) == [r.doc_id for r in records]
-        scores = list(out.values())
-        assert scores == sorted(scores, reverse=True)
+        ranking = rank_records([(f"d{i}", rng.uniform(-10, 10)) for i in range(10)])
+        out = normalize_scores(ranking.scores).tolist()
+        assert out == list(oracles.normalize_scores(ranking).values())
+        assert out == sorted(out, reverse=True)
+
+    def test_signed_zero_bounds_follow_list_order(self):
+        # Python's min and max keep the first of equal values, so the first
+        # zero in the list is the bound and decides the sign of 0 - lo
+        for scores in ([1.0, 0.0, -0.0], [1.0, -0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -1.0]):
+            records = [RunRecord(f"d{i}", s) for i, s in enumerate(scores)]
+            expected = list(oracles.normalize_scores(records).values())
+            got = normalize_scores(np.array(scores)).tolist()
+            assert [s.hex() for s in got] == [s.hex() for s in expected], scores
 
 
 class TestBsf:
@@ -178,13 +189,14 @@ class TestRouteQpp:
 @pytest.mark.parametrize("method", ["bsf", "w_qpps", "r_qpp"])
 class TestPairing:
     @staticmethod
-    def fuse(method, br, sr):
+    def fuse(method, br, sr, normalize="per_query_min_max"):
         psi = {qid: 0.5 for qid in br.entries}
+        config = FusionConfig(method, normalize)
         if method == "bsf":
-            return bsf(br, sr)
+            return bsf(br, sr, config)
         if method == "w_qpps":
-            return w_qpps(br, sr, psi)
-        return r_qpp(br, sr, psi, 0.5)
+            return w_qpps(br, sr, psi, config)
+        return r_qpp(br, sr, psi, 0.5, config)
 
     def test_mismatched_documents_name_the_query(self, method):
         br = run_from({"q1": {"a": 1.0, "b": 0.5}, "q2": {"a": 9.0, "b": 6.0, "c": 3.0}})
@@ -197,6 +209,15 @@ class TestPairing:
         del sr.entries["q3"]
         with pytest.raises(ValueError, match="query 'q3' missing from one run"):
             self.fuse(method, br, sr)
+
+    @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
+    @pytest.mark.parametrize("empty", [("br",), ("sr",), ("br", "sr")])
+    def test_an_empty_entry_is_refused_naming_its_query(self, method, normalize, empty):
+        runs = {side: run_from({"q1": {"a": 1.0}, "q2": {"a": 2.0}}) for side in ("br", "sr")}
+        for side in empty:
+            runs[side].entries["q2"] = Ranking((), np.empty(0))
+        with pytest.raises(ValueError, match="query 'q2' has an empty entry"):
+            self.fuse(method, runs["br"], runs["sr"], normalize)
 
 
 class TestWQpps:
@@ -249,8 +270,8 @@ class TestWQpps:
         br = run_from({"q1": {"d2": 1.0, "d10": 0.0, "a": 0.5}, "q2": {"y": 3.0, "x": 3.0}})
         sr = run_from({"q1": {"d2": 0.0, "d10": 1.0, "a": 0.5}, "q2": {"y": 7.0, "x": 7.0}})
         fused = w_qpps(br, sr, {"q1": 0.5, "q2": 0.25})
-        assert fused.entries["q1"] == [RunRecord(d, 0.5) for d in ("a", "d10", "d2")]
-        assert fused.entries["q2"] == [RunRecord(d, 0.5) for d in ("x", "y")]
+        assert list(fused.entries["q1"]) == [RunRecord(d, 0.5) for d in ("a", "d10", "d2")]
+        assert list(fused.entries["q2"]) == [RunRecord(d, 0.5) for d in ("x", "y")]
 
     def test_candidate_mismatch_lists_difference(self):
         br = run_from({"q1": {"a": 1.0, "b": 0.5}})
@@ -292,6 +313,60 @@ class TestWQpps:
         mean = lambda xs: sum(xs) / len(xs)
         assert mean([f for _, _, f in aggregate]) > mean([b for b, _, _ in aggregate])
         assert mean([f for _, _, f in aggregate]) > mean([s for _, s, _ in aggregate])
+
+
+# few distinct values, so ties, all-equal lists and -0.0 / 0.0 ties are
+# common; "d10" sorts before "d2", the non-ASCII ids compare by code point,
+# and "a" < "a\x00" as str (a numpy unicode array would call them equal)
+FUSION_IDS = ["a", "a\x00", "B", "d2", "d10", "é", "Ω", "ß", "a\u0301"]
+FUSION_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 3.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def paired_runs(draw):
+    """A BR and an SR run over the same documents per query, and psi."""
+    br, sr, psi = {}, {}, {}
+    for q in range(draw(st.integers(1, 3))):
+        docs = draw(st.lists(st.sampled_from(FUSION_IDS), min_size=1, unique=True))
+        qid = f"q{q}"
+        br[qid] = rank_records([(d, draw(FUSION_SCORES)) for d in docs])
+        sr[qid] = rank_records([(d, draw(FUSION_SCORES)) for d in docs])
+        psi[qid] = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return RunList(br, "br"), RunList(sr, "sr"), psi
+
+
+def _hex(records):
+    return [(rec.doc_id, rec.score.hex()) for rec in records]
+
+
+class TestFusionOracle:
+    """bsf and w_qpps equal fusion over records, bit for bit: same order,
+    same score bits (float.hex tells -0.0 from 0.0)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(paired_runs(), st.sampled_from(["per_query_min_max", "none"]))
+    def test_bsf_equals_the_record_oracle(self, runs, normalize):
+        br, sr, _ = runs
+        fused = bsf(br, sr, FusionConfig(method="bsf", normalize=normalize))
+        assert sorted(fused.entries) == sorted(br.entries)
+        for qid, entry in fused.entries.items():
+            expected = oracles.combine(br.entries[qid], sr.entries[qid], 1.0, 1.0, normalize)
+            assert _hex(entry) == _hex(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(paired_runs(), st.sampled_from(["per_query_min_max", "none"]))
+    def test_w_qpps_equals_the_record_oracle(self, runs, normalize):
+        br, sr, psi = runs
+        fused = w_qpps(br, sr, psi, FusionConfig(normalize=normalize))
+        assert list(fused.entries) == list(psi)
+        for qid, entry in fused.entries.items():
+            weight = psi[qid]
+            expected = oracles.combine(br.entries[qid], sr.entries[qid], 1.0 - weight, weight,
+                                       normalize)
+            assert _hex(entry) == _hex(expected)
 
 
 class TestConfig:

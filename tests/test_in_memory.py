@@ -111,6 +111,15 @@ def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
     assert decisions == result.decisions
 
 
+def test_rank_builds_no_record(readme, record_constructions):
+    # BM25, both reranks, psi and the three fusions read and write arrays
+    bench, config, result = readme
+    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+    runs, _ = pipeline.rank(config, result.models, index, corpus, bench.queries)
+    assert record_constructions == []
+    assert runs == result.runs
+
+
 def test_rank_with_one_ranker_reads_no_other_model(readme, kernel_calls):
     bench, config, result = readme
     index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)

@@ -8,12 +8,13 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardrank.benchmark import generate_benchmark
-from hardrank.corpus_io import Document, Query
+from hardrank.corpus_io import Document, Query, rank_records
 from hardrank.lexical_retrieval import (
     Bm25Params,
     bm25_search,
@@ -75,10 +76,37 @@ class TestBuildIndex:
         assert idx.postings == {"a": [(1, 1)], "b": [(0, 1), (1, 1), (2, 1)], "c": [(2, 1)]}
 
 
+# "a" < "a\x00" as str, though a numpy unicode array calls them equal;
+# "d10" sorts before "d2", and the non-ASCII ids compare by code point
+RANKED_IDS = ["a", "a\x00", "B", "d1", "d10", "d2", "é", "Ω", "ß", "a\u0301"]
+
+
+class TestRanked:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(
+            st.sampled_from(RANKED_IDS),
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+        ), unique_by=lambda p: p[0]),
+        st.one_of(st.none(), st.integers(1, 12)),
+    )
+    def test_order_equals_the_key_tuple_sort(self, pairs, k):
+        # float.hex tells 0.0 from -0.0: each document keeps its own score
+        index = build_index([Document(doc_id, "x") for doc_id in RANKED_IDS])
+        ids = index.internal_id_array([doc_id for doc_id, _ in pairs])
+        ranking = index.ranked(ids, np.array([score for _, score in pairs], dtype=float), k)
+        expected = sorted(pairs, key=lambda p: (-p[1], p[0]))[:k]
+        assert [(r.doc_id, r.score.hex()) for r in ranking] == [
+            (d, s.hex()) for d, s in expected
+        ]
+        assert ranking == rank_records(pairs)[:k]
+
+
 class TestBm25Search:
     def test_absent_term_returns_empty(self):
         idx = build_index([Document("d1", "cats dog")])
-        assert bm25_search(idx, Query("q", "zebra"), 10) == []
+        assert list(bm25_search(idx, Query("q", "zebra"), 10)) == []
 
     def test_single_doc_corpus_matches_closed_form(self):
         # With N=1 and df=1 the floored idf is 0, so the closed form gives 0
@@ -88,7 +116,7 @@ class TestBm25Search:
         oracle = oracle_bm25(corpus, "lean")
         assert oracle["d1"] == 0.0
         assert score_pair(idx, "lean", "d1") == oracle["d1"]
-        assert bm25_search(idx, Query("q", "lean"), 5) == []
+        assert list(bm25_search(idx, Query("q", "lean"), 5)) == []
 
     def test_k1_returns_argmax_doc(self):
         corpus = [
@@ -237,7 +265,7 @@ class TestBm25SearchExactness:
             assert _hex_records(found) == oracle_search(corpus, query, k, Bm25Params())
         assert [rec.doc_id for rec in found] == ["d10", "d9", "d1"]
         assert found[0].score == found[1].score
-        assert bm25_search(index, Query("q", "the zebra"), 5) == []
+        assert list(bm25_search(index, Query("q", "the zebra"), 5)) == []
 
 
 class TestSelectPassage:

@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 from scipy.special import expit
 
-from hardrank.corpus_io import Document, Qrels, Query, RunRecord, rank_records
+from hardrank.corpus_io import Document, Qrels, Query, Ranking, RunRecord, rank_records
 from hardrank.lexical_retrieval import build_index
 from hardrank.linear_model import (
     DivergedFit,
@@ -269,7 +269,7 @@ class TestRerank:
         docs = [Document(d, "solar wind") for d in ("zeta", "d2", "d10", "alpha", "d1")]
         index = build_index(docs)
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
-        candidates = [RunRecord(d, 1.0) for d in ("d1", "zeta", "d10", "alpha", "d2")]
+        candidates = Ranking(("d1", "zeta", "d10", "alpha", "d2"), np.ones(5))
         out = rerank(model, Query("q", "solar"), candidates, {d.doc_id: d for d in docs}, index)
         assert [r.doc_id for r in out] == ["alpha", "d1", "d10", "d2", "zeta"]
         assert all(r.score == 0.5 for r in out)
@@ -310,7 +310,7 @@ class TestScoreFileRanker:
     def test_returns_stored_scores(self):
         ranker = ScoreFileRanker({"q1": {"d1": 0.9}})
         out = ranker.rerank_query(Query("q1", "x"), rank_records([("d1", 1.0)]))
-        assert out == [RunRecord("d1", 0.9)]
+        assert list(out) == [RunRecord("d1", 0.9)]
 
     def test_missing_pair_error_names_pair(self):
         ranker = ScoreFileRanker({"q1": {"d1": 0.9}})
