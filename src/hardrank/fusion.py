@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ class FusionConfig:
     method: str = "w_qpps"
     normalize: str = "per_query_min_max"
     routing_threshold: float | str = "train_median"  # fixed value or policy name
+    _hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -54,8 +55,6 @@ class FusionConfig:
                 )
         elif not 0.0 <= self.routing_threshold <= 1.0:
             raise ValueError("fixed routing threshold must lie in [0, 1]")
-
-    def config_hash(self) -> str:
         blob = json.dumps(
             {
                 "method": self.method,
@@ -64,7 +63,11 @@ class FusionConfig:
             },
             sort_keys=True,
         )
-        return hashlib.sha1(blob.encode()).hexdigest()[:8]
+        # the config is frozen, so its run tag's hash is computed once, here
+        object.__setattr__(self, "_hash", hashlib.sha1(blob.encode()).hexdigest()[:8])
+
+    def config_hash(self) -> str:
+        return self._hash
 
 
 @dataclass(frozen=True)

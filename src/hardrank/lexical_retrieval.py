@@ -18,8 +18,10 @@ postings are numpy columns in compressed sparse row layout: a search adds
 each term's contributions into a dense score array, and a document's tf
 is a gather.
 The index is immutable once built; searches over it are safe to run
-concurrently. Besides the postings, it keeps what reranking reads of each
-document, so reranking never reads document text.
+concurrently. The postings are its only store of per-(term, document)
+facts: beside each tf, a lead flag says whether the term is among the
+document's first EARLY_WINDOW tokens, and a document's length is the sum
+of its tfs. So reranking never reads document text.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,7 +40,7 @@ from .corpus_io import Document, Query, Ranking, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 
@@ -58,44 +59,45 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
-    """Term postings as CSR columns plus the per-document statistics BM25
-    and reranking need.
+    """Term postings as CSR columns, the one store of per-(term, document)
+    facts, plus the per-document statistics derived from them.
 
-    A term's postings are `ids[start:end]` and `tfs[start:end]` for
-    `(start, end) = spans[term]`; `spans` lists the terms in sorted order
-    and their spans tile the columns. Each term's ids are strictly
-    ascending, so the tfs of a set of documents are one `searchsorted`
-    gather away (`tf_matrix`). `doc_ids` is strictly ascending, so an
-    internal id is its document's position in doc_id order. Every array is
-    int64 or float64 and read-only. The average length, the doc_id ->
-    internal id map, and each document's `math.log1p(length)` and tf-vector
-    norm are derived at construction.
+    A term's postings are `ids[start:end]`, `tfs[start:end]` and
+    `leads[start:end]` for `(start, end) = spans[term]`; `spans` lists the
+    terms in sorted order and their spans tile the columns. Each term's ids
+    are strictly ascending, so the tfs and lead flags of a set of documents
+    are one `searchsorted` gather away (`tf_matrix`). `doc_ids` is strictly
+    ascending, so an internal id is its document's position in doc_id
+    order. Every array is int64, float64 or bool and read-only. Each
+    document's length (the sum of its tfs), `math.log1p(length)` and
+    tf-vector norm, the average length and the doc_id -> internal id map
+    are derived at construction.
     """
 
-    spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids and tfs
+    spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids, tfs and leads
     ids: np.ndarray  # every posting's internal id, term by term
     tfs: np.ndarray  # every posting's term frequency, aligned with ids
-    doc_lengths: np.ndarray  # internal_id -> token count
+    leads: np.ndarray  # is the posting's term among its document's first EARLY_WINDOW tokens
     doc_ids: list[str]  # internal_id -> external doc_id, strictly ascending
-    # internal_id -> distinct terms among the first EARLY_WINDOW tokens, each
-    # interned so that documents share one string object per term
-    lead_terms: list[tuple[str, ...]]
+    doc_lengths: np.ndarray = field(init=False)  # internal_id -> token count
     avg_doc_length: float = field(init=False)
     internal_ids: dict[str, int] = field(init=False)
     log_lengths: np.ndarray = field(init=False)  # internal_id -> math.log1p(length)
     doc_norms: np.ndarray = field(init=False)  # internal_id -> Euclidean norm of its tfs
 
     def __post_init__(self):
+        n = len(self.doc_ids)
+        # integer-valued float sums below 2**53 are exact, as is the root
+        self.doc_lengths = np.bincount(self.ids, weights=self.tfs, minlength=n).astype(np.int64)
         lengths = self.doc_lengths.tolist()
-        n = len(lengths)
         self.avg_doc_length = sum(lengths) / n
         self.internal_ids = {d: i for i, d in enumerate(self.doc_ids)}
         # math.log1p, not np.log1p: the two may differ in the last bit
         self.log_lengths = np.array([math.log1p(length) for length in lengths])
-        # integer-valued float sums below 2**53 are exact, as is the root
         squares = np.bincount(self.ids, weights=np.square(self.tfs, dtype=float), minlength=n)
         self.doc_norms = np.sqrt(squares)
-        for array in (self.ids, self.tfs, self.doc_lengths, self.log_lengths, self.doc_norms):
+        for array in (self.ids, self.tfs, self.leads, self.doc_lengths, self.log_lengths,
+                      self.doc_norms):
             array.flags.writeable = False
 
     @property
@@ -132,9 +134,10 @@ class InvertedIndex:
         order = np.lexsort((ids, -scores))[:k]
         return Ranking(tuple(map(self.doc_ids.__getitem__, ids[order].tolist())), scores[order])
 
-    def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray) -> np.ndarray:
-        """(len(terms), len(internal_ids)) int64 tfs; 0 where a document lacks
-        a term or the term is not indexed.
+    def tf_matrix(self, terms: Sequence[str],
+                  internal_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(len(terms), len(internal_ids)) int64 tfs and bool lead flags; 0
+        and False where a document lacks a term or the term is not indexed.
 
         One `searchsorted` per term into its postings, then one gather for
         all of them, so the numpy calls do not grow with the documents.
@@ -148,9 +151,12 @@ class InvertedIndex:
         rows, cols = np.nonzero(positions < limits[:, 1:])
         at = positions[rows, cols]
         found = self.ids[at] == internal_ids[cols]
+        cells, at = (rows[found], cols[found]), at[found]
         tfs = np.zeros(positions.shape, dtype=np.int64)
-        tfs[rows[found], cols[found]] = self.tfs[at[found]]
-        return tfs
+        tfs[cells] = self.tfs[at]
+        leads = np.zeros(positions.shape, dtype=bool)
+        leads[cells] = self.leads[at]
+        return tfs, leads
 
 
 def _spans(terms: Sequence[str], dfs: Sequence[int]) -> dict[str, tuple[int, int]]:
@@ -174,23 +180,25 @@ def build_index(corpus: Sequence[Document]) -> InvertedIndex:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
     term_ids: dict[str, list[int]] = {}  # term -> internal ids, ascending
     term_tfs: dict[str, list[int]] = {}  # term -> tfs, aligned with term_ids
-    doc_lengths: list[int] = []
-    lead_terms: list[tuple[str, ...]] = []
+    term_leads: dict[str, list[bool]] = {}  # term -> lead flags, aligned with term_ids
     for internal_id, doc in enumerate(docs):
         tokens = tokenize(doc.text)
-        doc_lengths.append(len(tokens))
-        lead_terms.append(tuple(map(sys.intern, dict.fromkeys(tokens[:EARLY_WINDOW]))))
+        lead = set(tokens[:EARLY_WINDOW])
         for term, tf in Counter(tokens).items():
             term_ids.setdefault(term, []).append(internal_id)
             term_tfs.setdefault(term, []).append(tf)
+            term_leads.setdefault(term, []).append(term in lead)
     terms = sorted(term_ids)
+
+    def column(by_term: dict[str, list], dtype) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(map(by_term.get, terms)), dtype)
+
     return InvertedIndex(
         spans=_spans(terms, [len(term_ids[term]) for term in terms]),
-        ids=np.fromiter(itertools.chain.from_iterable(map(term_ids.get, terms)), np.int64),
-        tfs=np.fromiter(itertools.chain.from_iterable(map(term_tfs.get, terms)), np.int64),
-        doc_lengths=np.array(doc_lengths, dtype=np.int64),
+        ids=column(term_ids, np.int64),
+        tfs=column(term_tfs, np.int64),
+        leads=column(term_leads, bool),
         doc_ids=doc_ids,
-        lead_terms=lead_terms,
     )
 
 
@@ -267,7 +275,7 @@ def score_pair(
     internal_ids = index.internal_id_array([doc_id])
     terms = sorted(set(tokenize(query_text)))
     return float(bm25_sum(
-        index.tf_matrix(terms, internal_ids),
+        index.tf_matrix(terms, internal_ids)[0],
         [index.idf(term) for term in terms],
         index.doc_lengths[internal_ids],
         index.avg_doc_length,
@@ -306,49 +314,42 @@ def select_passage(
         distinct, _ = window_key([t for t, _, _ in spans])
         return doc.text, distinct
 
+    # the last start is the first whose window reaches the end; the best
+    # key wins, and on a tie the earliest start
     stride = max(1, window // 2)
-    best_start = 0
-    best_key = (-1, -1.0)
-    best_end = 0
-    start = 0
-    while start < len(spans):
-        end = min(start + window, len(spans))
-        key = window_key([t for t, _, _ in spans[start:end]])
-        if key > best_key:
-            best_key = key
-            best_start, best_end = start, end
-        if end == len(spans):
-            break
-        start += stride
-    passage = doc.text[spans[best_start][1] : spans[best_end - 1][2]]
-    return passage, best_key[0]
+    (distinct, _), neg_start = max(
+        (window_key([t for t, _, _ in spans[start:start + window]]), -start)
+        for start in range(0, len(spans) - window + stride, stride)
+    )
+    start, end = -neg_start, min(window - neg_start, len(spans))
+    return doc.text[spans[start][1] : spans[end - 1][2]], distinct
 
 
 def save_index(index: InvertedIndex, path) -> None:
     """Persist the index as a single versioned JSON file.
 
-    The postings are four flat columns: `terms` (sorted), `df` (each term's
-    postings count), and `ids` and `tfs` (every posting, term by term), so
-    the file parses into a few long lists of ints rather than one small
-    list per posting. Each document's lead terms are one space-joined
-    string: tokens never hold a space. The average document length is not
-    stored; the loaded index derives it from `doc_lengths`.
+    Besides `doc_ids`, the postings are five flat columns: `terms`
+    (sorted), `df` (each term's postings count), and `ids`, `tfs` and
+    `leads` (every posting, term by term; a lead flag is 0 or 1), so the
+    file parses into a few long lists of ints rather than one small list
+    per posting. Document lengths are not stored; the loaded index derives
+    them from the tfs, as building does.
     """
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
-        "doc_lengths": index.doc_lengths.tolist(),
-        "lead_terms": [" ".join(lead) for lead in index.lead_terms],
         "terms": list(index.spans),
         "df": [end - start for start, end in index.spans.values()],
         "ids": index.ids.tolist(),
         "tfs": index.tfs.tolist(),
+        "leads": index.leads.astype(np.int64).tolist(),
     }
     write_artifact(path, json.dumps(payload))
 
 
-_COLUMNS = ("doc_ids", "doc_lengths", "lead_terms", "terms", "df", "ids", "tfs")
+_POSTINGS = ("ids", "tfs", "leads")  # one value per posting, term by term
+_COLUMNS = ("doc_ids", "terms", "df", *_POSTINGS)
 
 
 def load_index(path) -> InvertedIndex:
@@ -359,10 +360,11 @@ def load_index(path) -> InvertedIndex:
     one must be rebuilt) or malformed: a column missing, not a list, or
     holding a value of the wrong type (a bool or float is not an int) or
     the wrong length; doc_ids empty or not strictly ascending (which also
-    catches a duplicate); terms not strictly ascending; a negative length
-    or a df or tf below 1; or a term's postings not strictly ascending by
-    internal id or holding an id out of range. The `searchsorted` gathers
-    of `InvertedIndex.tf_matrix` rely on the last two.
+    catches a duplicate); terms not strictly ascending; a df or tf below 1;
+    a lead flag other than 0 or 1; or a term's postings not strictly
+    ascending by internal id or holding an id out of range. The
+    `searchsorted` gathers of `InvertedIndex.tf_matrix` rely on the last
+    two.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -386,36 +388,25 @@ def load_index(path) -> InvertedIndex:
     # type() rather than isinstance(): bool is a subclass of int
     for kind, noun, names in (
         (str, "a string", ("doc_ids", "terms")),
-        (int, "an int", ("doc_lengths", "df", "ids", "tfs")),
+        (int, "an int", ("df", *_POSTINGS)),
     ):
         for name in names:
             if not set(map(type, payload[name])) <= {kind}:
                 raise fault(f"{name} holds a value that is not {noun}")
-    doc_ids, doc_lengths, joined_lead_terms, terms, dfs, ids, tfs = map(payload.get, _COLUMNS)
+    doc_ids, terms, dfs = payload["doc_ids"], payload["terms"], payload["df"]
     if not doc_ids:
         raise fault("doc_ids is empty")
-    if min(doc_lengths, default=0) < 0:
-        raise fault("doc_lengths holds a negative length")
     if min(dfs, default=1) < 1:
         raise fault("df holds a count below 1")
     for name, values in (("doc_ids", doc_ids), ("terms", terms)):
         if not all(map(operator.lt, values, values[1:])):
             raise fault(f"{name} are not strictly ascending")
-    for name, values in (("doc_lengths", doc_lengths), ("lead_terms", joined_lead_terms)):
-        if len(values) != len(doc_ids):
-            raise fault(f"{len(doc_ids)} doc_ids but {len(values)} {name}")
     if len(dfs) != len(terms):
         raise fault(f"{len(terms)} terms but {len(dfs)} df")
     n_postings = sum(dfs)
-    for name, values in (("ids", ids), ("tfs", tfs)):
-        if len(values) != n_postings:
-            raise fault(f"df counts {n_postings} postings but {name} holds {len(values)}")
-
-    lead_terms = []
-    for doc_id, joined in zip(doc_ids, joined_lead_terms):
-        if not isinstance(joined, str):
-            raise fault(f"lead_terms of doc {doc_id!r} are not a string")
-        lead_terms.append(tuple(map(sys.intern, joined.split())))
+    for name in _POSTINGS:
+        if len(payload[name]) != n_postings:
+            raise fault(f"df counts {n_postings} postings but {name} holds {len(payload[name])}")
 
     def int64_column(name: str) -> np.ndarray:
         try:
@@ -423,8 +414,7 @@ def load_index(path) -> InvertedIndex:
         except OverflowError:
             raise fault(f"{name} holds a value outside the int64 range") from None
 
-    ids = int64_column("ids")
-    tfs = int64_column("tfs")
+    ids, tfs, leads = map(int64_column, _POSTINGS)
     n_docs = len(doc_ids)
     # Each check runs over whole columns. A term's first faulty posting
     # gives its row, and the term of the lowest row is named, with the
@@ -438,17 +428,12 @@ def load_index(path) -> InvertedIndex:
             ("are not strictly ascending by id", np.flatnonzero(descending) + 1),
             (f"hold an id outside [0, {n_docs})", np.flatnonzero((ids < 0) | (ids >= n_docs))),
             ("hold a tf below 1", np.flatnonzero(tfs < 1)),
+            ("hold a lead flag other than 0 or 1", np.flatnonzero((leads != 0) & (leads != 1))),
         )
         if bad.size
     ]
     if faults:
         row, message = min(faults, key=operator.itemgetter(0))
         raise fault(f"postings of term {terms[row]!r} {message}")
-    return InvertedIndex(
-        spans=_spans(terms, dfs),
-        ids=ids,
-        tfs=tfs,
-        doc_lengths=int64_column("doc_lengths"),
-        doc_ids=doc_ids,
-        lead_terms=lead_terms,
-    )
+    return InvertedIndex(spans=_spans(terms, dfs), ids=ids, tfs=tfs, leads=leads == 1,
+                         doc_ids=doc_ids)

@@ -4,20 +4,24 @@
 must equal bit for bit. `sort_records`, `normalize_scores` and `combine`
 are fusion as it was written over lists of records, with Python floats
 and a Python sort: the reference that `fusion.bsf` and `fusion.w_qpps`
-equal bit for bit. `toy_ranker_instances` and `toy_qpp_set` are the
-small fixture training sets of the training invariants (loss curves,
-separability).
+equal bit for bit. `select_passage` is passage selection as it was
+written, a loop that slides the window until it reaches the end: the
+reference that `lexical_retrieval.select_passage` equals.
+`toy_ranker_instances` and `toy_qpp_set` are the small fixture training
+sets of the training invariants (loss curves, separability).
 """
 
 import random
+from collections import Counter
 from operator import itemgetter
 
 import numpy as np
 
 from hardrank.benchmark import _SYLLABLES
-from hardrank.corpus_io import Query, RunRecord, rank_records
+from hardrank.corpus_io import Document, Query, RunRecord, rank_records
 from hardrank.linear_model import LogisticScorer, apply_zscore, open_unit_sigmoids
 from hardrank.pointwise_ranker import TrainingInstance
+from hardrank.text import tokenize, tokenize_with_spans
 
 
 def score(model: LogisticScorer, features: np.ndarray) -> float:
@@ -59,6 +63,43 @@ def combine(br_entry, sr_entry, w_br: float, w_sr: float, normalize: str) -> lis
         (doc_id, w_sr * sr_scores[doc_id] + w_br * br_score)
         for doc_id, br_score in br_scores.items()
     )
+
+
+def select_passage(doc: Document, query: Query, window: int = 120) -> tuple[str, int]:
+    """The best window of `window` tokens, sliding by half a window: the most
+    distinct query terms, then the highest saturated tf mass, then the
+    earliest. A document of at most `window` tokens is its own passage."""
+    spans = tokenize_with_spans(doc.text)
+    query_terms = set(tokenize(query.text))
+    if not spans:
+        return "", 0
+
+    def window_key(tokens: list[str]) -> tuple[int, float]:
+        counts = Counter(tokens)
+        matched = query_terms & counts.keys()
+        tf_mass = sum(counts[t] / (counts[t] + 0.9) for t in matched)
+        return len(matched), tf_mass
+
+    if len(spans) <= window:
+        distinct, _ = window_key([t for t, _, _ in spans])
+        return doc.text, distinct
+
+    stride = max(1, window // 2)
+    best_start = 0
+    best_key = (-1, -1.0)
+    best_end = 0
+    start = 0
+    while start < len(spans):
+        end = min(start + window, len(spans))
+        key = window_key([t for t, _, _ in spans[start:end]])
+        if key > best_key:
+            best_key = key
+            best_start, best_end = start, end
+        if end == len(spans):
+            break
+        start += stride
+    passage = doc.text[spans[best_start][1] : spans[best_end - 1][2]]
+    return passage, best_key[0]
 
 
 def toy_qpp_set(n: int = 24, seed: int = 5):

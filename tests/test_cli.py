@@ -104,6 +104,18 @@ def set_train_median(trained, value):
     qpp_path.write_text(json.dumps(payload))
 
 
+def _lead_terms(index):
+    """Each document's lead terms, one space-joined string per document, as
+    index versions 2 to 4 stored them."""
+    lead = [[] for _ in index.doc_ids]
+    ids, leads = index.ids.tolist(), index.leads.tolist()
+    for term, (start, end) in index.spans.items():
+        for at in range(start, end):
+            if leads[at]:
+                lead[ids[at]].append(term)
+    return [" ".join(terms) for terms in lead]
+
+
 class TestIndexCommand:
     def test_builds_index(self, workdir, run_cli):
         result = run_cli("index", "--config", "config.json", cwd=workdir)
@@ -506,11 +518,12 @@ class TestRunAndEval:
         assert not (ranked / "work" / "runs" / "w_qpps.txt").exists()
 
     def test_version_1_index_is_input_error(self, trained, run_cli):
-        # the index format before it kept each document's lead terms
+        # the index format before it kept anything of each document's lead
         index_path = trained / "work" / "index.json"
+        index = load_index(index_path)
         payload = json.loads(index_path.read_text())
-        payload["version"] = 1
-        del payload["lead_terms"]
+        payload.update(version=1, doc_lengths=index.doc_lengths.tolist())
+        del payload["leads"]
         index_path.write_text(json.dumps(payload))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
@@ -528,12 +541,27 @@ class TestRunAndEval:
             "doc_ids": index.doc_ids,
             "doc_lengths": index.doc_lengths.tolist(),
             "avg_doc_length": index.avg_doc_length,
-            "lead_terms": [" ".join(lead) for lead in index.lead_terms],
+            "lead_terms": _lead_terms(index),
             "postings": index.postings,
         }))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
         assert "work/index.json" in result.stderr
+        assert "hardrank index --force" in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
+    def test_version_4_index_is_input_error(self, trained, run_cli):
+        # the format that stored each document's length and lead terms, not a lead flag per posting
+        index_path = trained / "work" / "index.json"
+        index = load_index(index_path)
+        payload = json.loads(index_path.read_text())
+        payload.update(version=4, doc_lengths=index.doc_lengths.tolist(),
+                       lead_terms=_lead_terms(index))
+        del payload["leads"]
+        index_path.write_text(json.dumps(payload))
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "error: index file work/index.json has version 4, not 5" in result.stderr
         assert "hardrank index --force" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 

@@ -1,5 +1,6 @@
 """Config loading, merging, overrides, and validation."""
 
+import inspect
 import json
 
 import pytest
@@ -16,6 +17,18 @@ from hardrank.config import (
     load_config,
     validate,
 )
+from hardrank.enrichment import HardnessRule, HttpGenerator, StubGenerator, enrich
+from hardrank.evaluation import build_report, ndcg_at_k
+from hardrank.fusion import FusionConfig
+from hardrank.lexical_retrieval import Bm25Params, bm25_search, score_pair, select_passage
+from hardrank.pointwise_ranker import (
+    build_training_set,
+    extract_features,
+    feature_matrix,
+    rerank,
+    train,
+)
+from hardrank.qpp import train_qpp
 
 
 def write_config(tmp_path, payload):
@@ -202,6 +215,70 @@ class TestDefaults:
     def test_default_config_validates(self):
         config = default_config()
         assert config.hardness_rule().max_token_count == 5
+
+
+# (library callable, its parameter, the config key whose default it repeats)
+LIBRARY_DEFAULTS = [
+    (Bm25Params, "k1", "bm25.k1"),
+    (Bm25Params, "b", "bm25.b"),
+    (HardnessRule, "max_token_count", "hardness.max_token_count"),
+    (HardnessRule, "acronym_pattern", "hardness.acronym_pattern"),
+    (HardnessRule, "min_context_terms", "hardness.min_context_terms"),
+    (StubGenerator, "context_terms", "generator.stub_context_terms"),
+    (HttpGenerator, "auth_token_env", "generator.auth_token_env"),
+    (HttpGenerator, "max_retries", "generator.max_retries"),
+    (enrich, "passage_window", "enrichment.passage_window"),
+    (enrich, "use_judged_context", "enrichment.use_judged_context"),
+    (select_passage, "window", "enrichment.passage_window"),
+    (build_training_set, "depth", "run_depth"),
+    (build_training_set, "negatives_per_positive", "ranker.negatives_per_positive"),
+    (build_training_set, "label_threshold", "ranker.label_threshold"),
+    (build_training_set, "seed", "seed"),
+    (train, "epochs", "ranker.epochs"),
+    (train, "learning_rate", "ranker.learning_rate"),
+    (train, "seed", "seed"),
+    (train_qpp, "epochs", "qpp.epochs"),
+    (train_qpp, "learning_rate", "qpp.learning_rate"),
+    (train_qpp, "k", "qpp.k"),
+    (train_qpp, "orientation", "qpp.orientation"),
+    (FusionConfig, "normalize", "fusion.normalize"),
+    (FusionConfig, "routing_threshold", "fusion.routing_threshold"),
+    (build_report, "k", "metrics.ndcg_k"),
+    (build_report, "rr_cutoff", "metrics.rr_cutoff"),
+    (build_report, "gain", "metrics.gain"),
+    (build_report, "include_no_positive", "metrics.include_no_positive"),
+    (ndcg_at_k, "k", "metrics.ndcg_k"),
+    (ndcg_at_k, "gain", "metrics.gain"),
+]
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+class TestLibraryDefaults:
+    """A library caller that leaves a setting out gets what a config that
+    leaves it out gets."""
+
+    @pytest.mark.parametrize(
+        "function, parameter, dotted", LIBRARY_DEFAULTS,
+        ids=[f"{f.__name__}.{p}" for f, p, _ in LIBRARY_DEFAULTS],
+    )
+    def test_repeats_the_config_default(self, function, parameter, dotted):
+        value = DEFAULTS
+        for part in dotted.split("."):
+            value = value[part]
+        default = _default(function, parameter)
+        # the type too: a bool default must not stand for an int one
+        assert (type(default), default) == (type(value), value)
+
+    @pytest.mark.parametrize(
+        "function",
+        [bm25_search, score_pair, enrich, build_training_set, feature_matrix,
+         extract_features, rerank],
+    )
+    def test_bm25_params_default_to_the_config(self, function):
+        assert _default(function, "params") == default_config().bm25_params()
 
 
 class TestSectionOverrides:

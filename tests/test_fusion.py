@@ -1,5 +1,7 @@
 """Score normalization, CombSUM, routing, and weighted interpolation."""
 
+import hashlib
+import json
 import random
 import re
 
@@ -12,6 +14,8 @@ import oracles
 from hardrank.corpus_io import Query, Ranking, RunList, RunRecord, rank_records
 from hardrank.evaluation import ndcg_at_k
 from hardrank.fusion import (
+    METHODS,
+    NORMALIZATIONS,
     FusionConfig,
     bsf,
     normalize_scores,
@@ -184,6 +188,32 @@ class TestRouteQpp:
         )
         assert routed == r_qpp(br, sr, psi, 0.5)
         assert [d.query_id for d in routed[1]] == ["q2", "q1"]
+
+
+class TestRunTag:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("normalize", NORMALIZATIONS)
+    @pytest.mark.parametrize("threshold", ["train_median", 0.0, 0.5, 1, 1.0])
+    def test_every_tag_is_the_method_and_the_config_digest(self, method, normalize, threshold):
+        config = FusionConfig(method, normalize, threshold)
+        blob = json.dumps(
+            {"method": method, "normalize": normalize, "routing_threshold": threshold},
+            sort_keys=True,
+        )
+        digest = hashlib.sha1(blob.encode()).hexdigest()[:8]
+        assert config.config_hash() == digest
+        br, sr = run_from({"q1": {"a": 1.0, "b": 2.0}}), run_from({"q1": {"a": 2.0, "b": 0.5}})
+        assert bsf(br, sr, config).tag == f"bsf-{digest}"
+        assert r_qpp(br, sr, {"q1": 0.5}, 0.5, config)[0].tag == f"r_qpp-{digest}"
+        assert w_qpps(br, sr, {"q1": 0.5}, config).tag == f"w_qpps-{digest}"
+
+    def test_the_digest_is_not_a_compared_field(self):
+        config = FusionConfig("bsf", "none", 0.25)
+        assert config == FusionConfig("bsf", "none", 0.25) != FusionConfig("bsf", "none", 0.5)
+        assert hash(config) == hash(FusionConfig("bsf", "none", 0.25))
+        assert repr(config) == (
+            "FusionConfig(method='bsf', normalize='none', routing_threshold=0.25)"
+        )
 
 
 @pytest.mark.parametrize("method", ["bsf", "w_qpps", "r_qpp"])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hardrank.benchmark import generate_benchmark
 from hardrank.corpus_io import Document, Query, rank_records
 from hardrank.lexical_retrieval import (
+    EARLY_WINDOW,
     Bm25Params,
     bm25_search,
     build_index,
@@ -25,6 +26,7 @@ from hardrank.lexical_retrieval import (
     select_passage,
 )
 from hardrank.text import tokenize
+import oracles
 
 
 def oracle_bm25(corpus, query_text, params=Bm25Params()):
@@ -311,6 +313,21 @@ class TestSelectPassage:
     def test_document_without_tokens_has_no_passage(self, text):
         assert select_passage(Document("d1", text), Query("q", "apple")) == ("", 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda window: st.tuples(
+        st.just(window),
+        # few words, so windows often tie on both keys
+        st.lists(st.tuples(st.sampled_from(["apple", "Berry", "x", "y", "7"]),
+                           st.sampled_from([" ", ", ", " -- "])),
+                 min_size=window + 1, max_size=4 * window + 3),
+        st.lists(st.sampled_from(["apple", "berry", "x", "zebra"]), max_size=4),
+    )))
+    def test_equals_the_sliding_loop_on_documents_longer_than_the_window(self, case):
+        window, words, query_words = case
+        doc = Document("d1", "".join(word + sep for word, sep in words))
+        query = Query("q", " ".join(query_words))
+        assert select_passage(doc, query, window) == oracles.select_passage(doc, query, window)
+
 
 _MISSING = object()  # a column deleted from the file, not set to a value
 _WORDS = st.sampled_from(["alpha", "Beta", "gamma", "x", "7"])
@@ -329,9 +346,9 @@ class TestIndexPersistence:
         loaded = load_index(path)
         assert loaded.postings == idx.postings
         assert loaded.doc_ids == idx.doc_ids
-        assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist()
+        assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist() == [3, 4]
         assert loaded.avg_doc_length == idx.avg_doc_length
-        assert loaded.lead_terms == idx.lead_terms == [("a", "b", "c"), ("b", "c", "d", "e")]
+        assert loaded.leads.tolist() == idx.leads.tolist() == [True] * 7
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_TEXTS, min_size=1, max_size=8))
@@ -344,9 +361,34 @@ class TestIndexPersistence:
         assert loaded.postings == idx.postings
         assert loaded.doc_ids == idx.doc_ids
         assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist()
-        assert loaded.lead_terms == idx.lead_terms
+        assert loaded.leads.tolist() == idx.leads.tolist()
         # derived on load, not stored: the same bits as at build time
         assert struct.pack("<d", loaded.avg_doc_length) == struct.pack("<d", idx.avg_doc_length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        # and texts around the lead window's end, from enough words that a
+        # term first seen there is common
+        st.one_of(_TEXTS, st.lists(st.sampled_from([f"w{i}" for i in range(30)]),
+                                   min_size=EARLY_WINDOW - 2,
+                                   max_size=EARLY_WINDOW + 10).map(" ".join)),
+        min_size=1, max_size=8,
+    ))
+    def test_lead_flags_and_lengths_follow_the_text(self, texts):
+        corpus = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        built = build_index(corpus)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "index.json"
+            save_index(built, path)
+            loaded = load_index(path)
+        for index in (built, loaded):
+            assert index.leads.dtype == bool and not index.leads.flags.writeable
+            tokens = [tokenize(corpus[int(doc_id[1:])].text) for doc_id in index.doc_ids]
+            assert index.doc_lengths.tolist() == list(map(len, tokens))
+            ids, leads = index.ids.tolist(), index.leads.tolist()
+            for term, (start, end) in index.spans.items():
+                for at in range(start, end):
+                    assert leads[at] == (term in tokens[ids[at]][:EARLY_WINDOW])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_bytes_do_not_depend_on_corpus_order(self, tmp_path, seed):
@@ -371,7 +413,7 @@ class TestLoadIndexRejectsUntrustedFiles:
 
     The saved index has terms a b c d e with df 1 2 2 1 1, so its ids
     column is [0, 0, 1, 0, 1, 1, 1]: 'b' holds ids[1:3], 'c' ids[3:5] and
-    'e' the last id. Every tf is 1.
+    'e' the last id. Every tf and every lead flag is 1.
     """
 
     @pytest.fixture
@@ -394,6 +436,7 @@ class TestLoadIndexRejectsUntrustedFiles:
         def add_second_posting_of_d2_to_c(p):
             p["ids"].insert(5, 1)
             p["tfs"].insert(5, 1)
+            p["leads"].insert(5, 1)
             p["df"][2] += 1
 
         self._rewrite(saved, add_second_posting_of_d2_to_c)
@@ -415,24 +458,34 @@ class TestLoadIndexRejectsUntrustedFiles:
             "doc_ids": index.doc_ids,
             "doc_lengths": index.doc_lengths.tolist(),
             "avg_doc_length": index.avg_doc_length,
-            "lead_terms": [" ".join(lead) for lead in index.lead_terms],
+            "lead_terms": ["a b c", "b c d e"],
             "postings": index.postings,
         }))
-        with pytest.raises(ValueError, match=r"index\.json has version 2, not 4.*hardrank index --force"):
+        with pytest.raises(ValueError, match=r"index\.json has version 2, not 5.*hardrank index --force"):
             load_index(saved)
 
     def test_version_3_file_must_be_rebuilt(self, saved):
-        # the same columns, with doc_ids in the corpus's order rather than sorted
+        # the version 4 columns, with doc_ids in the corpus's order rather than sorted
         def corpus_order(p):
-            p.update(version=3, doc_ids=p["doc_ids"][::-1])
+            p.update(version=3, doc_ids=p["doc_ids"][::-1], doc_lengths=[4, 3],
+                     lead_terms=["b c d e", "a b c"])
+            del p["leads"]
 
         self._rewrite(saved, corpus_order)
-        with pytest.raises(ValueError, match=r"index\.json has version 3, not 4.*index --force"):
+        with pytest.raises(ValueError, match=r"index\.json has version 3, not 5.*index --force"):
             load_index(saved)
 
-    @pytest.mark.parametrize(
-        "column", ["doc_ids", "doc_lengths", "lead_terms", "terms", "df", "ids", "tfs"]
-    )
+    def test_version_4_file_must_be_rebuilt(self, saved):
+        # the format that stored each document's length and lead terms, not a lead flag per posting
+        def per_document_columns(p):
+            p.update(version=4, doc_lengths=[3, 4], lead_terms=["a b c", "b c d e"])
+            del p["leads"]
+
+        self._rewrite(saved, per_document_columns)
+        with pytest.raises(ValueError, match=r"index\.json has version 4, not 5.*hardrank index --force"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("column", ["doc_ids", "terms", "df", "ids", "tfs", "leads"])
     @pytest.mark.parametrize("value", [_MISSING, None, {"0": 1}], ids=["missing", "null", "object"])
     def test_column_missing_or_not_a_list(self, saved, column, value):
         def edit(p):
@@ -445,14 +498,14 @@ class TestLoadIndexRejectsUntrustedFiles:
         with pytest.raises(ValueError, match=rf"index\.json: {column} is not a list"):
             load_index(saved)
 
-    @pytest.mark.parametrize("column", ["doc_lengths", "df", "ids", "tfs"])
+    @pytest.mark.parametrize("column", ["df", "ids", "tfs", "leads"])
     @pytest.mark.parametrize("value", [True, 1.0, "1", None])
     def test_column_holds_a_non_int(self, saved, column, value):
         self._rewrite(saved, lambda p: p[column].__setitem__(0, value))
         with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value that is not an int"):
             load_index(saved)
 
-    @pytest.mark.parametrize("column", ["doc_lengths", "ids", "tfs"])
+    @pytest.mark.parametrize("column", ["ids", "tfs", "leads"])
     def test_column_holds_an_int_beyond_int64(self, saved, column):
         self._rewrite(saved, lambda p: p[column].__setitem__(-1, 2**63))
         with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value outside the int64 range"):
@@ -464,7 +517,8 @@ class TestLoadIndexRejectsUntrustedFiles:
             ("tfs", 1, 0, r"postings of term 'b' hold a tf below 1"),
             ("tfs", -1, -3, r"postings of term 'e' hold a tf below 1"),
             ("df", 0, 0, r"df holds a count below 1"),
-            ("doc_lengths", 1, -1, r"doc_lengths holds a negative length"),
+            ("leads", 2, 2, r"postings of term 'b' hold a lead flag other than 0 or 1"),
+            ("leads", -1, -1, r"postings of term 'e' hold a lead flag other than 0 or 1"),
         ],
     )
     def test_count_out_of_range(self, saved, column, position, value, message):
@@ -479,8 +533,10 @@ class TestLoadIndexRejectsUntrustedFiles:
             (lambda p: p["df"].__setitem__(0, 2), r"df counts 8 postings but ids holds 7"),
             (lambda p: p["ids"].pop(), r"df counts 7 postings but ids holds 6"),
             (lambda p: p["tfs"].append(1), r"df counts 7 postings but tfs holds 8"),
+            (lambda p: p["leads"].pop(), r"df counts 7 postings but leads holds 6"),
+            (lambda p: p["leads"].append(0), r"df counts 7 postings but leads holds 8"),
         ],
-        ids=["df_long", "df_sum_high", "ids_short", "tfs_long"],
+        ids=["df_long", "df_sum_high", "ids_short", "tfs_long", "leads_short", "leads_long"],
     )
     def test_postings_columns_disagree(self, saved, edit, message):
         self._rewrite(saved, edit)
@@ -517,34 +573,10 @@ class TestLoadIndexRejectsUntrustedFiles:
         with pytest.raises(ValueError, match=rf"index\.json: {message}"):
             load_index(saved)
 
-    def test_doc_ids_and_lengths_disagree(self, saved):
-        self._rewrite(saved, lambda p: p["doc_lengths"].append(7))
-        with pytest.raises(ValueError, match=r"index\.json.*2 doc_ids but 3 doc_lengths"):
-            load_index(saved)
-
     def test_version_1_file_must_be_rebuilt(self, saved):
-        # the format before the index kept each document's lead terms
-        self._rewrite(saved, lambda p: (p.update(version=1), p.pop("lead_terms")))
+        # the format before the index kept anything of each document's lead
+        self._rewrite(saved, lambda p: (p.update(version=1, doc_lengths=[3, 4]), p.pop("leads")))
         with pytest.raises(ValueError, match=r"index\.json has version 1.*hardrank index --force"):
-            load_index(saved)
-
-    @pytest.mark.parametrize(
-        "edit", [lambda lead: lead.pop(), lambda lead: lead.append("x")], ids=["short", "long"]
-    )
-    def test_doc_ids_and_lead_terms_disagree(self, saved, edit):
-        self._rewrite(saved, lambda p: edit(p["lead_terms"]))
-        with pytest.raises(ValueError, match=r"index\.json: 2 doc_ids but [13] lead_terms"):
-            load_index(saved)
-
-    def test_lead_terms_missing(self, saved):
-        self._rewrite(saved, lambda p: p.pop("lead_terms"))
-        with pytest.raises(ValueError, match=r"index\.json: lead_terms is not a list"):
-            load_index(saved)
-
-    @pytest.mark.parametrize("entry", [["b", "c"], None, 5])
-    def test_lead_terms_entry_not_a_string(self, saved, entry):
-        self._rewrite(saved, lambda p: p["lead_terms"].__setitem__(1, entry))
-        with pytest.raises(ValueError, match=r"index\.json: lead_terms of doc 'd2' are not a string"):
             load_index(saved)
 
     def test_truncated_json(self, saved):

@@ -3,8 +3,7 @@
 `rerank` keeps the last feature matrix it built, keyed by the index (held
 weakly), the BM25 parameters, the query text and the candidate doc ids, so
 BR then SR on one list costs one pass. The list is scored as a matrix with
-the bits of the per-row `oracles.score`, the early-window terms of each
-document are built with the index, and `RunRecord` has slots.
+the bits of the per-row `oracles.score`, and `RunRecord` has slots.
 """
 
 import dataclasses
@@ -27,13 +26,7 @@ from hardrank import pointwise_ranker
 from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import Document, RunRecord, rank_records, read_queries_file
-from hardrank.lexical_retrieval import (
-    EARLY_WINDOW,
-    Bm25Params,
-    build_index,
-    load_index,
-    save_index,
-)
+from hardrank.lexical_retrieval import Bm25Params, build_index, load_index
 from hardrank.linear_model import LogisticScorer
 from hardrank.pipeline import (
     build_and_save_index,
@@ -44,7 +37,6 @@ from hardrank.pipeline import (
     train_ranker,
 )
 from hardrank.pointwise_ranker import rerank
-from hardrank.text import tokenize
 from oracles import score
 
 DOCS = [
@@ -229,22 +221,6 @@ class TestMatrixScoring:
         rows, clamped = map(int, result.stdout.split())
         assert rows == 40 * 5 * 50
         assert clamped > 0
-
-
-class TestLeadTerms:
-    def test_built_with_the_index_interned_and_kept_by_save_and_load(self, tmp_path):
-        # past the window, repeated terms, and no tokens at all
-        docs = DOCS + [Document("long", " ".join(f"W{i % 15}" for i in range(60))),
-                       Document("empty", "--")]
-        index = build_index(docs)
-        for doc in docs:
-            lead = index.lead_terms[index.internal_ids[doc.doc_id]]
-            assert list(lead) == list(dict.fromkeys(tokenize(doc.text)[:EARLY_WINDOW]))
-            assert all(sys.intern(term) is term for term in lead)
-        save_index(index, tmp_path / "index.json")
-        loaded = load_index(tmp_path / "index.json")
-        assert loaded.lead_terms == index.lead_terms
-        assert all(sys.intern(term) is term for lead in loaded.lead_terms for term in lead)
 
 
 class TestRunRecordSlots:
