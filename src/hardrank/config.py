@@ -52,7 +52,7 @@ SCHEMA: dict[str, Any] = {
         "train_qrels": Key("qrels.txt", _STR),
         "test_queries": Key("queries.tsv", _STR),
         "test_qrels": Key("qrels.txt", _STR),
-        "index": Key("work/index.json", _STR),
+        "index": Key("work/index.bin", _STR),
         "enriched_queries": Key("work/enriched.tsv", _STR),
         "models_dir": Key("work/models", _STR),
         "runs_dir": Key("work/runs", _STR),

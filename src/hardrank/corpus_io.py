@@ -359,10 +359,11 @@ def write_corpus(docs: Iterable[Document]) -> list[str]:
 # Path-based conveniences. Writers end the file with a newline.
 
 
-def write_artifact(path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, all or nothing.
+def write_artifact(path, data: str | bytes) -> None:
+    """Write `data` to `path`, text as UTF-8 and bytes as they are, all or
+    nothing.
 
-    Missing parent directories are created. The text goes to a temporary
+    Missing parent directories are created. The data goes to a temporary
     file in the same directory, which `os.replace` then moves over `path`,
     so a write that fails or is interrupted leaves the previous file as it
     was. Raises ValueError naming the path when `path` is a directory or a
@@ -377,8 +378,8 @@ def write_artifact(path, text: str) -> None:
         raise ValueError(f"{path}: a file stands where a directory goes") from None
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -40,7 +40,7 @@ from .corpus_io import Document, Query, Ranking, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 
@@ -293,9 +293,11 @@ def select_passage(
     Windows of `window` tokens slide with 50% overlap. The winner maximizes
     the number of distinct query terms present; ties prefer a higher
     saturated term-frequency mass (sum of tf/(tf + 0.9) over matched
-    terms), then the earliest window. Returns the original-text span of the
-    winning window and its distinct-match count; a document with no tokens
-    has no passage, so it gives ("", 0).
+    terms, exactly rounded by `math.fsum`, so it does not depend on the
+    set's iteration order and windows whose matched terms hold the same
+    counts tie), then the earliest window. Returns the original-text span
+    of the winning window and its distinct-match count; a document with no
+    tokens has no passage, so it gives ("", 0).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -307,7 +309,7 @@ def select_passage(
     def window_key(tokens: list[str]) -> tuple[int, float]:
         counts = Counter(tokens)
         matched = query_terms & counts.keys()
-        tf_mass = sum(counts[t] / (counts[t] + 0.9) for t in matched)
+        tf_mass = math.fsum(counts[t] / (counts[t] + 0.9) for t in matched)
         return len(matched), tf_mass
 
     if len(spans) <= window:
@@ -325,96 +327,106 @@ def select_passage(
     return doc.text[spans[start][1] : spans[end - 1][2]], distinct
 
 
-def save_index(index: InvertedIndex, path) -> None:
-    """Persist the index as a single versioned JSON file.
+# dtypes fixed here, never read from a file
+_SECTIONS = (("df", np.dtype("<i8")), ("ids", np.dtype("<i8")), ("tfs", np.dtype("<i8")),
+             ("leads", np.dtype("u1")))
 
-    Besides `doc_ids`, the postings are five flat columns: `terms`
-    (sorted), `df` (each term's postings count), and `ids`, `tfs` and
-    `leads` (every posting, term by term; a lead flag is 0 or 1), so the
-    file parses into a few long lists of ints rather than one small list
-    per posting. Document lengths are not stored; the loaded index derives
-    them from the tfs, as building does.
+
+def save_index(index: InvertedIndex, path) -> None:
+    """Persist the index as one versioned file: a JSON header line, then
+    the postings columns as raw little-endian bytes.
+
+    The header holds `format`, `version`, `doc_ids`, `terms` (sorted) and
+    `lengths`, each section's number of values. Four sections follow, with
+    no gap and nothing after them: `df` (each term's postings count), `ids`
+    and `tfs` (every posting's internal id and term frequency, term by
+    term) as '<i8', and `leads` (every posting's lead flag, 0 or 1) as
+    'u1'. Document lengths are not stored; the loaded index derives them
+    from the tfs, as building does. Equal indexes give equal bytes.
     """
-    payload = {
+    dfs = np.array([end - start for start, end in index.spans.values()], dtype=np.int64)
+    columns = {"df": dfs, "ids": index.ids, "tfs": index.tfs, "leads": index.leads}
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
         "terms": list(index.spans),
-        "df": [end - start for start, end in index.spans.values()],
-        "ids": index.ids.tolist(),
-        "tfs": index.tfs.tolist(),
-        "leads": index.leads.astype(np.int64).tolist(),
+        "lengths": {name: len(column) for name, column in columns.items()},
     }
-    write_artifact(path, json.dumps(payload))
-
-
-_POSTINGS = ("ids", "tfs", "leads")  # one value per posting, term by term
-_COLUMNS = ("doc_ids", "terms", "df", *_POSTINGS)
+    write_artifact(path, b"".join([
+        json.dumps(header).encode("ascii"), b"\n",
+        *(columns[name].astype(dtype).tobytes() for name, dtype in _SECTIONS),
+    ]))
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by `save_index`.
 
     Raises ValueError naming the path (and the term, for a postings fault)
-    when the file is not valid JSON, not an index of this version (an older
-    one must be rebuilt) or malformed: a column missing, not a list, or
-    holding a value of the wrong type (a bool or float is not an int) or
-    the wrong length; doc_ids empty or not strictly ascending (which also
-    catches a duplicate); terms not strictly ascending; a df or tf below 1;
-    a lead flag other than 0 or 1; or a term's postings not strictly
+    when the header line is not valid JSON or not an index of this version
+    (an older one must be rebuilt), or the file is malformed: `doc_ids` or
+    `terms` not a list of strings, a section length that is not an int >= 0
+    (a bool is not an int), a section cut short or bytes after the last;
+    doc_ids empty or not strictly ascending (which also catches a
+    duplicate); terms not strictly ascending; a df or tf below 1; sections
+    of lengths that disagree with the terms or with the sum of the df; a
+    lead flag other than 0 or 1; or a term's postings not strictly
     ascending by internal id or holding an id out of range. The
     `searchsorted` gathers of `InvertedIndex.tf_matrix` rely on the last
     two.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, body = data.partition(b"\n")  # a version 5 file is one line of JSON
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        header = json.loads(head)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"index file {path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
         raise ValueError(f"not an index file: {path}")
-    if payload.get("version") != INDEX_VERSION:
+    if header.get("version") != INDEX_VERSION:
         raise ValueError(
-            f"index file {path} has version {payload.get('version')!r}, not "
+            f"index file {path} has version {header.get('version')!r}, not "
             f"{INDEX_VERSION}; rebuild it with `hardrank index --force`"
         )
 
     def fault(message: str) -> ValueError:
         return ValueError(f"index file {path}: {message}")
 
-    for name in _COLUMNS:
-        if not isinstance(payload.get(name), list):
+    for name in ("doc_ids", "terms"):
+        if not isinstance(header.get(name), list):
             raise fault(f"{name} is not a list")
-    # type() rather than isinstance(): bool is a subclass of int
-    for kind, noun, names in (
-        (str, "a string", ("doc_ids", "terms")),
-        (int, "an int", ("df", *_POSTINGS)),
-    ):
-        for name in names:
-            if not set(map(type, payload[name])) <= {kind}:
-                raise fault(f"{name} holds a value that is not {noun}")
-    doc_ids, terms, dfs = payload["doc_ids"], payload["terms"], payload["df"]
+        if not set(map(type, header[name])) <= {str}:
+            raise fault(f"{name} holds a value that is not a string")
+    lengths = header.get("lengths")
+    sections, offset = {}, 0
+    for name, dtype in _SECTIONS:
+        count = lengths.get(name) if isinstance(lengths, dict) else None
+        # type() rather than isinstance(): bool is a subclass of int
+        if type(count) is not int or count < 0:
+            raise fault(f"the length of {name} is not an int >= 0")
+        if len(body) - offset < count * dtype.itemsize:
+            raise fault(f"{name} is cut short: {count} values need {count * dtype.itemsize} bytes")
+        sections[name] = np.frombuffer(body, dtype, count, offset)
+        offset += count * dtype.itemsize
+    if offset != len(body):
+        raise fault(f"{len(body) - offset} trailing bytes after the last section")
+    doc_ids, terms = header["doc_ids"], header["terms"]
+    dfs, ids, tfs, leads = sections.values()
     if not doc_ids:
         raise fault("doc_ids is empty")
-    if min(dfs, default=1) < 1:
+    if (dfs < 1).any():
         raise fault("df holds a count below 1")
     for name, values in (("doc_ids", doc_ids), ("terms", terms)):
         if not all(map(operator.lt, values, values[1:])):
             raise fault(f"{name} are not strictly ascending")
     if len(dfs) != len(terms):
         raise fault(f"{len(terms)} terms but {len(dfs)} df")
-    n_postings = sum(dfs)
-    for name in _POSTINGS:
-        if len(payload[name]) != n_postings:
-            raise fault(f"df counts {n_postings} postings but {name} holds {len(payload[name])}")
-
-    def int64_column(name: str) -> np.ndarray:
-        try:
-            return np.array(payload[name], dtype=np.int64)
-        except OverflowError:
-            raise fault(f"{name} holds a value outside the int64 range") from None
-
-    ids, tfs, leads = map(int64_column, _POSTINGS)
+    dfs = dfs.tolist()
+    n_postings = sum(dfs)  # a Python int: no int64 sum that could wrap
+    for name in ("ids", "tfs", "leads"):
+        if len(sections[name]) != n_postings:
+            raise fault(f"df counts {n_postings} postings but {name} holds {len(sections[name])}")
     n_docs = len(doc_ids)
     # Each check runs over whole columns. A term's first faulty posting
     # gives its row, and the term of the lowest row is named, with the
@@ -428,12 +440,12 @@ def load_index(path) -> InvertedIndex:
             ("are not strictly ascending by id", np.flatnonzero(descending) + 1),
             (f"hold an id outside [0, {n_docs})", np.flatnonzero((ids < 0) | (ids >= n_docs))),
             ("hold a tf below 1", np.flatnonzero(tfs < 1)),
-            ("hold a lead flag other than 0 or 1", np.flatnonzero((leads != 0) & (leads != 1))),
+            ("hold a lead flag other than 0 or 1", np.flatnonzero(leads > 1)),
         )
         if bad.size
     ]
     if faults:
         row, message = min(faults, key=operator.itemgetter(0))
         raise fault(f"postings of term {terms[row]!r} {message}")
-    return InvertedIndex(spans=_spans(terms, dfs), ids=ids, tfs=tfs, leads=leads == 1,
+    return InvertedIndex(spans=_spans(terms, dfs), ids=ids, tfs=tfs, leads=leads.view(bool),
                          doc_ids=doc_ids)

@@ -11,6 +11,7 @@ reference that `lexical_retrieval.select_passage` equals.
 sets of the training invariants (loss curves, separability).
 """
 
+import math
 import random
 from collections import Counter
 from operator import itemgetter
@@ -77,7 +78,7 @@ def select_passage(doc: Document, query: Query, window: int = 120) -> tuple[str,
     def window_key(tokens: list[str]) -> tuple[int, float]:
         counts = Counter(tokens)
         matched = query_terms & counts.keys()
-        tf_mass = sum(counts[t] / (counts[t] + 0.9) for t in matched)
+        tf_mass = math.fsum(counts[t] / (counts[t] + 0.9) for t in matched)
         return len(matched), tf_mass
 
     if len(spans) <= window:

@@ -58,7 +58,7 @@ def test_tracing_installs_over_every_target_and_uninstalls():
 
 def test_reloaded_postings_compare_as_a_plain_bool(tmp_path):
     index = build_index(CORPUS)
-    path = tmp_path / "index.json"
+    path = tmp_path / "index.bin"
     save_index(index, path)
     same = load_index(path).postings == index.postings
     assert type(same) is bool and same

@@ -116,12 +116,27 @@ def _lead_terms(index):
     return [" ".join(terms) for terms in lead]
 
 
+def _json_columns(index, version):
+    """The one JSON record of index versions 1, 4 and 5: the postings as
+    flat lists, with version 5's `leads` column."""
+    return {
+        "format": "hardrank-index",
+        "version": version,
+        "doc_ids": index.doc_ids,
+        "terms": list(index.spans),
+        "df": [end - start for start, end in index.spans.values()],
+        "ids": index.ids.tolist(),
+        "tfs": index.tfs.tolist(),
+        "leads": index.leads.astype(int).tolist(),
+    }
+
+
 class TestIndexCommand:
     def test_builds_index(self, workdir, run_cli):
         result = run_cli("index", "--config", "config.json", cwd=workdir)
         assert result.returncode == 0
         assert "indexed 9 documents" in result.stdout
-        assert (workdir / "work" / "index.json").exists()
+        assert (workdir / "work" / "index.bin").exists()
 
     def test_refuses_rebuild_without_force(self, workdir, run_cli):
         assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
@@ -145,7 +160,7 @@ class TestIndexCommand:
         result = run_cli("index", "--config", "config.json", cwd=workdir)
         assert result.returncode == 1, result.stderr
         assert "corpus.jsonl: line 10: doc_id 'a b' contains whitespace" in result.stderr
-        assert not (workdir / "work" / "index.json").exists()
+        assert not (workdir / "work" / "index.bin").exists()
 
     @pytest.mark.parametrize("value, shown", [('""', "."), ("a_dir", "a_dir")])
     def test_directory_as_corpus_is_input_error(self, workdir, run_cli, value, shown):
@@ -196,7 +211,7 @@ class TestIndexCommand:
         result = run_cli("index", "--config", "config.json", "--set", override, cwd=workdir)
         assert result.returncode == 1, result.stderr
         assert override.split("=")[0] in result.stderr
-        assert not (workdir / "work" / "index.json").exists()
+        assert not (workdir / "work" / "index.bin").exists()
 
 
     @pytest.mark.parametrize(
@@ -519,21 +534,21 @@ class TestRunAndEval:
 
     def test_version_1_index_is_input_error(self, trained, run_cli):
         # the index format before it kept anything of each document's lead
-        index_path = trained / "work" / "index.json"
+        index_path = trained / "work" / "index.bin"
         index = load_index(index_path)
-        payload = json.loads(index_path.read_text())
-        payload.update(version=1, doc_lengths=index.doc_lengths.tolist())
+        payload = _json_columns(index, 1)
+        payload.update(doc_lengths=index.doc_lengths.tolist())
         del payload["leads"]
         index_path.write_text(json.dumps(payload))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
-        assert "work/index.json" in result.stderr
+        assert "work/index.bin" in result.stderr
         assert "hardrank index --force" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
     def test_version_2_index_is_input_error(self, trained, run_cli):
         # the format that stored one [id, tf] list per posting and the average length
-        index_path = trained / "work" / "index.json"
+        index_path = trained / "work" / "index.bin"
         index = load_index(index_path)
         index_path.write_text(json.dumps({
             "format": "hardrank-index",
@@ -546,23 +561,40 @@ class TestRunAndEval:
         }))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
-        assert "work/index.json" in result.stderr
+        assert "work/index.bin" in result.stderr
         assert "hardrank index --force" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
     def test_version_4_index_is_input_error(self, trained, run_cli):
         # the format that stored each document's length and lead terms, not a lead flag per posting
-        index_path = trained / "work" / "index.json"
+        index_path = trained / "work" / "index.bin"
         index = load_index(index_path)
-        payload = json.loads(index_path.read_text())
-        payload.update(version=4, doc_lengths=index.doc_lengths.tolist(),
-                       lead_terms=_lead_terms(index))
+        payload = _json_columns(index, 4)
+        payload.update(doc_lengths=index.doc_lengths.tolist(), lead_terms=_lead_terms(index))
         del payload["leads"]
         index_path.write_text(json.dumps(payload))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
-        assert "error: index file work/index.json has version 4, not 5" in result.stderr
+        assert "error: index file work/index.bin has version 4, not 6" in result.stderr
         assert "hardrank index --force" in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
+    def test_version_5_index_is_input_error(self, trained, run_cli):
+        # the same six columns as one JSON record
+        index_path = trained / "work" / "index.bin"
+        index_path.write_text(json.dumps(_json_columns(load_index(index_path), 5)))
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert ("error: index file work/index.bin has version 5, not 6; "
+                "rebuild it with `hardrank index --force`") in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
+    def test_truncated_index_is_input_error(self, trained, run_cli):
+        index_path = trained / "work" / "index.bin"
+        index_path.write_bytes(index_path.read_bytes()[:-1])  # one lead flag short
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert "error: index file work/index.bin: leads is cut short" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
     def test_r_qpp_writes_routing_log(self, ranked, run_cli):

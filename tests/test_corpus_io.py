@@ -372,6 +372,11 @@ class TestWriteArtifact:
         assert path.read_text() == "text\n"
         assert os.listdir(path.parent) == ["out.txt"]
 
+    def test_writes_bytes_as_they_are(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_artifact(path, b"\x00\xff\r\n")
+        assert path.read_bytes() == b"\x00\xff\r\n"
+
     def test_directory_as_target_raises_naming_it(self, tmp_path):
         (tmp_path / "out.txt").mkdir()
         with pytest.raises(ValueError, match="out.txt is a directory"):

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import struct
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -309,6 +311,23 @@ class TestSelectPassage:
         assert matched == 1
         assert passage.startswith("apple x")
 
+    def test_equal_counts_tie_whatever_the_hash_seed(self, child_env):
+        # windows of 6 start at tokens 0, 3 and 6; in each text the first
+        # and a later one match a, b and c with counts {1, 1, 2}, whose
+        # saturated masses a plain sum rounds differently in different orders
+        code = (
+            "from hardrank.corpus_io import Document, Query\n"
+            "from hardrank.lexical_retrieval import select_passage\n"
+            "for text in ('a b c c x y a a b c z w', 'a a b c x y a b c c z w'):\n"
+            "    print(select_passage(Document('d', text), Query('q', 'a b c'), window=6))\n"
+        )
+        for seed in range(8):
+            child = subprocess.run(
+                [sys.executable, "-c", code], env={**child_env, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True,
+            )
+            assert child.stdout.splitlines() == ["('a b c c x y', 3)", "('a a b c x y', 3)"], seed
+
     @pytest.mark.parametrize("text", ["", "   ", "-- !!"])
     def test_document_without_tokens_has_no_passage(self, text):
         assert select_passage(Document("d1", text), Query("q", "apple")) == ("", 0)
@@ -329,19 +348,44 @@ class TestSelectPassage:
         assert select_passage(doc, query, window) == oracles.select_passage(doc, query, window)
 
 
-_MISSING = object()  # a column deleted from the file, not set to a value
+_MISSING = object()  # a header field deleted from the file, not set to a value
 _WORDS = st.sampled_from(["alpha", "Beta", "gamma", "x", "7"])
 _TEXTS = st.one_of(
     st.sampled_from(["", "-- !?"]),  # documents with no tokens
     st.lists(_WORDS, max_size=30).map(" ".join),  # repeated terms, past the lead window
 )
+_SECTIONS = {"df": "<i8", "ids": "<i8", "tfs": "<i8", "leads": "u1"}  # in file order
+
+
+def _decode(data: bytes) -> dict:
+    """The header fields of a version 6 file, bar `lengths`, and its four
+    sections as lists: the columns a version 5 file held."""
+    head, _, body = data.partition(b"\n")
+    payload = json.loads(head)
+    lengths, offset = payload.pop("lengths"), 0
+    for name, dtype in _SECTIONS.items():
+        column = np.frombuffer(body, dtype, lengths[name], offset)
+        payload[name], offset = column.tolist(), offset + column.nbytes
+    assert offset == len(body)
+    return payload
+
+
+def _encode(payload: dict) -> bytes:
+    """Version 6 bytes of a payload laid out as `_decode` gives it; the
+    header's `lengths` are the sections' list lengths unless set."""
+    header = {key: value for key, value in payload.items() if key not in _SECTIONS}
+    header.setdefault("lengths", {name: len(payload[name]) for name in _SECTIONS})
+    return b"".join([
+        json.dumps(header).encode(), b"\n",
+        *(np.array(payload[name], dtype=dtype).tobytes() for name, dtype in _SECTIONS.items()),
+    ])
 
 
 class TestIndexPersistence:
     def test_roundtrip(self, tmp_path):
         corpus = [Document("d1", "a b c"), Document("d2", "b c d e")]
         idx = build_index(corpus)
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.bin"
         save_index(idx, path)
         loaded = load_index(path)
         assert loaded.postings == idx.postings
@@ -350,12 +394,31 @@ class TestIndexPersistence:
         assert loaded.avg_doc_length == idx.avg_doc_length
         assert loaded.leads.tolist() == idx.leads.tolist() == [True] * 7
 
+    def test_layout(self, tmp_path):
+        # a JSON header line, then df, ids and tfs as little-endian int64
+        # and the lead flags as one byte each, nothing between or after
+        path = tmp_path / "index.bin"
+        save_index(build_index([Document("d1", "a b c"), Document("d2", "b c d e")]), path)
+        header = {
+            "format": "hardrank-index", "version": 6, "doc_ids": ["d1", "d2"],
+            "terms": ["a", "b", "c", "d", "e"],
+            "lengths": {"df": 5, "ids": 7, "tfs": 7, "leads": 7},
+        }
+        assert path.read_bytes() == b"".join([
+            json.dumps(header).encode(), b"\n",
+            struct.pack("<5q", 1, 2, 2, 1, 1),
+            struct.pack("<7q", 0, 0, 1, 0, 1, 1, 1),
+            struct.pack("<7q", 1, 1, 1, 1, 1, 1, 1),
+            bytes([1] * 7),
+        ])
+        assert _encode(_decode(path.read_bytes())) == path.read_bytes()
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_TEXTS, min_size=1, max_size=8))
     def test_roundtrip_any_corpus(self, texts):
         idx = build_index([Document(f"d{i}", text) for i, text in enumerate(texts)])
         with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "index.json"
+            path = Path(directory) / "index.bin"
             save_index(idx, path)
             loaded = load_index(path)
         assert loaded.postings == idx.postings
@@ -378,7 +441,7 @@ class TestIndexPersistence:
         corpus = [Document(f"d{i}", text) for i, text in enumerate(texts)]
         built = build_index(corpus)
         with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "index.json"
+            path = Path(directory) / "index.bin"
             save_index(built, path)
             loaded = load_index(path)
         for index in (built, loaded):
@@ -395,10 +458,18 @@ class TestIndexPersistence:
         corpus = generate_benchmark().corpus
         shuffled = random.Random(seed).sample(corpus, len(corpus))
         assert shuffled != corpus
-        in_file_order, in_shuffled_order = tmp_path / "file_order.json", tmp_path / "shuffled.json"
+        in_file_order, in_shuffled_order = tmp_path / "file_order.bin", tmp_path / "shuffled.bin"
         save_index(build_index(corpus), in_file_order)
         save_index(build_index(shuffled), in_shuffled_order)
         assert in_shuffled_order.read_bytes() == in_file_order.read_bytes()
+
+    def test_saving_twice_gives_the_same_bytes(self, tmp_path):
+        index = build_index(generate_benchmark().corpus)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_index(index, first)
+        save_index(load_index(first), second)
+        save_index(index, first)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -413,23 +484,37 @@ class TestLoadIndexRejectsUntrustedFiles:
 
     The saved index has terms a b c d e with df 1 2 2 1 1, so its ids
     column is [0, 0, 1, 0, 1, 1, 1]: 'b' holds ids[1:3], 'c' ids[3:5] and
-    'e' the last id. Every tf and every lead flag is 1.
+    'e' the last id. Every tf and every lead flag is 1. Its header line
+    ends at `_header_end`; then come 40 bytes of df, 56 of ids, 56 of tfs
+    and 7 of lead flags.
     """
 
     @pytest.fixture
     def saved(self, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.bin"
         save_index(build_index([Document("d1", "a b c"), Document("d2", "b c d e")]), path)
         return path
 
     def _rewrite(self, path, edit):
-        payload = json.loads(path.read_text())
+        """Edit the decoded payload and write it back in version 6's layout."""
+        payload = _decode(path.read_bytes())
+        edit(payload)
+        path.write_bytes(_encode(payload))
+
+    def _rewrite_as_json(self, path, edit):
+        """Edit the decoded payload and write it as one JSON record, as
+        versions 1 to 5 stored an index."""
+        payload = _decode(path.read_bytes())
         edit(payload)
         path.write_text(json.dumps(payload))
 
+    @staticmethod
+    def _header_end(path) -> int:
+        return path.read_bytes().index(b"\n") + 1
+
     def test_postings_not_strictly_ascending(self, saved):
         self._rewrite(saved, lambda p: p["ids"].__setitem__(slice(1, 3), [1, 0]))
-        with pytest.raises(ValueError, match=r"index\.json.*'b'.*ascending"):
+        with pytest.raises(ValueError, match=r"index\.bin.*'b'.*ascending"):
             load_index(saved)
 
     def test_duplicate_id_in_postings(self, saved):
@@ -440,13 +525,13 @@ class TestLoadIndexRejectsUntrustedFiles:
             p["df"][2] += 1
 
         self._rewrite(saved, add_second_posting_of_d2_to_c)
-        with pytest.raises(ValueError, match=r"index\.json.*'c'.*ascending"):
+        with pytest.raises(ValueError, match=r"index\.bin.*'c'.*ascending"):
             load_index(saved)
 
     @pytest.mark.parametrize("bad_id", [-1, 2])
     def test_postings_id_out_of_range(self, saved, bad_id):
         self._rewrite(saved, lambda p: p["ids"].__setitem__(-1, bad_id))
-        with pytest.raises(ValueError, match=r"index\.json.*'e'.*outside \[0, 2\)"):
+        with pytest.raises(ValueError, match=r"index\.bin.*'e'.*outside \[0, 2\)"):
             load_index(saved)
 
     def test_version_2_file_must_be_rebuilt(self, saved):
@@ -461,7 +546,7 @@ class TestLoadIndexRejectsUntrustedFiles:
             "lead_terms": ["a b c", "b c d e"],
             "postings": index.postings,
         }))
-        with pytest.raises(ValueError, match=r"index\.json has version 2, not 5.*hardrank index --force"):
+        with pytest.raises(ValueError, match=r"index\.bin has version 2, not 6.*hardrank index --force"):
             load_index(saved)
 
     def test_version_3_file_must_be_rebuilt(self, saved):
@@ -471,8 +556,8 @@ class TestLoadIndexRejectsUntrustedFiles:
                      lead_terms=["b c d e", "a b c"])
             del p["leads"]
 
-        self._rewrite(saved, corpus_order)
-        with pytest.raises(ValueError, match=r"index\.json has version 3, not 5.*index --force"):
+        self._rewrite_as_json(saved, corpus_order)
+        with pytest.raises(ValueError, match=r"index\.bin has version 3, not 6.*index --force"):
             load_index(saved)
 
     def test_version_4_file_must_be_rebuilt(self, saved):
@@ -481,11 +566,18 @@ class TestLoadIndexRejectsUntrustedFiles:
             p.update(version=4, doc_lengths=[3, 4], lead_terms=["a b c", "b c d e"])
             del p["leads"]
 
-        self._rewrite(saved, per_document_columns)
-        with pytest.raises(ValueError, match=r"index\.json has version 4, not 5.*hardrank index --force"):
+        self._rewrite_as_json(saved, per_document_columns)
+        with pytest.raises(ValueError, match=r"index\.bin has version 4, not 6.*hardrank index --force"):
             load_index(saved)
 
-    @pytest.mark.parametrize("column", ["doc_ids", "terms", "df", "ids", "tfs", "leads"])
+    def test_version_5_file_must_be_rebuilt(self, saved):
+        # the same six columns, all in one JSON record
+        self._rewrite_as_json(saved, lambda p: p.update(version=5))
+        assert saved.read_bytes().count(b"\n") == 0
+        with pytest.raises(ValueError, match=r"index\.bin has version 5, not 6; rebuild it with `hardrank index --force`"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("column", ["doc_ids", "terms"])
     @pytest.mark.parametrize("value", [_MISSING, None, {"0": 1}], ids=["missing", "null", "object"])
     def test_column_missing_or_not_a_list(self, saved, column, value):
         def edit(p):
@@ -495,20 +587,37 @@ class TestLoadIndexRejectsUntrustedFiles:
                 p[column] = value
 
         self._rewrite(saved, edit)
-        with pytest.raises(ValueError, match=rf"index\.json: {column} is not a list"):
+        with pytest.raises(ValueError, match=rf"index\.bin: {column} is not a list"):
+            load_index(saved)
+
+    @pytest.mark.parametrize("value", [_MISSING, None, [5, 7, 7, 7]], ids=["missing", "null", "list"])
+    def test_lengths_missing_or_not_an_object(self, saved, value):
+        head, _, body = saved.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if value is _MISSING:
+            del header["lengths"]
+        else:
+            header["lengths"] = value
+        saved.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=r"index\.bin: the length of df is not an int >= 0"):
             load_index(saved)
 
     @pytest.mark.parametrize("column", ["df", "ids", "tfs", "leads"])
-    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
-    def test_column_holds_a_non_int(self, saved, column, value):
-        self._rewrite(saved, lambda p: p[column].__setitem__(0, value))
-        with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value that is not an int"):
-            load_index(saved)
+    @pytest.mark.parametrize(
+        "value", [_MISSING, None, {"0": 1}, True, False, 7.0, "7", -1],
+        ids=["missing", "null", "object", "true", "false", "float", "string", "negative"],
+    )
+    def test_section_length_not_a_count(self, saved, column, value):
+        def edit(p):
+            lengths = {name: len(p[name]) for name in _SECTIONS}
+            if value is _MISSING:
+                del lengths[column]
+            else:
+                lengths[column] = value
+            p["lengths"] = lengths
 
-    @pytest.mark.parametrize("column", ["ids", "tfs", "leads"])
-    def test_column_holds_an_int_beyond_int64(self, saved, column):
-        self._rewrite(saved, lambda p: p[column].__setitem__(-1, 2**63))
-        with pytest.raises(ValueError, match=rf"index\.json: {column} holds a value outside the int64 range"):
+        self._rewrite(saved, edit)
+        with pytest.raises(ValueError, match=rf"index\.bin: the length of {column} is not an int >= 0"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -517,13 +626,14 @@ class TestLoadIndexRejectsUntrustedFiles:
             ("tfs", 1, 0, r"postings of term 'b' hold a tf below 1"),
             ("tfs", -1, -3, r"postings of term 'e' hold a tf below 1"),
             ("df", 0, 0, r"df holds a count below 1"),
+            ("df", -1, -2, r"df holds a count below 1"),
             ("leads", 2, 2, r"postings of term 'b' hold a lead flag other than 0 or 1"),
-            ("leads", -1, -1, r"postings of term 'e' hold a lead flag other than 0 or 1"),
+            ("leads", -1, 255, r"postings of term 'e' hold a lead flag other than 0 or 1"),
         ],
     )
     def test_count_out_of_range(self, saved, column, position, value, message):
         self._rewrite(saved, lambda p: p[column].__setitem__(position, value))
-        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+        with pytest.raises(ValueError, match=rf"index\.bin: {message}"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -540,7 +650,14 @@ class TestLoadIndexRejectsUntrustedFiles:
     )
     def test_postings_columns_disagree(self, saved, edit, message):
         self._rewrite(saved, edit)
-        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+        with pytest.raises(ValueError, match=rf"index\.bin: {message}"):
+            load_index(saved)
+
+    def test_df_sum_beyond_int64_is_counted_exactly(self, saved):
+        # four counts of 2**62 sum to 2**64, which an int64 sum wraps to 0
+        self._rewrite(saved, lambda p: p.update(terms=["a", "b", "c", "d"], df=[2**62] * 4,
+                                                ids=[], tfs=[], leads=[]))
+        with pytest.raises(ValueError, match=rf"index\.bin: df counts {2**64} postings but ids holds 0"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -556,7 +673,7 @@ class TestLoadIndexRejectsUntrustedFiles:
     )
     def test_doc_ids_not_ascending_strings(self, saved, doc_ids, message):
         self._rewrite(saved, lambda p: p.__setitem__("doc_ids", doc_ids))
-        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+        with pytest.raises(ValueError, match=rf"index\.bin: {message}"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -570,16 +687,40 @@ class TestLoadIndexRejectsUntrustedFiles:
     )
     def test_terms_not_ascending_strings(self, saved, terms, message):
         self._rewrite(saved, lambda p: p.__setitem__("terms", terms))
-        with pytest.raises(ValueError, match=rf"index\.json: {message}"):
+        with pytest.raises(ValueError, match=rf"index\.bin: {message}"):
             load_index(saved)
 
     def test_version_1_file_must_be_rebuilt(self, saved):
         # the format before the index kept anything of each document's lead
-        self._rewrite(saved, lambda p: (p.update(version=1, doc_lengths=[3, 4]), p.pop("leads")))
-        with pytest.raises(ValueError, match=r"index\.json has version 1.*hardrank index --force"):
+        self._rewrite_as_json(saved, lambda p: (p.update(version=1, doc_lengths=[3, 4]),
+                                                p.pop("leads")))
+        with pytest.raises(ValueError, match=r"index\.bin has version 1.*hardrank index --force"):
             load_index(saved)
 
     def test_truncated_json(self, saved):
-        saved.write_text(saved.read_text()[:40])
-        with pytest.raises(ValueError, match=r"index\.json is not valid JSON"):
+        saved.write_bytes(saved.read_bytes()[:40])
+        with pytest.raises(ValueError, match=r"index\.bin is not valid JSON"):
+            load_index(saved)
+
+    @pytest.mark.parametrize(
+        "column, cut",
+        # bytes after the header line where the file ends: at a section's
+        # first byte, or one byte into it
+        [("df", -1), ("df", 0), ("df", 1), ("ids", 40), ("ids", 41), ("tfs", 96), ("tfs", 151),
+         ("leads", 152), ("leads", 158)],
+    )
+    def test_section_cut_short(self, saved, column, cut):
+        data = saved.read_bytes()
+        saved.write_bytes(data[:self._header_end(saved) + cut])
+        with pytest.raises(ValueError, match=rf"index\.bin: {column} is cut short"):
+            load_index(saved)
+
+    def test_nothing_cut_at_the_full_length(self, saved):
+        assert len(saved.read_bytes()) == self._header_end(saved) + 159
+        assert load_index(saved).n_docs == 2
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\n", bytes(8)])
+    def test_trailing_bytes(self, saved, extra):
+        saved.write_bytes(saved.read_bytes() + extra)
+        with pytest.raises(ValueError, match=rf"index\.bin: {len(extra)} trailing bytes after the last section"):
             load_index(saved)
