@@ -8,7 +8,6 @@ estimate psi of an easy and a hard query.
 
 from hardrank.benchmark import generate_benchmark
 from hardrank.config import PipelineConfig, validate
-from hardrank.corpus_io import corpus_by_id
 from hardrank.lexical_retrieval import build_index
 from hardrank.pipeline import candidates_for, fit_qpp, fit_ranker
 from hardrank.pointwise_ranker import FEATURE_NAMES, feature_matrix
@@ -17,7 +16,7 @@ from hardrank.qpp import estimate
 bench = generate_benchmark(seed=7)
 # the README config; its paths name the files the CLI reads, which this never opens
 config = PipelineConfig(raw=validate({"enrichment": {"use_judged_context": True}}))
-index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+index = build_index(bench.corpus)
 queries = {q.query_id: q for q in bench.queries}
 candidates = candidates_for(config, index, bench.queries)
 
@@ -28,7 +27,7 @@ for name, value in zip(FEATURE_NAMES, features[0]):
     print(f"  {name:>15} = {value:.4f}")
 
 texts = [(q.query_id, q.text) for q in bench.queries]
-model = fit_ranker(config, "br", texts, index, corpus, bench.qrels)
+model = fit_ranker(config, "br", texts, index, bench.qrels)
 curve = model.metadata["loss_curve"]
 print(f"\nbase ranker BCE loss: {curve[0]:.4f} -> {curve[-1]:.4f} over {len(curve) - 1} epochs")
 scores = model.score_rows(features)

@@ -387,9 +387,9 @@ def write_artifact(path, data: str | bytes) -> None:
 
 
 def parse_file(parse, path):
-    """`parse` the lines of the UTF-8 file `path`. A ParseError keeps its
-    class and `line_no`, and its message gains the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """`parse` the lines of the UTF-8 file `path`, less one leading BOM. A
+    ParseError keeps its class and `line_no`, and its message gains the path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     try:
         return parse(lines)

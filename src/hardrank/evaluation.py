@@ -132,7 +132,8 @@ TEST_NAME = "paired-t (two-tailed)"
 @dataclass(frozen=True)
 class SystemReport:
     """Per metric: each judged query's value, the evaluated queries' mean, and the
-    change (%) and paired p against the baseline (None for the baseline itself)."""
+    change (%) and paired p against the baseline (None for the baseline itself,
+    and p None when fewer than 2 queries are evaluated)."""
 
     name: str
     per_query: dict[str, dict[str, float]]  # qid -> metric -> value
@@ -181,8 +182,8 @@ def build_report(
     every system (a query absent from a run scores 0; RR counts grade >= 1).
     Queries with no positive judgment are excluded from the aggregate means
     unless include_no_positive is set; the same query set is used for every
-    system so the significance tests pair correctly. Raises NoEvaluableQuery
-    when that set is empty.
+    system so the significance tests pair correctly; with fewer than 2 of
+    them no p-value is given. Raises NoEvaluableQuery when that set is empty.
     """
     if baseline not in runs:
         raise ValueError(f"baseline {baseline!r} not among runs {sorted(runs)}")
@@ -211,9 +212,9 @@ def build_report(
             m: None if base.means[m] == 0.0 else relative_improvement(means[m], base.means[m])
             for m in METRIC_NAMES
         }
-        p = {
+        p = {  # no test of fewer than 2 queries
             m: paired_test(column(per_query, m), column(base.per_query, m)).p_two_tailed
-            for m in METRIC_NAMES
+            if len(included) > 1 else None for m in METRIC_NAMES
         }
         return SystemReport(name, per_query, means, delta, p)
 

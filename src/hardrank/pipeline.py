@@ -1,8 +1,9 @@
 """The experiment as pure stages, plus the CLI stages that load, call and save.
 
 The pure stages work on objects in memory and touch no file:
-`enrich_queries`, `fit_ranker`, `fit_qpp`, `rank` and `evaluate`; their
-`corpus` maps doc ids to documents.
+`enrich_queries`, `fit_ranker`, `fit_qpp`, `rank` and `evaluate`. Once
+built, the index is the set of documents that exist; only enrichment,
+which selects passages, also reads the corpus text.
 `experiment` chains them from a corpus and two query sets to the report.
 Each CLI stage (index, enrich, train x3, run per method, eval) only loads
 its inputs from the paths of a PipelineConfig, calls a pure stage and
@@ -94,14 +95,14 @@ def enrich_queries(config: PipelineConfig, index: InvertedIndex, corpus, queries
 
 
 def fit_ranker(config: PipelineConfig, which: str, texts: list[tuple[str, str]],
-               index: InvertedIndex, corpus, qrels: Qrels) -> LogisticScorer:
+               index: InvertedIndex, qrels: Qrels) -> LogisticScorer:
     """The base ('br') or specialized ('sr') ranker, trained on (query id,
     text) pairs. A training set without a positive or without a negative
     raises ConfigError naming the qrels and `ranker.label_threshold`."""
     section = config.section("ranker")
     instances = build_training_set(
-        texts, qrels, index, corpus, params=config.bm25_params(), depth=config.run_depth,
-        negatives_per_positive=section["negatives_per_positive"],
+        texts, qrels, index, index.internal_ids, params=config.bm25_params(),
+        depth=config.run_depth, negatives_per_positive=section["negatives_per_positive"],
         label_threshold=section["label_threshold"], seed=config.seed,
     )
     if not instances:
@@ -184,7 +185,7 @@ def _fuse(config: PipelineConfig, method: str, br: RunList, sr: RunList, psi=Non
 
 
 def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: InvertedIndex,
-         corpus, queries: list[Query], methods=RUN_METHODS
+         queries: list[Query], methods=RUN_METHODS
          ) -> tuple[dict[str, RunList], list[RoutingDecision] | None]:
     """Rank the queries that retrieve BM25 candidates by each of `methods`.
 
@@ -203,7 +204,7 @@ def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: Inver
     for query in queries:
         hits = candidates[query.query_id]
         for which, run in runs.items():
-            run.entries[query.query_id] = rerank(models[which], query, hits, corpus, index, params)
+            run.entries[query.query_id] = rerank(models[which], query, hits, index, params)
     qpp_model, decisions = models.get("qpp"), None
     psi = _psi(qpp_model, index, queries, candidates) if {"r_qpp", "w_qpps"} & set(fused) else None
     for method in fused:
@@ -248,11 +249,11 @@ def experiment(config: PipelineConfig, corpus: list[Document], train_queries: li
     br_texts = [(q.query_id, q.text) for q in train_queries]
     sr_texts = sorted((e.query_id, e.enriched_text) for e in enriched)
     models = {
-        "br": fit_ranker(config, "br", br_texts, index, docs, train_qrels),
-        "sr": fit_ranker(config, "sr", sr_texts, index, docs, train_qrels),
+        "br": fit_ranker(config, "br", br_texts, index, train_qrels),
+        "sr": fit_ranker(config, "sr", sr_texts, index, train_qrels),
         "qpp": fit_qpp(config, index, train_queries, train_qrels),
     }
-    runs, decisions = rank(config, models, index, docs, test_queries)
+    runs, decisions = rank(config, models, index, test_queries)
     return Experiment(enriched, models, runs, decisions, evaluate(config, runs, test_qrels, "br"))
 
 
@@ -270,18 +271,14 @@ def _load_index(config: PipelineConfig) -> InvertedIndex:
     return load_index(_require(config.path("index"), "run the index command first"))
 
 
-def _load_retrieval(config: PipelineConfig):
-    corpus = read_corpus_file(_require(config.path("corpus"), "corpus JSONL"))
-    return corpus_by_id(corpus), _load_index(config)
-
-
 def enrich_training_queries(config: PipelineConfig) -> tuple[list[EnrichedQuery], list, int]:
     """`enrich_queries` on the training queries: returns (enriched records,
     errors, number of hard queries). The enriched TSV is written, even
     when empty, only when no query failed: a failed run leaves an existing
     file as it was, so `train --which sr` never reads the subset that
     succeeded."""
-    corpus, index = _load_retrieval(config)
+    corpus = corpus_by_id(read_corpus_file(_require(config.path("corpus"), "corpus JSONL")))
+    index = _load_index(config)
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
     qrels = None
     if config.section("enrichment")["use_judged_context"]:
@@ -300,7 +297,7 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
     """Train and persist the base ('br') or specialized ('sr') ranker."""
     if which not in ("br", "sr"):
         raise ConfigError(f"unknown ranker {which!r}")
-    corpus, index = _load_retrieval(config)
+    index = _load_index(config)
     qrels = read_qrels_file(_require(config.path("train_qrels"), "training qrels"))
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
 
@@ -317,7 +314,7 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
             raise ConfigError(f"{enriched_path} holds queries that are not training queries "
                               f"({foreign[:5]}); rerun `hardrank enrich`")
         texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]
-    return _save_model(config, which, fit_ranker(config, which, texts, index, corpus, qrels))
+    return _save_model(config, which, fit_ranker(config, which, texts, index, qrels))
 
 
 def train_qpp_model(config: PipelineConfig) -> Path:
@@ -393,9 +390,9 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
     test_queries = _require(config.path("test_queries"), "test queries")
     decisions = None
     if method in ("br", "sr"):
-        corpus, index = _load_retrieval(config)
-        queries, model = read_queries_file(test_queries), _load_model(config, method)
-        run = rank(config, {method: model}, index, corpus, queries, (method,))[0][method]
+        index, queries = _load_index(config), read_queries_file(test_queries)
+        models = {method: _load_model(config, method)}
+        run = rank(config, models, index, queries, (method,))[0][method]
     elif method == "bsf":
         test_ids = {q.query_id for q in read_queries_file(test_queries)}
         run, _ = _fuse(config, method, *_fusion_inputs(config, test_ids=test_ids))

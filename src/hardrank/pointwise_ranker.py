@@ -13,7 +13,7 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
@@ -141,7 +141,6 @@ def rerank(
     model: LogisticScorer,
     query,
     candidates: Ranking,
-    corpus: Mapping[str, Document],
     index: InvertedIndex,
     params: Bm25Params = Bm25Params(),
 ) -> Ranking:
@@ -150,17 +149,16 @@ def rerank(
     Keeps exactly the input doc set, ordered by `InvertedIndex.ranked`:
     model score descending with doc_id tie-breaks, as in `bm25_search`.
     The features come from one `feature_matrix` pass over the list, read
-    from the index alone (equal to the text-derived values whenever
-    `corpus` is the corpus that was indexed); `corpus` only vouches that
-    each candidate exists. Reranking the same list for the same query text
-    again reuses that pass (see `_candidate_features`): `pipeline.rank`,
-    and so `experiment`, scores each list with BR and then SR, as serving
-    does. `hardrank run` ranks with one model per command, so it never
-    reuses one.
+    from the index alone, which is also the set of documents that exist: a
+    candidate it does not hold raises ValueError. Reranking the same list
+    for the same query text again reuses that pass (see
+    `_candidate_features`): `pipeline.rank`, and so `experiment`, scores
+    each list with BR and then SR, as serving does. `hardrank run` ranks
+    with one model per command, so it never reuses one.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    ids, features = _candidate_features(_query_text(query), candidates, corpus, index, params)
+    ids, features = _candidate_features(_query_text(query), candidates, index, params)
     return index.ranked(ids, model.score_rows(features))
 
 
@@ -172,8 +170,7 @@ def rerank(
 _last_features: tuple | None = None
 
 
-def _candidate_features(text: str, candidates: Ranking,
-                        corpus: Mapping[str, Document], index: InvertedIndex,
+def _candidate_features(text: str, candidates: Ranking, index: InvertedIndex,
                         params: Bm25Params) -> tuple[np.ndarray, np.ndarray]:
     """The candidates' internal ids and their documents' feature matrix,
     both read-only.
@@ -181,26 +178,15 @@ def _candidate_features(text: str, candidates: Ranking,
     Returns the previous call's pair when the index, the params, the
     query text and the candidate ids are the same, so a caller that ranks
     one list with both models in turn, as `pipeline.rank` and serving do,
-    pays one feature pass; `hardrank run` ranks with one model. A
-    candidate missing from the corpus or the index raises ValueError, and
-    the first faulty candidate in list order is the one named. The corpus
-    check is one pass over the ids on every call; a hit looks nothing up in
-    the index, and a miss looks each candidate up once.
+    pays one feature pass; `hardrank run` ranks with one model. The first
+    candidate in list order that is not indexed raises ValueError.
     """
     global _last_features
-    doc_ids = candidates.doc_ids
-    if not all(map(corpus.__contains__, doc_ids)):
-        missing = next(doc_id for doc_id in doc_ids if doc_id not in corpus)
-        # a candidate before it that is not indexed is the first faulty one
-        index.internal_id_array(doc_ids[:doc_ids.index(missing)])
-        raise ValueError(f"doc_id {missing!r} not in corpus")
-    key = (params, text, doc_ids)
+    key = (params, text, candidates.doc_ids)
     memo = _last_features
     if memo is not None and memo[0]() is index and memo[1] == key:
         return memo[2:]
-    # every candidate is in the corpus, so the first one not indexed is the
-    # first faulty one
-    ids = index.internal_id_array(doc_ids)
+    ids = index.internal_id_array(candidates.doc_ids)
     matrix = _feature_rows(text, ids, index, params)
     ids.flags.writeable = matrix.flags.writeable = False
     _last_features = (weakref.ref(index), key, ids, matrix)
@@ -209,15 +195,15 @@ def _candidate_features(text: str, candidates: Ranking,
 
 @dataclass
 class ModelRanker:
-    """Adapter binding a trained model to a corpus and index."""
+    """Adapter binding a trained model to an index."""
 
     model: LogisticScorer
-    corpus: Mapping[str, Document]
+    corpus: Mapping[str, Document]  # read by nothing; ROADMAP item 8 deletes this adapter
     index: InvertedIndex
     params: Bm25Params = Bm25Params()
 
     def rerank_query(self, query: Query, candidates: Ranking) -> Ranking:
-        return rerank(self.model, query.text, candidates, self.corpus, self.index, self.params)
+        return rerank(self.model, query.text, candidates, self.index, self.params)
 
 
 @dataclass
@@ -249,7 +235,7 @@ def build_training_set(
     query_texts: Sequence[tuple[str, str]],
     qrels: Qrels,
     index: InvertedIndex,
-    corpus: Mapping[str, Document],
+    corpus: Container[str],
     params: Bm25Params = Bm25Params(),
     depth: int = 100,
     negatives_per_positive: int = 4,
@@ -261,8 +247,9 @@ def build_training_set(
     Positives are the judged documents with grade >= label_threshold.
     Negatives are sampled (without replacement, seeded) from the BM25
     top-`depth` documents that are unjudged or judged below the threshold,
-    capped at negatives_per_positive per positive. Positives not in the
-    corpus are skipped, with one warning per call.
+    capped at negatives_per_positive per positive. `corpus` holds the doc
+    ids a positive may have (`pipeline.fit_ranker` passes the index's);
+    the others are skipped, with one warning per call.
     """
     rng = random.Random(seed)
     instances: list[TrainingInstance] = []

@@ -817,6 +817,22 @@ class TestRunAndEval:
         result = run_cli(*args, "--set", "metrics.include_no_positive=true", cwd=ranked)
         assert result.returncode == 0, result.stderr
 
+    def test_eval_of_one_judged_query_gives_no_p_value(self, ranked, run_cli):
+        one = [line for line in (ranked / "qrels.txt").read_text().splitlines()
+               if line.startswith("q1 ")]
+        (ranked / "one_qrels.txt").write_text("\n".join(one) + "\n")
+        result = run_cli(
+            "eval", "work/runs/br.txt", "work/runs/sr.txt", "--baseline", "br",
+            "--config", "config.json", "--set", "paths.test_qrels=one_qrels.txt", cwd=ranked,
+        )
+        assert result.returncode == 0, result.stderr
+        text = (ranked / "work" / "reports" / "report.txt").read_text()
+        assert text.splitlines()[3].split()[0] == "sr"
+        assert text.splitlines()[3].split()[-2:] == ["-", "-"]
+        assert "queries: 1 evaluated, 0 excluded" in text
+        records = (ranked / "work" / "reports" / "report.jsonl").read_text().splitlines()
+        assert [(r["p_ndcg10"], r["p_rr"]) for r in map(json.loads, records)] == [(None, None)] * 2
+
     @pytest.mark.parametrize("include", ["false", "true"])
     def test_eval_of_empty_qrels_names_the_file_and_no_setting(self, ranked, run_cli, include):
         # setting metrics.include_no_positive cannot help, so the error does not suggest it

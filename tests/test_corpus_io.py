@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from hardrank.corpus_io import (
     RunList,
     RunRecord,
     parse_corpus,
+    parse_file,
     parse_qrels,
     parse_queries,
     parse_run,
@@ -37,6 +39,7 @@ from hardrank.corpus_io import (
     write_queries_file,
     write_run,
 )
+from hardrank.enrichment import parse_enriched
 from hardrank.lexical_retrieval import build_index, save_index
 from hardrank.linear_model import LogisticScorer, save_scorer
 
@@ -329,6 +332,26 @@ def test_file_reader_error_names_the_path(tmp_path, read, lines):
         read(path)
     assert str(info.value).startswith(f"{path}: line 2: duplicate ")
     assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "read, lines",
+    [
+        (read_run_file, ["q1 Q0 d1 1 0.5 t", "q2 Q0 d2 1 0.4 t"]),
+        (read_qrels_file, ["q1 0 d1 1", "q2 0 d2 0"]),
+        (read_queries_file, ["q1\ta", "q2\tb"]),
+        (read_corpus_file, ['{"doc_id": "d1", "text": "a"}', '{"doc_id": "d2", "text": "b"}']),
+        (partial(parse_file, parse_enriched), ["q1\ta b\td1\t-", "q2\tc\t-\tfallback"]),
+    ],
+    ids=["run", "qrels", "queries", "corpus", "enriched"],
+)
+def test_file_reader_drops_a_leading_bom(tmp_path, read, lines):
+    # a BOM kept in the text would make the first id '\ufeffq1', which no
+    # judgment matches
+    text = "\n".join(lines) + "\n"
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_text("\ufeff" + text, encoding="utf-8")
+    assert read(tmp_path / "bom.txt") == read(tmp_path / "plain.txt")
 
 
 class TestWriteArtifact:

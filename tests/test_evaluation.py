@@ -362,6 +362,20 @@ class TestBuildReport:
             "good", "1.000", "1.000", "0.0000", "0.0000"
         ]
 
+    def test_one_evaluated_query_gives_no_p_value(self):
+        # q2 has no positive judgment, so only q1 is evaluated
+        qrels = Qrels({("q1", "r1"): 2, ("q2", "r3"): 0})
+        _, good, bad = two_system_fixture()
+        report = build_report({"base": bad, "good": good}, qrels, "base")
+        assert (report.n_queries, report.n_excluded) == (1, 1)
+        good_report = system(report, "good")
+        assert good_report.p_value == {"ndcg10": None, "rr": None}
+        assert good_report.delta_pct["ndcg10"] is not None
+        assert render_report(report).splitlines()[3].split()[-2:] == ["-", "-"]
+        record = json.loads(report_jsonl(report)[1])
+        assert (record["system"], record["p_ndcg10"], record["p_rr"]) == ("good", None, None)
+        assert (record["sig_ndcg10"], record["sig_rr"]) == (None, None)
+
     def test_p_values_come_from_the_module_paired_test(self, monkeypatch):
         qrels, good, bad = two_system_fixture()
         fixed = evaluation.PairedTestResult(t=0.0, df=1, p_two_tailed=0.5)

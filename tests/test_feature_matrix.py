@@ -5,9 +5,9 @@ before the kernel existed: it tokenizes the query and the document text,
 counts terms with `Counter`, and looks each term's tf up in a dict built
 from the whole postings list. The kernel reads tf, length, norm and the
 early-window terms from the index instead, so on the corpus that was
-indexed the two must agree in every bit, reranking must give the records
-that per-pair scoring gives, and blanking every document's text must change
-nothing.
+indexed the two must agree in every bit, and reranking, which is given
+doc ids and no document text, must give the records that per-pair scoring
+of the texts gives.
 """
 
 import math
@@ -158,7 +158,7 @@ def test_rerank_equals_per_pair_scoring(corpus, query, params, model, data):
             for doc_id in chosen
         ]
     )
-    assert rerank(model, query, candidates, by_id, index, params) == expected
+    assert rerank(model, query, candidates, index, params) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,9 +168,8 @@ def test_rerank_reads_no_document_text(corpus, query, params, model):
     expected = rank_records(
         [(doc.doc_id, score(model, oracle_features(query, doc, index, params))) for doc in corpus]
     )
-    blanked = {d.doc_id: Document(d.doc_id, "") for d in corpus}
     candidates = rank_records([(d.doc_id, 1.0) for d in corpus])
-    assert rerank(model, query, candidates, blanked, index, params) == expected
+    assert rerank(model, query, candidates, index, params) == expected
 
 
 def test_empty_document_list_gives_an_empty_matrix():
@@ -185,19 +184,18 @@ class TestMissingDocuments:
     def setting(self):
         indexed = [Document("d1", "solar power"), Document("d2", "wind power")]
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
-        return model, build_index(indexed), {d.doc_id: d for d in indexed}
+        return model, build_index(indexed)
 
     def test_unindexed_document_names_the_doc(self, setting):
-        _, index, _ = setting
+        _, index = setting
         with pytest.raises(ValueError, match=r"doc_id 'dX' not in index"):
             extract_features("solar", Document("dX", "solar"), index)
 
     def test_rerank_reports_the_first_faulty_candidate(self, setting):
-        model, index, corpus = setting
-        corpus = {**corpus, "dX": Document("dX", "solar")}
+        model, index = setting
         candidates = rank_records([("d1", 3.0), ("dX", 2.0), ("dY", 1.0)])
         with pytest.raises(ValueError, match=r"doc_id 'dX' not in index"):
-            rerank(model, "solar", candidates, corpus, index)
+            rerank(model, "solar", candidates, index)
         candidates = rank_records([("d1", 3.0), ("dY", 2.0), ("dX", 1.0)])
-        with pytest.raises(ValueError, match=r"doc_id 'dY' not in corpus"):
-            rerank(model, "solar", candidates, corpus, index)
+        with pytest.raises(ValueError, match=r"doc_id 'dY' not in index"):
+            rerank(model, "solar", candidates, index)

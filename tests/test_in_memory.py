@@ -10,15 +10,17 @@ split (even topics train, odd topics test) built as the benchmark under
 
 import hashlib
 import importlib.util
+import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from hardrank import pipeline
-from hardrank.benchmark import generate_benchmark
+from hardrank.benchmark import generate_benchmark, write_benchmark
 from hardrank.config import ConfigError, PipelineConfig, load_config, validate
-from hardrank.corpus_io import Qrels, corpus_by_id, write_run
+from hardrank.corpus_io import Qrels, write_run
 from hardrank.enrichment import write_enriched
 from hardrank.evaluation import render_report, report_jsonl
 from hardrank.fusion import write_routing_log
@@ -58,11 +60,13 @@ def artifacts(result: pipeline.Experiment, models_dir: Path) -> dict[str, bytes]
     return out
 
 
-def on_disk(config) -> dict[str, bytes]:
-    """Every CLI stage in order, then what they wrote but the index, by file name."""
+def on_disk(config, after_enrich=None) -> dict[str, bytes]:
+    """Every CLI stage in order, then what they wrote but the index, by file
+    name. The stages after `enrich` run under `after_enrich`, if given."""
     pipeline.build_and_save_index(config)
     _, errors, _ = pipeline.enrich_training_queries(config)
     assert not errors
+    config = after_enrich or config
     for which in ("br", "sr"):
         pipeline.train_ranker(config, which)
     pipeline.train_qpp_model(config)
@@ -83,13 +87,38 @@ def readme():
     return bench, config, pipeline.experiment(config, bench.corpus, queries, qrels, queries, qrels)
 
 
-def test_readme_experiment_gives_the_golden_bytes(readme, tmp_path):
-    _, _, result = readme
+def assert_golden(result: pipeline.Experiment, models_dir: Path) -> None:
     digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in artifacts(result, tmp_path).items()}
+               for name, data in artifacts(result, models_dir).items()}
     assert digests.pop("enriched.tsv") == ENRICHED_SHA256["judged"]
     assert {name: digests.pop(name) for name in MODEL_SHA256} == MODEL_SHA256
     assert digests == GOLDEN_SHA256
+
+
+def test_readme_experiment_gives_the_golden_bytes(readme, tmp_path):
+    assert_golden(readme[2], tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shuffled", ["corpus", "qrels"])
+def test_line_order_of_the_corpus_and_qrels_changes_no_artifact(readme, tmp_path, shuffled,
+                                                                seed):
+    # the qrels judgments are shuffled in their insertion order
+    bench, config, _ = readme
+    corpus, judgments = list(bench.corpus), list(bench.qrels.judgments.items())
+    random.Random(seed).shuffle(corpus if shuffled == "corpus" else judgments)
+    queries, qrels = bench.queries, Qrels(dict(judgments))
+    assert_golden(pipeline.experiment(config, corpus, queries, qrels, queries, qrels), tmp_path)
+
+
+def test_stages_after_enrich_read_no_corpus(readme, tmp_path):
+    # after `index` and `enrich`, the index is the only document store
+    write_benchmark(tmp_path, seed=7)
+    (tmp_path / "config.json").write_text(json.dumps(README_CONFIG))
+    config = load_config(tmp_path / "config.json")
+    gone = load_config(tmp_path / "config.json", ["paths.corpus=missing.jsonl"])
+    assert not gone.path("corpus").exists()
+    assert on_disk(config, gone) == artifacts(readme[2], tmp_path / "models")
 
 
 def test_held_out_experiment_equals_the_on_disk_stages(tmp_path):
@@ -104,8 +133,8 @@ def test_held_out_experiment_equals_the_on_disk_stages(tmp_path):
 
 def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
     bench, config, result = readme
-    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
-    runs, decisions = pipeline.rank(config, result.models, index, corpus, bench.queries)
+    index = build_index(bench.corpus)
+    runs, decisions = pipeline.rank(config, result.models, index, bench.queries)
     assert [text for text, _ in kernel_calls] == [q.text for q in bench.queries]
     assert runs == result.runs
     assert decisions == result.decisions
@@ -114,17 +143,17 @@ def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
 def test_rank_builds_no_record(readme, record_constructions):
     # BM25, both reranks, psi and the three fusions read and write arrays
     bench, config, result = readme
-    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
-    runs, _ = pipeline.rank(config, result.models, index, corpus, bench.queries)
+    index = build_index(bench.corpus)
+    runs, _ = pipeline.rank(config, result.models, index, bench.queries)
     assert record_constructions == []
     assert runs == result.runs
 
 
 def test_rank_with_one_ranker_reads_no_other_model(readme, kernel_calls):
     bench, config, result = readme
-    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
-    runs, decisions = pipeline.rank(config, {"sr": result.models["sr"]}, index, corpus,
-                                    bench.queries, ("sr",))
+    index = build_index(bench.corpus)
+    runs, decisions = pipeline.rank(config, {"sr": result.models["sr"]}, index, bench.queries,
+                                    ("sr",))
     assert list(runs) == ["sr"] and decisions is None
     assert runs["sr"] == result.runs["sr"]
     assert len(kernel_calls) == len(bench.queries)
@@ -133,11 +162,11 @@ def test_rank_with_one_ranker_reads_no_other_model(readme, kernel_calls):
 def test_training_set_without_a_negative_names_the_qrels_and_threshold(readme):
     # every BM25 candidate of every query judged relevant leaves no negative
     bench, config, _ = readme
-    index, corpus = build_index(bench.corpus), corpus_by_id(bench.corpus)
+    index = build_index(bench.corpus)
     queries = bench.queries[:2]
     candidates = pipeline.candidates_for(config, index, queries)
     qrels = Qrels({(qid, rec.doc_id): 1 for qid, hits in candidates.items() for rec in hits})
     texts = [(q.query_id, q.text) for q in queries]
     with pytest.raises(ConfigError, match="no negative example") as raised:
-        pipeline.fit_ranker(config, "br", texts, index, corpus, qrels)
+        pipeline.fit_ranker(config, "br", texts, index, qrels)
     assert "ranker.label_threshold (1) in qrels.txt" in str(raised.value)

@@ -259,7 +259,7 @@ class TestRerank:
         docs, idx = small_corpus
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         candidates = rank_records([("d2", 3.0), ("d1", 2.0), ("d3", 1.0)])
-        out = rerank(model, Query("q", "solar"), candidates, {d.doc_id: d for d in docs}, idx)
+        out = rerank(model, Query("q", "solar"), candidates, idx)
         assert [r.doc_id for r in out] == ["d1", "d2", "d3"]
         assert all(r.score == 0.5 for r in out)
 
@@ -270,15 +270,14 @@ class TestRerank:
         index = build_index(docs)
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         candidates = Ranking(("d1", "zeta", "d10", "alpha", "d2"), np.ones(5))
-        out = rerank(model, Query("q", "solar"), candidates, {d.doc_id: d for d in docs}, index)
+        out = rerank(model, Query("q", "solar"), candidates, index)
         assert [r.doc_id for r in out] == ["alpha", "d1", "d10", "d2", "zeta"]
         assert all(r.score == 0.5 for r in out)
 
     def test_single_candidate(self, small_corpus):
         docs, idx = small_corpus
         model = LogisticScorer(np.ones(6), 0.0, np.zeros(6), np.ones(6))
-        out = rerank(model, Query("q", "wind"), rank_records([("d2", 1.0)]),
-                     {d.doc_id: d for d in docs}, idx)
+        out = rerank(model, Query("q", "wind"), rank_records([("d2", 1.0)]), idx)
         assert len(out) == 1
         assert out[0].doc_id == "d2"
 
@@ -288,7 +287,7 @@ class TestRerank:
         instances = toy_ranker_instances()
         model = train(instances, epochs=100)
         candidates = rank_records([("d1", 5.0), ("d2", 4.0), ("d3", 3.0)])
-        out = rerank(model, Query("q", "solar wind power"), candidates, corpus, idx)
+        out = rerank(model, Query("q", "solar wind power"), candidates, idx)
         brute = sorted(
             (
                 (-score(model, extract_features(Query("q", "solar wind power"), corpus[c.doc_id], idx)), c.doc_id)
@@ -302,8 +301,7 @@ class TestRerank:
         docs, idx = small_corpus
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         with pytest.raises(ValueError, match="dX"):
-            rerank(model, Query("q", "solar"), rank_records([("dX", 1.0)]),
-                   {d.doc_id: d for d in docs}, idx)
+            rerank(model, Query("q", "solar"), rank_records([("dX", 1.0)]), idx)
 
 
 class TestScoreFileRanker:

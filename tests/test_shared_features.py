@@ -62,58 +62,53 @@ BR, SR = make_model(1), make_model(2)
 
 @pytest.fixture
 def setting():
-    corpus = {d.doc_id: d for d in DOCS}
     candidates = rank_records([(d.doc_id, 1.0) for d in DOCS])
-    return corpus, build_index(DOCS), candidates
+    return build_index(DOCS), candidates
 
 
-def fresh_rerank(model, query, candidates, corpus, index, params=Bm25Params()):
+def fresh_rerank(model, query, candidates, index, params=Bm25Params()):
     pointwise_ranker._last_features = None
-    return rerank(model, query, candidates, corpus, index, params)
+    return rerank(model, query, candidates, index, params)
 
 
 class TestSharedFeaturePass:
     def test_br_then_sr_calls_the_kernel_once(self, setting, kernel_calls):
-        corpus, index, candidates = setting
-        br = rerank(BR, "solar grid", candidates, corpus, index)
-        sr = rerank(SR, "solar grid", candidates, corpus, index)
+        index, candidates = setting
+        br = rerank(BR, "solar grid", candidates, index)
+        sr = rerank(SR, "solar grid", candidates, index)
         assert len(kernel_calls) == 1
-        assert br == fresh_rerank(BR, "solar grid", candidates, corpus, index)
-        assert sr == fresh_rerank(SR, "solar grid", candidates, corpus, index)
+        assert br == fresh_rerank(BR, "solar grid", candidates, index)
+        assert sr == fresh_rerank(SR, "solar grid", candidates, index)
         assert br != sr
 
-    @pytest.mark.parametrize("change", ["query", "params", "index", "document"])
+    @pytest.mark.parametrize("change", ["query", "params", "index"])
     def test_memo_misses_when_an_input_differs(self, setting, kernel_calls, change):
-        # an equal document that is another object is no different input:
-        # reranking reads the index, not the document
-        corpus, index, candidates = setting
+        index, candidates = setting
         query, params = "solar grid", Bm25Params()
-        first = rerank(BR, query, candidates, corpus, index, params)
+        first = rerank(BR, query, candidates, index, params)
         if change == "query":
             query = "solar grid wind"
         elif change == "params":
             params = Bm25Params(k1=1.2, b=0.75)
-        elif change == "index":
+        else:
             index = build_index(DOCS)
-        else:  # an equal Document, but another object
-            corpus = {**corpus, "d2": dataclasses.replace(corpus["d2"])}
-        second = rerank(BR, query, candidates, corpus, index, params)
-        assert len(kernel_calls) == (1 if change == "document" else 2)
-        assert second == fresh_rerank(BR, query, candidates, corpus, index, params)
-        if change in ("index", "document"):
+        second = rerank(BR, query, candidates, index, params)
+        assert len(kernel_calls) == 2
+        assert second == fresh_rerank(BR, query, candidates, index, params)
+        if change == "index":
             assert second == first
 
     def test_same_list_in_another_order_is_a_miss(self, setting, kernel_calls):
-        corpus, index, candidates = setting
-        rerank(BR, "solar", candidates, corpus, index)
-        rerank(BR, "solar", candidates[::-1], corpus, index)
-        rerank(BR, "solar", candidates[:2], corpus, index)
+        index, candidates = setting
+        rerank(BR, "solar", candidates, index)
+        rerank(BR, "solar", candidates[::-1], index)
+        rerank(BR, "solar", candidates[:2], index)
         assert len(kernel_calls) == 3
 
     def test_memo_keeps_no_index_or_document_alive(self):
         corpus = {d.doc_id: Document(d.doc_id, d.text) for d in DOCS}
         index = build_index(list(corpus.values()))
-        rerank(BR, "solar", rank_records([(d, 1.0) for d in corpus]), corpus, index)
+        rerank(BR, "solar", rank_records([(d, 1.0) for d in corpus]), index)
         index_ref = weakref.ref(index)
         doc_ref = weakref.ref(corpus["d1"])
         del index, corpus
@@ -124,10 +119,10 @@ class TestSharedFeaturePass:
     def test_concurrent_reranks_match_sequential_ones(self, setting):
         # more threads than cores, switching often, each with its own query,
         # so a memo entry read half-replaced would give a wrong list
-        corpus, index, candidates = setting
+        index, candidates = setting
         queries = ["solar", "wind power", "grid", "solar heat roof"]
         expected = {
-            (q, id(m)): fresh_rerank(m, q, candidates, corpus, index)
+            (q, id(m)): fresh_rerank(m, q, candidates, index)
             for q in queries
             for m in (BR, SR)
         }
@@ -136,7 +131,7 @@ class TestSharedFeaturePass:
         def worker(query):
             for _ in range(2000):
                 for model in (BR, SR):
-                    got = rerank(model, query, candidates, corpus, index)
+                    got = rerank(model, query, candidates, index)
                     if got != expected[(query, id(model))]:
                         mismatches.append(query)
 
@@ -154,9 +149,9 @@ class TestSharedFeaturePass:
         assert mismatches == []
 
     def test_memo_matrix_is_read_only(self, setting):
-        corpus, index, candidates = setting
+        index, candidates = setting
         ids, matrix = pointwise_ranker._candidate_features(
-            "solar", candidates, corpus, index, Bm25Params()
+            "solar", candidates, index, Bm25Params()
         )
         assert ids.tolist() == [index.internal_ids[rec.doc_id] for rec in candidates]
         for array in (ids, matrix):
