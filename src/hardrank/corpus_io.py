@@ -254,17 +254,22 @@ def parse_run(lines: Iterable[str]) -> RunList:
     )
 
 
-def write_run(run: RunList) -> list[str]:
+def write_run(run: RunList) -> Iterator[str]:
     """Render a RunList as TREC 6-column lines (no trailing newlines), each
-    record's rank its position in its list and the tag the run's, or "run"."""
+    record's rank its position in its list and the tag the run's, or "run".
+
+    The run is validated now, so an invalid one raises before any line is
+    made; the lines are then yielded one at a time, never held together.
+    """
     run.validate()
     tag = run.tag or "run"
-    lines = []
-    for qid in sorted(run.entries):
-        entry = run.entries[qid]
-        for rank, (doc_id, score) in enumerate(zip(entry.doc_ids, entry.scores.tolist()), 1):
-            lines.append(f"{qid} Q0 {doc_id} {rank} {score!r} {tag}")
-    return lines
+    return (
+        f"{qid} Q0 {doc_id} {rank} {score!r} {tag}"
+        for qid in sorted(run.entries)
+        for rank, (doc_id, score) in enumerate(
+            zip(run.entries[qid].doc_ids, run.entries[qid].scores.tolist()), 1
+        )
+    )
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:

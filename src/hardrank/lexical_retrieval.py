@@ -9,19 +9,24 @@ and the standard saturated term frequency with length normalization:
     score(q, d) = sum over distinct query terms t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avg_len))
 
-The sum runs over the terms in sorted order, one float add at a time, so
-every path gives the same bits. Documents scoring exactly zero are
-excluded from results. Internal ids follow doc_id order, so every list
-the index ranks (`InvertedIndex.ranked`) breaks ties by doc_id ascending
-with no lookup, and the index does not depend on the corpus's order. The
-postings are numpy columns in compressed sparse row layout: a search adds
-each term's contributions into a dense score array, and a document's tf
-is a gather.
-The index is immutable once built; searches over it are safe to run
-concurrently. The postings are its only store of per-(term, document)
-facts: beside each tf, a lead flag says whether the term is among the
-document's first EARLY_WINDOW tokens, and a document's length is the sum
-of its tfs. So reranking never reads document text.
+Every term's idf is computed once per index. A posting's contribution
+(its impact) depends only on the posting and the BM25 parameters, so
+`InvertedIndex.impacts(params)` computes them all once, through
+`bm25_term_score`, into a float64 column aligned with the postings, kept
+on the index and never saved. A search adds each term's slice of that
+column into a dense score array, term by term in sorted order, one float
+add at a time, and reranking gathers and adds the same impacts in the
+same order, so every path gives the same bits. Documents scoring exactly
+zero are excluded from results. Internal ids follow doc_id order, so
+every list the index ranks (`InvertedIndex.ranked`) breaks ties by
+doc_id ascending with no lookup, and the index does not depend on the
+corpus's order. The postings are numpy columns in compressed sparse row
+layout. The index is immutable once built, and searches over it are safe
+to run concurrently: an impacts column is stored by one assignment of a
+finished read-only array. The postings are its only store of
+per-(term, document) facts: beside each tf, a lead flag says whether the
+term is among the document's first EARLY_WINDOW tokens, and a document's
+length is the sum of its tfs. So reranking never reads document text.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ INDEX_FORMAT = "hardrank-index"
 INDEX_VERSION = 6
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
+_IMPACT_CHUNK = 1 << 14  # postings per step of an impacts column's build
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,10 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be > 0, got {self.k1}")
+        # NaN fails every comparison, so it must fail this one: a NaN k1
+        # scores nothing and never equals itself as an impacts memo key
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise ValueError(f"k1 must be a finite number > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
@@ -60,18 +68,19 @@ class Bm25Params:
 @dataclass
 class InvertedIndex:
     """Term postings as CSR columns, the one store of per-(term, document)
-    facts, plus the per-document statistics derived from them.
+    facts, plus the statistics derived from them.
 
     A term's postings are `ids[start:end]`, `tfs[start:end]` and
     `leads[start:end]` for `(start, end) = spans[term]`; `spans` lists the
     terms in sorted order and their spans tile the columns. Each term's ids
-    are strictly ascending, so the tfs and lead flags of a set of documents
-    are one `searchsorted` gather away (`tf_matrix`). `doc_ids` is strictly
-    ascending, so an internal id is its document's position in doc_id
-    order. Every array is int64, float64 or bool and read-only. Each
+    are strictly ascending, so the tfs, lead flags and impacts of a set of
+    documents are one `searchsorted` gather away (`tf_matrix`). `doc_ids`
+    is strictly ascending, so an internal id is its document's position in
+    doc_id order. Every array is int64, float64 or bool and read-only. Each
     document's length (the sum of its tfs), `math.log1p(length)` and
-    tf-vector norm, the average length and the doc_id -> internal id map
-    are derived at construction.
+    tf-vector norm, the average length, each term's idf and the doc_id ->
+    internal id map are derived at construction; each BM25 parameter set's
+    impacts column on first use (`impacts`).
     """
 
     spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids, tfs and leads
@@ -84,6 +93,9 @@ class InvertedIndex:
     internal_ids: dict[str, int] = field(init=False)
     log_lengths: np.ndarray = field(init=False)  # internal_id -> math.log1p(length)
     doc_norms: np.ndarray = field(init=False)  # internal_id -> Euclidean norm of its tfs
+    idf_by_df: dict[int, float] = field(init=False)  # df -> idf, for 0 and each term's df
+    # Bm25Params -> read-only impacts column; filled by `impacts`
+    _impacts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.doc_ids)
@@ -92,10 +104,15 @@ class InvertedIndex:
         lengths = self.doc_lengths.tolist()
         self.avg_doc_length = sum(lengths) / n
         self.internal_ids = {d: i for i, d in enumerate(self.doc_ids)}
-        # math.log1p, not np.log1p: the two may differ in the last bit
-        self.log_lengths = np.array([math.log1p(length) for length in lengths])
+        # math.log1p, not np.log1p: the two may differ in the last bit. It
+        # and the idf's math.log run once per distinct length and df, which
+        # are far fewer than the documents and terms.
+        distinct, inverse = np.unique(self.doc_lengths, return_inverse=True)
+        self.log_lengths = np.array([math.log1p(length) for length in distinct.tolist()])[inverse]
         squares = np.bincount(self.ids, weights=np.square(self.tfs, dtype=float), minlength=n)
         self.doc_norms = np.sqrt(squares)
+        dfs = {end - start for start, end in self.spans.values()}
+        self.idf_by_df = {df: max(0.0, math.log((n - df + 0.5) / (df + 0.5))) for df in {0, *dfs}}
         for array in (self.ids, self.tfs, self.leads, self.doc_lengths, self.log_lengths,
                       self.doc_norms):
             array.flags.writeable = False
@@ -115,9 +132,36 @@ class InvertedIndex:
         return end - start
 
     def idf(self, term: str) -> float:
-        """Robertson idf with 0.5 smoothing, floored at 0."""
-        df = self.document_frequency(term)
-        return max(0.0, math.log((self.n_docs - df + 0.5) / (df + 0.5)))
+        """Robertson idf with 0.5 smoothing, floored at 0, looked up by the
+        term's df; a term that is not indexed has df 0."""
+        return self.idf_by_df[self.document_frequency(term)]
+
+    def impacts(self, params: Bm25Params) -> np.ndarray:
+        """Each posting's BM25 contribution under `params`, aligned with
+        `ids` and `tfs`: `bm25_term_score(tf, idf, doc_length,
+        avg_doc_length, params)`, as a read-only float64 column.
+
+        Built on the first call for each parameter set and kept on the
+        index (8 bytes a posting). The column is computed in place, a chunk
+        of postings at a time, so no other array of its length is made.
+        """
+        column = self._impacts.get(params)
+        if column is None:
+            dfs = [end - start for start, end in self.spans.values()]
+            # each posting's idf, overwritten chunk by chunk with its impact
+            idfs = np.fromiter(map(self.idf_by_df.__getitem__, dfs), float, len(dfs))
+            column = np.repeat(idfs, dfs)
+            for start in range(0, len(column), _IMPACT_CHUNK):
+                chunk = slice(start, start + _IMPACT_CHUNK)
+                column[chunk] = bm25_term_score(
+                    self.tfs[chunk], column[chunk], self.doc_lengths[self.ids[chunk]],
+                    self.avg_doc_length, params,
+                )
+            column.flags.writeable = False
+            # one store of a finished column; a thread that built one at
+            # the same time gets the column stored first
+            column = self._impacts.setdefault(params, column)
+        return column
 
     def internal_id_array(self, doc_ids: Sequence[str]) -> np.ndarray:
         """int64 internal ids of `doc_ids`, in order, in one pass; the first
@@ -134,10 +178,11 @@ class InvertedIndex:
         order = np.lexsort((ids, -scores))[:k]
         return Ranking(tuple(map(self.doc_ids.__getitem__, ids[order].tolist())), scores[order])
 
-    def tf_matrix(self, terms: Sequence[str],
-                  internal_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(len(terms), len(internal_ids)) int64 tfs and bool lead flags; 0
-        and False where a document lacks a term or the term is not indexed.
+    def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray,
+                  params: Bm25Params = Bm25Params()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(len(terms), len(internal_ids)) int64 tfs, bool lead flags and
+        float64 impacts under `params`; 0, False and 0.0 where a document
+        lacks a term or the term is not indexed.
 
         One `searchsorted` per term into its postings, then one gather for
         all of them, so the numpy calls do not grow with the documents.
@@ -156,7 +201,9 @@ class InvertedIndex:
         tfs[cells] = self.tfs[at]
         leads = np.zeros(positions.shape, dtype=bool)
         leads[cells] = self.leads[at]
-        return tfs, leads
+        impacts = np.zeros(positions.shape)
+        impacts[cells] = self.impacts(params)[at]
+        return tfs, leads, impacts
 
 
 def _spans(terms: Sequence[str], dfs: Sequence[int]) -> dict[str, tuple[int, int]]:
@@ -206,35 +253,24 @@ def bm25_term_score(tf, idf, doc_length, avg_doc_length: float, params: Bm25Para
     """One term's contribution to a document's BM25 score.
 
     Plain arithmetic, so it runs elementwise on arrays with the bits the
-    scalar expression gives.
+    scalar expression gives. `InvertedIndex.impacts` is its one caller.
     """
     norm = params.k1 * (1.0 - params.b + params.b * doc_length / avg_doc_length)
     return idf * tf * (params.k1 + 1.0) / (tf + norm)
 
 
-def bm25_sum(
-    tfs: np.ndarray,
-    idfs: Sequence[float],
-    doc_lengths: np.ndarray,
-    avg_doc_length: float,
-    params: Bm25Params,
-) -> np.ndarray:
-    """BM25 score of each column of a (terms, documents) tf matrix.
+def bm25_scores(impacts: np.ndarray) -> np.ndarray:
+    """BM25 score of each column of a (terms, documents) impacts matrix
+    (`InvertedIndex.tf_matrix`).
 
-    `idfs` holds one idf per row and `doc_lengths` one length per column.
     Rows must be the distinct query terms in sorted order: each score is
-    0.0 plus the rows' contributions added one at a time in row order, so
-    every caller reproduces the same last bits. A zero tf adds nothing.
+    0.0 plus the rows added one at a time in row order, as `bm25_search`
+    adds them, so every caller reproduces the same last bits.
     """
-    contributions = np.zeros((len(tfs) + 1, tfs.shape[1]))
-    # a lane with tf 0 is never copied, whatever its arithmetic gave
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = bm25_term_score(
-            tfs, np.asarray(idfs, dtype=float)[:, None], doc_lengths, avg_doc_length, params
-        )
-    np.copyto(contributions[1:], scores, where=tfs > 0)
+    rows = np.zeros((len(impacts) + 1, impacts.shape[1]))
+    rows[1:] = impacts
     # accumulate adds row by row: never a pairwise or BLAS sum
-    return np.add.accumulate(contributions, axis=0)[-1]
+    return np.add.accumulate(rows, axis=0)[-1]
 
 
 def bm25_search(
@@ -245,22 +281,21 @@ def bm25_search(
 ) -> Ranking:
     """Top-k documents for the query; zero-scoring documents are excluded.
 
-    Each distinct query term, in sorted order, adds its contribution to its
-    postings' entries of one dense score array; repeated terms in a query
-    contribute once. Only the top k are kept (`InvertedIndex.ranked`).
+    Each distinct query term with an idf above 0, in sorted order, adds its
+    slice of the impacts column to its postings' entries of one dense score
+    array; repeated terms in a query contribute once. Only the top k are
+    kept (`InvertedIndex.ranked`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    impacts = index.impacts(params)
     scores = np.zeros(index.n_docs)
     for term in sorted(set(tokenize(query.text))):
         start, end = index.spans.get(term, (0, 0))
-        idf = index.idf(term)
-        if start == end or idf == 0.0:
+        if start == end or index.idf(term) == 0.0:
             continue
-        ids = index.ids[start:end]  # distinct, so the fancy += adds once each
-        scores[ids] += bm25_term_score(
-            index.tfs[start:end], idf, index.doc_lengths[ids], index.avg_doc_length, params
-        )
+        # a term's ids are distinct, so the fancy += adds once each
+        scores[index.ids[start:end]] += impacts[start:end]
     hits = np.flatnonzero(scores > 0.0)
     return index.ranked(hits, scores[hits], k)
 
@@ -272,15 +307,9 @@ def score_pair(
     params: Bm25Params = Bm25Params(),
 ) -> float:
     """BM25 score of one (query, document) pair; the document must be indexed."""
-    internal_ids = index.internal_id_array([doc_id])
     terms = sorted(set(tokenize(query_text)))
-    return float(bm25_sum(
-        index.tf_matrix(terms, internal_ids)[0],
-        [index.idf(term) for term in terms],
-        index.doc_lengths[internal_ids],
-        index.avg_doc_length,
-        params,
-    )[0])
+    impacts = index.tf_matrix(terms, index.internal_id_array([doc_id]), params)[2]
+    return float(bm25_scores(impacts)[0])
 
 
 def select_passage(

@@ -18,7 +18,7 @@ from typing import Container, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Document, Qrels, Query, Ranking, rank_records
-from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, bm25_sum
+from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_scores, bm25_search
 from .linear_model import LogisticScorer, fit_scorer
 from .text import tokenize
 
@@ -54,12 +54,13 @@ def feature_matrix(query, doc_ids: Sequence[str], index: InvertedIndex,
                    params: Bm25Params = Bm25Params()) -> np.ndarray:
     """One query's (n, 6) feature matrix, one row per document id in order.
 
-    The query's tokens, counts, sorted distinct terms, idfs and norm are
+    The query's tokens, counts, sorted distinct terms and norm are
     computed once. Each document must be indexed (the first that is not
     raises ValueError), and everything about it is read from the index:
     its tf per query term is a gather from the postings columns
-    (`InvertedIndex.tf_matrix`), and so is whether the term is among its
-    first 20 tokens; its length, log length and term-frequency norm are
+    (`InvertedIndex.tf_matrix`), and so are whether the term is among its
+    first 20 tokens and the term's BM25 impact, whose sum in sorted term
+    order is the `bm25` feature; its log length and term-frequency norm are
     per-document index entries. The numpy calls per query do not grow
     with the list. Each value equals the one derived from the text of the
     document that was indexed.
@@ -75,9 +76,8 @@ def _feature_rows(text: str, candidates: np.ndarray, index: InvertedIndex,
     terms = sorted(q_counts)
     q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
     n = len(candidates)
-    tfs, leads = index.tf_matrix(terms, candidates)
-    bm25 = bm25_sum(tfs, [index.idf(t) for t in terms], index.doc_lengths[candidates],
-                    index.avg_doc_length, params)
+    tfs, leads, impacts = index.tf_matrix(terms, candidates, params)
+    bm25 = bm25_scores(impacts)
     if terms:
         overlap = np.count_nonzero(tfs, axis=0) / len(terms)
         early = np.count_nonzero(leads, axis=0) / len(terms)

@@ -7,8 +7,13 @@ and a Python sort: the reference that `fusion.bsf` and `fusion.w_qpps`
 equal bit for bit. `select_passage` is passage selection as it was
 written, a loop that slides the window until it reaches the end: the
 reference that `lexical_retrieval.select_passage` equals.
-`toy_ranker_instances` and `toy_qpp_set` are the small fixture training
-sets of the training invariants (loss curves, separability).
+`bm25_search` and `bm25_sum` are BM25 as it was computed before the
+index kept an impacts column: each term's contributions evaluated per
+call from its tfs, a per-call idf and the document lengths, the reference
+that `lexical_retrieval.bm25_search`, `score_pair` and the `bm25` feature
+equal bit for bit. `toy_ranker_instances` and `toy_qpp_set` are the small
+fixture training sets of the training invariants (loss curves,
+separability).
 """
 
 import math
@@ -19,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from hardrank.benchmark import _SYLLABLES
-from hardrank.corpus_io import Document, Query, RunRecord, rank_records
+from hardrank.corpus_io import Document, Query, Ranking, RunRecord, rank_records
 from hardrank.linear_model import LogisticScorer, apply_zscore, open_unit_sigmoids
 from hardrank.pointwise_ranker import TrainingInstance
 from hardrank.text import tokenize, tokenize_with_spans
@@ -30,6 +35,50 @@ def score(model: LogisticScorer, features: np.ndarray) -> float:
     reference that `LogisticScorer.score_rows` equals bit for bit."""
     z = apply_zscore(features, model.feature_means, model.feature_stds)
     return float(open_unit_sigmoids(float(np.dot(model.weights, z)) + model.bias))
+
+
+def bm25_idf(index, term: str) -> float:
+    """Robertson idf with 0.5 smoothing, floored at 0, from the term's df."""
+    df = index.document_frequency(term)
+    return max(0.0, math.log((index.n_docs - df + 0.5) / (df + 0.5)))
+
+
+def bm25_term_score(tf, idf, doc_length, avg_doc_length, params):
+    """One term's contribution to a document's BM25 score, elementwise."""
+    norm = params.k1 * (1.0 - params.b + params.b * doc_length / avg_doc_length)
+    return idf * tf * (params.k1 + 1.0) / (tf + norm)
+
+
+def bm25_search(index, query: Query, k: int, params) -> Ranking:
+    """Top-k documents: each distinct query term with an idf above 0, in
+    sorted order, adds its contributions, computed for this call, into one
+    dense score array; zero scores are left out."""
+    scores = np.zeros(index.n_docs)
+    for term in sorted(set(tokenize(query.text))):
+        start, end = index.spans.get(term, (0, 0))
+        idf = bm25_idf(index, term)
+        if start == end or idf == 0.0:
+            continue
+        ids = index.ids[start:end]
+        scores[ids] += bm25_term_score(
+            index.tfs[start:end], idf, index.doc_lengths[ids], index.avg_doc_length, params
+        )
+    hits = np.flatnonzero(scores > 0.0)
+    return index.ranked(hits, scores[hits], k)
+
+
+def bm25_sum(tfs: np.ndarray, idfs, doc_lengths: np.ndarray, avg_doc_length: float,
+             params) -> np.ndarray:
+    """BM25 score of each column of a (sorted distinct terms, documents) tf
+    matrix: 0.0 plus each row's contribution, added row by row; a zero tf
+    adds nothing."""
+    contributions = np.zeros((len(tfs) + 1, tfs.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = bm25_term_score(
+            tfs, np.asarray(idfs, dtype=float)[:, None], doc_lengths, avg_doc_length, params
+        )
+    np.copyto(contributions[1:], scores, where=tfs > 0)
+    return np.add.accumulate(contributions, axis=0)[-1]
 
 
 def sort_records(scored) -> list[RunRecord]:

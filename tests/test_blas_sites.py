@@ -1,0 +1,103 @@
+"""No new BLAS reduction in the package.
+
+A float product through BLAS (`@`, `np.dot`, `np.matmul`, `np.vecdot`,
+`np.inner`, `np.einsum`) sums in an order that the BLAS kernel picks, so
+its last bits can change with the CPU (ROADMAP, "Bits that do not depend
+on the CPU"). The walk below finds every such site in `src/hardrank` and
+fails, naming file:line, on any that is not in `ALLOWED`: today's sites,
+each named by its file, its enclosing function and its source text. The
+float ones are to be replaced by fixed-order sums; the integer product in
+`_feature_rows` is exact in any order. BM25 adds its impacts with
+`np.add.accumulate` and has no site here.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hardrank"
+PRODUCTS = frozenset({"dot", "matmul", "vecdot", "inner", "einsum"})
+
+ALLOWED = Counter({
+    ("src/hardrank/linear_model.py", "bce_gradient", "features.T @ residual"): 1,
+    ("src/hardrank/linear_model.py", "fit_logistic", "features @ weights"): 2,
+    ("src/hardrank/linear_model.py", "LogisticScorer.score_rows",
+     "np.vecdot(z, self.weights)"): 1,
+    ("src/hardrank/pointwise_ranker.py", "_feature_rows",
+     "np.array([q_counts[t] for t in terms], dtype=np.int64) @ tfs"): 1,
+})
+
+
+def product_sites(path: str, source: str):
+    """(path, line, enclosing function, source text) of each `@`, `@=` and
+    call of a function or method named in PRODUCTS in `source`; the
+    function is ``Class.method`` for a method, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        called = node.func if isinstance(node, ast.Call) else None
+        if (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(called, ast.Attribute) and called.attr in PRODUCTS
+            or isinstance(called, ast.Name) and called.id in PRODUCTS
+        ):
+            found.append((path, node.lineno, scope, ast.get_source_segment(source, node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unallowed(sites, allowed: Counter) -> list[str]:
+    """``path:line: function: text`` of each site beyond its allowed count."""
+    left = Counter(allowed)
+    out = []
+    for path, line, scope, text in sites:
+        key = (path, scope, text)
+        if left[key]:
+            left[key] -= 1
+        else:
+            out.append(f"{path}:{line}: {scope or '<module>'}: {text}")
+    return out
+
+
+class TestDetector:
+    def test_every_kind_of_product_is_found(self):
+        source = (
+            "import numpy as np\nfrom numpy import einsum\n\n\nclass A:\n"
+            "    def f(self, x, y):\n        x @= y\n        return x @ y, np.dot(x, y)\n\n\n"
+            "def g(x, y):\n    return np.matmul(x, y) + np.vecdot(x, y) + x.dot(y)\n\n\n"
+            "z = np.inner(1, 2) + einsum('i,i', 1, 2)\n"
+        )
+        assert [(line, scope, text) for _, line, scope, text in product_sites("a.py", source)] == [
+            (7, "A.f", "x @= y"),
+            (8, "A.f", "x @ y"),
+            (8, "A.f", "np.dot(x, y)"),
+            (12, "g", "np.matmul(x, y)"),
+            (12, "g", "np.vecdot(x, y)"),
+            (12, "g", "x.dot(y)"),
+            (15, "", "np.inner(1, 2)"),
+            (15, "", "einsum('i,i', 1, 2)"),
+        ]
+
+    def test_other_arithmetic_is_no_site(self):
+        source = "import numpy as np\n\n\ndef f(x):\n    return np.add.accumulate(x * x)[-1]\n"
+        assert product_sites("a.py", source) == []
+
+    def test_a_site_beyond_its_allowed_count_is_named(self):
+        sites = product_sites("a.py", "def f(x):\n    return x @ x, x @ x\n")
+        assert unallowed(sites, Counter({("a.py", "f", "x @ x"): 1})) == ["a.py:2: f: x @ x"]
+        assert unallowed(sites, Counter({("a.py", "f", "x @ x"): 2})) == []
+
+
+def test_no_blas_product_outside_the_allow_list():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        sites += product_sites(str(path.relative_to(ROOT)), path.read_text(encoding="utf-8"))
+    assert unallowed(sites, ALLOWED) == []
+    # an allowed site that is gone should leave the list with it
+    assert Counter((path, scope, text) for path, _, scope, text in sites) == ALLOWED

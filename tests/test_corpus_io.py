@@ -126,10 +126,10 @@ class TestRankRecords:
 class TestWriteRun:
     def test_single_record(self):
         run = RunList(entries={"q1": Ranking(("d7",), np.array([12.5]))}, tag="bsf")
-        assert write_run(run) == ["q1 Q0 d7 1 12.5 bsf"]
+        assert list(write_run(run)) == ["q1 Q0 d7 1 12.5 bsf"]
 
     def test_empty_run(self):
-        assert write_run(RunList(tag="t")) == []
+        assert list(write_run(RunList(tag="t"))) == []
 
     def test_invalid_run_rejected(self):
         run = RunList(entries={"q1": Ranking(("d7", "d8"), np.array([12.5, 13.0]))}, tag="t")

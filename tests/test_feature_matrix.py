@@ -19,18 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardrank.corpus_io import Document, Query, rank_records
-from hardrank.lexical_retrieval import EARLY_WINDOW, Bm25Params, bm25_term_score, build_index
+from hardrank.lexical_retrieval import EARLY_WINDOW, Bm25Params, build_index
 from hardrank.linear_model import LogisticScorer
 from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, feature_matrix, rerank
 from hardrank.text import tokenize
-from oracles import score
+from oracles import bm25_idf, bm25_term_score, score
 
 
 def oracle_bm25(index, query_text, doc_id, params):
     internal_id = index.internal_ids[doc_id]
     total = 0.0
     for term in sorted(set(tokenize(query_text))):
-        idf = index.idf(term)
+        idf = bm25_idf(index, term)
         if idf == 0.0:
             continue
         tf = dict(index.postings.get(term, ())).get(internal_id, 0)
