@@ -74,7 +74,7 @@ class InvertedIndex:
     `leads[start:end]` for `(start, end) = spans[term]`; `spans` lists the
     terms in sorted order and their spans tile the columns. Each term's ids
     are strictly ascending, so the tfs, lead flags and impacts of a set of
-    documents are one `searchsorted` gather away (`tf_matrix`). `doc_ids`
+    documents are one `searchsorted` gather away (`gather`). `doc_ids`
     is strictly ascending, so an internal id is its document's position in
     doc_id order. Every array is int64, float64 or bool and read-only. Each
     document's length (the sum of its tfs), `math.log1p(length)` and
@@ -178,32 +178,33 @@ class InvertedIndex:
         order = np.lexsort((ids, -scores))[:k]
         return Ranking(tuple(map(self.doc_ids.__getitem__, ids[order].tolist())), scores[order])
 
-    def tf_matrix(self, terms: Sequence[str], internal_ids: np.ndarray,
-                  params: Bm25Params = Bm25Params()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(len(terms), len(internal_ids)) int64 tfs, bool lead flags and
-        float64 impacts under `params`; 0, False and 0.0 where a document
-        lacks a term or the term is not indexed.
+    def gather(self, terms: Sequence[str], sizes: Sequence[int], internal_ids: np.ndarray,
+               params: Bm25Params = Bm25Params()) -> tuple[np.ndarray, ...]:
+        """The postings of (term, document) pairs that come grouped by term:
+        the first `sizes[0]` internal ids pair with `terms[0]`, the next
+        `sizes[1]` with `terms[1]`, and so on.
 
-        One `searchsorted` per term into its postings, then one gather for
-        all of them, so the numpy calls do not grow with the documents.
+        Returns the positions in `internal_ids` of the pairs whose document
+        holds the term (none for a term that is not indexed), ascending, and
+        those postings' int64 tfs, bool lead flags and float64 impacts under
+        `params`. One `searchsorted` per term into its postings, then one
+        gather for all of them, so the numpy calls do not grow with the
+        documents.
         """
-        positions = np.empty((len(terms), len(internal_ids)), dtype=np.int64)
-        bounds = [self.spans.get(term, (0, 0)) for term in terms]
-        for row, (start, end) in enumerate(bounds):
-            positions[row] = self.ids[start:end].searchsorted(internal_ids)
-        limits = np.array(bounds, dtype=np.int64).reshape(len(terms), 2)
-        positions += limits[:, :1]
-        rows, cols = np.nonzero(positions < limits[:, 1:])
-        at = positions[rows, cols]
-        found = self.ids[at] == internal_ids[cols]
-        cells, at = (rows[found], cols[found]), at[found]
-        tfs = np.zeros(positions.shape, dtype=np.int64)
-        tfs[cells] = self.tfs[at]
-        leads = np.zeros(positions.shape, dtype=bool)
-        leads[cells] = self.leads[at]
-        impacts = np.zeros(positions.shape)
-        impacts[cells] = self.impacts(params)[at]
-        return tfs, leads, impacts
+        spans = [self.spans.get(term, (0, 0)) for term in terms]
+        positions = np.empty(len(internal_ids), dtype=np.int64)
+        lo = 0
+        for (start, end), size in zip(spans, sizes):
+            positions[lo:lo + size] = self.ids[start:end].searchsorted(internal_ids[lo:lo + size])
+            lo += size
+        # each pair's term's [start, end) in the postings
+        bounds = np.array(spans, dtype=np.int64).reshape(-1, 2).repeat(sizes, axis=0)
+        positions += bounds[:, 0]
+        pairs = (positions < bounds[:, 1]).nonzero()[0]
+        at = positions[pairs]
+        found = self.ids[at] == internal_ids[pairs]
+        pairs, at = pairs[found], at[found]
+        return pairs, self.tfs[at], self.leads[at], self.impacts(params)[at]
 
 
 def _spans(terms: Sequence[str], dfs: Sequence[int]) -> dict[str, tuple[int, int]]:
@@ -259,18 +260,20 @@ def bm25_term_score(tf, idf, doc_length, avg_doc_length: float, params: Bm25Para
     return idf * tf * (params.k1 + 1.0) / (tf + norm)
 
 
-def bm25_scores(impacts: np.ndarray) -> np.ndarray:
-    """BM25 score of each column of a (terms, documents) impacts matrix
-    (`InvertedIndex.tf_matrix`).
+def bm25_scores(rows: np.ndarray, impacts: np.ndarray, n: int) -> np.ndarray:
+    """BM25 score of each of `n` rows from (row, impact) pairs
+    (`InvertedIndex.gather`).
 
-    Rows must be the distinct query terms in sorted order: each score is
-    0.0 plus the rows added one at a time in row order, as `bm25_search`
-    adds them, so every caller reproduces the same last bits.
+    Within a row the pairs must follow its distinct query terms in sorted
+    order: each score is 0.0 plus the row's impacts added one at a time in
+    pair order, as `bm25_search` adds them, so every caller reproduces the
+    same last bits. A term a document lacks would add 0.0, which changes no
+    score, so only the postings found are passed.
     """
-    rows = np.zeros((len(impacts) + 1, impacts.shape[1]))
-    rows[1:] = impacts
-    # accumulate adds row by row: never a pairwise or BLAS sum
-    return np.add.accumulate(rows, axis=0)[-1]
+    scores = np.zeros(n)
+    # `add.at` adds one pair at a time, in order: never a pairwise or BLAS sum
+    np.add.at(scores, rows, impacts)
+    return scores
 
 
 def bm25_search(
@@ -308,8 +311,9 @@ def score_pair(
 ) -> float:
     """BM25 score of one (query, document) pair; the document must be indexed."""
     terms = sorted(set(tokenize(query_text)))
-    impacts = index.tf_matrix(terms, index.internal_id_array([doc_id]), params)[2]
-    return float(bm25_scores(impacts)[0])
+    ids = index.internal_id_array([doc_id]).repeat(len(terms))
+    pairs, _, _, impacts = index.gather(terms, [1] * len(terms), ids, params)
+    return float(bm25_scores(np.zeros_like(pairs), impacts, 1)[0])
 
 
 def select_passage(
@@ -401,7 +405,7 @@ def load_index(path) -> InvertedIndex:
     of lengths that disagree with the terms or with the sum of the df; a
     lead flag other than 0 or 1; or a term's postings not strictly
     ascending by internal id or holding an id out of range. The
-    `searchsorted` gathers of `InvertedIndex.tf_matrix` rely on the last
+    `searchsorted` gathers of `InvertedIndex.gather` rely on the last
     two.
     """
     with open(path, "rb") as fh:

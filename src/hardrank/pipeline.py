@@ -29,8 +29,8 @@ from .fusion import (FusionConfig, RoutingDecision, bsf, r_qpp, train_median_thr
                      write_routing_log)
 from .lexical_retrieval import InvertedIndex, bm25_search, build_index, load_index, save_index
 from .linear_model import DivergedFit, LogisticScorer, load_scorer, save_scorer
-from .pointwise_ranker import FEATURE_NAMES, build_training_set, rerank, train
-from .qpp import QPP_FEATURE_NAMES, estimate, train_qpp
+from .pointwise_ranker import FEATURE_NAMES, build_training_set, rerank_batch, train
+from .qpp import QPP_FEATURE_NAMES, estimate_batch, train_qpp
 
 log = logging.getLogger(__name__)
 
@@ -159,9 +159,10 @@ def _qpp_labels(config, queries, candidates, qrels: Qrels):
 
 
 def _psi(model: LogisticScorer, index: InvertedIndex, queries: list[Query], candidates):
-    """psi of each query that has BM25 candidates, from them, in query order."""
-    return {q.query_id: estimate(model, q, candidates[q.query_id], index).psi
-            for q in queries if q.query_id in candidates}
+    """psi of each query that has BM25 candidates, from them, in query order,
+    scored as one batch (`qpp.estimate_batch`)."""
+    lists = [(q, candidates[q.query_id]) for q in queries if q.query_id in candidates]
+    return {e.query_id: e.psi for e in estimate_batch(model, lists, index)}
 
 
 def _fuse(config: PipelineConfig, method: str, br: RunList, sr: RunList, psi=None,
@@ -190,21 +191,23 @@ def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: Inver
     """Rank the queries that retrieve BM25 candidates by each of `methods`.
 
     Returns the runs by method and R-QPP's routing decisions in query
-    order (None without 'r_qpp'). Each list is reranked with BR and then
-    SR, which share one feature pass (`pointwise_ranker.rerank`). The
-    fusion methods combine those two runs, R-QPP and W-QPPS with psi from
-    `models["qpp"]`. `models` needs only what the methods read: 'br' or
-    'sr' alone reranks with that one model and estimates no psi.
+    order (None without 'r_qpp'). One feature pass builds the rows of
+    every query's list, and BR and SR each score them once
+    (`pointwise_ranker.rerank_batch`). The fusion methods combine those two
+    runs, R-QPP and W-QPPS with psi from `models["qpp"]`, also estimated
+    in one batch. `models` needs only what the methods read: 'br' or 'sr'
+    alone reranks with that one model and estimates no psi.
     """
     candidates = candidates_for(config, index, queries)
     queries = [q for q in queries if q.query_id in candidates]
     fused = [m for m in methods if m not in ("br", "sr")]
-    runs = {which: RunList(tag=which) for which in ("br", "sr") if which in methods or fused}
-    params = config.bm25_params()
-    for query in queries:
-        hits = candidates[query.query_id]
-        for which, run in runs.items():
-            run.entries[query.query_id] = rerank(models[which], query, hits, index, params)
+    rankers = [which for which in ("br", "sr") if which in methods or fused]
+    reranked = rerank_batch([models[which] for which in rankers],
+                            [(q.text, candidates[q.query_id]) for q in queries], index,
+                            config.bm25_params())
+    qids = [q.query_id for q in queries]
+    runs = {which: RunList(dict(zip(qids, lists)), tag=which)
+            for which, lists in zip(rankers, reranked)}
     qpp_model, decisions = models.get("qpp"), None
     psi = _psi(qpp_model, index, queries, candidates) if {"r_qpp", "w_qpps"} & set(fused) else None
     for method in fused:
@@ -276,9 +279,17 @@ def enrich_training_queries(config: PipelineConfig) -> tuple[list[EnrichedQuery]
     errors, number of hard queries). The enriched TSV is written, even
     when empty, only when no query failed: a failed run leaves an existing
     file as it was, so `train --which sr` never reads the subset that
-    succeeded."""
-    corpus = corpus_by_id(read_corpus_file(_require(config.path("corpus"), "corpus JSONL")))
+    succeeded. A corpus that lacks a document the index holds (it changed
+    after `index`) raises ConfigError naming both, before anything is
+    enriched."""
+    corpus_path = _require(config.path("corpus"), "corpus JSONL")
+    corpus = corpus_by_id(read_corpus_file(corpus_path))
     index = _load_index(config)
+    absent = next((doc_id for doc_id in index.doc_ids if doc_id not in corpus), None)
+    if absent is not None:
+        raise ConfigError(f"{corpus_path} lacks document {absent!r}, which the index "
+                          f"{config.path('index')} holds; the corpus changed after the index "
+                          "was built: rebuild it with `hardrank index --force`")
     queries = read_queries_file(_require(config.path("train_queries"), "training queries"))
     qrels = None
     if config.section("enrichment")["use_judged_context"]:

@@ -54,42 +54,76 @@ def feature_matrix(query, doc_ids: Sequence[str], index: InvertedIndex,
                    params: Bm25Params = Bm25Params()) -> np.ndarray:
     """One query's (n, 6) feature matrix, one row per document id in order.
 
-    The query's tokens, counts, sorted distinct terms and norm are
-    computed once. Each document must be indexed (the first that is not
-    raises ValueError), and everything about it is read from the index:
-    its tf per query term is a gather from the postings columns
-    (`InvertedIndex.tf_matrix`), and so are whether the term is among its
-    first 20 tokens and the term's BM25 impact, whose sum in sorted term
-    order is the `bm25` feature; its log length and term-frequency norm are
-    per-document index entries. The numpy calls per query do not grow
-    with the list. Each value equals the one derived from the text of the
-    document that was indexed.
+    The one-list case of `_feature_rows`. Each document must be indexed
+    (the first that is not raises ValueError), and everything about it is
+    read from the index: its tf per query term is a gather from the
+    postings columns (`InvertedIndex.gather`), and so are whether the term
+    is among its first 20 tokens and the term's BM25 impact, whose sum in
+    sorted term order is the `bm25` feature; its log length and
+    term-frequency norm are per-document index entries. Each value equals
+    the one derived from the text of the document that was indexed.
     """
-    return _feature_rows(_query_text(query), index.internal_id_array(doc_ids), index, params)
+    return _feature_rows([(_query_text(query), index.internal_id_array(doc_ids))], index, params)
 
 
-def _feature_rows(text: str, candidates: np.ndarray, index: InvertedIndex,
+def _feature_rows(lists: Sequence[tuple[str, np.ndarray]], index: InvertedIndex,
                   params: Bm25Params) -> np.ndarray:
-    """`feature_matrix` of the documents with these internal ids."""
-    q_tokens = tokenize(text)
-    q_counts = Counter(q_tokens)
-    terms = sorted(q_counts)
-    q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
-    n = len(candidates)
-    tfs, leads, impacts = index.tf_matrix(terms, candidates, params)
-    bm25 = bm25_scores(impacts)
-    if terms:
-        overlap = np.count_nonzero(tfs, axis=0) / len(terms)
-        early = np.count_nonzero(leads, axis=0) / len(terms)
-    else:
-        overlap = early = np.zeros(n)
-    # integer products and sums: exact in any order
-    dot = np.array([q_counts[t] for t in terms], dtype=np.int64) @ tfs
-    cosine = np.divide(dot, q_norm * index.doc_norms[candidates], out=np.zeros(n), where=dot > 0)
-    return np.column_stack([
-        bm25, overlap, cosine, np.full(n, float(len(q_tokens))),
-        index.log_lengths[candidates], early,
-    ])
+    """The feature matrices of many (query text, candidate internal ids)
+    lists, stacked in order: one row per candidate.
+
+    Each query's tokens, counts and norm are computed once. The (term,
+    candidate) pairs of every list are gathered from the index in one call,
+    grouped by the batch's distinct terms in sorted order
+    (`InvertedIndex.gather`, one `searchsorted` per term), and each
+    feature is then one numpy pass over the found postings, whatever the
+    number of lists. Within a row the pairs follow its query's terms in
+    sorted order, so `bm25_scores` adds them as `bm25_search` does. A row
+    does not depend on the other lists of the batch.
+    """
+    sizes = [len(ids) for _, ids in lists]
+    n_rows = sum(sizes)
+    by_term: dict[str, list[tuple[int, int]]] = {}  # term -> [(list, count in its query)]
+    lengths, n_terms, norms = [], [], []
+    for at, (text, _) in enumerate(lists):
+        q_counts = Counter(tokenize(text))
+        lengths.append(q_counts.total())
+        n_terms.append(max(len(q_counts), 1))  # a query with no term matches none: 0 / 1
+        norms.append(math.sqrt(sum(c * c for c in q_counts.values())))
+        for term, count in q_counts.items():
+            by_term.setdefault(term, []).append((at, count))
+    # A slot is one (list, term) pair and holds a cell per candidate of the
+    # list; slots go in sorted term order, and a term's in list order.
+    terms = sorted(by_term)
+    slot_list, slot_count, term_sizes = [], [], []
+    for term in terms:
+        size = 0
+        for at, count in by_term[term]:
+            slot_list.append(at)
+            slot_count.append(count)
+            size += sizes[at]
+        term_sizes.append(size)
+    sizes = np.array(sizes, dtype=np.int64)
+    slot_sizes = sizes[slot_list]
+    slot_ends = slot_sizes.cumsum()
+    # a cell's row is its list's first row plus its place within the slot
+    cell_rows = (sizes.cumsum()[slot_list] - slot_ends).repeat(slot_sizes)
+    cell_rows += np.arange(len(cell_rows))
+    ids = np.concatenate([candidates for _, candidates in lists] or [np.empty(0, np.int64)])
+    pairs, tfs, leads, impacts = index.gather(terms, term_sizes, ids[cell_rows], params)
+    rows = cell_rows[pairs]
+    counts = np.array(slot_count, dtype=np.int64)[slot_ends.searchsorted(pairs, side="right")]
+    # small integers are exact as floats, so each quotient is the integer one
+    lengths, n_terms, norms = np.array([lengths, n_terms, norms], dtype=float).repeat(sizes, 1)
+    features = np.zeros((n_rows, len(FEATURE_NAMES)))
+    features[:, 0] = bm25_scores(rows, impacts, n_rows)
+    features[:, 1] = np.bincount(rows, minlength=n_rows) / n_terms
+    # sums of integer products below 2**53: exact in any order
+    dot = np.bincount(rows, weights=counts * tfs, minlength=n_rows)
+    np.divide(dot, norms * index.doc_norms[ids], out=features[:, 2], where=dot > 0)
+    features[:, 3] = lengths
+    features[:, 4] = index.log_lengths[ids]
+    features[:, 5] = np.bincount(rows[leads], minlength=n_rows) / n_terms
+    return features
 
 
 def extract_features(query, doc: Document, index: InvertedIndex,
@@ -148,18 +182,37 @@ def rerank(
 
     Keeps exactly the input doc set, ordered by `InvertedIndex.ranked`:
     model score descending with doc_id tie-breaks, as in `bm25_search`.
-    The features come from one `feature_matrix` pass over the list, read
-    from the index alone, which is also the set of documents that exist: a
+    The features come from one feature pass over the list, read from the
+    index alone, which is also the set of documents that exist: a
     candidate it does not hold raises ValueError. Reranking the same list
     for the same query text again reuses that pass (see
-    `_candidate_features`): `pipeline.rank`, and so `experiment`, scores
-    each list with BR and then SR, as serving does. `hardrank run` ranks
-    with one model per command, so it never reuses one.
+    `_candidate_features`), as serving does when it scores each list with
+    BR and then SR. `pipeline.rank` reranks all its lists with
+    `rerank_batch` instead, one pass for every list.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
     ids, features = _candidate_features(_query_text(query), candidates, index, params)
     return index.ranked(ids, model.score_rows(features))
+
+
+def rerank_batch(models: Sequence[LogisticScorer], lists: Sequence[tuple[str, Ranking]],
+                 index: InvertedIndex, params: Bm25Params = Bm25Params()) -> list[list[Ranking]]:
+    """`rerank` of every (query text, candidates) list by each model: per
+    model, the reranked lists in order.
+
+    One feature pass builds the rows of every list (`_feature_rows`), and
+    each model scores the stacked matrix once; its rows, and so the
+    rankings, are those `rerank` gives list by list. An empty list, or a
+    candidate the index does not hold, raises ValueError.
+    """
+    if not all(candidates for _, candidates in lists):
+        raise ValueError("candidate list is empty")
+    ids = [index.internal_id_array(candidates.doc_ids) for _, candidates in lists]
+    features = _feature_rows([(text, at) for (text, _), at in zip(lists, ids)], index, params)
+    bounds = np.cumsum([len(at) for at in ids])[:-1]
+    return [list(map(index.ranked, ids, np.split(model.score_rows(features), bounds)))
+            for model in models]
 
 
 # The last matrix `_candidate_features` built and what it was built from:
@@ -177,9 +230,9 @@ def _candidate_features(text: str, candidates: Ranking, index: InvertedIndex,
 
     Returns the previous call's pair when the index, the params, the
     query text and the candidate ids are the same, so a caller that ranks
-    one list with both models in turn, as `pipeline.rank` and serving do,
-    pays one feature pass; `hardrank run` ranks with one model. The first
-    candidate in list order that is not indexed raises ValueError.
+    one list with both models in turn, as serving does, pays one feature
+    pass, a batch of one list. The first candidate in list order that is
+    not indexed raises ValueError.
     """
     global _last_features
     key = (params, text, candidates.doc_ids)
@@ -187,7 +240,7 @@ def _candidate_features(text: str, candidates: Ranking, index: InvertedIndex,
     if memo is not None and memo[0]() is index and memo[1] == key:
         return memo[2:]
     ids = index.internal_id_array(candidates.doc_ids)
-    matrix = _feature_rows(text, ids, index, params)
+    matrix = _feature_rows([(text, ids)], index, params)
     ids.flags.writeable = matrix.flags.writeable = False
     _last_features = (weakref.ref(index), key, ids, matrix)
     return ids, matrix
@@ -249,10 +302,13 @@ def build_training_set(
     top-`depth` documents that are unjudged or judged below the threshold,
     capped at negatives_per_positive per positive. `corpus` holds the doc
     ids a positive may have (`pipeline.fit_ranker` passes the index's);
-    the others are skipped, with one warning per call.
+    the others are skipped, with one warning per call. The negatives are
+    drawn query by query from one seeded stream, and then every labeled
+    pair is featurized in one pass (`_feature_rows`).
     """
     rng = random.Random(seed)
-    instances: list[TrainingInstance] = []
+    labeled: list[tuple[str, str, int]] = []  # (query id, doc id, label), row by row
+    lists: list[tuple[str, np.ndarray]] = []
     missing: list[str] = []
     for qid, text in query_texts:
         judged = qrels.for_query(qid)
@@ -267,11 +323,11 @@ def build_training_set(
         )
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []
-        labeled = [(d, 1) for d in positives] + [(d, 0) for d in negatives]
-        features = feature_matrix(text, [d for d, _ in labeled], index, params)
-        for (doc_id, label), row in zip(labeled, features):
-            instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
+        lists.append((text, index.internal_id_array(positives + negatives)))
+        labeled += [(qid, d, 1) for d in positives] + [(qid, d, 0) for d in negatives]
     if missing:
         log.warning("positive judgments of documents not in the corpus: %d skipped, first %s",
                     len(missing), missing[:5])
-    return instances
+    rows = _feature_rows(lists, index, params).tolist()
+    return [TrainingInstance(qid, doc_id, tuple(row), label)
+            for (qid, doc_id, label), row in zip(labeled, rows)]

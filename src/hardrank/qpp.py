@@ -99,12 +99,26 @@ def train_qpp(
 def estimate(
     model: LogisticScorer, query: Query, topk: Ranking, index: InvertedIndex
 ) -> QppEstimate:
-    """Hardness estimate for one query given its top-k retrieval."""
-    feats = qpp_features(query, topk[: model.metadata["k"]], index)
-    effectiveness = float(model.score_rows(feats[np.newaxis])[0])
+    """Hardness estimate for one query given its top-k retrieval: the
+    one-query case of `estimate_batch`."""
+    return estimate_batch(model, [(query, topk)], index)[0]
+
+
+def estimate_batch(
+    model: LogisticScorer, lists: Sequence[tuple[Query, Ranking]], index: InvertedIndex
+) -> list[QppEstimate]:
+    """Hardness estimate of each (query, top-k retrieval) pair, in order.
+
+    Each query's `qpp_features` read its list's top `k`; the model scores
+    the stacked rows once, and each row's score is the one it gets alone.
+    """
+    k = model.metadata["k"]
+    rows = [qpp_features(query, topk[:k], index) for query, topk in lists]
+    features = np.array(rows).reshape(len(lists), len(QPP_FEATURE_NAMES))
+    effectiveness = model.score_rows(features).tolist()
     if model.metadata["orientation"] == "hardness":
-        return QppEstimate(query.query_id, 1.0 - effectiveness)
-    return QppEstimate(query.query_id, effectiveness)
+        effectiveness = [1.0 - e for e in effectiveness]
+    return [QppEstimate(query.query_id, e) for (query, _), e in zip(lists, effectiveness)]
 
 
 @dataclass

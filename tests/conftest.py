@@ -29,13 +29,14 @@ def child_env():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(query text, internal ids) of every feature pass; the memo starts empty."""
+    """One entry per call of the feature kernel: the (query text, internal
+    ids) of each list it featurized, in order; the memo starts empty."""
     calls = []
     original = pointwise_ranker._feature_rows
 
-    def counted(text, ids, index, params):
-        calls.append((text, tuple(ids.tolist())))
-        return original(text, ids, index, params)
+    def counted(lists, index, params):
+        calls.append([(text, tuple(ids.tolist())) for text, ids in lists])
+        return original(lists, index, params)
 
     monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
     monkeypatch.setattr(pointwise_ranker, "_last_features", None)

@@ -11,7 +11,13 @@ reference that `lexical_retrieval.select_passage` equals.
 index kept an impacts column: each term's contributions evaluated per
 call from its tfs, a per-call idf and the document lengths, the reference
 that `lexical_retrieval.bm25_search`, `score_pair` and the `bm25` feature
-equal bit for bit. `toy_ranker_instances` and `toy_qpp_set` are the small
+equal bit for bit. `tf_matrix` and `feature_rows` are the feature kernel
+as it was written per list: a dense (terms, candidates) gather and one
+numpy pass per query, the reference whose rows the batched
+`pointwise_ranker._feature_rows` equals bit for bit, and
+`build_training_set` is the training set assembled and featurized query
+by query with it.
+`toy_ranker_instances` and `toy_qpp_set` are the small
 fixture training sets of the training invariants (loss curves,
 separability).
 """
@@ -79,6 +85,81 @@ def bm25_sum(tfs: np.ndarray, idfs, doc_lengths: np.ndarray, avg_doc_length: flo
         )
     np.copyto(contributions[1:], scores, where=tfs > 0)
     return np.add.accumulate(contributions, axis=0)[-1]
+
+
+def tf_matrix(index, terms, internal_ids: np.ndarray, params):
+    """(len(terms), len(internal_ids)) int64 tfs, bool lead flags and
+    float64 impacts under `params`; 0, False and 0.0 where a document lacks
+    a term or the term is not indexed. One `searchsorted` per term into its
+    postings, then one gather for all of them."""
+    positions = np.empty((len(terms), len(internal_ids)), dtype=np.int64)
+    bounds = [index.spans.get(term, (0, 0)) for term in terms]
+    for row, (start, end) in enumerate(bounds):
+        positions[row] = index.ids[start:end].searchsorted(internal_ids)
+    limits = np.array(bounds, dtype=np.int64).reshape(len(terms), 2)
+    positions += limits[:, :1]
+    rows, cols = np.nonzero(positions < limits[:, 1:])
+    at = positions[rows, cols]
+    found = index.ids[at] == internal_ids[cols]
+    cells, at = (rows[found], cols[found]), at[found]
+    tfs = np.zeros(positions.shape, dtype=np.int64)
+    tfs[cells] = index.tfs[at]
+    leads = np.zeros(positions.shape, dtype=bool)
+    leads[cells] = index.leads[at]
+    impacts = np.zeros(positions.shape)
+    impacts[cells] = index.impacts(params)[at]
+    return tfs, leads, impacts
+
+
+def feature_rows(text: str, candidates: np.ndarray, index, params) -> np.ndarray:
+    """One query's (n, 6) feature matrix over the documents with these
+    internal ids: each feature one numpy pass over the query's dense
+    (terms, candidates) matrices, BM25 added row by row from 0.0."""
+    q_tokens = tokenize(text)
+    q_counts = Counter(q_tokens)
+    terms = sorted(q_counts)
+    q_norm = math.sqrt(sum(c * c for c in q_counts.values()))
+    n = len(candidates)
+    tfs, leads, impacts = tf_matrix(index, terms, candidates, params)
+    rows = np.zeros((len(impacts) + 1, n))
+    rows[1:] = impacts
+    bm25 = np.add.accumulate(rows, axis=0)[-1]
+    if terms:
+        overlap = np.count_nonzero(tfs, axis=0) / len(terms)
+        early = np.count_nonzero(leads, axis=0) / len(terms)
+    else:
+        overlap = early = np.zeros(n)
+    # integer products and sums: exact in any order
+    dot = np.array([q_counts[t] for t in terms], dtype=np.int64) @ tfs
+    cosine = np.divide(dot, q_norm * index.doc_norms[candidates], out=np.zeros(n), where=dot > 0)
+    return np.column_stack([
+        bm25, overlap, cosine, np.full(n, float(len(q_tokens))),
+        index.log_lengths[candidates], early,
+    ])
+
+
+def build_training_set(query_texts, qrels, index, corpus, params, depth=100,
+                       negatives_per_positive=4, label_threshold=1, seed=13):
+    """Labeled instances, one query at a time: its judged positives, then
+    negatives sampled from its unjudged BM25 top `depth` by one seeded
+    stream, featurized by `feature_rows` before the next query."""
+    rng = random.Random(seed)
+    instances = []
+    for qid, text in query_texts:
+        judged = qrels.for_query(qid)
+        graded = [d for d, g in sorted(judged.items()) if g >= label_threshold]
+        positives = [d for d in graded if d in corpus]
+        if not positives:
+            continue
+        candidates = bm25_search(index, Query(qid, text), depth, params)
+        pool = sorted(d for d in candidates.doc_ids if judged.get(d, 0) < label_threshold)
+        n_negatives = min(len(pool), negatives_per_positive * len(positives))
+        negatives = rng.sample(pool, n_negatives) if n_negatives else []
+        labeled = [(d, 1) for d in positives] + [(d, 0) for d in negatives]
+        rows = feature_rows(text, index.internal_id_array([d for d, _ in labeled]), index, params)
+        for (doc_id, label), row in zip(labeled, rows):
+            instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
+    return instances
 
 
 def sort_records(scored) -> list[RunRecord]:

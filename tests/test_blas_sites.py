@@ -5,10 +5,10 @@ A float product through BLAS (`@`, `np.dot`, `np.matmul`, `np.vecdot`,
 its last bits can change with the CPU (ROADMAP, "Bits that do not depend
 on the CPU"). The walk below finds every such site in `src/hardrank` and
 fails, naming file:line, on any that is not in `ALLOWED`: today's sites,
-each named by its file, its enclosing function and its source text. The
-float ones are to be replaced by fixed-order sums; the integer product in
-`_feature_rows` is exact in any order. BM25 adds its impacts with
-`np.add.accumulate` and has no site here.
+each named by its file, its enclosing function and its source text. They
+are to be replaced by fixed-order sums. The feature kernel sums its
+integer products with `np.bincount`, exact in any order, and BM25 adds
+its impacts with `np.add.at`, one at a time; neither has a site here.
 """
 
 import ast
@@ -24,8 +24,6 @@ ALLOWED = Counter({
     ("src/hardrank/linear_model.py", "fit_logistic", "features @ weights"): 2,
     ("src/hardrank/linear_model.py", "LogisticScorer.score_rows",
      "np.vecdot(z, self.weights)"): 1,
-    ("src/hardrank/pointwise_ranker.py", "_feature_rows",
-     "np.array([q_counts[t] for t in terms], dtype=np.int64) @ tfs"): 1,
 })
 
 

@@ -253,6 +253,20 @@ class TestEnrichCommand:
         assert "hard queries: 0" in result.stdout
         assert (workdir / "work" / "enriched.tsv").read_text() == ""
 
+    def test_corpus_changed_after_index_is_input_error(self, workdir, run_cli):
+        # enrichment reads a BM25 hit's text from the corpus; a hit the
+        # corpus no longer holds names the corpus, the document and the fix
+        run_cli("index", "--config", "config.json", cwd=workdir)
+        corpus = workdir / "corpus.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(line for line in lines if '"a_rel"' not in line))
+        result = run_cli("enrich", "--config", "config.json",
+                         "--set", "enrichment.use_judged_context=false", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "corpus.jsonl lacks document 'a_rel'" in result.stderr
+        assert "hardrank index --force" in result.stderr
+        assert not (workdir / "work" / "enriched.tsv").exists()
+
     def test_unreachable_generator_reports_and_fails(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
         assert run_cli("enrich", "--config", "config.json", cwd=workdir).returncode == 0

@@ -72,9 +72,10 @@ def test_search_features_and_pair_scores_equal_the_oracle(case):
     doc_ids = [doc.doc_id for doc in corpus]
     ids = index.internal_id_array(doc_ids)
     terms = sorted(set(tokenize(text)))
+    tfs = oracles.tf_matrix(index, terms, ids, params)[0]
     reference = oracles.bm25_sum(
-        index.tf_matrix(terms, ids, params)[0], [oracles.bm25_idf(index, t) for t in terms],
-        index.doc_lengths[ids], index.avg_doc_length, params,
+        tfs, [oracles.bm25_idf(index, t) for t in terms], index.doc_lengths[ids],
+        index.avg_doc_length, params,
     )
     assert same_bits(feature_matrix(query, doc_ids, index, params)[:, 0], reference)
     assert same_bits([score_pair(index, text, d, params) for d in doc_ids], reference)
