@@ -27,6 +27,7 @@ from .evaluation import GAINS
 from .fusion import NORMALIZATIONS
 from .lexical_retrieval import Bm25Params
 from .linear_model import QPP_ORIENTATIONS
+from .text import tokenize
 
 
 class Key(NamedTuple):
@@ -142,7 +143,11 @@ class PipelineConfig:
                 lexicon_path = self.base_dir / lexicon_path
             if not lexicon_path.is_file():
                 raise ConfigError(f"{lexicon_path} is not a file (hardness.lexicon_file)")
-            lexicon = frozenset(lexicon_path.read_text(encoding="utf-8").split())
+            try:
+                lexicon = frozenset(tokenize(lexicon_path.read_text(encoding="utf-8-sig")))
+            except (OSError, UnicodeError) as exc:  # no read permission, not UTF-8
+                raise ConfigError(
+                    f"{lexicon_path} cannot be read (hardness.lexicon_file): {exc}") from None
         return HardnessRule(
             max_token_count=section["max_token_count"],
             acronym_pattern=section["acronym_pattern"],

@@ -141,9 +141,10 @@ class HttpGenerator:
     """Client for a chat-completion-style HTTP endpoint.
 
     Sends ``{"prompt": build_prompt(query, passage), "max_tokens":
-    MAX_ENRICHED_TOKENS}`` and expects ``{"text": ...}`` back. The auth
-    token is read from the environment variable named by `auth_token_env`
-    (sent as a Bearer header when present). Transient failures (connection
+    MAX_ENRICHED_TOKENS}`` and expects a JSON object with a string ``"text"``
+    back; any other reply raises RuntimeError. The auth token is read from
+    the environment variable named by `auth_token_env` (sent as a Bearer
+    header when present). Transient failures (connection
     errors, HTTP 429/5xx) are retried up to `max_retries` times with
     exponential backoff. The client holds no lock: the caller's pool bounds
     concurrent calls (`enrich_all`'s `max_workers`, which the pipeline sets
@@ -193,10 +194,10 @@ class HttpGenerator:
                 continue
             if status != 200:
                 raise RuntimeError(f"generator returned HTTP {status}")
-            body = json.loads(body)
-            if "text" not in body:
-                raise RuntimeError("generator response missing 'text'")
-            return str(body["text"])
+            reply = json.loads(body)
+            if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):
+                raise RuntimeError(f"generator response has no string 'text': {reply!r:.200}")
+            return reply["text"]
         raise RuntimeError(f"generator unreachable after retries: {last_error}")
 
 

@@ -17,7 +17,14 @@ from hardrank.config import (
     load_config,
     validate,
 )
-from hardrank.enrichment import HardnessRule, HttpGenerator, StubGenerator, enrich
+from hardrank.corpus_io import Query
+from hardrank.enrichment import (
+    HardnessRule,
+    HttpGenerator,
+    StubGenerator,
+    classify_hardness,
+    enrich,
+)
 from hardrank.evaluation import build_report, ndcg_at_k
 from hardrank.fusion import FusionConfig
 from hardrank.lexical_retrieval import Bm25Params, bm25_search, score_pair, select_passage
@@ -112,6 +119,22 @@ class TestLoadConfig:
         (tmp_path / "lexicon.txt").write_text("canoe\npaddle river\n")
         config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": "lexicon.txt"}}))
         assert config.hardness_rule().lexicon == {"canoe", "paddle", "river"}
+
+    def test_lexicon_file_is_tokenized_like_queries(self, tmp_path):
+        # a BOM, capitals and punctuation must not make a listed word out-of-lexicon
+        (tmp_path / "lexicon.txt").write_text("\ufeffalpha\nBeta river,\n", encoding="utf-8")
+        hardness = {"lexicon_file": "lexicon.txt", "max_token_count": 1}
+        rule = load_config(write_config(tmp_path, {"hardness": hardness})).hardness_rule()
+        assert rule.lexicon == {"alpha", "beta", "river"}
+        assert classify_hardness(Query("q", "Alpha beta river"), rule) == "easy"
+        assert classify_hardness(Query("q", "alpha gamma river"), rule) == "hard"
+
+    def test_lexicon_file_that_is_not_utf8_names_the_file_and_key(self, tmp_path):
+        (tmp_path / "lexicon.txt").write_bytes(b"canoe \xff\xfe\n")
+        config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": "lexicon.txt"}}))
+        with pytest.raises(ConfigError,
+                           match=r"lexicon\.txt cannot be read \(hardness\.lexicon_file\)"):
+            config.hardness_rule()
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         config = load_config(write_config(tmp_path, {"paths": {"corpus": "c.jsonl"}}))

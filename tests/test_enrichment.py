@@ -210,6 +210,7 @@ class TestStubGenerator:
 class _Handler(BaseHTTPRequestHandler):
     failures_left = 0
     failure_status = 503
+    reply: object = {"text": "echo: ok"}
     bodies: list = []
     headers_seen: list = []
 
@@ -224,7 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        reply = json.dumps({"text": "echo: ok"})
+        reply = json.dumps(_Handler.reply)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -237,6 +238,7 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_endpoint():
     _Handler.failures_left, _Handler.failure_status = 0, 503
+    _Handler.reply = {"text": "echo: ok"}
     _Handler.bodies, _Handler.headers_seen = [], []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -287,6 +289,20 @@ class TestHttpGenerator:
         with pytest.raises(RuntimeError, match=f"generator returned HTTP {status}"):
             gen.generate(Query("q", "x"), "y")
         assert len(_Handler.bodies) == 1
+
+    @pytest.mark.parametrize(
+        "reply", [{"text": None}, {"text": 42}, {"text": ["a", "b"]}, {"completion": "x"},
+                  "echo: ok", ["echo: ok"]],
+        ids=["null", "number", "list", "no-text", "json-string", "json-list"])
+    def test_reply_without_string_text_fails_the_query(self, http_endpoint, setting, reply):
+        # a non-string completion must not become query text that SR trains on
+        gen = HttpGenerator(endpoint_url=http_endpoint, max_retries=0)
+        _Handler.reply = reply
+        with pytest.raises(RuntimeError, match="no string 'text'"):
+            gen.generate(Query("q", "x"), "y")
+        docs, corpus, index = setting
+        enriched, errors = enrich_all([Query("q1", "lbm")], index, corpus, gen)
+        assert enriched == [] and [e.query_id for e in errors] == ["q1"]
 
     def test_endpoint_must_be_http(self):
         with pytest.raises(ValueError, match="endpoint_url must be an http"):
