@@ -239,7 +239,7 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     """Read a config file, layer the overrides over it, and validate the result."""
     path = Path(path)
     try:
-        raw_file = json.loads(path.read_text(encoding="utf-8"))
+        raw_file = json.loads(path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, no read permission

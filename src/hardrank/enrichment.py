@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query, _iter_lines
+from .corpus_io import (Document, DuplicateEntryError, ParseError, Qrels, Query, _check_id,
+                        _iter_lines)
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, raw_tokens, tokenize
 
@@ -296,13 +297,17 @@ def write_enriched(enriched: Iterable[EnrichedQuery]) -> list[str]:
 
 
 def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
-    """Read the enriched-query TSV back as qid -> (text, context_doc_id, fallback)."""
+    """Read the enriched-query TSV back as qid -> (text, context_doc_id,
+    fallback), checking ids and texts as `parse_queries` does."""
     out: dict[str, tuple[str, str, bool]] = {}
     for line_no, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 TAB-separated fields, got {len(parts)}", line_no)
         qid, text, doc_id, flags = parts
+        _check_id(qid, "query id", line_no)
+        if not text.strip():
+            raise ParseError(f"empty text for query {qid!r}", line_no)
         if qid in out:
             raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
         out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, FALLBACK_FLAG in flags)

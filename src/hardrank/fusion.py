@@ -118,9 +118,9 @@ def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = 
     when psi is given, else by query id.
 
     Both runs must rank the same queries and, per query, the same
-    documents, at least one; a psi mapping must hold exactly those queries,
-    each psi in [0, 1]. A ValueError names the first query that breaks a
-    rule.
+    documents, each once and at least one; a psi mapping must hold
+    exactly those queries, each psi in [0, 1]. A ValueError names the
+    first query that breaks a rule.
     """
     br, sr = br_run.entries, sr_run.entries
     unpaired = sorted(br.keys() ^ sr.keys())
@@ -137,7 +137,10 @@ def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = 
         br_entry, sr_entry = br[qid], sr[qid]
         if not br_entry or not sr_entry:
             raise ValueError(f"query {qid!r} has an empty entry")
-        differ = sorted(set(br_entry.doc_ids) ^ set(sr_entry.doc_ids))
+        br_ids, sr_ids = set(br_entry.doc_ids), set(sr_entry.doc_ids)
+        if len(br_ids) < len(br_entry) or len(sr_ids) < len(sr_entry):
+            raise ValueError(f"query {qid!r}: an entry ranks a document twice")
+        differ = sorted(br_ids ^ sr_ids)
         if differ:
             raise ValueError(f"query {qid!r}: candidate sets differ on {differ}")
         yield qid, br_entry, sr_entry, weight

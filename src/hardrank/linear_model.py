@@ -212,7 +212,7 @@ def load_scorer(path, kind: str) -> LogisticScorer:
     """Read a scorer of `kind`. Any other file, version 1 files included,
     raises ValueError naming the path, as does a file whose weights, means,
     stdevs or bias hold anything but JSON numbers (a `true` included) or a
-    value that `LogisticScorer` refuses."""
+    value that `LogisticScorer` refuses, or whose metadata is no object."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -227,10 +227,12 @@ def load_scorer(path, kind: str) -> LogisticScorer:
         for name, values in numbers.items():  # type(True) is bool, so true is no number
             if type(values) is not list or not all(type(v) in (int, float) for v in values):
                 raise ValueError(f"{name} must hold numbers only, got {payload[name]!r}")
+        if type(payload["metadata"]) is not dict:
+            raise ValueError(f"metadata must be a JSON object, got {payload['metadata']!r}")
         return LogisticScorer(
             **{name: np.array(numbers[name], dtype=float) for name in _ARRAYS},
             bias=float(payload["bias"]),
-            metadata=dict(payload["metadata"]),
+            metadata=payload["metadata"],
             kind=kind,
         )
     except KeyError as exc:

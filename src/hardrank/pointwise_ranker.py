@@ -46,26 +46,6 @@ class TrainingInstance:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
-def _query_text(query) -> str:
-    return query.text if isinstance(query, Query) else str(query)
-
-
-def feature_matrix(query, doc_ids: Sequence[str], index: InvertedIndex,
-                   params: Bm25Params = Bm25Params()) -> np.ndarray:
-    """One query's (n, 6) feature matrix, one row per document id in order.
-
-    The one-list case of `_feature_rows`. Each document must be indexed
-    (the first that is not raises ValueError), and everything about it is
-    read from the index: its tf per query term is a gather from the
-    postings columns (`InvertedIndex.gather`), and so are whether the term
-    is among its first 20 tokens and the term's BM25 impact, whose sum in
-    sorted term order is the `bm25` feature; its log length and
-    term-frequency norm are per-document index entries. Each value equals
-    the one derived from the text of the document that was indexed.
-    """
-    return _feature_rows([(_query_text(query), index.internal_id_array(doc_ids))], index, params)
-
-
 def _feature_rows(lists: Sequence[tuple[str, np.ndarray]], index: InvertedIndex,
                   params: Bm25Params) -> np.ndarray:
     """The feature matrices of many (query text, candidate internal ids)
@@ -126,9 +106,9 @@ def _feature_rows(lists: Sequence[tuple[str, np.ndarray]], index: InvertedIndex,
     return features
 
 
-def extract_features(query, doc: Document, index: InvertedIndex,
+def extract_features(text: str, doc: Document, index: InvertedIndex,
                      params: Bm25Params = Bm25Params()) -> np.ndarray:
-    """Deterministic 6-feature vector for a (query, document) pair.
+    """Deterministic 6-feature vector for a (query text, document) pair.
 
     Order (see FEATURE_NAMES):
       bm25            BM25 score of the pair under the index statistics
@@ -139,12 +119,12 @@ def extract_features(query, doc: Document, index: InvertedIndex,
       early_coverage  fraction of distinct query terms in the doc's first
                       20 tokens
 
-    The one-row case of `feature_matrix`: the document must be indexed,
+    The one-row case of `_feature_rows`: the document must be indexed,
     and only its id is read; every value comes from the index. They equal
     the values derived from `doc.text` whenever the document is the one
     that was indexed.
     """
-    return feature_matrix(query, [doc.doc_id], index, params)[0]
+    return _feature_rows([(text, index.internal_id_array([doc.doc_id]))], index, params)[0]
 
 
 def train(
@@ -171,29 +151,39 @@ def train(
     return fit_scorer(features, labels, epochs, learning_rate, "ranker", metadata)
 
 
-def rerank(
-    model: LogisticScorer,
-    query,
-    candidates: Ranking,
-    index: InvertedIndex,
-    params: Bm25Params = Bm25Params(),
-) -> Ranking:
+# The last matrix `rerank` built and what it was built from: (weakref to
+# the index, (params, query text, candidate doc ids), read-only internal
+# ids, read-only matrix). The weak reference keeps no index alive, and the
+# entry is replaced in one assignment, so a concurrent reader sees either
+# the old entry or the new one, never a mix.
+_last_features: tuple | None = None
+
+
+def rerank(model: LogisticScorer, text: str, candidates: Ranking, index: InvertedIndex,
+           params: Bm25Params = Bm25Params()) -> Ranking:
     """Re-score the candidate documents with the model.
 
     Keeps exactly the input doc set, ordered by `InvertedIndex.ranked`:
     model score descending with doc_id tie-breaks, as in `bm25_search`.
-    The features come from one feature pass over the list, read from the
-    index alone, which is also the set of documents that exist: a
-    candidate it does not hold raises ValueError. Reranking the same list
-    for the same query text again reuses that pass (see
-    `_candidate_features`), as serving does when it scores each list with
+    The features come from one `_feature_rows` pass over the list, read
+    from the index alone, which is also the set of documents that exist:
+    the first candidate it does not hold raises ValueError. Reranking the
+    same list for the same query text, index and params again reuses that
+    pass (`_last_features`), as serving does when it scores each list with
     BR and then SR. `pipeline.rank` reranks all its lists with
-    `rerank_batch` instead, one pass for every list.
+    `rerank_batch` instead.
     """
+    global _last_features
     if not candidates:
         raise ValueError("candidate list is empty")
-    ids, features = _candidate_features(_query_text(query), candidates, index, params)
-    return index.ranked(ids, model.score_rows(features))
+    key = (params, text, candidates.doc_ids)
+    memo = _last_features
+    if memo is None or memo[0]() is not index or memo[1] != key:
+        ids = index.internal_id_array(candidates.doc_ids)
+        matrix = _feature_rows([(text, ids)], index, params)
+        ids.flags.writeable = matrix.flags.writeable = False
+        memo = _last_features = (weakref.ref(index), key, ids, matrix)
+    return index.ranked(memo[2], model.score_rows(memo[3]))
 
 
 def rerank_batch(models: Sequence[LogisticScorer], lists: Sequence[tuple[str, Ranking]],
@@ -213,37 +203,6 @@ def rerank_batch(models: Sequence[LogisticScorer], lists: Sequence[tuple[str, Ra
     bounds = np.cumsum([len(at) for at in ids])[:-1]
     return [list(map(index.ranked, ids, np.split(model.score_rows(features), bounds)))
             for model in models]
-
-
-# The last matrix `_candidate_features` built and what it was built from:
-# (weakref to the index, (params, query text, candidate doc ids), read-only
-# internal ids, read-only matrix). The weak reference keeps no index alive,
-# and the entry is replaced in one assignment, so a concurrent reader sees
-# either the old entry or the new one, never a mix.
-_last_features: tuple | None = None
-
-
-def _candidate_features(text: str, candidates: Ranking, index: InvertedIndex,
-                        params: Bm25Params) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates' internal ids and their documents' feature matrix,
-    both read-only.
-
-    Returns the previous call's pair when the index, the params, the
-    query text and the candidate ids are the same, so a caller that ranks
-    one list with both models in turn, as serving does, pays one feature
-    pass, a batch of one list. The first candidate in list order that is
-    not indexed raises ValueError.
-    """
-    global _last_features
-    key = (params, text, candidates.doc_ids)
-    memo = _last_features
-    if memo is not None and memo[0]() is index and memo[1] == key:
-        return memo[2:]
-    ids = index.internal_id_array(candidates.doc_ids)
-    matrix = _feature_rows([(text, ids)], index, params)
-    ids.flags.writeable = matrix.flags.writeable = False
-    _last_features = (weakref.ref(index), key, ids, matrix)
-    return ids, matrix
 
 
 @dataclass

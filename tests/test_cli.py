@@ -313,6 +313,19 @@ class TestTrainCommand:
         assert "work/enriched.tsv: line 2: expected 4 TAB-separated fields" in result.stderr
         assert not (workdir / "work" / "models" / "sr.json").exists()
 
+    def test_blank_rewrite_in_enriched_queries_fails_naming_the_line(self, workdir, run_cli):
+        for args in (("index",), ("enrich",)):
+            assert run_cli(*args, "--config", "config.json", cwd=workdir).returncode == 0
+        enriched_path = workdir / "work" / "enriched.tsv"
+        lines = enriched_path.read_text().splitlines()
+        qid, _, doc_id, flags = lines[1].split("\t")
+        lines[1] = "\t".join([qid, "", doc_id, flags])
+        enriched_path.write_text("\n".join(lines) + "\n")
+        result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert f"work/enriched.tsv: line 2: empty text for query {qid!r}" in result.stderr
+        assert not (workdir / "work" / "models" / "sr.json").exists()
+
     def test_sr_on_enriched_queries_that_are_not_training_queries_fails(self, workdir, run_cli):
         for args in (("index",), ("enrich",)):
             assert run_cli(*args, "--config", "config.json", cwd=workdir).returncode == 0

@@ -31,7 +31,6 @@ from hardrank.lexical_retrieval import Bm25Params, bm25_search, score_pair, sele
 from hardrank.pointwise_ranker import (
     build_training_set,
     extract_features,
-    feature_matrix,
     rerank,
     train,
 )
@@ -102,6 +101,11 @@ class TestLoadConfig:
         path.write_bytes(content)
         with pytest.raises(ConfigError, match=r"config file .*bad\.json is not valid JSON"):
             load_config(path)
+
+    def test_a_leading_bom_is_read_like_the_data_files(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 9}).encode())
+        assert load_config(path).seed == 9
 
     def test_non_object_root_names_the_file(self, tmp_path):
         path = tmp_path / "list.json"
@@ -297,8 +301,7 @@ class TestLibraryDefaults:
 
     @pytest.mark.parametrize(
         "function",
-        [bm25_search, score_pair, enrich, build_training_set, feature_matrix,
-         extract_features, rerank],
+        [bm25_search, score_pair, enrich, build_training_set, extract_features, rerank],
     )
     def test_bm25_params_default_to_the_config(self, function):
         assert _default(function, "params") == default_config().bm25_params()

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from hardrank.corpus_io import Document, DuplicateEntryError, Qrels, Query, corpus_by_id
+from hardrank.corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query, corpus_by_id
 from hardrank.enrichment import (
     EnrichmentError,
     HardnessRule,
@@ -339,3 +339,13 @@ class TestEnrichedTsv:
         with pytest.raises(DuplicateEntryError, match="'q1'") as info:
             parse_enriched(lines)
         assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("line, message", [
+        ("q2\t\td1\t-", "empty text for query 'q2'"),
+        ("q2\t   \td1\t-", "empty text for query 'q2'"),
+        ("q 2\tother\td1\t-", "query id 'q 2' contains whitespace"),
+    ])
+    def test_blank_text_or_spaced_id_rejected_naming_the_line(self, line, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_enriched(["q1\tfirst\td1\t-", line])
+        assert info.value.line_no == 2

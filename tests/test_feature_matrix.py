@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardrank.corpus_io import Document, Query, rank_records
+from hardrank.corpus_io import Document, rank_records
 from hardrank.lexical_retrieval import EARLY_WINDOW, Bm25Params, build_index
 from hardrank.linear_model import LogisticScorer
-from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, feature_matrix, rerank
+from hardrank.pointwise_ranker import FEATURE_NAMES, _feature_rows, extract_features, rerank
 from hardrank.text import tokenize
 from oracles import bm25_idf, bm25_term_score, score
 
@@ -135,7 +135,8 @@ def same_bits(a, b) -> bool:
 @given(corpus=corpora(), query=queries, params=params_st)
 def test_rows_equal_the_text_derived_oracle(corpus, query, params):
     index = build_index(corpus)
-    matrix = feature_matrix(Query("q", query), [d.doc_id for d in corpus], index, params)
+    matrix = _feature_rows([(query, index.internal_id_array([d.doc_id for d in corpus]))],
+                           index, params)
     assert matrix.shape == (len(corpus), len(FEATURE_NAMES))
     for doc, row in zip(corpus, matrix):
         expected = oracle_features(query, doc, index, params)
@@ -174,7 +175,8 @@ def test_rerank_reads_no_document_text(corpus, query, params, model):
 
 def test_empty_document_list_gives_an_empty_matrix():
     index = build_index([Document("d1", "solar power")])
-    assert feature_matrix("solar", [], index).shape == (0, len(FEATURE_NAMES))
+    assert _feature_rows([("solar", index.internal_id_array([]))], index,
+                         Bm25Params()).shape == (0, len(FEATURE_NAMES))
 
 
 class TestMissingDocuments:

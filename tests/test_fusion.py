@@ -240,6 +240,16 @@ class TestPairing:
         with pytest.raises(ValueError, match="query 'q3' missing from one run"):
             self.fuse(method, br, sr)
 
+    @pytest.mark.parametrize("twice", ["br", "sr"])
+    def test_an_entry_that_ranks_a_document_twice_is_refused(self, method, twice):
+        # the doc-id sets agree, so only the repeat tells the entries apart;
+        # R-QPP at psi = tau would return SR's entry as it is
+        runs = {side: run_from({"q1": {"a": 1.0}, "q2": {"a": 2.0, "b": 1.0}})
+                for side in ("br", "sr")}
+        runs[twice].entries["q2"] = Ranking(("b", "a", "a"), np.array([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="query 'q2': an entry ranks a document twice"):
+            self.fuse(method, runs["br"], runs["sr"])
+
     @pytest.mark.parametrize("normalize", ["per_query_min_max", "none"])
     @pytest.mark.parametrize("empty", [("br",), ("sr",), ("br", "sr")])
     def test_an_empty_entry_is_refused_naming_its_query(self, method, normalize, empty):

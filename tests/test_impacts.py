@@ -28,7 +28,7 @@ from hardrank.lexical_retrieval import (
     save_index,
     score_pair,
 )
-from hardrank.pointwise_ranker import feature_matrix
+from hardrank.pointwise_ranker import _feature_rows
 from hardrank.text import tokenize
 
 WORDS = ("solar", "wind", "grid", "x2", "42", "power", "café", "ΟΔΟΣ", "rain", "fog")
@@ -77,7 +77,7 @@ def test_search_features_and_pair_scores_equal_the_oracle(case):
         tfs, [oracles.bm25_idf(index, t) for t in terms], index.doc_lengths[ids],
         index.avg_doc_length, params,
     )
-    assert same_bits(feature_matrix(query, doc_ids, index, params)[:, 0], reference)
+    assert same_bits(_feature_rows([(text, ids)], index, params)[:, 0], reference)
     assert same_bits([score_pair(index, text, d, params) for d in doc_ids], reference)
 
 

@@ -143,6 +143,40 @@ def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
     assert decisions == result.decisions
 
 
+@pytest.fixture(scope="module")
+def extended():
+    """`scaled_inputs(1, 5, True)`, its README-config experiment and index."""
+    inputs = _load_workloads().scaled_inputs(1, 5, True)
+    config = PipelineConfig(raw=validate(README_CONFIG))
+    result = pipeline.experiment(config, inputs.corpus, inputs.train_queries, inputs.train_qrels,
+                                 inputs.test_queries, inputs.test_qrels)
+    return inputs.corpus, inputs.test_queries, config, result
+
+
+@pytest.mark.parametrize("inputs", ["readme", "extended"])
+def test_one_query_rank_is_the_search_path(request, inputs, kernel_calls):
+    # serving a query is `rank` on it alone: its lists and routing decision
+    # are the batch run's, bit for bit, from one feature pass
+    if inputs == "readme":
+        bench, config, result = request.getfixturevalue("readme")
+        corpus, queries = bench.corpus, bench.queries
+    else:
+        corpus, queries, config, result = request.getfixturevalue("extended")
+    index = build_index(corpus)
+    decided = {d.query_id: d for d in result.decisions}
+    for query in queries:
+        kernel_calls.clear()
+        runs, decisions = pipeline.rank(config, result.models, index, [query])
+        assert len(kernel_calls) == 1
+        assert decisions == [decided[query.query_id]]
+        assert list(runs) == list(pipeline.RUN_METHODS)
+        for method, run in runs.items():
+            [(qid, got)] = run.entries.items()
+            want = result.runs[method].entries[query.query_id]
+            assert qid == query.query_id and got.doc_ids == want.doc_ids
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+
 def test_rank_builds_no_record(readme, record_constructions):
     # BM25, both reranks, psi and the three fusions read and write arrays
     bench, config, result = readme

@@ -46,13 +46,13 @@ def small_corpus():
 class TestExtractFeatures:
     def test_disjoint_terms_zero_overlap_and_cosine(self, small_corpus):
         docs, idx = small_corpus
-        feats = extract_features(Query("q", "zebra quagga"), docs[0], idx)
+        feats = extract_features("zebra quagga", docs[0], idx)
         assert feats[1] == 0.0  # overlap
         assert feats[2] == 0.0  # cosine
 
     def test_doc_equal_to_query_full_overlap(self, small_corpus):
         docs, idx = small_corpus
-        feats = extract_features(Query("q", docs[1].text), docs[1], idx)
+        feats = extract_features(docs[1].text, docs[1], idx)
         assert feats[1] == 1.0
         assert feats[2] == pytest.approx(1.0)
 
@@ -66,7 +66,7 @@ class TestExtractFeatures:
         #   query_length = 2; log_doc_length = ln(1 + 9)
         #   early_coverage: both terms within first 20 tokens -> 1.0
         docs, idx = small_corpus
-        feats = extract_features(Query("q", "solar power"), docs[2], idx)
+        feats = extract_features("solar power", docs[2], idx)
         d_norm = math.sqrt(1 + 4 + 1 + 1 + 1 + 1 + 1 + 1)
         assert feats[1] == 1.0
         assert feats[2] == pytest.approx(2 / (math.sqrt(2) * d_norm))
@@ -78,7 +78,7 @@ class TestExtractFeatures:
         # term "wind": df=2 of N=3 -> idf = max(0, ln(1.5/2.5)) = 0
         # term "turbines": df=1 -> idf = ln(2.5/1.5); d2 len 6, avg 7
         docs, idx = small_corpus
-        feats = extract_features(Query("q", "wind turbines"), docs[1], idx)
+        feats = extract_features("wind turbines", docs[1], idx)
         idf = math.log(2.5 / 1.5)
         expected = idf * 1 * 1.9 / (1 + 0.9 * (1 - 0.4 + 0.4 * 6 / 7))
         assert feats[0] == pytest.approx(expected, rel=1e-12)
@@ -89,7 +89,7 @@ class TestExtractFeatures:
         vocab = ["solar", "wind", "power", "zebra", "energy"]
         for _ in range(50):
             q = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
-            feats = extract_features(Query("q", q), rng.choice(docs), idx)
+            feats = extract_features(q, rng.choice(docs), idx)
             assert np.all(np.isfinite(feats))
             assert 0.0 <= feats[1] <= 1.0
             assert 0.0 <= feats[2] <= 1.0 + 1e-12
@@ -259,7 +259,7 @@ class TestRerank:
         docs, idx = small_corpus
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         candidates = rank_records([("d2", 3.0), ("d1", 2.0), ("d3", 1.0)])
-        out = rerank(model, Query("q", "solar"), candidates, idx)
+        out = rerank(model, "solar", candidates, idx)
         assert [r.doc_id for r in out] == ["d1", "d2", "d3"]
         assert all(r.score == 0.5 for r in out)
 
@@ -270,14 +270,14 @@ class TestRerank:
         index = build_index(docs)
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         candidates = Ranking(("d1", "zeta", "d10", "alpha", "d2"), np.ones(5))
-        out = rerank(model, Query("q", "solar"), candidates, index)
+        out = rerank(model, "solar", candidates, index)
         assert [r.doc_id for r in out] == ["alpha", "d1", "d10", "d2", "zeta"]
         assert all(r.score == 0.5 for r in out)
 
     def test_single_candidate(self, small_corpus):
         docs, idx = small_corpus
         model = LogisticScorer(np.ones(6), 0.0, np.zeros(6), np.ones(6))
-        out = rerank(model, Query("q", "wind"), rank_records([("d2", 1.0)]), idx)
+        out = rerank(model, "wind", rank_records([("d2", 1.0)]), idx)
         assert len(out) == 1
         assert out[0].doc_id == "d2"
 
@@ -287,10 +287,10 @@ class TestRerank:
         instances = toy_ranker_instances()
         model = train(instances, epochs=100)
         candidates = rank_records([("d1", 5.0), ("d2", 4.0), ("d3", 3.0)])
-        out = rerank(model, Query("q", "solar wind power"), candidates, idx)
+        out = rerank(model, "solar wind power", candidates, idx)
         brute = sorted(
             (
-                (-score(model, extract_features(Query("q", "solar wind power"), corpus[c.doc_id], idx)), c.doc_id)
+                (-score(model, extract_features("solar wind power", corpus[c.doc_id], idx)), c.doc_id)
                 for c in candidates
             )
         )
@@ -301,7 +301,7 @@ class TestRerank:
         docs, idx = small_corpus
         model = LogisticScorer(np.zeros(6), 0.0, np.zeros(6), np.ones(6))
         with pytest.raises(ValueError, match="dX"):
-            rerank(model, Query("q", "solar"), rank_records([("dX", 1.0)]), idx)
+            rerank(model, "solar", rank_records([("dX", 1.0)]), idx)
 
 
 class TestScoreFileRanker:
@@ -394,8 +394,9 @@ class TestPersistence:
             ("feature_means", ["0.0"] * 6, r"feature_means must hold numbers only, got \['0.0'"),
             ("feature_stds", 1.0, "feature_stds must hold numbers only, got 1.0"),
             ("bias", 10**400, "int too large to convert to float"),
+            ("metadata", [["model_id", "m"]], r"metadata must be a JSON object, got \[\['model_id'"),
         ],
-        ids=["bool_weight", "string_means", "scalar_stds", "huge_int_bias"],
+        ids=["bool_weight", "string_means", "scalar_stds", "huge_int_bias", "pairs_metadata"],
     )
     def test_non_numbers_rejected_naming_the_path(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"

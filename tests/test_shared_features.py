@@ -150,16 +150,14 @@ class TestSharedFeaturePass:
 
     def test_memo_matrix_is_read_only(self, setting):
         index, candidates = setting
-        ids, matrix = pointwise_ranker._candidate_features(
-            "solar", candidates, index, Bm25Params()
-        )
+        rerank(BR, "solar", candidates, index)
+        ids, matrix = pointwise_ranker._last_features[2:]
         assert ids.tolist() == [index.internal_ids[rec.doc_id] for rec in candidates]
+        assert matrix.shape == (len(candidates), 6)
         for array in (ids, matrix):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
-        memo = pointwise_ranker._last_features
-        assert memo[-2] is ids and memo[-1] is matrix
 
 
 TESTS = Path(__file__).resolve().parent
