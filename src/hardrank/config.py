@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple
 
+from .corpus_io import ParseError, parse_file
 from .enrichment import HardnessRule
 from .evaluation import GAINS
 from .fusion import NORMALIZATIONS
@@ -126,8 +127,8 @@ class PipelineConfig:
     def run_depth(self) -> int:
         return self.raw["run_depth"]
 
-    def path(self, name: str) -> Path:
-        value = self.raw["paths"][name]
+    def path(self, name: str, section: str = "paths") -> Path:
+        value = self.raw[section][name]
         path = Path(value)
         return path if path.is_absolute() else self.base_dir / path
 
@@ -138,16 +139,11 @@ class PipelineConfig:
         section = self.raw["hardness"]
         lexicon = None
         if section.get("lexicon_file"):
-            lexicon_path = Path(section["lexicon_file"])
-            if not lexicon_path.is_absolute():
-                lexicon_path = self.base_dir / lexicon_path
-            if not lexicon_path.is_file():
-                raise ConfigError(f"{lexicon_path} is not a file (hardness.lexicon_file)")
             try:
-                lexicon = frozenset(tokenize(lexicon_path.read_text(encoding="utf-8-sig")))
-            except (OSError, UnicodeError) as exc:  # no read permission, not UTF-8
-                raise ConfigError(
-                    f"{lexicon_path} cannot be read (hardness.lexicon_file): {exc}") from None
+                text = parse_file("".join, self.path("lexicon_file", "hardness"))
+            except ParseError as exc:
+                raise ConfigError(f"{exc} (hardness.lexicon_file)") from None
+            lexicon = frozenset(tokenize(text))
         return HardnessRule(
             max_token_count=section["max_token_count"],
             acronym_pattern=section["acronym_pattern"],
@@ -239,12 +235,10 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     """Read a config file, layer the overrides over it, and validate the result."""
     path = Path(path)
     try:
-        raw_file = json.loads(path.read_text(encoding="utf-8-sig"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, no read permission
-        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an oversized integer
+        raw_file = json.loads(parse_file("".join, path))
+    except ParseError as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ConfigError(f"config file {exc}") from None
+    except ValueError as exc:  # bad JSON, an oversized integer
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw_file, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

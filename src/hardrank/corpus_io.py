@@ -5,8 +5,9 @@ This module parses and writes the run, qrels, query and corpus files
 below. The index, the model files, the enriched-query TSV, the routing log
 and the loss curves have their formats in the modules that own them
 (`lexical_retrieval`, `linear_model`, `enrichment`, `fusion`, `pipeline`),
-but every artifact of the package reaches disk through `write_artifact`,
-which writes a temporary file and renames it into place.
+but every artifact reaches disk through `write_artifact`, which writes a
+temporary file and renames it into place, and every text input is read by
+`parse_file`.
 
 Formats (one record per line everywhere):
 
@@ -49,7 +50,7 @@ log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed or unreadable input; carries the 1-based number of a bad line."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -202,11 +203,19 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
+def _number(convert, token: str, what: str, line_no: int):
+    """`convert(token)` for an ASCII token without `_`: `int` and `float` also
+    take `1_0` and non-ASCII digits, which no run or qrels file holds."""
+    if token.isascii() and "_" not in token:
+        try:
+            return convert(token)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} {token!r}", line_no)
+
+
 def _parse_score(token: str, line_no: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"non-numeric score {token!r}", line_no) from None
+    value = _number(float, token, "non-numeric score", line_no)
     if not math.isfinite(value):
         raise ParseError(f"non-finite score {token!r}", line_no)
     return value
@@ -237,10 +246,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
         qid, _q0, doc_id, rank_s, score_s, line_tag = fields
-        try:
-            int(rank_s)
-        except ValueError:
-            raise ParseError(f"non-numeric rank {rank_s!r}", line_no) from None
+        _number(int, rank_s, "non-numeric rank", line_no)
         score = _parse_score(score_s, line_no)
         scores = by_query.setdefault(qid, {})
         if doc_id in scores:
@@ -280,10 +286,7 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line_no)
         qid, _iteration, doc_id, grade_s = fields
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise ParseError(f"non-integer grade {grade_s!r}", line_no) from None
+        grade = _number(int, grade_s, "non-integer grade", line_no)
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line_no)
         key = (qid, doc_id)
@@ -392,10 +395,15 @@ def write_artifact(path, data: str | bytes) -> None:
 
 
 def parse_file(parse, path):
-    """`parse` the lines of the UTF-8 file `path`, less one leading BOM. A
-    ParseError keeps its class and `line_no`, and its message gains the path."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    """`parse` the lines of the UTF-8 file `path`, less one leading BOM, as
+    text-mode `readlines()` splits them. A file that cannot be read or is not
+    UTF-8 raises ParseError naming the path; a ParseError from `parse` keeps
+    its class and `line_no`, and its message gains the path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ParseError(f"{path} cannot be read: {getattr(exc, 'strerror', exc)}") from None
     try:
         return parse(lines)
     except ParseError as exc:

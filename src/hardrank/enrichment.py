@@ -284,7 +284,7 @@ def enrich_all(
     return enriched, errors
 
 
-# Enriched queries persist as TSV: qid, enriched text, context doc id, flags.
+# Enriched queries persist as TSV: qid, enriched text, context doc id or -, fallback or -.
 
 
 def write_enriched(enriched: Iterable[EnrichedQuery]) -> list[str]:
@@ -308,7 +308,10 @@ def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
         _check_id(qid, "query id", line_no)
         if not text.strip():
             raise ParseError(f"empty text for query {qid!r}", line_no)
+        _check_id(doc_id, "context doc id", line_no)  # NO_FLAGS, "-", passes as an id
+        if flags not in (NO_FLAGS, FALLBACK_FLAG):
+            raise ParseError(f"flags must be '-' or 'fallback', got {flags!r}", line_no)
         if qid in out:
             raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
-        out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, FALLBACK_FLAG in flags)
+        out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, flags == FALLBACK_FLAG)
     return out

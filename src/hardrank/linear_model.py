@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus_io import write_artifact
+from .corpus_io import parse_file, write_artifact
 
 _CLAMP = 1e-12
 
@@ -213,8 +213,7 @@ def load_scorer(path, kind: str) -> LogisticScorer:
     raises ValueError naming the path, as does a file whose weights, means,
     stdevs or bias hold anything but JSON numbers (a `true` included) or a
     value that `LogisticScorer` refuses, or whose metadata is no object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = parse_file("".join, path)
     try:
         payload = json.loads(text)
         found = (payload.get("format"), payload.get("version"))

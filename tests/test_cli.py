@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hardrank
+from hardrank import cli
 from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import (
@@ -883,6 +884,84 @@ class TestRunAndEval:
         )
         assert result.returncode == 1
         assert "nope" in result.stderr
+
+
+class TestEveryTextInput:
+    """Every text file the CLI reads is read by one reader: a leading BOM or
+    CRLF line ends change no output, and a byte that is not UTF-8 exits 1
+    with a message that names the file. Commands run in this process."""
+
+    # input -> (its file in the ranked fixture, a command that reads it, a file it writes)
+    CASES = {
+        "queries": ("queries.tsv", ("train", "--which", "br"), "work/models/br.json"),
+        "qrels": ("qrels.txt", ("train", "--which", "qpp"), "work/models/qpp.json"),
+        "corpus": ("corpus.jsonl", ("index", "--force"), "work/index.bin"),
+        "run": ("work/runs/br.txt", ("run", "--method", "bsf"), "work/runs/bsf.txt"),
+        "enriched": ("work/enriched.tsv", ("train", "--which", "sr"), "work/models/sr.json"),
+        "config": ("config.json", ("run", "--method", "br"), "work/runs/br.txt"),
+        "lexicon": ("lexicon.txt", ("enrich",), "work/enriched.tsv"),
+        "model": ("work/models/br.json", ("run", "--method", "br"), "work/runs/br.txt"),
+    }
+
+    @staticmethod
+    def main(workdir, *args):
+        return cli.main([*args, "--config", str(workdir / "config.json")])
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        """The tiny fixture with a lexicon and a multi-line config, after
+        index, enrich, train x3 and `run` br and sr."""
+        workdir = tmp_path_factory.mktemp("inputs")
+        write_fixture(workdir)
+        (workdir / "lexicon.txt").write_text("canoe paddle\nriver solar\n")
+        config = json.loads((workdir / "config.json").read_text())
+        config["hardness"] = {"lexicon_file": "lexicon.txt"}
+        (workdir / "config.json").write_text(json.dumps(config, indent=1))
+        for args in (("index",), ("enrich",), ("train", "--which", "br"),
+                     ("train", "--which", "sr"), ("train", "--which", "qpp"),
+                     ("run", "--method", "br"), ("run", "--method", "sr")):
+            assert self.main(workdir, *args) == cli.EXIT_OK, args
+        return workdir
+
+    def output_of(self, template, tmp_path, name, change):
+        """The exit code and the output bytes of the case's command in a copy
+        of `template` whose input file is `change(its bytes)`."""
+        relpath, args, output = self.CASES[name]
+        workdir = shutil.copytree(template, tmp_path / f"copy{len(list(tmp_path.iterdir()))}")
+        path = workdir / relpath
+        path.write_bytes(change(path.read_bytes()))
+        (workdir / output).unlink(missing_ok=True)
+        code = self.main(workdir, *args)
+        return code, (workdir / output).read_bytes() if code == cli.EXIT_OK else None, path
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_a_bom_or_crlf_line_ends_change_no_output(self, template, tmp_path, name):
+        plain = self.output_of(template, tmp_path, name, lambda data: data)[:2]
+        assert plain[0] == cli.EXIT_OK and plain[1]
+        assert b"\n" in (template / self.CASES[name][0]).read_bytes()  # CRLF changes a byte
+        for change in (lambda data: b"\xef\xbb\xbf" + data,
+                       lambda data: data.replace(b"\n", b"\r\n")):
+            assert self.output_of(template, tmp_path, name, change)[:2] == plain
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_a_byte_that_is_not_utf8_exits_1_naming_the_file(self, template, tmp_path, capsys,
+                                                              name):
+        def spoil(data):
+            at = data.index(b"\n") + 1
+            return data[:at] + b"\xff" + data[at:]
+
+        code, _, path = self.output_of(template, tmp_path, name, spoil)
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path} cannot be read: 'utf-8' codec can't decode byte 0xff" in err
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs Linux /proc")
+    def test_an_input_that_fails_to_read_exits_1_naming_it(self, template, capsys):
+        # /proc/self/mem opens as a regular file, but reading at offset 0 is an I/O error
+        code = self.main(template, "train", "--which", "br", "--set",
+                         "paths.train_queries=/proc/self/mem")
+        assert code == cli.EXIT_INPUT
+        assert "/proc/self/mem cannot be read: Input/output error" in capsys.readouterr().err
 
 
 class TestConfigCommand:

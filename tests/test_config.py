@@ -71,7 +71,8 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"generator": {"type": "http"}}))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ConfigError, match=r"config file .*nope\.json cannot be read: "
+                                               r"No such file or directory"):
             load_config(tmp_path / "nope.json")
 
     def test_directory_names_the_path(self, tmp_path):
@@ -92,14 +93,16 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "content",
-        [b'{"seed": ' + b"9" * 5000 + b"}", b'{"paths": {"corpus": "c\xff.jsonl"}}'],
+        "content, problem",
+        [(b'{"seed": ' + b"9" * 5000 + b"}", "is not valid JSON"),
+         (b'{"paths": {"corpus": "c\xff.jsonl"}}',
+          "cannot be read: 'utf-8' codec can't decode byte 0xff")],
         ids=["integer-over-the-digit-limit", "byte-that-is-not-utf-8"],
     )
-    def test_unreadable_json_names_the_file(self, tmp_path, content):
+    def test_unreadable_json_names_the_file(self, tmp_path, content, problem):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        with pytest.raises(ConfigError, match=r"config file .*bad\.json is not valid JSON"):
+        with pytest.raises(ConfigError, match=rf"config file .*bad\.json {problem}"):
             load_config(path)
 
     def test_a_leading_bom_is_read_like_the_data_files(self, tmp_path):
@@ -113,10 +116,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"list\.json must hold a JSON object"):
             load_config(path)
 
-    @pytest.mark.parametrize("lexicon", [".", "missing.txt"])
-    def test_lexicon_file_must_be_a_file(self, tmp_path, lexicon):
+    @pytest.mark.parametrize(
+        "lexicon, reason", [(".", "Is a directory"), ("missing.txt", "No such file or directory")])
+    def test_lexicon_file_must_be_a_file(self, tmp_path, lexicon, reason):
         config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": lexicon}}))
-        with pytest.raises(ConfigError, match=r"is not a file \(hardness\.lexicon_file\)"):
+        with pytest.raises(ConfigError,
+                           match=rf"cannot be read: {reason} \(hardness\.lexicon_file\)"):
             config.hardness_rule()
 
     def test_lexicon_file_is_read(self, tmp_path):
@@ -136,8 +141,8 @@ class TestLoadConfig:
     def test_lexicon_file_that_is_not_utf8_names_the_file_and_key(self, tmp_path):
         (tmp_path / "lexicon.txt").write_bytes(b"canoe \xff\xfe\n")
         config = load_config(write_config(tmp_path, {"hardness": {"lexicon_file": "lexicon.txt"}}))
-        with pytest.raises(ConfigError,
-                           match=r"lexicon\.txt cannot be read \(hardness\.lexicon_file\)"):
+        with pytest.raises(ConfigError, match=r"lexicon\.txt cannot be read: 'utf-8' codec can't "
+                                               r"decode byte 0xff .*\(hardness\.lexicon_file\)"):
             config.hardness_rule()
 
     def test_paths_resolve_relative_to_config(self, tmp_path):

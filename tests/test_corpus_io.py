@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -42,8 +43,10 @@ from hardrank.corpus_io import (
 from hardrank.enrichment import parse_enriched
 from hardrank.lexical_retrieval import build_index, save_index
 from hardrank.linear_model import LogisticScorer, save_scorer
+from test_blas_sites import unallowed
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hardrank"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hardrank"
 
 
 class TestParseRun:
@@ -66,6 +69,24 @@ class TestParseRun:
     def test_non_numeric_score_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_run(["q1 Q0 d7 1 twelve t"])
+
+    @pytest.mark.parametrize("rank, score, message", [
+        ("1_0", "0.5", "non-numeric rank '1_0'"),
+        ("\u0663", "0.5", "non-numeric rank '\u0663'"),
+        ("1", "1_0.5", "non-numeric score '1_0.5'"),
+        ("1", "\u0663.5", "non-numeric score '\u0663.5'"),
+        ("1", "\uff11.5", "non-numeric score '\uff11.5'"),
+    ])
+    def test_underscore_or_non_ascii_digit_is_parse_error(self, rank, score, message):
+        # int() and float() take both; no run file writes either
+        with pytest.raises(ParseError, match=message) as info:
+            parse_run(["q1 Q0 d0 1 1.0 t", f"q1 Q0 d1 {rank} {score} t"])
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("score", [1e-05, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 12.0])
+    def test_every_form_repr_writes_parses(self, score):
+        parsed = parse_run([f"q1 Q0 d1 1 {score!r} t"]).entries["q1"].scores
+        assert parsed.tobytes() == np.array([score]).tobytes()
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError) as exc:
@@ -189,6 +210,12 @@ class TestQrels:
     def test_non_integer_grade(self):
         with pytest.raises(ParseError):
             parse_qrels(["q1 0 d7 x"])
+
+    @pytest.mark.parametrize("grade", ["1_0", "\u0663", "\uff11"])
+    def test_underscore_or_non_ascii_digit_grade_is_parse_error(self, grade):
+        with pytest.raises(ParseError, match=f"non-integer grade '{grade}'") as info:
+            parse_qrels(["q1 0 d0 1", f"q1 0 d7 {grade}"])
+        assert info.value.line_no == 2
 
     def test_negative_grade_rejected(self):
         with pytest.raises(ParseError):
@@ -467,3 +494,70 @@ class TestOneWriter:
     )
     def test_module_writes_no_file(self, module):
         assert file_writes((SRC / module).read_text(encoding="utf-8")) == []
+
+
+FILE_ACCESS = frozenset({"open", "read_text", "read_bytes", "write_text", "write_bytes"})
+
+# the index is bytes, not text, so its loader keeps its own read
+FILE_ACCESS_ALLOWED = Counter({
+    ("src/hardrank/lexical_retrieval.py", "load_index", 'open(path, "rb")'): 1,
+})
+
+
+def file_access_sites(path: str, source: str):
+    """(path, line, enclosing function, source text) of each call in `source`
+    of a function or method named in FILE_ACCESS; the function is
+    ``Class.method`` for a method, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in FILE_ACCESS:
+            found.append((path, node.lineno, scope, ast.get_source_segment(source, node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+class TestOneReader:
+    """Only `corpus_io` opens, reads or writes files: every text input goes
+    through `parse_file` and every artifact through `write_artifact`, so
+    all inputs share one encoding and one error path. The allow-list holds
+    each other site by its file, function and source text."""
+
+    def test_detects_each_kind_of_access(self):
+        source = (
+            "import os\n\n\nclass A:\n    def f(self, p):\n"
+            "        return open(p), p.open()\n\n\n"
+            "def g(p):\n    p.read_text()\n    p.read_bytes()\n    p.write_text('')\n"
+            "    os.open(p, 0)\n    return p.write_bytes(b'')\n"
+        )
+        sites = file_access_sites("a.py", source)
+        assert [(line, scope, text) for _, line, scope, text in sites] == [
+            (6, "A.f", "open(p)"),
+            (6, "A.f", "p.open()"),
+            (10, "g", "p.read_text()"),
+            (11, "g", "p.read_bytes()"),
+            (12, "g", "p.write_text('')"),
+            (13, "g", "os.open(p, 0)"),
+            (14, "g", "p.write_bytes(b'')"),
+        ]
+
+    def test_other_calls_are_no_site(self):
+        source = "def f(p, r):\n    return urlopen(r), parse_file(list, p), json.loads(p.name)\n"
+        assert file_access_sites("a.py", source) == []
+
+    def test_no_module_but_corpus_io_opens_a_file_outside_the_allow_list(self):
+        sites = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name != "corpus_io.py":
+                sites += file_access_sites(str(path.relative_to(ROOT)),
+                                           path.read_text(encoding="utf-8"))
+        assert unallowed(sites, FILE_ACCESS_ALLOWED) == []
+        # an allowed site that is gone should leave the list with it
+        assert Counter((path, scope, text) for path, _, scope, text in sites) == FILE_ACCESS_ALLOWED

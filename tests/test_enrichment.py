@@ -349,3 +349,15 @@ class TestEnrichedTsv:
         with pytest.raises(ParseError, match=message) as info:
             parse_enriched(["q1\tfirst\td1\t-", line])
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("q2\tother\td 1\t-", "context doc id 'd 1' contains whitespace"),
+        ("q2\tother\t\tfallback", "empty context doc id"),
+        ("q2\tother\td1\tnot-a-fallback", "flags must be '-' or 'fallback', got 'not-a-fallback'"),
+        ("q2\tother\td1\tfallback,x", "flags must be '-' or 'fallback', got 'fallback,x'"),
+        ("q2\tother\td1\tFALLBACK", "flags must be '-' or 'fallback', got 'FALLBACK'"),
+    ])
+    def test_bad_context_doc_or_flags_rejected_naming_the_line(self, line, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_enriched(["q1\tfirst\td1\t-", line])
+        assert info.value.line_no == 2
