@@ -11,8 +11,7 @@ import argparse
 import logging
 import sys
 
-from .config import ConfigError, dump_defaults, load_config
-from .corpus_io import ParseError
+from .config import dump_defaults, load_config
 from .evaluation import render_report
 from .pipeline import (
     RUN_METHODS,
@@ -137,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "config":
             return _cmd_config(args)
         return _COMMANDS[args.command](args, load_config(args.config, args.overrides))
-    except (ConfigError, ParseError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code

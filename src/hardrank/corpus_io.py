@@ -6,8 +6,8 @@ below. The index, the model files, the enriched-query TSV, the routing log
 and the loss curves have their formats in the modules that own them
 (`lexical_retrieval`, `linear_model`, `enrichment`, `fusion`, `pipeline`),
 but every artifact reaches disk through `write_artifact`, which writes a
-temporary file and renames it into place, and every text input is read by
-`parse_file`.
+temporary file and renames it into place, every text input is read by
+`parse_file` and the index by `read_binary_file`.
 
 Formats (one record per line everywhere):
 
@@ -38,6 +38,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -394,16 +395,28 @@ def write_artifact(path, data: str | bytes) -> None:
         raise
 
 
+@contextmanager
+def _reading(path):
+    """Raise a read of `path` that fails as the one ParseError naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ParseError(f"{path} cannot be read: {getattr(exc, 'strerror', exc)}") from None
+
+
+def read_binary_file(path) -> bytes:
+    """The bytes of the file `path`, in one read; ParseError naming it if it cannot be read."""
+    with _reading(path), open(path, "rb") as fh:
+        return fh.read()
+
+
 def parse_file(parse, path):
     """`parse` the lines of the UTF-8 file `path`, less one leading BOM, as
     text-mode `readlines()` splits them. A file that cannot be read or is not
     UTF-8 raises ParseError naming the path; a ParseError from `parse` keeps
     its class and `line_no`, and its message gains the path."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
-        raise ParseError(f"{path} cannot be read: {getattr(exc, 'strerror', exc)}") from None
+    with _reading(path), open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
     try:
         return parse(lines)
     except ParseError as exc:

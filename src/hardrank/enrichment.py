@@ -15,7 +15,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .corpus_io import (Document, DuplicateEntryError, ParseError, Qrels, Query, _check_id,
                         _iter_lines)
@@ -103,15 +103,6 @@ def build_prompt(query: Query, passage: str) -> str:
     return _PROMPT.format(query=query.text, passage=passage)
 
 
-class TextGenerator(Protocol):
-    """A query and its non-empty context passage in, completion out."""
-
-    generator_id: str
-
-    def generate(self, query: Query, passage: str) -> str:
-        ...
-
-
 @dataclass
 class StubGenerator:
     """Deterministic offline rewriter for tests and desk-scale pipelines.
@@ -122,7 +113,7 @@ class StubGenerator:
     """
 
     context_terms: int = 6
-    generator_id: str = "stub-v1"
+    generator_id: ClassVar[str] = "stub-v1"
 
     def generate(self, query: Query, passage: str) -> str:
         have = set(tokenize(query.text))
@@ -159,7 +150,7 @@ class HttpGenerator:
     max_retries: int = 3
     backoff_base: float = 0.5
     timeout: float = 30.0
-    generator_id: str = "http-v1"
+    generator_id: ClassVar[str] = "http-v1"
 
     def __post_init__(self):
         if not self.endpoint_url.lower().startswith(("http://", "https://")):
@@ -219,7 +210,7 @@ def enrich(
     query: Query,
     index: InvertedIndex,
     corpus: Mapping[str, Document],
-    generator: TextGenerator,
+    generator,
     params: Bm25Params = Bm25Params(),
     passage_window: int = 120,
     qrels: Qrels | None = None,
@@ -232,6 +223,7 @@ def enrich(
     If no context can be retrieved, its passage holds no token, or the
     completion is blank, the original text is kept and the result is
     flagged as a fallback; the generator sees only a passage with a token.
+    `generator` needs `generate(query, passage)` and a `generator_id`.
     Generator failures raise EnrichmentError.
     """
     doc_id: str | None = None
@@ -262,7 +254,7 @@ def enrich_all(
     queries: Sequence[Query],
     index: InvertedIndex,
     corpus: Mapping[str, Document],
-    generator: TextGenerator,
+    generator,
     max_workers: int = 1,
     **kwargs,
 ) -> tuple[list[EnrichedQuery], list[EnrichmentError]]:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import Document, Query, Ranking, write_artifact
+from .corpus_io import Document, Query, Ranking, read_binary_file, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
@@ -393,7 +393,8 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by `save_index`.
+    """Read an index written by `save_index`; a file that cannot be read
+    raises `corpus_io.read_binary_file`'s ParseError.
 
     Raises ValueError naming the path (and the term, for a postings fault)
     when the header line is not valid JSON or not an index of this version
@@ -408,9 +409,7 @@ def load_index(path) -> InvertedIndex:
     `searchsorted` gathers of `InvertedIndex.gather` rely on the last
     two.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head, _, body = data.partition(b"\n")  # a version 5 file is one line of JSON
+    head, _, body = read_binary_file(path).partition(b"\n")  # a version 5 file is one line of JSON
     try:
         header = json.loads(head)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -265,7 +265,10 @@ def build_and_save_index(config: PipelineConfig, force: bool = False) -> Inverte
     index_path = config.path("index")
     if index_path.is_file() and not force:
         raise ConfigError(f"{index_path} already exists; pass --force to rebuild")
-    index = build_index(read_corpus_file(corpus_path))
+    docs = read_corpus_file(corpus_path)
+    if not docs:
+        raise ConfigError(f"{corpus_path} holds no documents (paths.corpus)")
+    index = build_index(docs)
     save_index(index, index_path)
     return index
 

@@ -155,6 +155,13 @@ class TestIndexCommand:
         assert result.returncode == 1
         assert "missing.jsonl" in result.stderr
 
+    def test_corpus_of_blank_lines_is_input_error_naming_it(self, workdir, run_cli):
+        (workdir / "corpus.jsonl").write_text("\n  \n\n")
+        result = run_cli("index", "--config", "config.json", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "error: corpus.jsonl holds no documents (paths.corpus)" in result.stderr
+        assert not (workdir / "work" / "index.bin").exists()
+
     def test_doc_id_with_whitespace_is_input_error(self, workdir, run_cli):
         with open(workdir / "corpus.jsonl", "a") as fh:
             fh.write('{"doc_id": "a b", "text": "split id"}\n')
@@ -295,6 +302,15 @@ class TestTrainCommand:
         result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
         assert result.returncode == 1
         assert "enrich" in result.stderr
+
+    def test_sr_on_an_empty_enriched_queries_file_fails_naming_it(self, workdir, run_cli):
+        run_cli("index", "--config", "config.json", cwd=workdir)
+        (workdir / "work" / "enriched.tsv").write_text("")
+        result = run_cli("train", "--config", "config.json", "--which", "sr", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert ("error: work/enriched.tsv holds no queries (the specialized ranker needs "
+                "enriched training queries; run the enrich command)") in result.stderr
+        assert not (workdir / "work" / "models" / "sr.json").exists()
 
     def test_directory_as_enriched_queries_is_input_error(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
@@ -506,6 +522,7 @@ class TestRunAndEval:
              "weights holds a non-finite value"),
             ("br", "br", lambda m: m.update(bias=float("inf")), "bias holds a non-finite value"),
             ("br", "br", lambda m: m.update(bias=True), "bias must hold numbers only, got True"),
+            ("br", "br", lambda m: m.pop("bias"), "missing field 'bias'"),
             ("br", "br", lambda m: m["feature_stds"].__setitem__(2, 0.0),
              "feature_stds holds a value that is not > 0"),
             ("br", "br", lambda m: m.update({n: m[n][:5] for n in FEATURE_ARRAYS}),
@@ -513,7 +530,7 @@ class TestRunAndEval:
             ("qpp", "w_qpps", lambda m: m.update({n: m[n][:5] for n in FEATURE_ARRAYS}),
              "holds 5 weights, not one per qpp feature (6)"),
         ],
-        ids=["nan_weight", "infinite_bias", "bool_bias", "zero_std", "short_arrays",
+        ids=["nan_weight", "infinite_bias", "bool_bias", "no_bias", "zero_std", "short_arrays",
              "short_qpp_arrays"],
     )
     def test_model_that_cannot_score_is_input_error(
@@ -956,12 +973,45 @@ class TestEveryTextInput:
         assert f"{path} cannot be read: 'utf-8' codec can't decode byte 0xff" in err
 
     @pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs Linux /proc")
-    def test_an_input_that_fails_to_read_exits_1_naming_it(self, template, capsys):
+    @pytest.mark.parametrize("key", ["train_queries", "index"])
+    def test_an_input_that_fails_to_read_exits_1_naming_it(self, template, capsys, key):
         # /proc/self/mem opens as a regular file, but reading at offset 0 is an I/O error
         code = self.main(template, "train", "--which", "br", "--set",
-                         "paths.train_queries=/proc/self/mem")
+                         f"paths.{key}=/proc/self/mem")
         assert code == cli.EXIT_INPUT
         assert "/proc/self/mem cannot be read: Input/output error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, problem", [("absent.bin", "does not exist"),
+                                                ("work", "is not a file")])
+    def test_a_missing_or_directory_index_says_to_build_it(self, template, capsys, value,
+                                                             problem):
+        code = self.main(template, "train", "--which", "br", "--set", f"paths.index={value}")
+        assert code == cli.EXIT_INPUT
+        expected = f"{template / value} {problem} (run the index command first)"
+        assert expected in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """`cli.main` exits 1 on a ValueError, ConfigError and ParseError
+    included, and 2 on any other exception."""
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(RuntimeError("boom"), "runtime failure: boom"),
+         (FileNotFoundError(2, "No such file or directory", "gone.txt"),
+          "runtime failure: [Errno 2] No such file or directory: 'gone.txt'")],
+        ids=["runtime_error", "file_not_found"],
+    )
+    def test_a_stage_failure_that_is_no_value_error_exits_2(self, tmp_path, monkeypatch,
+                                                            capsys, error, message):
+        def fail(config, which):
+            raise error
+
+        monkeypatch.setattr(cli, "train_ranker", fail)
+        (tmp_path / "config.json").write_text("{}")
+        code = cli.main(["train", "--which", "br", "--config", str(tmp_path / "config.json")])
+        assert code == cli.EXIT_RUNTIME
+        assert message in capsys.readouterr().err
 
 
 class TestConfigCommand:
