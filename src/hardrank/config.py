@@ -211,8 +211,8 @@ def validate(raw: dict[str, Any], overrides: Iterable[str] = ()) -> dict[str, An
     """Layer each ``section.key=value`` override over `raw` as the object
     ``{"section": {"key": value}}`` (the value parses as JSON, else as a
     string), resolve the result against `SCHEMA` and check that the http
-    generator has an endpoint, independent of the filesystem; returns the
-    full config."""
+    generator has an http(s) endpoint, independent of the filesystem;
+    returns the full config."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like section.key=value")
@@ -225,9 +225,9 @@ def validate(raw: dict[str, Any], overrides: Iterable[str] = ()) -> dict[str, An
             value = {name: value}
         raw = _layer(raw, value)
     raw = _resolve(SCHEMA, raw)
-    generator = raw["generator"]
-    if generator["type"] == "http" and not generator["endpoint_url"]:
-        raise ConfigError("generator.endpoint_url required for the http generator")
+    url = raw["generator"]["endpoint_url"]
+    if raw["generator"]["type"] == "http" and not url.lower().startswith(("http://", "https://")):
+        raise ConfigError(f"generator.endpoint_url must be an http(s) URL, got {url!r}")
     return raw
 
 

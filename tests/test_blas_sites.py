@@ -9,11 +9,19 @@ each named by its file, its enclosing function and its source text. They
 are to be replaced by fixed-order sums. The feature kernel sums its
 integer products with `np.bincount`, exact in any order, and BM25 adds
 its impacts with `np.add.at`, one at a time; neither has a site here.
+
+`import hardrank` also defaults `OPENBLAS_NUM_THREADS` to 1 before numpy
+loads: every product has 6 columns, so BLAS worker threads would only spin.
+The child-interpreter tests at the end hold that default.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hardrank"
@@ -99,3 +107,38 @@ def test_no_blas_product_outside_the_allow_list():
     assert unallowed(sites, ALLOWED) == []
     # an allowed site that is gone should leave the list with it
     assert Counter((path, scope, text) for path, _, scope, text in sites) == ALLOWED
+
+
+# Imports hardrank first and fails if that loaded numpy (the default would
+# come too late), then loads both bundled OpenBLAS builds (numpy's and
+# scipy's); prints the variable and the thread count (0 without
+# /proc/self/task).
+THREADS_AFTER_IMPORT = """
+import os, sys
+import hardrank
+assert "numpy" not in sys.modules, "import hardrank loaded numpy"
+import numpy, scipy.special
+task = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(task)) if os.path.isdir(task) else 0)
+"""
+
+
+def threads_after_import(env) -> tuple[str, int]:
+    result = subprocess.run([sys.executable, "-c", THREADS_AFTER_IMPORT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split()
+    return value, int(threads)
+
+
+class TestThreadCap:
+    def test_unset_variable_becomes_one_thread(self, child_env):
+        env = {name: value for name, value in child_env.items() if name != "OPENBLAS_NUM_THREADS"}
+        value, threads = threads_after_import(env)
+        assert value == "1"
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == 1
+
+    def test_an_explicit_value_wins(self, child_env):
+        assert threads_after_import({**child_env, "OPENBLAS_NUM_THREADS": "2"})[0] == "2"

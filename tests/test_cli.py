@@ -1013,6 +1013,19 @@ class TestExitCodes:
         assert code == cli.EXIT_RUNTIME
         assert message in capsys.readouterr().err
 
+    def test_an_endpoint_that_is_not_http_exits_1_naming_the_key(self, workdir, run_cli):
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        work = workdir / "work"
+        before = {path: path.read_bytes() for path in work.rglob("*") if path.is_file()}
+        bad_url = ["--set", "generator.type=http", "--set", "generator.endpoint_url=file:///etc/hosts"]
+        for command in (["enrich"], ["train", "--which", "br"], ["run", "--method", "br"]):
+            result = run_cli(*command, "--config", "config.json", *bad_url, cwd=workdir)
+            assert result.returncode == 1, (command, result.stderr)
+            assert "generator.endpoint_url must be an http(s) URL, got 'file:///etc/hosts'" \
+                in result.stderr, command
+        # refused before any stage reads an input or writes an artifact
+        assert {path: path.read_bytes() for path in work.rglob("*") if path.is_file()} == before
+
 
 class TestConfigCommand:
     def test_dump_defaults(self, tmp_path, run_cli):

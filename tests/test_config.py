@@ -70,6 +70,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="endpoint_url"):
             load_config(write_config(tmp_path, {"generator": {"type": "http"}}))
 
+    @pytest.mark.parametrize("url", ["file:///etc/hosts", "ftp://host/x", "localhost:8000"])
+    def test_http_generator_refuses_a_url_that_is_not_http(self, tmp_path, url):
+        path = write_config(tmp_path, {"generator": {"type": "http", "endpoint_url": url}})
+        with pytest.raises(ConfigError) as refused:
+            load_config(path)
+        assert str(refused.value) == f"generator.endpoint_url must be an http(s) URL, got {url!r}"
+
+    def test_http_generator_accepts_either_scheme_in_any_case(self, tmp_path):
+        for url in ("http://localhost:8000/x", "HTTPS://example.org"):
+            path = write_config(tmp_path, {"generator": {"type": "http", "endpoint_url": url}})
+            assert load_config(path).raw["generator"]["endpoint_url"] == url
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match=r"config file .*nope\.json cannot be read: "
                                                r"No such file or directory"):
