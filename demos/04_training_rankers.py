@@ -11,7 +11,7 @@ from hardrank.config import PipelineConfig, validate
 from hardrank.lexical_retrieval import build_index
 from hardrank.pipeline import candidates_for, fit_qpp, fit_ranker
 from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, rerank
-from hardrank.qpp import estimate
+from hardrank.qpp import estimate_batch
 
 bench = generate_benchmark(seed=7)
 # the README config; its paths name the files the CLI reads, which this never opens
@@ -37,8 +37,7 @@ for doc_id, score in zip(reranked.doc_ids[:3], reranked.scores):
     print(f"  {doc_id:>8}  BM25 rank {hits.doc_ids.index(doc_id) + 1:3d}  BR score {score:.4f}")
 
 qpp_model = fit_qpp(config, index, bench.queries, bench.qrels)
-print(f"\nhardness estimates (orientation: {qpp_model.metadata['orientation']}, "
-      f"training median {qpp_model.metadata['train_median_psi']:.3f}):")
+psi = estimate_batch(qpp_model, index, bench.queries, candidates)
+print(f"\nhardness estimates (training median {qpp_model.metadata['train_median_psi']:.3f}):")
 for qid in ("e00", "h00"):
-    print(f"  {qid} {queries[qid].text!r}: psi = "
-          f"{estimate(qpp_model, queries[qid], candidates[qid], index).psi:.3f}")
+    print(f"  {qid} {queries[qid].text!r}: psi = {psi[qid]:.3f}")

@@ -12,7 +12,10 @@ temporary file and renames it into place, every text input is read by
 Formats (one record per line everywhere):
 
 - Run file (TREC 6-column): ``qid Q0 docid rank score tag``
-- Qrels: ``qid 0 docid grade``
+- Qrels: ``qid 0 docid grade``, the grade an integer from 0 to
+  ``MAX_GRADE`` (100): nDCG's gain 2^grade - 1 then stays below 2^100, so
+  the ideal DCG of fewer than 2^900 judgments (more than any file holds)
+  is a finite float, and so is every nDCG of a parsed file.
 - Queries: ``qid<TAB>query text``
 - Corpus: one JSON object per line with keys ``doc_id`` (a string or an
   integer) and ``text`` (a string)
@@ -48,6 +51,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 log = logging.getLogger(__name__)
+MAX_GRADE = 100  # the qrels grade ceiling; see the format list above
 
 
 class ParseError(ValueError):
@@ -58,10 +62,6 @@ class ParseError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
-
-
-class DuplicateEntryError(ParseError):
-    """The same key appeared twice where exactly one record is allowed."""
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
         score = _parse_score(score_s, line_no)
         scores = by_query.setdefault(qid, {})
         if doc_id in scores:
-            raise DuplicateEntryError(f"duplicate record ({qid}, {doc_id})", line_no)
+            raise ParseError(f"duplicate record ({qid}, {doc_id})", line_no)
         scores[sys.intern(doc_id)] = score
         if not tag:
             tag = line_tag
@@ -280,7 +280,7 @@ def write_run(run: RunList) -> Iterator[str]:
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:
-    """Parse 4-column qrels. Duplicate (qid, docid) pairs are errors."""
+    """Parse 4-column qrels; duplicate pairs and grades outside 0..MAX_GRADE are errors."""
     judgments: dict[tuple[str, str], int] = {}
     for line_no, line in _iter_lines(lines):
         fields = line.split()
@@ -288,11 +288,11 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line_no)
         qid, _iteration, doc_id, grade_s = fields
         grade = _number(int, grade_s, "non-integer grade", line_no)
-        if grade < 0:
-            raise ParseError(f"negative grade {grade}", line_no)
+        if not 0 <= grade <= MAX_GRADE:
+            raise ParseError(f"grade {grade} outside 0..{MAX_GRADE}", line_no)
         key = (qid, doc_id)
         if key in judgments:
-            raise DuplicateEntryError(f"duplicate judgment ({qid}, {doc_id})", line_no)
+            raise ParseError(f"duplicate judgment ({qid}, {doc_id})", line_no)
         judgments[key] = grade
     return Qrels(judgments)
 
@@ -324,7 +324,7 @@ def parse_queries(lines: Iterable[str]) -> list[Query]:
         if not text:
             raise ParseError(f"empty text for query {qid!r}", line_no)
         if qid in seen:
-            raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
+            raise ParseError(f"duplicate query id {qid!r}", line_no)
         seen.add(qid)
         queries.append(Query(qid, text))
     return queries
@@ -355,7 +355,7 @@ def parse_corpus(lines: Iterable[str]) -> list[Document]:
             kind = type(text).__name__
             raise ParseError(f"text of doc_id {doc_id!r} must be a string, got {kind}", line_no)
         if doc_id in seen:
-            raise DuplicateEntryError(f"duplicate doc_id {doc_id!r}", line_no)
+            raise ParseError(f"duplicate doc_id {doc_id!r}", line_no)
         seen.add(doc_id)
         docs.append(Document(doc_id=doc_id, text=text))
     return docs

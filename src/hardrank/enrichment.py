@@ -17,8 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-from .corpus_io import (Document, DuplicateEntryError, ParseError, Qrels, Query, _check_id,
-                        _iter_lines)
+from .corpus_io import Document, ParseError, Qrels, Query, _check_id, _iter_lines
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, raw_tokens, tokenize
 
@@ -304,6 +303,6 @@ def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
         if flags not in (NO_FLAGS, FALLBACK_FLAG):
             raise ParseError(f"flags must be '-' or 'fallback', got {flags!r}", line_no)
         if qid in out:
-            raise DuplicateEntryError(f"duplicate query id {qid!r}", line_no)
+            raise ParseError(f"duplicate query id {qid!r}", line_no)
         out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, flags == FALLBACK_FLAG)
     return out

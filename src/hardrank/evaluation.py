@@ -3,8 +3,8 @@
 nDCG@k uses the exponential gain 2^grade - 1 (configurable to linear) with
 a log2(rank + 1) discount; the ideal DCG ranks ALL judged documents for the
 query and truncates at k. Reciprocal rank is 1/rank of the first document
-at or above the relevance threshold. Queries without any positive judgment
-score 0 and are excluded from aggregate means by default.
+graded 1 or more. Queries without any positive judgment score 0 and are
+excluded from aggregate means by default.
 
 Significance between systems is a two-tailed paired t-test on per-query
 differences, flagged at the 95% and 90% levels.
@@ -58,13 +58,12 @@ def reciprocal_rank(
     ranking: Ranking,
     judgments: Mapping[str, int],
     cutoff: int | None = None,
-    rel_threshold: int = 1,
 ) -> float:
-    """1/rank of the first relevant document, 0 if none within the cutoff."""
+    """1/rank of the first document graded >= 1, 0 if none within the cutoff."""
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     for i, doc_id in enumerate(ranking.doc_ids[:cutoff], start=1):
-        if judgments.get(doc_id, 0) >= rel_threshold:
+        if judgments.get(doc_id, 0) >= 1:
             return 1.0 / i
     return 0.0
 

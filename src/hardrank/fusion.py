@@ -114,8 +114,8 @@ def _combine(br_entry: Ranking, sr_entry: Ranking, w_br: float, w_sr: float,
 
 
 def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = None):
-    """Yield (qid, BR entry, SR entry, psi or None) per query: in psi's order
-    when psi is given, else by query id.
+    """Yield (qid, BR entry, SR entry, psi or None) per query, in query-id
+    order, as the run files list them.
 
     Both runs must rank the same queries and, per query, the same
     documents, each once and at least one; a psi mapping must hold
@@ -130,8 +130,8 @@ def _paired(br_run: RunList, sr_run: RunList, psi: Mapping[str, float] | None = 
     if unestimated:
         what = "no hardness estimate" if unestimated[0] in br else "an estimate but no ranking"
         raise ValueError(f"{what} for query {unestimated[0]!r}")
-    weights = dict.fromkeys(sorted(br)) if psi is None else psi
-    for qid, weight in weights.items():
+    for qid in sorted(br):
+        weight = None if psi is None else psi[qid]
         if weight is not None and not 0.0 <= weight <= 1.0:
             raise ValueError(f"psi for query {qid!r} outside [0, 1]: {weight}")
         br_entry, sr_entry = br[qid], sr[qid]
@@ -176,7 +176,7 @@ def r_qpp(
 ) -> tuple[RunList, list[RoutingDecision]]:
     """Answer each query with one run's raw entry, chosen by its hardness:
     the specialized run's when its psi reaches tau (inclusive), else the
-    base run's. Returns the run and the routing decisions, in psi's order."""
+    base run's. Returns the run and the routing decisions, in query-id order."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     entries, decisions = {}, []
@@ -197,7 +197,7 @@ def route_qpp(
     config: FusionConfig = FusionConfig(method="r_qpp"),
 ) -> tuple[RunList, list[RoutingDecision]]:
     """`r_qpp` over both rankers' reranked candidates of each query, with
-    psi from the provider; the decisions follow `queries`. A ranker is
+    psi from the provider; the decisions are in query-id order. A ranker is
     anything with `rerank_query(query, candidates)`, and the provider
     anything with `estimate_query(query, topk)`."""
     br, sr, psi = {}, {}, {}

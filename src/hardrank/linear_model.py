@@ -33,7 +33,7 @@ _CLAMP = 1e-12
 SCORER_FORMAT = "hardrank-scorer"
 SCORER_VERSION = 2  # version 1 was the separate ranker and QPP formats
 KINDS = ("ranker", "qpp")
-QPP_ORIENTATIONS = ("hardness", "effectiveness")
+QPP_ORIENTATIONS = ("hardness",)  # psi is always 1 - predicted effectiveness
 _ARRAYS = ("weights", "feature_means", "feature_stds")
 
 

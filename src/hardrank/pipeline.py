@@ -79,11 +79,12 @@ def candidates_for(config: PipelineConfig, index: InvertedIndex,
 
 def enrich_queries(config: PipelineConfig, index: InvertedIndex, corpus, queries: list[Query],
                    qrels: Qrels | None) -> tuple[list[EnrichedQuery], list, int]:
-    """Classify the queries and enrich the hard ones; returns (enriched
-    records, errors, number of hard queries). `qrels` give the context
-    document under `enrichment.use_judged_context`."""
+    """Classify the queries and enrich the hard ones in query-id order;
+    returns (enriched records, errors, number of hard queries). `qrels`
+    give the context document under `enrichment.use_judged_context`."""
     rule = config.hardness_rule()
     hard = [q for q in queries if classify_hardness(q, rule) == "hard"]
+    hard.sort(key=lambda q: q.query_id)
     section, generator = config.section("enrichment"), config.section("generator")
     enriched, errors = enrich_all(
         hard, index, corpus, make_generator(config),
@@ -135,7 +136,7 @@ def fit_qpp(config: PipelineConfig, index: InvertedIndex, queries: list[Query],
                           k=section["k"], orientation=section["orientation"])
     except DivergedFit as exc:
         raise ConfigError(f"qpp.learning_rate: {exc}; lower it") from None
-    psi = _psi(model, index, queries, candidates)
+    psi = estimate_batch(model, index, queries, candidates)
     model.metadata["train_median_psi"] = train_median_threshold(psi.values())
     return model
 
@@ -156,13 +157,6 @@ def _qpp_labels(config, queries, candidates, qrels: Qrels):
         raise ConfigError(f"QPP training needs at least 2 training queries with a BM25 "
                           f"candidate and a document {_graded(config)}; {len(labeled)} have both")
     return labeled
-
-
-def _psi(model: LogisticScorer, index: InvertedIndex, queries: list[Query], candidates):
-    """psi of each query that has BM25 candidates, from them, in query order,
-    scored as one batch (`qpp.estimate_batch`)."""
-    lists = [(q, candidates[q.query_id]) for q in queries if q.query_id in candidates]
-    return {e.query_id: e.psi for e in estimate_batch(model, lists, index)}
 
 
 def _fuse(config: PipelineConfig, method: str, br: RunList, sr: RunList, psi=None,
@@ -190,7 +184,7 @@ def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: Inver
          ) -> tuple[dict[str, RunList], list[RoutingDecision] | None]:
     """Rank the queries that retrieve BM25 candidates by each of `methods`.
 
-    Returns the runs by method and R-QPP's routing decisions in query
+    Returns the runs by method and R-QPP's routing decisions in query-id
     order (None without 'r_qpp'). One feature pass builds the rows of
     every query's list, and BR and SR each score them once
     (`pointwise_ranker.rerank_batch`). The fusion methods combine those two
@@ -209,7 +203,8 @@ def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: Inver
     runs = {which: RunList(dict(zip(qids, lists)), tag=which)
             for which, lists in zip(rankers, reranked)}
     qpp_model, decisions = models.get("qpp"), None
-    psi = _psi(qpp_model, index, queries, candidates) if {"r_qpp", "w_qpps"} & set(fused) else None
+    psi = (estimate_batch(qpp_model, index, queries, candidates)
+           if {"r_qpp", "w_qpps"} & set(fused) else None)
     for method in fused:
         runs[method], routed = _fuse(config, method, runs["br"], runs["sr"], psi, qpp_model)
         decisions = routed or decisions
@@ -417,8 +412,7 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
         br, sr = _fusion_inputs(
             config, {qid: set(hits.doc_ids) for qid, hits in candidates.items()}
         )
-        # in test-query file order, which the routing log follows
-        psi = _psi(qpp_model, index, queries, candidates)
+        psi = estimate_batch(qpp_model, index, queries, candidates)
         run, decisions = _fuse(config, method, br, sr, psi, qpp_model)
 
     routing_log = None

@@ -3,16 +3,16 @@
 A logistic model over statistics of the query's top-k first-stage results
 is trained against nDCG@10 labels with a soft-target binary cross-entropy.
 Because the training target measures how WELL retrieval did (higher =
-easier), the default orientation inverts the prediction so that the emitted
-estimate psi is a hardness score: psi = 1 - predicted effectiveness. The
-model is a "qpp" `LogisticScorer` whose metadata holds the top-k depth and
-the orientation.
+easier), the prediction is inverted so that the emitted estimate psi is a
+hardness score: psi = 1 - predicted effectiveness. The model is a "qpp"
+`LogisticScorer` whose metadata holds the top-k depth and the orientation,
+which is always "hardness".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,11 +77,11 @@ def train_qpp(
 ) -> LogisticScorer:
     """Fit the estimator on (query, ranked list, nDCG@10 label) triples.
 
-    The features read each list's top `k`, as `estimate` does. Soft-target
-    BCE over the effectiveness labels; the model itself always predicts
-    effectiveness, and `orientation` controls whether estimates are
-    inverted into hardness scores at inference time. A bad `k` or
-    `orientation` raises ValueError.
+    The features read each list's top `k`, as `estimate_batch` does.
+    Soft-target BCE over the effectiveness labels; the model predicts
+    effectiveness, and its estimates are always inverted into hardness
+    scores. `orientation` is recorded in the metadata and must be
+    "hardness". A bad `k` or `orientation` raises ValueError.
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"the top-k depth must be an integer k >= 1, got {k!r}")
@@ -99,26 +99,26 @@ def train_qpp(
 def estimate(
     model: LogisticScorer, query: Query, topk: Ranking, index: InvertedIndex
 ) -> QppEstimate:
-    """Hardness estimate for one query given its top-k retrieval: the
-    one-query case of `estimate_batch`."""
-    return estimate_batch(model, [(query, topk)], index)[0]
+    """Hardness estimate of one query from its top-k: the one-query case of `estimate_batch`."""
+    psi = estimate_batch(model, index, [query], {query.query_id: topk})
+    return QppEstimate(query.query_id, psi[query.query_id])
 
 
-def estimate_batch(
-    model: LogisticScorer, lists: Sequence[tuple[Query, Ranking]], index: InvertedIndex
-) -> list[QppEstimate]:
-    """Hardness estimate of each (query, top-k retrieval) pair, in order.
+def estimate_batch(model: LogisticScorer, index: InvertedIndex, queries: Sequence[Query],
+                   candidates: Mapping[str, Ranking]) -> dict[str, float]:
+    """psi = 1 - predicted effectiveness of each query that has candidates,
+    keyed by query id.
 
-    Each query's `qpp_features` read its list's top `k`; the model scores
-    the stacked rows once, and each row's score is the one it gets alone.
+    Each query's `qpp_features` read the top `k` of its candidates; the
+    model scores the stacked rows once, and each row's score is the one it
+    gets alone.
     """
     k = model.metadata["k"]
-    rows = [qpp_features(query, topk[:k], index) for query, topk in lists]
-    features = np.array(rows).reshape(len(lists), len(QPP_FEATURE_NAMES))
+    scored = [query for query in queries if query.query_id in candidates]
+    rows = [qpp_features(query, candidates[query.query_id][:k], index) for query in scored]
+    features = np.array(rows).reshape(len(scored), len(QPP_FEATURE_NAMES))
     effectiveness = model.score_rows(features).tolist()
-    if model.metadata["orientation"] == "hardness":
-        effectiveness = [1.0 - e for e in effectiveness]
-    return [QppEstimate(query.query_id, e) for (query, _), e in zip(lists, effectiveness)]
+    return {query.query_id: 1.0 - e for query, e in zip(scored, effectiveness)}
 
 
 @dataclass

@@ -350,7 +350,7 @@ def _random_qpp_model(rng):
         feature_stds=np.array([rng.uniform(0.1, 4) for _ in range(6)]),
         metadata={
             "k": rng.randint(1, 100),
-            "orientation": rng.choice(["hardness", "effectiveness"]),
+            "orientation": "hardness",
             "n_queries": rng.randint(2, 500),
         },
         kind="qpp",

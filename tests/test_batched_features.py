@@ -6,7 +6,7 @@ internal ids) lists in one pass. Each of its rows must equal the row of
 `oracles.feature_rows`, the kernel as it was written per list, whatever
 else the batch holds. `build_training_set` draws every query's negatives
 first and featurizes all of them in one pass; `oracles.build_training_set`
-featurizes query by query. `pipeline._psi` scores all queries' QPP
+featurizes query by query. `qpp.estimate_batch` scores all queries' QPP
 features as one matrix; `qpp.estimate` scores one query at a time.
 """
 
@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hardrank import pipeline
 from hardrank.corpus_io import Document, Qrels, Query, rank_records
 from hardrank.lexical_retrieval import Bm25Params, bm25_search, build_index
 from hardrank.linear_model import LogisticScorer
 from hardrank.pointwise_ranker import (FEATURE_NAMES, _feature_rows, build_training_set, rerank,
                                        rerank_batch)
-from hardrank.qpp import estimate, qpp_features
+from hardrank.qpp import estimate, estimate_batch, qpp_features
 from test_feature_matrix import (ABSENT, COMMON, WORDS, corpora, finite, models, params_st,
                                  same_bits, texts)
 
@@ -148,7 +147,7 @@ qpp_models = st.builds(
     feature_means=st.lists(finite, min_size=6, max_size=6).map(np.array),
     feature_stds=st.lists(st.floats(0.1, 5.0), min_size=6, max_size=6).map(np.array),
     metadata=st.fixed_dictionaries({
-        "k": st.integers(1, 10), "orientation": st.sampled_from(["hardness", "effectiveness"]),
+        "k": st.integers(1, 10), "orientation": st.just("hardness"),
     }),
     kind=st.just("qpp"),
 )
@@ -162,7 +161,7 @@ def test_batched_psi_equals_per_query_estimates(corpus, texts_, model, params):
     queries = [Query(f"q{i}", text) for i, text in enumerate(texts_)]
     candidates = {q.query_id: hits for q in queries
                   if (hits := bm25_search(index, q, 10, params))}
-    psi = pipeline._psi(model, index, queries, candidates)
+    psi = estimate_batch(model, index, queries, candidates)
     present = [q for q in queries if q.query_id in candidates]
     assert list(psi) == [q.query_id for q in present]
     for query in present:
@@ -170,6 +169,4 @@ def test_batched_psi_equals_per_query_estimates(corpus, texts_, model, params):
         assert psi[query.query_id] == estimate(model, query, hits, index).psi
         # and the per-row reference score of the query's features
         features = qpp_features(query, hits[:model.metadata["k"]], index)
-        effectiveness = oracles.score(model, features)
-        hardness = model.metadata["orientation"] == "hardness"
-        assert psi[query.query_id] == (1.0 - effectiveness if hardness else effectiveness)
+        assert psi[query.query_id] == 1.0 - oracles.score(model, features)

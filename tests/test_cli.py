@@ -577,6 +577,19 @@ class TestRunAndEval:
         assert "retrain" in result.stderr
         assert not (ranked / "work" / "runs" / "w_qpps.txt").exists()
 
+    def test_qpp_model_of_effectiveness_orientation_is_input_error(self, ranked, run_cli):
+        # psi is always hardness, so a model that would emit effectiveness cannot load
+        qpp_path = ranked / "work" / "models" / "qpp.json"
+        payload = json.loads(qpp_path.read_text())
+        payload["metadata"]["orientation"] = "effectiveness"
+        qpp_path.write_text(json.dumps(payload))
+        for method in ("r_qpp", "w_qpps"):
+            result = run_cli("run", "--config", "config.json", "--method", method, cwd=ranked)
+            assert result.returncode == 1, result.stderr
+            assert "work/models/qpp.json" in result.stderr
+            assert "orientation='effectiveness'" in result.stderr
+            assert not (ranked / "work" / "runs" / f"{method}.txt").exists()
+
     def test_version_1_index_is_input_error(self, trained, run_cli):
         # the index format before it kept anything of each document's lead
         index_path = trained / "work" / "index.bin"
@@ -652,15 +665,18 @@ class TestRunAndEval:
             assert route in ("br", "sr")
             assert 0.0 <= float(psi) <= 1.0
 
-    def test_routing_log_follows_the_test_query_file(self, ranked):
-        # the decisions keep the file's query order, not the query ids'
+    def test_routing_log_is_in_query_id_order(self, ranked):
+        # like the run files, whatever the order of the test-query file
         lines = (ranked / "queries.tsv").read_text().splitlines()
         (ranked / "reversed.tsv").write_text("\n".join(lines[::-1]) + "\n")
-        for queries, expected in (("queries.tsv", lines), ("reversed.tsv", lines[::-1])):
+        logs = []
+        for queries in ("queries.tsv", "reversed.tsv"):
             config = load_config(ranked / "config.json", [f"paths.test_queries={queries}"])
             _, log_path = produce_run(config, "r_qpp")
-            logged = [line.split("\t")[0] for line in log_path.read_text().splitlines()]
-            assert logged == [line.split("\t")[0] for line in expected]
+            logs.append(log_path.read_bytes())
+        logged = [line.split("\t")[0] for line in logs[0].decode().splitlines()]
+        assert logged == sorted(line.split("\t")[0] for line in lines)
+        assert logs[1] == logs[0]
 
     def test_r_qpp_reads_no_training_data(self, ranked, run_cli):
         args = ("run", "--config", "config.json", "--method", "r_qpp")
@@ -1025,6 +1041,31 @@ class TestExitCodes:
                 in result.stderr, command
         # refused before any stage reads an input or writes an artifact
         assert {path: path.read_bytes() for path in work.rglob("*") if path.is_file()} == before
+
+    def test_a_grade_above_the_maximum_exits_1_naming_the_file_and_line(self, workdir, run_cli):
+        # nDCG's gain 2**1024 - 1 would overflow a float
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        qrels = workdir / "qrels.txt"
+        lines = qrels.read_text().splitlines()
+        lines[1] = " ".join([*lines[1].split()[:3], "1024"])
+        qrels.write_text("\n".join(lines) + "\n")
+        # `eval` reads the qrels before any run file
+        eval_ = ["eval", "work/runs/br.txt", "--baseline", "br"]
+        for command in (["train", "--which", "qpp"], eval_):
+            result = run_cli(*command, "--config", "config.json", cwd=workdir)
+            assert result.returncode == 1, (command, result.stderr)
+            assert "error: qrels.txt: line 2: grade 1024 outside 0..100" in result.stderr, command
+        assert not (workdir / "work" / "models").exists()
+        assert not (workdir / "work" / "reports" / "report.txt").exists()
+
+    def test_an_effectiveness_orientation_exits_1_naming_the_key(self, workdir, run_cli):
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        result = run_cli("train", "--which", "qpp", "--config", "config.json",
+                         "--set", "qpp.orientation=effectiveness", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "qpp.orientation must be one of ('hardness',), got 'effectiveness'" \
+            in result.stderr
+        assert not (workdir / "work" / "models").exists()
 
 
 class TestConfigCommand:

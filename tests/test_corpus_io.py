@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardrank.corpus_io import (
+    MAX_GRADE,
     Document,
-    DuplicateEntryError,
     ParseError,
     Qrels,
     Query,
@@ -41,6 +41,7 @@ from hardrank.corpus_io import (
     write_run,
 )
 from hardrank.enrichment import parse_enriched
+from hardrank.evaluation import ndcg_at_k
 from hardrank.lexical_retrieval import build_index, save_index
 from hardrank.linear_model import LogisticScorer, save_scorer
 from test_blas_sites import unallowed
@@ -94,7 +95,7 @@ class TestParseRun:
         assert exc.value.line_no == 2
 
     def test_duplicate_doc_for_query(self):
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match="duplicate"):
             parse_run(["q1 Q0 d7 1 12.5 t", "q1 Q0 d7 2 3.0 t"])
 
     def test_score_ties_break_by_doc_id(self):
@@ -209,7 +210,7 @@ class TestQrels:
         assert qrels.judgments == {("q1", "d7"): 2}
 
     def test_duplicate_is_error_not_last_wins(self):
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match="duplicate"):
             parse_qrels(["q1 0 d7 2", "q1 0 d7 1"])
 
     def test_non_integer_grade(self):
@@ -230,6 +231,23 @@ class TestQrels:
     def test_negative_grade_rejected(self):
         with pytest.raises(ParseError):
             parse_qrels(["q1 0 d7 -1"])
+
+    @pytest.mark.parametrize("grade", [MAX_GRADE + 1, 1023, 1024, 10**400])
+    def test_grade_above_the_maximum_rejected_naming_the_line(self, grade):
+        # 2**1024 - 1 overflows a float, and three documents at 1023 overflow the ideal DCG
+        with pytest.raises(ParseError, match=f"line 2: grade {grade} outside 0..100") as info:
+            parse_qrels(["q1 0 d1 1", f"q1 0 d7 {grade}"])
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("gain", ["exp", "linear"])
+    def test_every_ndcg_at_the_maximum_grade_is_finite(self, gain):
+        judged = 2000
+        lines = [f"q1 0 d{i} {MAX_GRADE}" for i in range(judged)]
+        judgments = parse_qrels(lines).for_query("q1")
+        ranking = rank_records([(f"d{i}", float(i % 7)) for i in range(0, judged, 3)])
+        for k in (1, 3, 10, judged):
+            value = ndcg_at_k(ranking, judgments, k, gain)
+            assert math.isfinite(value) and 0.0 < value <= 1.0
 
     def test_order_insensitive(self):
         a = parse_qrels(["q1 0 d1 1", "q2 0 d2 3"])
@@ -300,7 +318,7 @@ class TestQueries:
         assert [q.query_id for q in queries] == ["q2", "q1"]
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match="duplicate"):
             parse_queries(["q1\ta", "q1\tb"])
 
     def test_roundtrip(self):
@@ -328,7 +346,7 @@ class TestCorpus:
 
     def test_duplicate_doc_id(self):
         line = '{"doc_id": "d1", "text": "x"}'
-        with pytest.raises(DuplicateEntryError):
+        with pytest.raises(ParseError, match="duplicate"):
             parse_corpus([line, line])
 
     def test_roundtrip(self):
@@ -369,7 +387,7 @@ class TestCorpus:
 def test_file_reader_error_names_the_path(tmp_path, read, lines):
     path = tmp_path / "input.txt"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DuplicateEntryError) as info:
+    with pytest.raises(ParseError, match="duplicate") as info:
         read(path)
     assert str(info.value).startswith(f"{path}: line 2: duplicate ")
     assert info.value.line_no == 2

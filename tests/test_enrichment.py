@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from hardrank.corpus_io import Document, DuplicateEntryError, ParseError, Qrels, Query, corpus_by_id
+from hardrank.corpus_io import Document, ParseError, Qrels, Query, corpus_by_id
 from hardrank.enrichment import (
     EnrichmentError,
     HardnessRule,
@@ -336,7 +336,7 @@ class TestEnrichedTsv:
 
     def test_duplicate_qid_rejected(self):
         lines = ["q1\tfirst\td1\t-", "q2\tother\t-\tfallback", "q1\tsecond\td2\t-"]
-        with pytest.raises(DuplicateEntryError, match="'q1'") as info:
+        with pytest.raises(ParseError, match="duplicate query id 'q1'") as info:
             parse_enriched(lines)
         assert info.value.line_no == 3
 

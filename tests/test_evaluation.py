@@ -122,9 +122,9 @@ class TestReciprocalRank:
         ranking = rank_records([("a", 3.0), ("b", 2.0), ("d1", 1.0)])
         assert reciprocal_rank(ranking, {"d1": 1}, cutoff=2) == 0.0
 
-    def test_threshold(self):
+    def test_grade_zero_is_not_relevant(self):
         ranking = rank_records([("a", 2.0), ("b", 1.0)])
-        assert reciprocal_rank(ranking, {"a": 1, "b": 3}, rel_threshold=2) == 0.5
+        assert reciprocal_rank(ranking, {"a": 0, "b": 1}) == 0.5
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(17)

@@ -157,10 +157,12 @@ class TestRQpp:
         assert sorted(run.entries) == ["q1", "q2"]
         assert sorted(d.query_id for d in decisions) == ["q1", "q2"]
 
-    def test_decisions_follow_psi_order_not_query_id(self):
+    def test_decisions_come_in_query_id_order_whatever_psi_order(self):
         br, sr = routing_runs()
         _, decisions = r_qpp(br, sr, {"q2": 0.2, "q1": 0.7}, tau=0.5)
-        assert [d.query_id for d in decisions] == ["q2", "q1"]
+        assert [(d.query_id, d.psi, d.route) for d in decisions] == \
+            [("q1", 0.7, "sr"), ("q2", 0.2, "br")]
+        assert decisions == r_qpp(br, sr, {"q1": 0.7, "q2": 0.2}, tau=0.5)[1]
 
     def test_routing_log_format(self):
         br, sr = routing_runs()
@@ -177,7 +179,7 @@ class TestRQpp:
 class TestRouteQpp:
     def test_equals_r_qpp_over_the_reranked_runs(self):
         # the adapter reranks each query's candidates with both rankers and
-        # routes the two runs; decisions follow the queries, not the ids
+        # routes the two runs; decisions follow the ids, not the queries
         br, sr = routing_runs()
         queries = [Query("q2", "two"), Query("q1", "one")]
         candidates = {q.query_id: rank_records([("a", 3.0), ("b", 2.0)]) for q in queries}
@@ -187,7 +189,7 @@ class TestRouteQpp:
             FileQppProvider(psi), queries, candidates, tau=0.5,
         )
         assert routed == r_qpp(br, sr, psi, 0.5)
-        assert [d.query_id for d in routed[1]] == ["q2", "q1"]
+        assert [d.query_id for d in routed[1]] == ["q1", "q2"]
 
 
 class TestRunTag:

@@ -20,7 +20,7 @@ import pytest
 from hardrank import pipeline
 from hardrank.benchmark import generate_benchmark, write_benchmark
 from hardrank.config import ConfigError, PipelineConfig, load_config, validate
-from hardrank.corpus_io import Qrels, write_run
+from hardrank.corpus_io import Qrels, write_queries_file, write_run
 from hardrank.enrichment import write_enriched
 from hardrank.evaluation import render_report, report_jsonl
 from hardrank.fusion import write_routing_log
@@ -109,6 +109,61 @@ def test_line_order_of_the_corpus_and_qrels_changes_no_artifact(readme, tmp_path
     random.Random(seed).shuffle(corpus if shuffled == "corpus" else judgments)
     queries, qrels = bench.queries, Qrels(dict(judgments))
     assert_golden(pipeline.experiment(config, corpus, queries, qrels, queries, qrels), tmp_path)
+
+
+def _reordered(queries, order):
+    """`queries` reversed (order None) or shuffled by `random.Random(order)`."""
+    if order is None:
+        return queries[::-1]
+    queries = list(queries)
+    random.Random(order).shuffle(queries)
+    return queries
+
+
+def _readme_on_disk(root, queries, which: str) -> PipelineConfig:
+    """The README benchmark under `root`, with `queries` as its `which`
+    ('train' or 'test') query file, and its config."""
+    write_benchmark(root, seed=7)
+    write_queries_file(queries, root / f"{which}_queries.tsv")
+    paths = {**README_CONFIG["paths"], f"{which}_queries": f"{which}_queries.tsv"}
+    (root / "config.json").write_text(json.dumps({**README_CONFIG, "paths": paths}))
+    return load_config(root / "config.json")
+
+
+@pytest.mark.parametrize("order", [None, 0, 1, 2], ids=["reversed", "seed0", "seed1", "seed2"])
+def test_line_order_of_the_test_queries_changes_no_artifact(readme, tmp_path, order):
+    # the routing log lists the decisions in query-id order, as the runs do
+    bench, config, result = readme
+    queries = _reordered(bench.queries, order)
+    assert [q.query_id for q in queries] != [q.query_id for q in bench.queries]
+    assert_golden(pipeline.experiment(config, bench.corpus, bench.queries, bench.qrels, queries,
+                                      bench.qrels), tmp_path / "memory")
+    disk = _readme_on_disk(tmp_path / "disk", queries, "test")
+    assert on_disk(disk) == artifacts(result, tmp_path / "models")
+
+
+def test_line_order_of_the_training_queries_changes_no_enriched_query_or_sr(readme, tmp_path):
+    # the hard queries are enriched in query-id order and SR trains on its
+    # texts sorted by id; BR and QPP still fit their rows in file order, so
+    # br.json, qpp.json and the runs still follow it (ROADMAP item 16)
+    bench, config, _ = readme
+    queries = bench.queries[::-1]
+    result = pipeline.experiment(config, bench.corpus, queries, bench.qrels, bench.queries,
+                                 bench.qrels)
+    written = artifacts(result, tmp_path / "memory")
+    disk = _readme_on_disk(tmp_path / "disk", queries, "train")
+    pipeline.build_and_save_index(disk)
+    _, errors, _ = pipeline.enrich_training_queries(disk)
+    assert not errors
+    pipeline.train_ranker(disk, "sr")
+    models = disk.path("models_dir")
+    for got in (written, {path.name: path.read_bytes()
+                          for path in (disk.path("enriched_queries"), *models.iterdir())}):
+        digests = {name: hashlib.sha256(got[name]).hexdigest()
+                   for name in ("enriched.tsv", "sr.json", "sr.loss.tsv")}
+        assert digests == {"enriched.tsv": ENRICHED_SHA256["judged"],
+                           "sr.json": MODEL_SHA256["sr.json"],
+                           "sr.loss.tsv": MODEL_SHA256["sr.loss.tsv"]}
 
 
 def test_stages_after_enrich_read_no_corpus(readme, tmp_path):

@@ -14,6 +14,7 @@ from hardrank.qpp import (
     ModelQppProvider,
     QppEstimate,
     estimate,
+    estimate_batch,
     qpp_features,
     train_qpp,
 )
@@ -36,14 +37,14 @@ def entry(scores):
     return rank_records([(f"d{i}", s) for i, s in enumerate(scores)])
 
 
-def unit_model(k=10, orientation="hardness"):
+def unit_model(k=10):
     """An untrained QPP scorer: zero weights, identity z-scores."""
     return LogisticScorer(
         weights=np.zeros(6),
         bias=0.0,
         feature_means=np.zeros(6),
         feature_stds=np.ones(6),
-        metadata={"k": k, "orientation": orientation},
+        metadata={"k": k, "orientation": "hardness"},
         kind="qpp",
     )
 
@@ -147,21 +148,20 @@ class TestEstimate:
         b = estimate(model, Query("q", "alpha"), entry([2.0, 1.0]), index)
         assert a == b
 
-    def test_monotone_in_positive_feature(self, index):
-        # orientation "effectiveness": prediction rises with the weighted feature
-        model = self._unit_model(orientation="effectiveness")
+    def test_psi_falls_as_the_effectiveness_feature_rises(self, index):
+        # the model predicts effectiveness from the weighted feature; psi is hardness
+        model = self._unit_model()
         model.weights = np.array([1.0, 0, 0, 0, 0, 0])
         lo = estimate(model, Query("q", "alpha"), entry([1.0, 1.0]), index)
         hi = estimate(model, Query("q", "alpha"), entry([5.0, 5.0]), index)
-        assert hi.psi > lo.psi
+        assert hi.psi < lo.psi
 
-    def test_hardness_orientation_inverts(self, index):
-        eff = self._unit_model(orientation="effectiveness")
-        hard = self._unit_model(orientation="hardness")
-        eff.weights = hard.weights = np.array([2.0, 0, 0, 0, 0, 0])
-        e = estimate(eff, Query("q", "alpha"), entry([3.0]), index)
-        h = estimate(hard, Query("q", "alpha"), entry([3.0]), index)
-        assert h.psi == pytest.approx(1.0 - e.psi)
+    def test_psi_is_one_minus_the_predicted_effectiveness(self, index):
+        model = self._unit_model()
+        model.weights = np.array([2.0, 0, 0, 0, 0, 0])
+        query, topk = Query("q", "alpha"), entry([3.0])
+        effectiveness = model.score_rows(qpp_features(query, topk, index)[None, :])[0]
+        assert estimate(model, query, topk, index).psi == 1.0 - effectiveness
 
     def test_empty_topk_is_error(self, index):
         with pytest.raises(ValueError):
@@ -173,6 +173,21 @@ class TestEstimate:
         full = estimate(model, Query("q", "alpha"), entry([5.0, 4.0, 0.1, 0.1]), index)
         prefix = estimate(model, Query("q", "alpha"), entry([5.0, 4.0]), index)
         assert full.psi == prefix.psi
+
+
+class TestEstimateBatch:
+    def test_psi_by_query_id_for_each_query_with_candidates(self, index):
+        model = unit_model()
+        model.weights = np.array([0.5, 0, 0, 0, 0, 0.25])
+        queries = [Query("q2", "alpha beta"), Query("q0", "zzz"), Query("q1", "gamma")]
+        candidates = {"q1": entry([4.0, 1.0]), "q2": entry([2.0]), "q9": entry([1.0])}
+        psi = estimate_batch(model, index, queries, candidates)
+        assert psi == {qid: estimate(model, q, candidates[qid], index).psi
+                       for q in queries if (qid := q.query_id) in candidates}
+        assert list(psi) == ["q2", "q1"]
+
+    def test_no_query_with_candidates_gives_no_psi(self, index):
+        assert estimate_batch(unit_model(), index, [Query("q", "alpha")], {}) == {}
 
 
 class TestFileProvider:
@@ -218,7 +233,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"k": 0}, {"k": "10"}, {"k": True}, {"k": 2.0}, {"orientation": "up"}, {"k": None}],
+        [{"k": 0}, {"k": "10"}, {"k": True}, {"k": 2.0}, {"orientation": "up"}, {"k": None},
+         {"orientation": "effectiveness"}],
     )
     def test_bad_k_or_orientation_rejected_on_load(self, tmp_path, settings):
         path = tmp_path / "qpp.json"
@@ -229,7 +245,9 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"qpp\.json.*k >= 1"):
             load_scorer(path, "qpp")
 
-    @pytest.mark.parametrize("settings", [{"k": 0}, {"orientation": "up"}])
+    @pytest.mark.parametrize(
+        "settings", [{"k": 0}, {"orientation": "up"}, {"orientation": "effectiveness"}]
+    )
     def test_bad_k_or_orientation_rejected_at_training(self, index, settings):
         labeled = [
             (Query("q1", "alpha"), entry([3.0, 1.0]), 0.8),
