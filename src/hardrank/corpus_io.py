@@ -126,7 +126,9 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id).
 
     The judgments are grouped by query once, at construction, so per-query
-    lookups do not scan them all; do not change `judgments` afterwards.
+    lookups do not scan them all; do not change `judgments` afterwards. A
+    grade outside 0..MAX_GRADE raises ValueError naming its pair, so a
+    `Qrels` built in memory keeps every nDCG finite, as a parsed one does.
     """
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -136,6 +138,8 @@ class Qrels:
 
     def __post_init__(self):
         for (q, d), g in self.judgments.items():
+            if not 0 <= g <= MAX_GRADE:
+                raise ValueError(f"({q}, {d}): grade {g} outside 0..{MAX_GRADE}")
             self._by_query.setdefault(q, {})[d] = g
 
     def for_query(self, query_id: str) -> dict[str, int]:

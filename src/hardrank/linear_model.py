@@ -16,12 +16,13 @@ Both models are one `LogisticScorer`, stored in one versioned JSON format
 whose `kind` field says which model a file holds.
 
 `scipy.special` is imported inside the functions that call it, so a CLI
-command that neither trains nor scores never pays for loading scipy.
+command that neither trains nor tests never pays for loading scipy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ import numpy as np
 from .corpus_io import parse_file, write_artifact
 
 _CLAMP = 1e-12
+# |logit| bound for scoring: past 27.7 the sigmoid already rounds to the
+# clamp, and math.exp overflows only past 709.78
+_LOGIT_BOUND = 40.0
 
 SCORER_FORMAT = "hardrank-scorer"
 SCORER_VERSION = 2  # version 1 was the separate ranker and QPP formats
@@ -39,10 +43,21 @@ _ARRAYS = ("weights", "feature_means", "feature_stds")
 
 def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
     """Sigmoid clamped just inside (0, 1) so float saturation never emits an
-    exact 0 or 1 (log-loss and interval contracts depend on this)."""
-    from scipy.special import expit
+    exact 0 or 1 (log-loss and interval contracts depend on this).
 
-    return np.clip(expit(x), _CLAMP, 1.0 - _CLAMP)
+    It is `np.clip(scipy.special.expit(x), _CLAMP, 1 - _CLAMP)` to the last
+    bit without importing scipy: `expit` computes `1 / (1 + exp(-x))` with
+    the C library's `exp`, and `math.exp` is that same libm function
+    (numpy's own `np.exp` may use SIMD code that rounds otherwise). The
+    logits are clipped to +/-40 first, which changes no clamped output and
+    keeps `math.exp` from overflowing; NaN stays NaN. Both clips call
+    `np.minimum`/`np.maximum` directly: `np.clip`'s Python wrapper adds a
+    fixed cost to every served list's call.
+    """
+    negated = -np.minimum(np.maximum(x, -_LOGIT_BOUND), _LOGIT_BOUND)
+    exps = np.fromiter(map(math.exp, negated.ravel().tolist()), float, negated.size)
+    return np.minimum(np.maximum(1.0 / (1.0 + exps.reshape(negated.shape)), _CLAMP),
+                      1.0 - _CLAMP)
 
 
 def bce_loss(targets: np.ndarray, preds: np.ndarray, clamp: bool = False) -> float:

@@ -22,10 +22,10 @@ from hardrank.corpus_io import (
     write_corpus_file,
     write_qrels_file,
     write_queries_file,
-    write_run_file,
 )
 from hardrank.evaluation import build_report, report_jsonl
 from hardrank.lexical_retrieval import load_index
+from hardrank.linear_model import save_scorer
 from hardrank.pipeline import experiment, produce_run
 
 
@@ -1130,8 +1130,8 @@ class TestChildInterpreter:
         traced = {f"hardrank.{module}" for module, *_ in tracing.TARGETS}
         assert traced <= loaded, f"not loaded by import hardrank.cli: {sorted(traced - loaded)}"
 
-    def test_only_commands_that_train_score_or_test_load_scipy(self, tmp_path, child_env):
-        # one child runs the commands in turn through hardrank.cli.main and
+    def test_only_commands_that_train_or_test_load_scipy(self, tmp_path, child_env):
+        # each child runs its steps in turn through hardrank.cli.main and
         # reports, after each, its exit code and whether any scipy module is loaded
         bench = write_benchmark(tmp_path, seed=7)
         (tmp_path / "config.json").write_text(json.dumps({
@@ -1143,11 +1143,12 @@ class TestChildInterpreter:
             "enrichment": {"use_judged_context": True},
         }))
         config = load_config(tmp_path / "config.json")
-        runs = experiment(config, bench.corpus, bench.queries, bench.qrels,
-                          bench.queries, bench.qrels).runs
-        for which in ("br", "sr"):  # the inputs of `run --method bsf`
-            write_run_file(runs[which], config.path("runs_dir") / f"{which}.txt")
-        steps = [["index"], ["enrich"], ["run", "--method", "bsf"], ["train", "--which", "br"]]
+        models = experiment(config, bench.corpus, bench.queries, bench.qrels,
+                            bench.queries, bench.qrels).models
+        for which, model in models.items():  # what `run` reads besides the index
+            save_scorer(model, config.path("models_dir") / f"{which}.json")
+        methods = ["br", "sr", "bsf", "r_qpp", "w_qpps"]
+        runs = [str(config.path("runs_dir") / f"{method}.txt") for method in methods]
         code = (
             "import json, sys\n"
             "from hardrank.cli import main\n"
@@ -1156,15 +1157,22 @@ class TestChildInterpreter:
             "    scipy = any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
             "    print('RESULT', status, scipy)\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(steps)],
-            cwd=tmp_path,
-            env=child_env,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        results = [line.split()[1:] for line in result.stdout.splitlines()
-                   if line.startswith("RESULT")]
-        # train loads scipy, so the first three are not absent by accident
-        assert results == [["0", "False"]] * 3 + [["0", "True"]], result.stderr
+
+        def check_child(steps, expected):
+            result = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(steps)],
+                cwd=tmp_path,
+                env=child_env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            results = [line.split()[1:] for line in result.stdout.splitlines()
+                       if line.startswith("RESULT")]
+            assert results == expected, result.stderr
+
+        no_scipy = [["index"], ["enrich"], *(["run", "--method", m] for m in methods)]
+        # eval and train load scipy, so the first seven are not absent by accident
+        check_child([*no_scipy, ["eval", *runs, "--baseline", "br"]],
+                    [["0", "False"]] * 7 + [["0", "True"]])
+        check_child([["train", "--which", "br"]], [["0", "True"]])

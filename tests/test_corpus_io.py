@@ -239,6 +239,12 @@ class TestQrels:
             parse_qrels(["q1 0 d1 1", f"q1 0 d7 {grade}"])
         assert info.value.line_no == 2
 
+    @pytest.mark.parametrize("grade", [-1, MAX_GRADE + 1])
+    def test_in_memory_grade_outside_the_range_rejected_naming_the_pair(self, grade):
+        # the cap holds for a Qrels built without a file, as experiment's callers build them
+        with pytest.raises(ValueError, match=rf"\(q1, d7\): grade {grade} outside 0\.\.100"):
+            Qrels({("q1", "d1"): MAX_GRADE, ("q1", "d7"): grade})
+
     @pytest.mark.parametrize("gain", ["exp", "linear"])
     def test_every_ndcg_at_the_maximum_grade_is_finite(self, gain):
         judged = 2000

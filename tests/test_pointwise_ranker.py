@@ -9,6 +9,9 @@ import random
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from hardrank.corpus_io import Document, Qrels, Query, Ranking, RunRecord, rank_records
@@ -20,6 +23,7 @@ from hardrank.linear_model import (
     bce_loss,
     fit_logistic,
     load_scorer,
+    open_unit_sigmoids,
     save_scorer,
 )
 from hardrank.pointwise_ranker import (
@@ -132,6 +136,34 @@ class TestScoreRows:
         row = np.array([np.nan, 0, 0, 0, 0, 0])
         assert math.isnan(score(model, row))
         assert math.isnan(model.score_rows(row[np.newaxis])[0])
+
+
+# where the sigmoid saturates to the clamp (+/-27.6, 28), where scoring clips
+# the logits (40) and where exp overflows (709.8)
+_SIGMOID_EDGES = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308,  # subnormals and the smallest normal
+    *(sign * edge for edge in (1.0, 27.6, 28.0, 40.0, 709.8, 1e308) for sign in (1, -1)),
+)
+_doubles = st.one_of(
+    st.floats(),  # every finite double, +/-inf, NaN and the subnormals
+    # any 64-bit pattern, so NaNs with any sign and payload too
+    st.integers(-2**63, 2**63 - 1).map(lambda bits: float(np.int64(bits).view(np.float64))),
+)
+
+
+class TestOpenUnitSigmoids:
+    @settings(max_examples=500, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                        elements=_doubles))
+    @example(x=np.array(_SIGMOID_EDGES))
+    @example(x=np.array(_SIGMOID_EDGES).reshape(3, 7))
+    def test_equals_clamped_scipy_expit_bit_for_bit(self, x):
+        # one sigmoid: scoring's math.exp loop must not drift from the expit training uses
+        expected = np.clip(expit(x), 1e-12, 1 - 1e-12)
+        got = open_unit_sigmoids(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestBceLoss:
