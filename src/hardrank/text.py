@@ -2,9 +2,16 @@
 
 Every component (indexing, retrieval, feature extraction, hardness rules)
 shares the same tokenization so that scores computed in one place can be
-reproduced by hand in another: lowercase, split on non-alphanumeric
-characters, drop empty tokens. No stemming, no stopword removal at index
-time.
+reproduced by hand in another: split on non-alphanumeric characters, drop
+empty tokens, lowercase each token. No stemming, no stopword removal at
+index time.
+
+ASCII text is split by one `str.translate`, which turns every ASCII
+character that is not a letter or digit into a space (`_` included), and
+one `str.split`; other text goes through `_TOKEN_RE`, which gives the same
+tokens. Tokens are lowercased one by one, not the text before splitting:
+`'İ'.lower()` adds a combining dot the split would cut on, and a final
+sigma depends on what follows it in the text.
 """
 
 from __future__ import annotations
@@ -12,15 +19,21 @@ from __future__ import annotations
 import re
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Indexed by code point below 128: the character if alphanumeric, else a space.
+_ASCII_TABLE = "".join(c if c.isalnum() else " " for c in map(chr, range(128)))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase `text` and return its alphanumeric tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """The lowercased alphanumeric tokens of `text`."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_TABLE).split()
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def raw_tokens(text: str) -> list[str]:
     """Alphanumeric tokens with original casing preserved (for acronym checks)."""
+    if text.isascii():
+        return text.translate(_ASCII_TABLE).split()
     return _TOKEN_RE.findall(text)
 
 
