@@ -161,7 +161,9 @@ def _accepts(kind: type, value: Any) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check(where: str, key: Key, value: Any) -> None:
+def _check(where: str, key: Key, value: Any) -> Any:
+    """`value` as stored, once it passes `key`'s row: a number for a key
+    that takes floats is a float, so `1` and `1.0` give the same config."""
     if not any(_accepts(kind, value) for kind in key.types):
         expected = " or ".join(_TYPE_NAMES[kind] for kind in key.types)
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
@@ -169,12 +171,18 @@ def _check(where: str, key: Key, value: Any) -> None:
         if key.choices is not None and value not in key.choices:
             raise ConfigError(f"{where} must be one of {key.choices}, got {value!r}")
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if float in key.types:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{where} is an integer too large for a float") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{where} must be a finite number, got {value!r}")
         if key.lo is not None and value < key.lo:
             raise ConfigError(f"{where} must be >= {key.lo}, got {value}")
         if key.hi is not None and value > key.hi:
             raise ConfigError(f"{where} must be <= {key.hi}, got {value}")
+    return value
 
 
 def _resolve(schema: dict[str, Any], value: Any, trail: str = "") -> dict[str, Any]:
@@ -192,8 +200,7 @@ def _resolve(schema: dict[str, Any], value: Any, trail: str = "") -> dict[str, A
         if isinstance(row, dict):
             out[name] = _resolve(row, value.get(name, {}), prefix + name)
         else:
-            out[name] = value.get(name, row.default)
-            _check(prefix + name, row, out[name])
+            out[name] = _check(prefix + name, row, value.get(name, row.default))
     return out
 
 

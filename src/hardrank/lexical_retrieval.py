@@ -45,7 +45,7 @@ from .corpus_io import Document, Query, Ranking, read_binary_file, write_artifac
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 
 EARLY_WINDOW = 20  # leading tokens treated as the document's title/lead
 _IMPACT_CHUNK = 1 << 14  # postings per step of an impacts column's build
@@ -369,13 +369,14 @@ def save_index(index: InvertedIndex, path) -> None:
     """Persist the index as one versioned file: a JSON header line, then
     the postings columns as raw little-endian bytes.
 
-    The header holds `format`, `version`, `doc_ids`, `terms` (sorted) and
-    `lengths`, each section's number of values. Four sections follow, with
-    no gap and nothing after them: `df` (each term's postings count), `ids`
-    and `tfs` (every posting's internal id and term frequency, term by
-    term) as '<i8', and `leads` (every posting's lead flag, 0 or 1) as
-    'u1'. Document lengths are not stored; the loaded index derives them
-    from the tfs, as building does. Equal indexes give equal bytes.
+    The header holds `format`, `version`, `doc_ids` and `terms` (sorted).
+    Four sections follow, with no gap and nothing after them: `df` (each
+    term's postings count), `ids` and `tfs` (every posting's internal id
+    and term frequency, term by term) as '<i8', and `leads` (every
+    posting's lead flag, 0 or 1) as 'u1'. So `df` holds one value per term
+    and each other section sum(df) values. Document lengths are not
+    stored; the loaded index derives them from the tfs, as building does.
+    Equal indexes give equal bytes.
     """
     dfs = np.array([end - start for start, end in index.spans.values()], dtype=np.int64)
     columns = {"df": dfs, "ids": index.ids, "tfs": index.tfs, "leads": index.leads}
@@ -384,7 +385,6 @@ def save_index(index: InvertedIndex, path) -> None:
         "version": INDEX_VERSION,
         "doc_ids": index.doc_ids,
         "terms": list(index.spans),
-        "lengths": {name: len(column) for name, column in columns.items()},
     }
     write_artifact(path, b"".join([
         json.dumps(header).encode("ascii"), b"\n",
@@ -399,11 +399,10 @@ def load_index(path) -> InvertedIndex:
     Raises ValueError naming the path (and the term, for a postings fault)
     when the header line is not valid JSON or not an index of this version
     (an older one must be rebuilt), or the file is malformed: `doc_ids` or
-    `terms` not a list of strings, a section length that is not an int >= 0
-    (a bool is not an int), a section cut short or bytes after the last;
-    doc_ids empty or not strictly ascending (which also catches a
-    duplicate); terms not strictly ascending; a df or tf below 1; sections
-    of lengths that disagree with the terms or with the sum of the df; a
+    `terms` not a list of strings; a df below 1; a section cut short or
+    bytes after the last (`df` holds one value per term, each other section
+    sum(df) values); doc_ids empty or not strictly ascending (which also
+    catches a duplicate); terms not strictly ascending; a tf below 1; a
     lead flag other than 0 or 1; or a term's postings not strictly
     ascending by internal id or holding an id out of range. The
     `searchsorted` gathers of `InvertedIndex.gather` rely on the last
@@ -430,35 +429,26 @@ def load_index(path) -> InvertedIndex:
             raise fault(f"{name} is not a list")
         if not set(map(type, header[name])) <= {str}:
             raise fault(f"{name} holds a value that is not a string")
-    lengths = header.get("lengths")
-    sections, offset = {}, 0
+    doc_ids, terms = header["doc_ids"], header["terms"]
+    sections, offset, count = {}, 0, len(terms)  # df holds one value per term
     for name, dtype in _SECTIONS:
-        count = lengths.get(name) if isinstance(lengths, dict) else None
-        # type() rather than isinstance(): bool is a subclass of int
-        if type(count) is not int or count < 0:
-            raise fault(f"the length of {name} is not an int >= 0")
         if len(body) - offset < count * dtype.itemsize:
             raise fault(f"{name} is cut short: {count} values need {count * dtype.itemsize} bytes")
         sections[name] = np.frombuffer(body, dtype, count, offset)
         offset += count * dtype.itemsize
+        if name == "df":
+            if (sections[name] < 1).any():
+                raise fault("df holds a count below 1")
+            dfs = sections[name].tolist()
+            count = sum(dfs)  # ids, tfs and leads each; a Python int, so no int64 sum wraps
     if offset != len(body):
         raise fault(f"{len(body) - offset} trailing bytes after the last section")
-    doc_ids, terms = header["doc_ids"], header["terms"]
-    dfs, ids, tfs, leads = sections.values()
+    _, ids, tfs, leads = sections.values()
     if not doc_ids:
         raise fault("doc_ids is empty")
-    if (dfs < 1).any():
-        raise fault("df holds a count below 1")
     for name, values in (("doc_ids", doc_ids), ("terms", terms)):
         if not all(map(operator.lt, values, values[1:])):
             raise fault(f"{name} are not strictly ascending")
-    if len(dfs) != len(terms):
-        raise fault(f"{len(terms)} terms but {len(dfs)} df")
-    dfs = dfs.tolist()
-    n_postings = sum(dfs)  # a Python int: no int64 sum that could wrap
-    for name in ("ids", "tfs", "leads"):
-        if len(sections[name]) != n_postings:
-            raise fault(f"df counts {n_postings} postings but {name} holds {len(sections[name])}")
     n_docs = len(doc_ids)
     # Each check runs over whole columns. A term's first faulty posting
     # gives its row, and the term of the lowest row is named, with the

@@ -60,18 +60,16 @@ def open_unit_sigmoids(x: np.ndarray) -> np.ndarray:
                       1.0 - _CLAMP)
 
 
-def bce_loss(targets: np.ndarray, preds: np.ndarray, clamp: bool = False) -> float:
+def bce_loss(targets: np.ndarray, preds: np.ndarray) -> float:
     """Mean binary cross-entropy with the 0*ln(0) = 0 convention.
 
-    With clamp=True predictions are clipped away from {0, 1} so the loss
-    stays finite during training even if the sigmoid saturates.
+    Predictions are clipped away from {0, 1} so the loss stays finite
+    during training even if the sigmoid saturates.
     """
     from scipy.special import xlogy
 
     targets = np.asarray(targets, dtype=float)
-    preds = np.asarray(preds, dtype=float)
-    if clamp:
-        preds = np.clip(preds, _CLAMP, 1.0 - _CLAMP)
+    preds = np.clip(np.asarray(preds, dtype=float), _CLAMP, 1.0 - _CLAMP)
     terms = xlogy(targets, preds) + xlogy(1.0 - targets, 1.0 - preds)
     return float(-np.mean(terms))
 
@@ -125,7 +123,7 @@ def fit_logistic(
     weights = np.zeros(features.shape[1])
     bias = 0.0
     preds = expit(features @ weights + bias)
-    losses = [bce_loss(targets, preds, clamp=True)]
+    losses = [bce_loss(targets, preds)]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for epoch in range(1, epochs + 1):
             grad_w, grad_b = bce_gradient(features, targets, preds)
@@ -135,7 +133,7 @@ def fit_logistic(
             if not np.all(np.isfinite(logits)):
                 raise DivergedFit(f"a logit is not finite after epoch {epoch}")
             preds = expit(logits)
-            losses.append(bce_loss(targets, preds, clamp=True))
+            losses.append(bce_loss(targets, preds))
     if losses[-1] > losses[0]:
         raise DivergedFit(f"the loss rose from {losses[0]:.4g} to {losses[-1]:.4g}")
     return weights, bias, losses

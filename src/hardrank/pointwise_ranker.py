@@ -210,7 +210,7 @@ class ModelRanker:
     """Adapter binding a trained model to an index."""
 
     model: LogisticScorer
-    corpus: Mapping[str, Document]  # read by nothing; ROADMAP item 8 deletes this adapter
+    corpus: Mapping[str, Document]  # read by nothing; ROADMAP item 20 deletes this adapter
     index: InvertedIndex
     params: Bm25Params = Bm25Params()
 

@@ -367,6 +367,17 @@ class TestTrainCommand:
         curve = (workdir / "work" / "models" / "br.loss.tsv").read_text().splitlines()
         assert len(curve) == 51  # initial loss + one per epoch
 
+    def test_an_integer_learning_rate_writes_the_model_of_its_float(self, workdir, run_cli):
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        models = {}
+        for value in ("1", "1.0"):
+            result = run_cli("train", "--config", "config.json", "--which", "br",
+                             "--set", f"ranker.learning_rate={value}", cwd=workdir)
+            assert result.returncode == 0, result.stderr
+            models[value] = (workdir / "work" / "models" / "br.json").read_bytes()
+        assert b'"learning_rate": 1.0' in models["1"]
+        assert models["1"] == models["1.0"]
+
     def test_ranker_fit_whose_logits_overflow_is_input_error(self, workdir, run_cli):
         run_cli("index", "--config", "config.json", cwd=workdir)
         result = run_cli(
@@ -633,7 +644,7 @@ class TestRunAndEval:
         index_path.write_text(json.dumps(payload))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
-        assert "error: index file work/index.bin has version 4, not 6" in result.stderr
+        assert "error: index file work/index.bin has version 4, not 7" in result.stderr
         assert "hardrank index --force" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
@@ -643,7 +654,22 @@ class TestRunAndEval:
         index_path.write_text(json.dumps(_json_columns(load_index(index_path), 5)))
         result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
         assert result.returncode == 1, result.stderr
-        assert ("error: index file work/index.bin has version 5, not 6; "
+        assert ("error: index file work/index.bin has version 5, not 7; "
+                "rebuild it with `hardrank index --force`") in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
+    def test_version_6_index_is_input_error(self, trained, run_cli):
+        # the same sections, after a header that counted each section's values in `lengths`
+        index_path = trained / "work" / "index.bin"
+        head, _, body = index_path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        n_postings = len(load_index(index_path).ids)
+        header.update(version=6, lengths={"df": len(header["terms"]), "ids": n_postings,
+                                          "tfs": n_postings, "leads": n_postings})
+        index_path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert ("error: index file work/index.bin has version 6, not 7; "
                 "rebuild it with `hardrank index --force`") in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
@@ -1057,6 +1083,13 @@ class TestExitCodes:
             assert "error: qrels.txt: line 2: grade 1024 outside 0..100" in result.stderr, command
         assert not (workdir / "work" / "models").exists()
         assert not (workdir / "work" / "reports" / "report.txt").exists()
+
+    def test_an_integer_too_large_for_a_float_exits_1_naming_the_key(self, workdir, run_cli):
+        result = run_cli("train", "--which", "br", "--config", "config.json",
+                         "--set", f"bm25.k1={10**400}", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "error: bm25.k1 is an integer too large for a float" in result.stderr
+        assert not (workdir / "work").exists()
 
     def test_an_effectiveness_orientation_exits_1_naming_the_key(self, workdir, run_cli):
         assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0

@@ -246,6 +246,18 @@ class TestSchema:
             with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
                 validate(_with(dotted, value))
 
+    @pytest.mark.parametrize("dotted", [dotted for dotted, row in _rows(SCHEMA)
+                                        if float in row.types])
+    def test_an_integer_for_a_float_key_is_stored_as_a_float(self, dotted):
+        # so `1` and `1.0` give the same config, artifacts and run tags
+        node = _with(dotted, 1)
+        for part in dotted.split("."):
+            node = node[part]
+        assert type(node) is float and node == 1.0
+        key = dotted.replace(".", r"\.")
+        with pytest.raises(ConfigError, match=rf"{key} is an integer too large for a float"):
+            _with(dotted, 10**400)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(ConfigError, match="finite"):

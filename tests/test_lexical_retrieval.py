@@ -358,23 +358,24 @@ _SECTIONS = {"df": "<i8", "ids": "<i8", "tfs": "<i8", "leads": "u1"}  # in file 
 
 
 def _decode(data: bytes) -> dict:
-    """The header fields of a version 6 file, bar `lengths`, and its four
-    sections as lists: the columns a version 5 file held."""
+    """The header fields of a version 7 file and its four sections as
+    lists: the columns a version 5 file held. `df` holds one value per
+    term, each other section sum(df) values."""
     head, _, body = data.partition(b"\n")
     payload = json.loads(head)
-    lengths, offset = payload.pop("lengths"), 0
+    count, offset = len(payload["terms"]), 0
     for name, dtype in _SECTIONS.items():
-        column = np.frombuffer(body, dtype, lengths[name], offset)
+        column = np.frombuffer(body, dtype, count, offset)
         payload[name], offset = column.tolist(), offset + column.nbytes
+        count = sum(payload["df"])
     assert offset == len(body)
     return payload
 
 
 def _encode(payload: dict) -> bytes:
-    """Version 6 bytes of a payload laid out as `_decode` gives it; the
-    header's `lengths` are the sections' list lengths unless set."""
+    """The bytes of a payload laid out as `_decode` gives it: its other
+    fields as the header line, then its sections, whatever their lengths."""
     header = {key: value for key, value in payload.items() if key not in _SECTIONS}
-    header.setdefault("lengths", {name: len(payload[name]) for name in _SECTIONS})
     return b"".join([
         json.dumps(header).encode(), b"\n",
         *(np.array(payload[name], dtype=dtype).tobytes() for name, dtype in _SECTIONS.items()),
@@ -400,9 +401,8 @@ class TestIndexPersistence:
         path = tmp_path / "index.bin"
         save_index(build_index([Document("d1", "a b c"), Document("d2", "b c d e")]), path)
         header = {
-            "format": "hardrank-index", "version": 6, "doc_ids": ["d1", "d2"],
+            "format": "hardrank-index", "version": 7, "doc_ids": ["d1", "d2"],
             "terms": ["a", "b", "c", "d", "e"],
-            "lengths": {"df": 5, "ids": 7, "tfs": 7, "leads": 7},
         }
         assert path.read_bytes() == b"".join([
             json.dumps(header).encode(), b"\n",
@@ -496,7 +496,7 @@ class TestLoadIndexRejectsUntrustedFiles:
         return path
 
     def _rewrite(self, path, edit):
-        """Edit the decoded payload and write it back in version 6's layout."""
+        """Edit the decoded payload and write it back in version 7's layout."""
         payload = _decode(path.read_bytes())
         edit(payload)
         path.write_bytes(_encode(payload))
@@ -546,7 +546,7 @@ class TestLoadIndexRejectsUntrustedFiles:
             "lead_terms": ["a b c", "b c d e"],
             "postings": index.postings,
         }))
-        with pytest.raises(ValueError, match=r"index\.bin has version 2, not 6.*hardrank index --force"):
+        with pytest.raises(ValueError, match=r"index\.bin has version 2, not 7.*hardrank index --force"):
             load_index(saved)
 
     def test_version_3_file_must_be_rebuilt(self, saved):
@@ -557,7 +557,7 @@ class TestLoadIndexRejectsUntrustedFiles:
             del p["leads"]
 
         self._rewrite_as_json(saved, corpus_order)
-        with pytest.raises(ValueError, match=r"index\.bin has version 3, not 6.*index --force"):
+        with pytest.raises(ValueError, match=r"index\.bin has version 3, not 7.*index --force"):
             load_index(saved)
 
     def test_version_4_file_must_be_rebuilt(self, saved):
@@ -567,14 +567,23 @@ class TestLoadIndexRejectsUntrustedFiles:
             del p["leads"]
 
         self._rewrite_as_json(saved, per_document_columns)
-        with pytest.raises(ValueError, match=r"index\.bin has version 4, not 6.*hardrank index --force"):
+        with pytest.raises(ValueError, match=r"index\.bin has version 4, not 7.*hardrank index --force"):
             load_index(saved)
 
     def test_version_5_file_must_be_rebuilt(self, saved):
         # the same six columns, all in one JSON record
         self._rewrite_as_json(saved, lambda p: p.update(version=5))
         assert saved.read_bytes().count(b"\n") == 0
-        with pytest.raises(ValueError, match=r"index\.bin has version 5, not 6; rebuild it with `hardrank index --force`"):
+        with pytest.raises(ValueError, match=r"index\.bin has version 5, not 7; rebuild it with `hardrank index --force`"):
+            load_index(saved)
+
+    def test_version_6_file_must_be_rebuilt(self, saved):
+        # the same header and sections, with a `lengths` object counting each section's values
+        def with_lengths(p):
+            p.update(version=6, lengths={name: len(p[name]) for name in _SECTIONS})
+
+        self._rewrite(saved, with_lengths)
+        with pytest.raises(ValueError, match=r"index\.bin has version 6, not 7; rebuild it with `hardrank index --force`"):
             load_index(saved)
 
     @pytest.mark.parametrize("column", ["doc_ids", "terms"])
@@ -588,36 +597,6 @@ class TestLoadIndexRejectsUntrustedFiles:
 
         self._rewrite(saved, edit)
         with pytest.raises(ValueError, match=rf"index\.bin: {column} is not a list"):
-            load_index(saved)
-
-    @pytest.mark.parametrize("value", [_MISSING, None, [5, 7, 7, 7]], ids=["missing", "null", "list"])
-    def test_lengths_missing_or_not_an_object(self, saved, value):
-        head, _, body = saved.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        if value is _MISSING:
-            del header["lengths"]
-        else:
-            header["lengths"] = value
-        saved.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match=r"index\.bin: the length of df is not an int >= 0"):
-            load_index(saved)
-
-    @pytest.mark.parametrize("column", ["df", "ids", "tfs", "leads"])
-    @pytest.mark.parametrize(
-        "value", [_MISSING, None, {"0": 1}, True, False, 7.0, "7", -1],
-        ids=["missing", "null", "object", "true", "false", "float", "string", "negative"],
-    )
-    def test_section_length_not_a_count(self, saved, column, value):
-        def edit(p):
-            lengths = {name: len(p[name]) for name in _SECTIONS}
-            if value is _MISSING:
-                del lengths[column]
-            else:
-                lengths[column] = value
-            p["lengths"] = lengths
-
-        self._rewrite(saved, edit)
-        with pytest.raises(ValueError, match=rf"index\.bin: the length of {column} is not an int >= 0"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -639,12 +618,12 @@ class TestLoadIndexRejectsUntrustedFiles:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p["df"].append(1), r"5 terms but 6 df"),
-            (lambda p: p["df"].__setitem__(0, 2), r"df counts 8 postings but ids holds 7"),
-            (lambda p: p["ids"].pop(), r"df counts 7 postings but ids holds 6"),
-            (lambda p: p["tfs"].append(1), r"df counts 7 postings but tfs holds 8"),
-            (lambda p: p["leads"].pop(), r"df counts 7 postings but leads holds 6"),
-            (lambda p: p["leads"].append(0), r"df counts 7 postings but leads holds 8"),
+            (lambda p: p["df"].append(1), r"8 trailing bytes after the last section"),
+            (lambda p: p["df"].__setitem__(0, 2), r"tfs is cut short: 8 values need 64 bytes"),
+            (lambda p: p["ids"].pop(), r"tfs is cut short: 7 values need 56 bytes"),
+            (lambda p: p["tfs"].append(1), r"8 trailing bytes after the last section"),
+            (lambda p: p["leads"].pop(), r"leads is cut short: 7 values need 7 bytes"),
+            (lambda p: p["leads"].append(0), r"1 trailing bytes after the last section"),
         ],
         ids=["df_long", "df_sum_high", "ids_short", "tfs_long", "leads_short", "leads_long"],
     )
@@ -657,7 +636,7 @@ class TestLoadIndexRejectsUntrustedFiles:
         # four counts of 2**62 sum to 2**64, which an int64 sum wraps to 0
         self._rewrite(saved, lambda p: p.update(terms=["a", "b", "c", "d"], df=[2**62] * 4,
                                                 ids=[], tfs=[], leads=[]))
-        with pytest.raises(ValueError, match=rf"index\.bin: df counts {2**64} postings but ids holds 0"):
+        with pytest.raises(ValueError, match=rf"index\.bin: ids is cut short: {2**64} values need {2**67} bytes"):
             load_index(saved)
 
     @pytest.mark.parametrize(
@@ -724,3 +703,17 @@ class TestLoadIndexRejectsUntrustedFiles:
         saved.write_bytes(saved.read_bytes() + extra)
         with pytest.raises(ValueError, match=rf"index\.bin: {len(extra)} trailing bytes after the last section"):
             load_index(saved)
+
+    def test_every_wrong_size_is_refused(self, saved):
+        # the sizes follow from the terms and the df alone: a file cut at
+        # any byte after its header line, or extended by whole or partial
+        # values, fails; only the whole file loads
+        data, start = saved.read_bytes(), self._header_end(saved)
+        variants = [data[:end] for end in range(start, len(data))]
+        variants += [data + bytes(extra) for extra in (1, 7, 8, 17)]
+        for variant in variants:
+            saved.write_bytes(variant)
+            with pytest.raises(ValueError, match=r"index\.bin"):
+                load_index(saved)
+        saved.write_bytes(data)
+        assert load_index(saved).n_docs == 2

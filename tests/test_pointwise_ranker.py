@@ -171,7 +171,8 @@ class TestBceLoss:
         assert bce_loss(np.array([1.0]), np.array([0.5])) == pytest.approx(math.log(2))
 
     def test_perfect_binary_prediction_zero_loss(self):
-        assert bce_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
+        # zero up to the clamp: exact 1 and 0 are clipped to 1 - 1e-12 and 1e-12
+        assert bce_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == -math.log(1 - 1e-12)
 
     def test_soft_target_ln2_at_half(self):
         assert bce_loss(np.array([0.5]), np.array([0.5])) == pytest.approx(math.log(2))
@@ -253,7 +254,7 @@ class TestTrain:
         assert len(calls) == epochs + 1
         assert len(losses) == epochs + 1
         # the last loss is the loss of the returned parameters
-        assert losses[-1] == bce_loss(targets, expit(features @ weights + bias), clamp=True)
+        assert losses[-1] == bce_loss(targets, expit(features @ weights + bias))
 
     def test_overflowing_logit_refused(self):
         features, targets = np.array([[3.0], [-3.0]]), np.array([1.0, 0.0])

@@ -82,7 +82,8 @@ class TestQppFeatures:
 
 class TestSoftTargetLoss:
     def test_loss_zero_when_prediction_equals_binary_target(self):
-        assert bce_loss(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+        # zero up to the clamp: exact 0 and 1 are clipped to 1e-12 and 1 - 1e-12
+        assert bce_loss(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == -math.log(1 - 1e-12)
 
     def test_half_target_half_prediction_is_ln2(self):
         assert bce_loss(np.array([0.5]), np.array([0.5])) == pytest.approx(math.log(2))
