@@ -258,6 +258,26 @@ class TestSchema:
         with pytest.raises(ConfigError, match=rf"{key} is an integer too large for a float"):
             _with(dotted, 10**400)
 
+    @pytest.mark.parametrize("dotted", [dotted for dotted, row in _rows(SCHEMA)
+                                        if int in row.types and float not in row.types])
+    def test_an_integer_for_an_int_key_stays_an_int(self, dotted):
+        # only float keys convert: an epoch count or cutoff read from a file stays an int
+        row = dict(_rows(SCHEMA))[dotted]
+        value = row.default if type(row.default) is int else 10
+        raw = value
+        for part in reversed(dotted.split(".")):
+            raw = {part: raw}
+        node = validate(raw)
+        for part in dotted.split("."):
+            node = node[part]
+        assert type(node) is int and node == value
+
+    def test_an_integer_routing_threshold_gives_the_run_tag_of_its_float(self):
+        taus = [_with("fusion.routing_threshold", value)["fusion"]["routing_threshold"]
+                for value in (1, 1.0)]
+        tags = {FusionConfig("r_qpp", "per_query_min_max", tau).config_hash() for tau in taus}
+        assert tags == {FusionConfig("r_qpp", "per_query_min_max", 1.0).config_hash()}
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(ConfigError, match="finite"):

@@ -618,14 +618,21 @@ class TestLoadIndexRejectsUntrustedFiles:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            (lambda p: p["terms"].append("f"), r"df holds a count below 1"),
+            (lambda p: p["terms"].pop(), r"25 trailing bytes after the last section"),
             (lambda p: p["df"].append(1), r"8 trailing bytes after the last section"),
+            (lambda p: p["df"].pop(), r"df holds a count below 1"),
             (lambda p: p["df"].__setitem__(0, 2), r"tfs is cut short: 8 values need 64 bytes"),
+            (lambda p: p["df"].__setitem__(1, 1), r"17 trailing bytes after the last section"),
+            (lambda p: p["ids"].append(1), r"8 trailing bytes after the last section"),
             (lambda p: p["ids"].pop(), r"tfs is cut short: 7 values need 56 bytes"),
             (lambda p: p["tfs"].append(1), r"8 trailing bytes after the last section"),
+            (lambda p: p["tfs"].pop(), r"tfs is cut short: 7 values need 56 bytes"),
             (lambda p: p["leads"].pop(), r"leads is cut short: 7 values need 7 bytes"),
             (lambda p: p["leads"].append(0), r"1 trailing bytes after the last section"),
         ],
-        ids=["df_long", "df_sum_high", "ids_short", "tfs_long", "leads_short", "leads_long"],
+        ids=["terms_long", "terms_short", "df_long", "df_short", "df_sum_high", "df_sum_low",
+             "ids_long", "ids_short", "tfs_long", "tfs_short", "leads_short", "leads_long"],
     )
     def test_postings_columns_disagree(self, saved, edit, message):
         self._rewrite(saved, edit)
@@ -704,16 +711,27 @@ class TestLoadIndexRejectsUntrustedFiles:
         with pytest.raises(ValueError, match=rf"index\.bin: {len(extra)} trailing bytes after the last section"):
             load_index(saved)
 
-    def test_every_wrong_size_is_refused(self, saved):
+    @pytest.mark.parametrize(
+        "sizes, message",
+        # bytes after the header line, cut inside each section or beyond the last
+        [
+            (range(0, 40), r"df is cut short"),
+            (range(40, 96), r"ids is cut short"),
+            (range(96, 152), r"tfs is cut short"),
+            (range(152, 159), r"leads is cut short"),
+            ([160, 166, 167, 176], r"{extra} trailing bytes after the last section"),
+        ],
+        ids=["df", "ids", "tfs", "leads", "extended"],
+    )
+    def test_every_wrong_size_is_refused(self, saved, sizes, message):
         # the sizes follow from the terms and the df alone: a file cut at
-        # any byte after its header line, or extended by whole or partial
-        # values, fails; only the whole file loads
+        # any byte after its header line fails naming the section it ends
+        # in, one extended by whole or partial values fails on the extra
+        # bytes; only the whole file loads
         data, start = saved.read_bytes(), self._header_end(saved)
-        variants = [data[:end] for end in range(start, len(data))]
-        variants += [data + bytes(extra) for extra in (1, 7, 8, 17)]
-        for variant in variants:
-            saved.write_bytes(variant)
-            with pytest.raises(ValueError, match=r"index\.bin"):
+        for size in sizes:
+            saved.write_bytes((data + bytes(17))[:start + size])
+            with pytest.raises(ValueError, match=rf"index\.bin: {message.format(extra=size - 159)}"):
                 load_index(saved)
         saved.write_bytes(data)
         assert load_index(saved).n_docs == 2

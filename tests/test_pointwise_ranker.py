@@ -177,6 +177,11 @@ class TestBceLoss:
     def test_soft_target_ln2_at_half(self):
         assert bce_loss(np.array([0.5]), np.array([0.5])) == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("target, pred, gap", [(1.0, 0.0, 1e-12), (0.0, 1.0, 1 - (1 - 1e-12))])
+    def test_a_certain_wrong_prediction_has_a_finite_loss(self, target, pred, gap):
+        # the clamp clips 0 and 1 to 1e-12 and 1 - 1e-12, so the true label keeps `gap`
+        assert bce_loss(np.array([target]), np.array([pred])) == -math.log(gap)
+
 
 class TestGradient:
     def test_matches_central_finite_differences(self):
