@@ -226,8 +226,10 @@ def validate(raw: dict[str, Any], overrides: Iterable[str] = ()) -> dict[str, An
         dotted, value_s = item.split("=", 1)
         try:
             value = json.loads(value_s)
-        except ValueError:
+        except json.JSONDecodeError:
             value = value_s
+        except ValueError:  # an integer of more digits than Python converts
+            raise ConfigError(f"{dotted} has too many digits to read as a number") from None
         for name in reversed(dotted.split(".")):
             value = {name: value}
         raw = _layer(raw, value)

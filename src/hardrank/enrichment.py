@@ -19,7 +19,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .corpus_io import Document, ParseError, Qrels, Query, _check_id, _iter_lines
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
-from .text import STOPWORDS, content_terms, raw_tokens, tokenize
+from .text import STOPWORDS, content_terms, tokenize, tokenize_with_spans
 
 log = logging.getLogger(__name__)
 
@@ -81,11 +81,13 @@ def classify_hardness(query: Query, rule: HardnessRule) -> str:
     - a lexicon supplied and some token is not in it
     - fewer than min_context_terms non-stopword tokens
     """
-    tokens = tokenize(query.text)
+    spans = tokenize_with_spans(query.text)
+    tokens = [token for token, _, _ in spans]
     if len(tokens) <= rule.max_token_count:
         return "hard"
     if rule.acronym_pattern:
-        for tok in raw_tokens(query.text):
+        for _, start, end in spans:
+            tok = query.text[start:end]
             if 2 <= len(tok) <= 5 and tok.isupper() and any(c.isalpha() for c in tok):
                 return "hard"
     if rule.lexicon is not None and any(t not in rule.lexicon for t in tokens):

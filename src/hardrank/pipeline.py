@@ -101,21 +101,22 @@ def fit_ranker(config: PipelineConfig, which: str, texts: list[tuple[str, str]],
     text) pairs. A training set without a positive or without a negative
     raises ConfigError naming the qrels and `ranker.label_threshold`."""
     section = config.section("ranker")
-    instances = build_training_set(
+    training_set = build_training_set(
         texts, qrels, index, index.internal_ids, params=config.bm25_params(),
         depth=config.run_depth, negatives_per_positive=section["negatives_per_positive"],
         label_threshold=section["label_threshold"], seed=config.seed,
     )
-    if not instances:
+    if not training_set.labels.any():
         raise ConfigError(f"cannot train {which}: no training query has a corpus document "
                           f"{_graded(config)}, so there is no positive example")
-    if all(inst.label for inst in instances):
+    if training_set.labels.all():
         raise ConfigError(f"cannot train {which}: every BM25 top-{config.run_depth} candidate "
                           f"of its training queries is {_graded(config)}, so there is no "
                           "negative example; raise the threshold or run_depth")
     try:
-        return train(instances, epochs=section["epochs"], learning_rate=section["learning_rate"],
-                     seed=config.seed, model_id=f"pointwise-logistic-v1:{which}")
+        return train(training_set, epochs=section["epochs"],
+                     learning_rate=section["learning_rate"], seed=config.seed,
+                     model_id=f"pointwise-logistic-v1:{which}")
     except DivergedFit as exc:
         raise ConfigError(f"ranker.learning_rate: {exc}; lower it") from None
 

@@ -34,16 +34,17 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
-    query_id: str
-    doc_id: str
-    features: tuple[float, ...]
-    label: int
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Labeled rows: row i is the (query id, doc id) pair `pairs[i]`, its
+    feature vector `features[i]` and its label `labels[i]` (1.0 or 0.0)."""
 
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+    pairs: list[tuple[str, str]]
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def _feature_rows(lists: Sequence[tuple[str, np.ndarray]], index: InvertedIndex,
@@ -128,27 +129,26 @@ def extract_features(text: str, doc: Document, index: InvertedIndex,
 
 
 def train(
-    instances: Sequence[TrainingInstance],
+    training_set: TrainingSet,
     epochs: int = 500,
     learning_rate: float = 0.1,
     seed: int = 13,
     model_id: str = "pointwise-logistic-v1",
 ) -> LogisticScorer:
-    """Fit the logistic scorer by full-batch gradient descent on the BCE.
+    """Fit the logistic scorer by full-batch gradient descent on the BCE of
+    the set's feature matrix and labels, as they are.
 
     Weights start at zero; normalization statistics are computed from the
-    training set and frozen into the model. The run is deterministic; the
+    training set and frozen into the model. A set without both labels, an
+    empty one included, raises ValueError. The run is deterministic; the
     seed is recorded for forward compatibility with stochastic variants but
     full-batch descent does not consume it.
     """
-    if not instances:
-        raise ValueError("training set is empty")
-    labels = np.array([inst.label for inst in instances], dtype=float)
-    if len(set(labels.tolist())) < 2:
+    labels = training_set.labels
+    if labels.all() or not labels.any():
         raise ValueError("training set must contain both labels")
-    features = np.array([inst.features for inst in instances], dtype=float)
-    metadata = {"model_id": model_id, "seed": seed, "n_instances": len(instances)}
-    return fit_scorer(features, labels, epochs, learning_rate, "ranker", metadata)
+    metadata = {"model_id": model_id, "seed": seed, "n_instances": len(training_set)}
+    return fit_scorer(training_set.features, labels, epochs, learning_rate, "ranker", metadata)
 
 
 # The last matrix `rerank` built and what it was built from: (weakref to
@@ -253,8 +253,8 @@ def build_training_set(
     negatives_per_positive: int = 4,
     label_threshold: int = 1,
     seed: int = 13,
-) -> list[TrainingInstance]:
-    """Assemble labeled instances for a set of (query_id, query_text) pairs.
+) -> TrainingSet:
+    """Assemble the labeled rows of a set of (query_id, query_text) pairs.
 
     Positives are the judged documents with grade >= label_threshold.
     Negatives are sampled (without replacement, seeded) from the BM25
@@ -263,10 +263,12 @@ def build_training_set(
     ids a positive may have (`pipeline.fit_ranker` passes the index's);
     the others are skipped, with one warning per call. The negatives are
     drawn query by query from one seeded stream, and then every labeled
-    pair is featurized in one pass (`_feature_rows`).
+    pair is featurized in one pass (`_feature_rows`), whose matrix is the
+    set's: a query's positives, then its negatives, query after query.
     """
     rng = random.Random(seed)
-    labeled: list[tuple[str, str, int]] = []  # (query id, doc id, label), row by row
+    pairs: list[tuple[str, str]] = []
+    labels: list[float] = []
     lists: list[tuple[str, np.ndarray]] = []
     missing: list[str] = []
     for qid, text in query_texts:
@@ -283,10 +285,9 @@ def build_training_set(
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []
         lists.append((text, index.internal_id_array(positives + negatives)))
-        labeled += [(qid, d, 1) for d in positives] + [(qid, d, 0) for d in negatives]
+        pairs += [(qid, d) for d in positives + negatives]
+        labels += [1.0] * len(positives) + [0.0] * len(negatives)
     if missing:
         log.warning("positive judgments of documents not in the corpus: %d skipped, first %s",
                     len(missing), missing[:5])
-    rows = _feature_rows(lists, index, params).tolist()
-    return [TrainingInstance(qid, doc_id, tuple(row), label)
-            for (qid, doc_id, label), row in zip(labeled, rows)]
+    return TrainingSet(pairs, _feature_rows(lists, index, params), np.array(labels))

@@ -30,13 +30,6 @@ def tokenize(text: str) -> list[str]:
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
-def raw_tokens(text: str) -> list[str]:
-    """Alphanumeric tokens with original casing preserved (for acronym checks)."""
-    if text.isascii():
-        return text.translate(_ASCII_TABLE).split()
-    return _TOKEN_RE.findall(text)
-
-
 def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
     """Tokens plus their (start, end) character offsets in the original text."""
     return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]

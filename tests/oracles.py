@@ -32,7 +32,7 @@ import numpy as np
 from hardrank.benchmark import _SYLLABLES
 from hardrank.corpus_io import Document, Query, Ranking, RunRecord, rank_records
 from hardrank.linear_model import LogisticScorer, apply_zscore, open_unit_sigmoids
-from hardrank.pointwise_ranker import TrainingInstance
+from hardrank.pointwise_ranker import FEATURE_NAMES, TrainingSet
 from hardrank.text import tokenize, tokenize_with_spans
 
 
@@ -140,11 +140,11 @@ def feature_rows(text: str, candidates: np.ndarray, index, params) -> np.ndarray
 
 def build_training_set(query_texts, qrels, index, corpus, params, depth=100,
                        negatives_per_positive=4, label_threshold=1, seed=13):
-    """Labeled instances, one query at a time: its judged positives, then
+    """The labeled rows, one query at a time: its judged positives, then
     negatives sampled from its unjudged BM25 top `depth` by one seeded
     stream, featurized by `feature_rows` before the next query."""
     rng = random.Random(seed)
-    instances = []
+    pairs, rows, labels = [], [np.empty((0, len(FEATURE_NAMES)))], []
     for qid, text in query_texts:
         judged = qrels.for_query(qid)
         graded = [d for d, g in sorted(judged.items()) if g >= label_threshold]
@@ -156,10 +156,11 @@ def build_training_set(query_texts, qrels, index, corpus, params, depth=100,
         n_negatives = min(len(pool), negatives_per_positive * len(positives))
         negatives = rng.sample(pool, n_negatives) if n_negatives else []
         labeled = [(d, 1) for d in positives] + [(d, 0) for d in negatives]
-        rows = feature_rows(text, index.internal_id_array([d for d, _ in labeled]), index, params)
-        for (doc_id, label), row in zip(labeled, rows):
-            instances.append(TrainingInstance(qid, doc_id, tuple(row), label))
-    return instances
+        rows.append(feature_rows(text, index.internal_id_array([d for d, _ in labeled]), index,
+                                 params))
+        pairs += [(qid, d) for d, _ in labeled]
+        labels += [float(label) for _, label in labeled]
+    return TrainingSet(pairs, np.vstack(rows), np.array(labels))
 
 
 def sort_records(scored) -> list[RunRecord]:
@@ -259,17 +260,16 @@ def toy_qpp_set(n: int = 24, seed: int = 5):
 def toy_ranker_instances(n: int = 80, seed: int = 3):
     """Linearly separable training fixture: label = overlap ratio > 0.5."""
     rng = random.Random(seed)
-    instances = []
+    rows = []
     for i in range(n):
-        label = i % 2
-        overlap = rng.uniform(0.7, 1.0) if label else rng.uniform(0.0, 0.3)
-        features = (
+        overlap = rng.uniform(0.7, 1.0) if i % 2 else rng.uniform(0.0, 0.3)
+        rows.append((
             rng.uniform(0.0, 10.0),
             overlap,
             rng.uniform(0.0, 1.0),
             float(rng.randint(1, 10)),
             rng.uniform(1.0, 6.0),
             rng.uniform(0.0, 1.0),
-        )
-        instances.append(TrainingInstance(f"q{i}", f"d{i}", features, label))
-    return instances
+        ))
+    return TrainingSet([(f"q{i}", f"d{i}") for i in range(n)], np.array(rows),
+                       np.arange(n) % 2.0)

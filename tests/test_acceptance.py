@@ -248,16 +248,15 @@ class TestCriterion5TrainingCorrectness:
 
     def test_separable_toy_set_accuracy(self):
         with criterion(5, "training correctness (c) separable accuracy"):
-            instances = toy_ranker_instances()
-            pos = [i.features[1] for i in instances if i.label == 1]
-            neg = [i.features[1] for i in instances if i.label == 0]
-            assert min(pos) > max(neg)  # brute-force separability check
-            model = train(instances, epochs=500, learning_rate=0.1)
+            training_set = toy_ranker_instances()
+            overlap, labels = training_set.features[:, 1], training_set.labels
+            assert min(overlap[labels == 1]) > max(overlap[labels == 0])  # brute-force check
+            model = train(training_set, epochs=500, learning_rate=0.1)
             correct = sum(
-                (score(model, np.asarray(i.features)) >= 0.5) == bool(i.label)
-                for i in instances
+                (score(model, row) >= 0.5) == bool(label)
+                for row, label in zip(training_set.features, labels)
             )
-            assert correct / len(instances) >= 0.95
+            assert correct / len(training_set) >= 0.95
 
 
 class TestCriterion6EndToEndPipeline:

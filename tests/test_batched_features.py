@@ -135,9 +135,9 @@ def test_training_set_equals_the_per_query_oracle(inputs, params, depth, negativ
     got = build_training_set(queries, qrels, index, index.internal_ids, params, **kwargs)
     expected = oracles.build_training_set(queries, qrels, index, index.internal_ids, params,
                                           **kwargs)
-    assert [(i.query_id, i.doc_id, i.label) for i in got] == \
-        [(i.query_id, i.doc_id, i.label) for i in expected]
-    assert same_bits([i.features for i in got], [i.features for i in expected])
+    assert got.pairs == expected.pairs
+    assert got.labels.tolist() == expected.labels.tolist()
+    assert same_bits(got.features, expected.features)
 
 
 qpp_models = st.builds(

@@ -96,7 +96,6 @@ def test_write_benchmark_round_trips(tmp_path):
 
 
 def test_toy_instances_are_separable():
-    instances = toy_ranker_instances()
-    pos = [i.features[1] for i in instances if i.label == 1]
-    neg = [i.features[1] for i in instances if i.label == 0]
-    assert min(pos) > 0.5 > max(neg)
+    training_set = toy_ranker_instances()
+    overlap, labels = training_set.features[:, 1], training_set.labels
+    assert min(overlap[labels == 1]) > 0.5 > max(overlap[labels == 0])

@@ -5,16 +5,21 @@ changes, these names must keep working: `perfbench/tracing.install` looks
 up every traced function by module and attribute name and observes the
 searches it wraps through `InvertedIndex.document_frequency`, the
 traced serving run checks that a saved and reloaded index has the same
-`postings` as the served one, and `perfbench/serve.py` trains, serves and
-fuses through the package's adapters and keyword arguments.
+`postings` as the served one, the trace counts a training set's rows as
+its `len()`, and `perfbench/serve.py` trains, serves and fuses through the
+package's adapters and keyword arguments.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from hardrank.corpus_io import Document, Query
+from hardrank import pipeline
+from hardrank.benchmark import generate_benchmark
+from hardrank.config import PipelineConfig, validate
+from hardrank.corpus_io import Document, Query, corpus_by_id
 from hardrank.lexical_retrieval import build_index, load_index, save_index
+from test_golden import README_CONFIG
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -54,6 +59,37 @@ def test_tracing_installs_over_every_target_and_uninstalls():
     assert tracer.calls["lexical_retrieval.bm25_search"] == 1
     assert tracer.observed["candidates"] == [len(hits)]
     assert tracer.observed["postings"] == [3]  # df of "power" (2) plus "solar" (1)
+
+
+def test_the_trace_counts_every_training_row(monkeypatch):
+    tracing = _load_tracing()
+    bench = generate_benchmark(seed=7)
+    config = PipelineConfig(raw=validate(README_CONFIG))
+    index = build_index(bench.corpus)
+    enriched, errors, _ = pipeline.enrich_queries(config, index, corpus_by_id(bench.corpus),
+                                                  bench.queries, bench.qrels)
+    assert not errors
+    texts = {"br": [(q.query_id, q.text) for q in bench.queries],
+             "sr": sorted((e.query_id, e.enriched_text) for e in enriched)}
+    sets, train = [], pipeline.train
+
+    def recording_train(training_set, **kwargs):
+        sets.append(training_set)
+        return train(training_set, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        for which in ("br", "sr"):
+            pipeline.fit_ranker(config, which, texts[which], index, bench.qrels)
+    finally:
+        uninstall()
+    assert len(sets) == 2
+    # perfbench/baseline.json records 400 for cli_small, the same two sets
+    assert tracer.counts["training_instances"] == sum(map(len, sets)) == 400
+    for ts in sets:
+        assert len(ts) == len(ts.pairs) == len(ts.labels) == ts.features.shape[0]
 
 
 def test_reloaded_postings_compare_as_a_plain_bool(tmp_path):

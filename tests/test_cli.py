@@ -1091,6 +1091,15 @@ class TestExitCodes:
         assert "error: bm25.k1 is an integer too large for a float" in result.stderr
         assert not (workdir / "work").exists()
 
+    def test_a_number_past_the_integer_digit_limit_exits_1_naming_the_key(self, workdir, run_cli):
+        # past Python's 4,300-digit limit for reading an integer
+        result = run_cli("train", "--which", "br", "--config", "config.json",
+                         "--set", "bm25.k1=1" + "0" * 5000, cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "error: bm25.k1 has too many digits to read as a number" in result.stderr
+        assert len(result.stderr.encode()) < 300
+        assert not (workdir / "work").exists()
+
     def test_an_effectiveness_orientation_exits_1_naming_the_key(self, workdir, run_cli):
         assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
         result = run_cli("train", "--which", "qpp", "--config", "config.json",

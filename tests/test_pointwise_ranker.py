@@ -28,7 +28,7 @@ from hardrank.linear_model import (
 )
 from hardrank.pointwise_ranker import (
     ScoreFileRanker,
-    TrainingInstance,
+    TrainingSet,
     build_training_set,
     extract_features,
     rerank,
@@ -216,24 +216,23 @@ class TestGradient:
 class TestTrain:
     def test_rejects_empty_and_single_class(self):
         with pytest.raises(ValueError):
-            train([])
-        ones = [TrainingInstance("q", "d", (1.0,) * 6, 1)] * 3
+            train(TrainingSet([], np.empty((0, 6)), np.empty(0)))
+        ones = TrainingSet([("q", "d")] * 3, np.ones((3, 6)), np.ones(3))
         with pytest.raises(ValueError):
             train(ones)
 
     def test_separable_toy_set_accuracy(self):
-        instances = toy_ranker_instances()
+        training_set = toy_ranker_instances()
         # brute-force separability check on the overlap feature
-        pos = [i.features[1] for i in instances if i.label == 1]
-        neg = [i.features[1] for i in instances if i.label == 0]
-        assert min(pos) > max(neg)
+        overlap, labels = training_set.features[:, 1], training_set.labels
+        assert min(overlap[labels == 1]) > max(overlap[labels == 0])
 
-        model = train(instances, epochs=500, learning_rate=0.1)
+        model = train(training_set, epochs=500, learning_rate=0.1)
         correct = sum(
-            (score(model, np.asarray(i.features)) >= 0.5) == bool(i.label)
-            for i in instances
+            (score(model, row) >= 0.5) == bool(label)
+            for row, label in zip(training_set.features, labels)
         )
-        assert correct / len(instances) >= 0.95
+        assert correct / len(training_set) >= 0.95
 
     def test_loss_non_increasing_small_lr(self):
         instances = toy_ranker_instances()
@@ -284,11 +283,12 @@ class TestTrain:
         assert m1 == m2
 
     def test_degenerate_feature_gets_unit_std(self):
-        instances = [
-            TrainingInstance("q1", "d1", (1.0, 0.9, 0.0, 5.0, 2.0, 0.0), 1),
-            TrainingInstance("q2", "d2", (1.0, 0.1, 0.0, 5.0, 2.0, 0.0), 0),
-        ]
-        model = train(instances, epochs=10)
+        training_set = TrainingSet(
+            [("q1", "d1"), ("q2", "d2")],
+            np.array([(1.0, 0.9, 0.0, 5.0, 2.0, 0.0), (1.0, 0.1, 0.0, 5.0, 2.0, 0.0)]),
+            np.array([1.0, 0.0]),
+        )
+        model = train(training_set, epochs=10)
         assert model.feature_stds[0] == 1.0  # constant feature
 
 
@@ -364,10 +364,10 @@ class TestBuildTrainingSet:
         docs, idx = small_corpus
         corpus = {d.doc_id: d for d in docs}
         qrels = Qrels({("q1", "d1"): 2, ("q1", "d2"): 0})
-        instances = build_training_set(
+        training_set = build_training_set(
             [("q1", "solar wind power energy")], qrels, idx, corpus, seed=1
         )
-        by_label = {inst.doc_id: inst.label for inst in instances}
+        by_label = {d: label for (_, d), label in zip(training_set.pairs, training_set.labels)}
         assert by_label["d1"] == 1
         assert all(lbl == 0 for d, lbl in by_label.items() if d != "d1")
 
@@ -377,7 +377,9 @@ class TestBuildTrainingSet:
         qrels = Qrels({("q1", "d1"): 2})
         a = build_training_set([("q1", "solar energy")], qrels, idx, corpus, seed=9)
         b = build_training_set([("q1", "solar energy")], qrels, idx, corpus, seed=9)
-        assert a == b
+        assert a.pairs == b.pairs
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tolist() == b.labels.tolist()
 
     def test_missing_positives_get_one_warning_per_call(self, small_corpus, caplog):
         docs, idx = small_corpus
@@ -387,12 +389,13 @@ class TestBuildTrainingSet:
         judged.update({(qid, f"gone{qid}"): 2 for qid, _ in texts})
         judged[("q0", "gone-low")] = 0  # below the threshold: not a positive
         with caplog.at_level(logging.WARNING, logger="hardrank.pointwise_ranker"):
-            instances = build_training_set(texts, Qrels(judged), idx, corpus)
+            training_set = build_training_set(texts, Qrels(judged), idx, corpus)
         assert [r.getMessage() for r in caplog.records] == [
             "positive judgments of documents not in the corpus: 7 skipped, first "
             "['goneq0', 'goneq1', 'goneq2', 'goneq3', 'goneq4']"
         ]
-        assert {inst.doc_id for inst in instances if inst.label} == {"d1"}
+        assert {d for (_, d), label in zip(training_set.pairs, training_set.labels)
+                if label} == {"d1"}
 
 
 class TestPersistence:
