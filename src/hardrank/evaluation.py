@@ -3,8 +3,8 @@
 nDCG@k uses the exponential gain 2^grade - 1 (configurable to linear) with
 a log2(rank + 1) discount; the ideal DCG ranks ALL judged documents for the
 query and truncates at k. Reciprocal rank is 1/rank of the first document
-graded 1 or more. Queries without any positive judgment score 0 and are
-excluded from aggregate means by default.
+graded 1 or more. Queries without any positive judgment are not evaluated
+unless `include_no_positive` is set.
 
 Significance between systems is a two-tailed paired t-test on per-query
 differences, flagged at the 95% and 90% levels.
@@ -128,31 +128,34 @@ def paired_test(
 TEST_NAME = "paired-t (two-tailed)"
 
 
-@dataclass(frozen=True)
-class SystemReport:
-    """Per metric: each judged query's value, the evaluated queries' mean, and the
-    change (%) and paired p against the baseline (None for the baseline itself,
-    and p None when fewer than 2 queries are evaluated)."""
-
-    name: str
-    per_query: dict[str, dict[str, float]]  # qid -> metric -> value
-    means: dict[str, float]
-    delta_pct: dict[str, float | None]
-    p_value: dict[str, float | None]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricReport:
-    """Every system's report (baseline first, then by name), each over the same
-    `n_queries` evaluated queries; `n_excluded` judged queries had no positive
-    judgment. `k` and `rr_cutoff` are the nDCG and RR cutoffs."""
+    """The per-query table: `values[s, m, q]` is system `systems[s]`'s value of
+    metric `METRIC_NAMES[m]` on query `query_ids[q]`; the baseline comes first,
+    then the other systems by name, and the evaluated queries in id order.
+    `means`, `delta_pct` and `p_value` are [system][metric]: each row's mean,
+    change (%) and paired p against the baseline's row (None for the baseline,
+    the change None when its mean is 0, p None with fewer than 2 queries).
+    `n_excluded` judged queries had no positive judgment. `k` and `rr_cutoff`
+    are the nDCG and RR cutoffs."""
 
-    systems: list[SystemReport]
-    baseline: str
-    n_queries: int
+    systems: tuple[str, ...]
+    query_ids: tuple[str, ...]
+    values: np.ndarray  # float64, read-only, (systems, METRIC_NAMES, queries)
+    means: tuple[tuple[float, ...], ...]
+    delta_pct: tuple[tuple[float | None, ...], ...]
+    p_value: tuple[tuple[float | None, ...], ...]
     n_excluded: int
     k: int
     rr_cutoff: int | None
+
+    @property
+    def baseline(self) -> str:
+        return self.systems[0]
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.query_ids)
 
 
 class NoEvaluableQuery(ValueError):
@@ -175,64 +178,48 @@ def build_report(
     gain: str = "exp",
     include_no_positive: bool = False,
 ) -> MetricReport:
-    """Per-query and aggregate metrics for named runs, with baseline deltas.
+    """The per-query table of named runs, with its means and baseline deltas.
 
-    Every judged query's judgments are looked up once and evaluated for
-    every system (a query absent from a run scores 0; RR counts grade >= 1).
-    Queries with no positive judgment are excluded from the aggregate means
-    unless include_no_positive is set; the same query set is used for every
-    system so the significance tests pair correctly; with fewer than 2 of
-    them no p-value is given. Raises NoEvaluableQuery when that set is empty.
+    Each evaluated query's judgments are looked up once and scored for every
+    system (a query absent from a run scores 0; RR counts grade >= 1).
+    Queries with no positive judgment are not evaluated unless
+    include_no_positive is set; every system is scored on the same queries,
+    so the significance tests pair correctly, and with fewer than 2 of them
+    no p-value is given. Raises NoEvaluableQuery when no query is evaluated.
     """
     if baseline not in runs:
         raise ValueError(f"baseline {baseline!r} not among runs {sorted(runs)}")
-    judged = {qid: qrels.for_query(qid) for qid in qrels.query_ids()}
-    included = [qid for qid in judged if include_no_positive or qrels.has_positive(qid)]
-    if not included:
+    judged = qrels.query_ids()
+    query_ids = tuple(qid for qid in judged if include_no_positive or qrels.has_positive(qid))
+    if not query_ids:
         raise NoEvaluableQuery(len(judged))
-
-    def column(per_query: dict[str, dict[str, float]], metric: str) -> list[float]:
-        return [per_query[qid][metric] for qid in included]
-
-    def system_report(name: str, base: SystemReport | None) -> SystemReport:
-        entries = runs[name].entries
-        per_query = {
-            qid: {
-                "ndcg10": ndcg_at_k(entries.get(qid, _UNRANKED), judgments, k, gain),
-                "rr": reciprocal_rank(entries.get(qid, _UNRANKED), judgments, rr_cutoff),
-            }
-            for qid, judgments in judged.items()
-        }
-        means = {metric: float(np.mean(column(per_query, metric))) for metric in METRIC_NAMES}
-        if base is None:  # the baseline itself
-            none = dict.fromkeys(METRIC_NAMES)
-            return SystemReport(name, per_query, means, none, dict(none))
-        delta = {
-            m: None if base.means[m] == 0.0 else relative_improvement(means[m], base.means[m])
-            for m in METRIC_NAMES
-        }
-        p = {  # no test of fewer than 2 queries
-            m: paired_test(column(per_query, m), column(base.per_query, m)).p_two_tailed
-            if len(included) > 1 else None for m in METRIC_NAMES
-        }
-        return SystemReport(name, per_query, means, delta, p)
-
-    base = system_report(baseline, None)
-    systems = [base] + [system_report(name, base) for name in sorted(runs) if name != baseline]
-    return MetricReport(systems, baseline, len(included), len(judged) - len(included),
-                        k, rr_cutoff)
+    systems = (baseline, *sorted(name for name in runs if name != baseline))
+    values = np.empty((len(systems), len(METRIC_NAMES), len(query_ids)))
+    for q, qid in enumerate(query_ids):
+        judgments = qrels.for_query(qid)
+        for s, name in enumerate(systems):
+            ranking = runs[name].entries.get(qid, _UNRANKED)
+            values[s, :, q] = (ndcg_at_k(ranking, judgments, k, gain),
+                               reciprocal_rank(ranking, judgments, rr_cutoff))
+    values.flags.writeable = False
+    means = tuple(tuple(float(np.mean(row)) for row in rows) for rows in values)
+    none = (None,) * len(METRIC_NAMES)  # the baseline's change and p against itself
+    delta_pct = (none, *(
+        tuple(None if base == 0.0 else relative_improvement(mean, base)
+              for mean, base in zip(row, means[0])) for row in means[1:]))
+    p_value = (none, *(  # no test of fewer than 2 queries
+        tuple(paired_test(row, base).p_two_tailed if len(query_ids) > 1 else None
+              for row, base in zip(rows, values[0])) for rows in values[1:]))
+    return MetricReport(systems, query_ids, values, means, delta_pct, p_value,
+                        len(judged) - len(query_ids), k, rr_cutoff)
 
 
 _SIG_MARK = {95: "*", 90: "#", None: ""}
 
 
-def _fmt_metric(report: SystemReport, metric: str) -> str:
-    value = f"{report.means[metric]:.3f}"
-    delta = report.delta_pct[metric]
-    mark = _SIG_MARK[significance_level(report.p_value[metric])]
-    if delta is None:
-        return value
-    return f"{value} ({delta:+.1f}%){mark}"
+def _fmt_metric(mean: float, delta: float | None, p: float | None) -> str:
+    change = "" if delta is None else f" ({delta:+.1f}%){_SIG_MARK[significance_level(p)]}"
+    return f"{mean:.3f}{change}"
 
 
 def render_report(report: MetricReport) -> str:
@@ -241,16 +228,15 @@ def render_report(report: MetricReport) -> str:
     ndcg = f"nDCG@{report.k}"
     rr = "RR" if report.rr_cutoff is None else f"RR@{report.rr_cutoff}"
     headers = ["system", ndcg, rr, f"p({ndcg})", f"p({rr})"]
-    rows = []
-    for sys_report in report.systems:
-        p_values = [sys_report.p_value[metric] for metric in METRIC_NAMES]
-        rows.append(
-            [
-                sys_report.name + (" [baseline]" if sys_report.name == report.baseline else ""),
-                *(_fmt_metric(sys_report, metric) for metric in METRIC_NAMES),
-                *("-" if p is None else f"{p:.4f}" for p in p_values),
-            ]
-        )
+    rows = [
+        [
+            name + (" [baseline]" if name == report.baseline else ""),
+            *map(_fmt_metric, means, deltas, p_values),
+            *("-" if p is None else f"{p:.4f}" for p in p_values),
+        ]
+        for name, means, deltas, p_values in zip(report.systems, report.means, report.delta_pct,
+                                                 report.p_value)
+    ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
@@ -266,19 +252,22 @@ def render_report(report: MetricReport) -> str:
 
 
 def report_jsonl(report: MetricReport) -> list[str]:
-    """One machine-readable JSON record per system (3dp metrics, 1dp deltas)."""
+    """One machine-readable JSON record per system (3dp metrics, 1dp deltas). The
+    keys stay `ndcg10` and `rr` whatever the cutoffs, which `k` and `rr_cutoff` give."""
     lines = []
-    for sys_report in report.systems:
+    for name, means, deltas, p_values in zip(report.systems, report.means, report.delta_pct,
+                                             report.p_value):
         record = {
-            "system": sys_report.name,
+            "system": name,
             "baseline": report.baseline,
             "n_queries": report.n_queries,
             "n_excluded": report.n_excluded,
             "test": TEST_NAME,
+            "k": report.k,
+            "rr_cutoff": report.rr_cutoff,
         }
-        for metric in METRIC_NAMES:
-            delta, p = sys_report.delta_pct[metric], sys_report.p_value[metric]
-            record[metric] = round(sys_report.means[metric], 3)
+        for metric, mean, delta, p in zip(METRIC_NAMES, means, deltas, p_values):
+            record[metric] = round(mean, 3)
             record[f"delta_{metric}_pct"] = None if delta is None else round(delta, 1)
             record[f"p_{metric}"] = p
             record[f"sig_{metric}"] = significance_level(p)

@@ -123,7 +123,7 @@ def fit_ranker(config: PipelineConfig, which: str, texts: list[tuple[str, str]],
 
 def fit_qpp(config: PipelineConfig, index: InvertedIndex, queries: list[Query],
             qrels: Qrels) -> LogisticScorer:
-    """The hardness estimator, trained against nDCG@10 of the first-stage run.
+    """The hardness estimator, trained against nDCG@`metrics.ndcg_k` of the first-stage run.
 
     The model's metadata also keeps "train_median_psi", the median psi over
     every training query that retrieved a candidate: R-QPP's `train_median`

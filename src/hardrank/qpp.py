@@ -1,12 +1,12 @@
 """Per-query hardness estimation from post-retrieval evidence.
 
 A logistic model over statistics of the query's top-k first-stage results
-is trained against nDCG@10 labels with a soft-target binary cross-entropy.
-Because the training target measures how WELL retrieval did (higher =
-easier), the prediction is inverted so that the emitted estimate psi is a
-hardness score: psi = 1 - predicted effectiveness. The model is a "qpp"
-`LogisticScorer` whose metadata holds the top-k depth and the orientation,
-which is always "hardness".
+is trained against nDCG labels (at the pipeline's `metrics.ndcg_k`) with a
+soft-target binary cross-entropy. Because the training target measures how
+WELL retrieval did (higher = easier), the prediction is inverted so that
+the emitted estimate psi is a hardness score: psi = 1 - predicted
+effectiveness. The model is a "qpp" `LogisticScorer` whose metadata holds
+the top-k depth and the orientation, which is always "hardness".
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def train_qpp(
     k: int = 10,
     orientation: str = "hardness",
 ) -> LogisticScorer:
-    """Fit the estimator on (query, ranked list, nDCG@10 label) triples.
+    """Fit the estimator on (query, ranked list, nDCG label) triples.
 
     The features read each list's top `k`, as `estimate_batch` does.
     Soft-target BCE over the effectiveness labels; the model predicts

@@ -317,7 +317,8 @@ class TestCriterion6EndToEndPipeline:
                 for name in ("br", "w_qpps")
             }
             report = build_report(runs, qrels, baseline="br")
-            means = {sys_report.name: sys_report.means["ndcg10"] for sys_report in report.systems}
+            # each system's mean nDCG, the first of METRIC_NAMES
+            means = {name: row[0] for name, row in zip(report.systems, report.means)}
             br_ndcg, wqpps_ndcg = means["br"], means["w_qpps"]
             assert wqpps_ndcg >= br_ndcg, f"w_qpps {wqpps_ndcg} < br {br_ndcg}"
 

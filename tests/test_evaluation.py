@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from hardrank import evaluation
-from hardrank.corpus_io import Qrels, RunList, rank_records
+from hardrank.corpus_io import Qrels, Ranking, RunList, rank_records
 from hardrank.evaluation import (
+    METRIC_NAMES,
     NoEvaluableQuery,
     build_report,
     ndcg_at_k,
@@ -26,8 +28,16 @@ from hardrank.evaluation import (
 
 
 def system(report, name):
-    """The named system's part of a report."""
-    return next(sys_report for sys_report in report.systems if sys_report.name == name)
+    """The named system's part of a report, each value keyed by metric name:
+    its per-query values (qid -> metric -> value), means, changes and p-values."""
+    def by_metric(row):
+        return dict(zip(METRIC_NAMES, row))
+
+    s = report.systems.index(name)
+    per_query = {qid: by_metric(report.values[s, :, q]) for q, qid in enumerate(report.query_ids)}
+    return SimpleNamespace(name=name, per_query=per_query, means=by_metric(report.means[s]),
+                           delta_pct=by_metric(report.delta_pct[s]),
+                           p_value=by_metric(report.p_value[s]))
 
 
 def oracle_ndcg(doc_grades_in_rank_order, all_grades, k):
@@ -260,7 +270,74 @@ def two_system_fixture():
     return qrels, good, bad
 
 
+@st.composite
+def judged_runs(draw):
+    """Random judgments over up to 6 queries and 8 documents (a query may have
+    no positive judgment) and 1-4 runs, each of which may lack any query."""
+    queries = [f"q{i}" for i in range(draw(st.integers(1, 6)))]
+    docs = [f"d{i}" for i in range(8)]
+    judgments = draw(st.dictionaries(st.tuples(st.sampled_from(queries), st.sampled_from(docs)),
+                                     st.integers(0, 3), min_size=1))
+    runs = {}
+    for name in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)):
+        entries = {}
+        for qid in draw(st.lists(st.sampled_from(queries), unique=True)):
+            ranked = draw(st.lists(st.sampled_from(docs), min_size=1, unique=True))
+            entries[qid] = rank_records([(doc, float(-i)) for i, doc in enumerate(ranked)])
+        runs[name] = RunList(entries=entries, tag=name)
+    return judgments, runs
+
+
 class TestBuildReport:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=judged_runs(), k=st.integers(1, 8), rr_cutoff=st.none() | st.integers(1, 8),
+           include_no_positive=st.booleans(), data=st.data())
+    def test_table_equals_its_oracle(self, drawn, k, rr_cutoff, include_no_positive, data):
+        judgments, runs = drawn
+        baseline = data.draw(st.sampled_from(sorted(runs)))
+        qrels = Qrels(judgments)
+        judged = {qid for qid, _ in judgments}
+        positive = {qid for (qid, _), grade in judgments.items() if grade >= 1}
+        included = sorted(judged if include_no_positive else positive)
+        args = dict(k=k, rr_cutoff=rr_cutoff, include_no_positive=include_no_positive)
+        if not included:
+            with pytest.raises(NoEvaluableQuery):
+                build_report(runs, qrels, baseline, **args)
+            return
+        report = build_report(runs, qrels, baseline, **args)
+        systems = (baseline, *sorted(set(runs) - {baseline}))
+        assert report.systems == systems and report.baseline == baseline
+        assert report.query_ids == tuple(included)
+        assert (report.n_queries, report.n_excluded) == (len(included), len(judged) - len(included))
+        assert report.values.dtype == np.float64
+        assert report.values.shape == (len(systems), len(METRIC_NAMES), len(included))
+        unranked = Ranking((), np.empty(0))
+        rows = []
+        for name in systems:
+            cells = []
+            for qid in included:
+                ranking = runs[name].entries.get(qid, unranked)
+                grades = {doc: grade for (q, doc), grade in judgments.items() if q == qid}
+                cells.append((ndcg_at_k(ranking, grades, k),
+                              reciprocal_rank(ranking, grades, rr_cutoff)))
+            rows.append([list(row) for row in zip(*cells)])  # [metric][query]
+        assert report.values.tolist() == rows
+        for s, system_rows in enumerate(rows):
+            means = tuple(float(np.mean(row)) for row in system_rows)
+            assert report.means[s] == means
+            if s == 0:
+                assert report.delta_pct[s] == report.p_value[s] == (None, None)
+                continue
+            assert report.delta_pct[s] == tuple(
+                None if base == 0.0 else relative_improvement(mean, base)
+                for mean, base in zip(means, report.means[0]))
+            assert report.p_value[s] == tuple(
+                paired_test(row, base).p_two_tailed if len(included) > 1 else None
+                for row, base in zip(system_rows, rows[0]))
+        assert not report.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            report.values[0, 0, 0] = 0.5
+
     def test_identical_runs_zero_delta_p_one(self):
         qrels, good, _ = two_system_fixture()
         report = build_report({"base": good, "same": good}, qrels, baseline="base")
@@ -342,8 +419,8 @@ class TestBuildReport:
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.baseline = "good"
         with pytest.raises(dataclasses.FrozenInstanceError):
-            report.systems[0].means = {}
-        base, other = report.systems
+            report.means = ()
+        base, other = (system(report, name) for name in report.systems)
         assert base.delta_pct == base.p_value == {"ndcg10": None, "rr": None}
         assert set(other.delta_pct) == set(other.p_value) == {"ndcg10", "rr"}
         assert all(p is not None for p in other.p_value.values())
@@ -393,6 +470,8 @@ class TestBuildReport:
         header = render_report(report).splitlines()[0].split()
         assert header == ["system", "nDCG@1", "RR@2", "p(nDCG@1)", "p(RR@2)"]
         assert [json.loads(line)["ndcg10"] for line in report_jsonl(report)] == [0.0, 1.0]
+        records = [json.loads(line) for line in report_jsonl(report)]
+        assert [(r["k"], r["rr_cutoff"]) for r in records] == [(1, 2), (1, 2)]
 
     def test_render_and_jsonl(self):
         qrels, good, bad = two_system_fixture()

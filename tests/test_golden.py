@@ -47,7 +47,7 @@ GOLDEN_SHA256 = {
     "r_qpp.txt": "3cca5e434df9f26f5e52ee87be5191f0678dc12fbfffd2f1208cb3e8b03afd01",
     "r_qpp.routing.tsv": "a61b0ed254fe0fd1741121e22b02e3cdea52927652d4f8213a851c661404db64",
     "w_qpps.txt": "fcb6c790e4bad380e0f2e7ff80e9cb534e7683259582b518736cf73dffcd089e",
-    "report.jsonl": "d2cf1ebbd61b9761b9cea5b5dd4268341b5ced7ae89d5271c4707194baa0fefa",
+    "report.jsonl": "a736f1ee16131e45207a095e418a1bd0450e3da73dcfd3df87fd141538c8d43d",
     "report.txt": "6c0651ec9700e28fa4fd9326d87cba6ca122ffec934370019fec0e9cf0a5ada4",
 }
 

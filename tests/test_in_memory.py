@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardrank import pipeline
@@ -22,7 +23,7 @@ from hardrank.benchmark import generate_benchmark, write_benchmark
 from hardrank.config import ConfigError, PipelineConfig, load_config, validate
 from hardrank.corpus_io import Qrels, write_queries_file, write_run
 from hardrank.enrichment import write_enriched
-from hardrank.evaluation import render_report, report_jsonl
+from hardrank.evaluation import METRIC_NAMES, render_report, report_jsonl
 from hardrank.fusion import write_routing_log
 from hardrank.lexical_retrieval import build_index
 from test_golden import ENRICHED_SHA256, GOLDEN_SHA256, MODEL_SHA256, README_CONFIG
@@ -200,12 +201,32 @@ def test_rank_makes_one_feature_pass_per_query(readme, kernel_calls):
 
 @pytest.fixture(scope="module")
 def extended():
-    """`scaled_inputs(1, 5, True)`, its README-config experiment and index."""
+    """`scaled_inputs(1, 5, True)`: its corpus, test queries, README config,
+    experiment and hard test query ids."""
     inputs = _load_workloads().scaled_inputs(1, 5, True)
     config = PipelineConfig(raw=validate(README_CONFIG))
     result = pipeline.experiment(config, inputs.corpus, inputs.train_queries, inputs.train_qrels,
                                  inputs.test_queries, inputs.test_qrels)
-    return inputs.corpus, inputs.test_queries, config, result
+    return inputs.corpus, inputs.test_queries, config, result, inputs.hard_test_ids
+
+
+def test_held_out_means_of_all_hard_and_easy_queries(extended):
+    # ROADMAP item 1's held-out row: SR beats BR on the hard queries and
+    # loses on the easy ones; BSF beats BR on both
+    _, queries, _, result, hard_ids = extended
+    report = result.report
+    assert report.query_ids == tuple(sorted(q.query_id for q in queries))
+    hard = np.isin(report.query_ids, hard_ids)
+    ndcg = report.values[:, METRIC_NAMES.index("ndcg10")]
+    means = {name: [round(float(np.mean(row[which])), 3) for which in (..., hard, ~hard)]
+             for name, row in zip(report.systems, ndcg)}
+    assert means == {
+        "br": [0.616, 0.391, 0.840],
+        "sr": [0.560, 0.915, 0.205],
+        "bsf": [0.757, 0.648, 0.867],
+        "r_qpp": [0.644, 0.448, 0.840],
+        "w_qpps": [0.694, 0.548, 0.840],
+    }
 
 
 @pytest.mark.parametrize("inputs", ["readme", "extended"])
@@ -216,7 +237,7 @@ def test_one_query_rank_is_the_search_path(request, inputs, kernel_calls):
         bench, config, result = request.getfixturevalue("readme")
         corpus, queries = bench.corpus, bench.queries
     else:
-        corpus, queries, config, result = request.getfixturevalue("extended")
+        corpus, queries, config, result, _ = request.getfixturevalue("extended")
     index = build_index(corpus)
     decided = {d.query_id: d for d in result.decisions}
     for query in queries:
