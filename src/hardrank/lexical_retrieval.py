@@ -22,8 +22,9 @@ every list the index ranks (`InvertedIndex.ranked`) breaks ties by
 doc_id ascending with no lookup, and the index does not depend on the
 corpus's order. The postings are numpy columns in compressed sparse row
 layout. The index is immutable once built, and searches over it are safe
-to run concurrently: an impacts column is stored by one assignment of a
-finished read-only array. The postings are its only store of
+to run concurrently: an impacts column, and the last rerank's features
+(`last_features`), are each stored by one assignment of a finished
+read-only value. The postings are its only store of
 per-(term, document) facts: beside each tf, a lead flag says whether the
 term is among the document's first EARLY_WINDOW tokens, and a document's
 length is the sum of its tfs. So reranking never reads document text.
@@ -80,7 +81,8 @@ class InvertedIndex:
     document's length (the sum of its tfs), `math.log1p(length)` and
     tf-vector norm, the average length, each term's idf and the doc_id ->
     internal id map are derived at construction; each BM25 parameter set's
-    impacts column on first use (`impacts`).
+    impacts column on first use (`impacts`); the one other value stored
+    later is `last_features`, `pointwise_ranker.rerank`'s memo.
     """
 
     spans: dict[str, tuple[int, int]]  # term -> [start, end) in ids, tfs and leads
@@ -96,6 +98,8 @@ class InvertedIndex:
     idf_by_df: dict[int, float] = field(init=False)  # df -> idf, for 0 and each term's df
     # Bm25Params -> read-only impacts column; filled by `impacts`
     _impacts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # the last `rerank` miss: ((params, text, doc ids), read-only ids, read-only matrix)
+    last_features: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = len(self.doc_ids)
@@ -446,6 +450,9 @@ def load_index(path) -> InvertedIndex:
     _, ids, tfs, leads = sections.values()
     if not doc_ids:
         raise fault("doc_ids is empty")
+    if " ".join(doc_ids).split() != doc_ids:  # the rule run files and the corpus apply
+        bad = next(doc_id for doc_id in doc_ids if doc_id.split() != [doc_id])
+        raise fault(f"doc_ids holds {bad!r}, which is empty or holds whitespace")
     for name, values in (("doc_ids", doc_ids), ("terms", terms)):
         if not all(map(operator.lt, values, values[1:])):
             raise fault(f"{name} are not strictly ascending")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Mapping, Sequence
@@ -151,14 +150,6 @@ def train(
     return fit_scorer(training_set.features, labels, epochs, learning_rate, "ranker", metadata)
 
 
-# The last matrix `rerank` built and what it was built from: (weakref to
-# the index, (params, query text, candidate doc ids), read-only internal
-# ids, read-only matrix). The weak reference keeps no index alive, and the
-# entry is replaced in one assignment, so a concurrent reader sees either
-# the old entry or the new one, never a mix.
-_last_features: tuple | None = None
-
-
 def rerank(model: LogisticScorer, text: str, candidates: Ranking, index: InvertedIndex,
            params: Bm25Params = Bm25Params()) -> Ranking:
     """Re-score the candidate documents with the model.
@@ -168,22 +159,21 @@ def rerank(model: LogisticScorer, text: str, candidates: Ranking, index: Inverte
     The features come from one `_feature_rows` pass over the list, read
     from the index alone, which is also the set of documents that exist:
     the first candidate it does not hold raises ValueError. Reranking the
-    same list for the same query text, index and params again reuses that
-    pass (`_last_features`), as serving does when it scores each list with
-    BR and then SR. `pipeline.rank` reranks all its lists with
-    `rerank_batch` instead.
+    same list for the same query text and params on the same index again
+    reuses that pass (`InvertedIndex.last_features`), as serving does when
+    it scores each list with BR and then SR. `pipeline.rank` reranks all
+    its lists with `rerank_batch` instead.
     """
-    global _last_features
     if not candidates:
         raise ValueError("candidate list is empty")
     key = (params, text, candidates.doc_ids)
-    memo = _last_features
-    if memo is None or memo[0]() is not index or memo[1] != key:
+    memo = index.last_features
+    if memo is None or memo[0] != key:
         ids = index.internal_id_array(candidates.doc_ids)
         matrix = _feature_rows([(text, ids)], index, params)
         ids.flags.writeable = matrix.flags.writeable = False
-        memo = _last_features = (weakref.ref(index), key, ids, matrix)
-    return index.ranked(memo[2], model.score_rows(memo[3]))
+        memo = index.last_features = (key, ids, matrix)
+    return index.ranked(memo[1], model.score_rows(memo[2]))
 
 
 def rerank_batch(models: Sequence[LogisticScorer], lists: Sequence[tuple[str, Ranking]],

@@ -30,7 +30,8 @@ def child_env():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """One entry per call of the feature kernel: the (query text, internal
-    ids) of each list it featurized, in order; the memo starts empty."""
+    ids) of each list it featurized, in order. The `rerank` memo lives on
+    the index, so it starts empty on each index a test builds."""
     calls = []
     original = pointwise_ranker._feature_rows
 
@@ -39,7 +40,6 @@ def kernel_calls(monkeypatch):
         return original(lists, index, params)
 
     monkeypatch.setattr(pointwise_ranker, "_feature_rows", counted)
-    monkeypatch.setattr(pointwise_ranker, "_last_features", None)
     return calls
 
 

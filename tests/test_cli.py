@@ -681,6 +681,19 @@ class TestRunAndEval:
         assert "error: index file work/index.bin: leads is cut short" in result.stderr
         assert not (trained / "work" / "runs" / "br.txt").exists()
 
+    def test_index_doc_id_with_whitespace_is_input_error(self, trained, run_cli):
+        # such an id would split its field in br.txt, so the index is refused
+        index_path = trained / "work" / "index.bin"
+        head, _, body = index_path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["doc_ids"][1] += " x"
+        index_path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        result = run_cli("run", "--config", "config.json", "--method", "br", cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert (f"error: index file work/index.bin: doc_ids holds '{header['doc_ids'][1]}', "
+                "which is empty or holds whitespace") in result.stderr
+        assert not (trained / "work" / "runs" / "br.txt").exists()
+
     def test_r_qpp_writes_routing_log(self, ranked, run_cli):
         result = run_cli("run", "--config", "config.json", "--method", "r_qpp", cwd=ranked)
         assert result.returncode == 0, result.stderr

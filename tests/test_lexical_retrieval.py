@@ -654,8 +654,13 @@ class TestLoadIndexRejectsUntrustedFiles:
             (["d1", "d1"], r"doc_ids are not strictly ascending"),
             (["d2", "d1"], r"doc_ids are not strictly ascending"),
             ([], r"doc_ids is empty"),
+            (["", "d2"], r"doc_ids holds '', which is empty or holds whitespace"),
+            (["d1", "d2 x"], r"doc_ids holds 'd2 x', which is empty or holds whitespace"),
+            (["d1", "d2\tx"], r"doc_ids holds 'd2\\tx', which is empty or holds whitespace"),
+            (["d1", "d2\x1cx"], r"doc_ids holds 'd2\\x1cx', which is empty or holds whitespace"),
         ],
-        ids=["int", "null", "duplicate", "unsorted", "empty"],
+        ids=["int", "null", "duplicate", "unsorted", "empty", "empty_id", "space", "tab",
+             "separator"],
     )
     def test_doc_ids_not_ascending_strings(self, saved, doc_ids, message):
         self._rewrite(saved, lambda p: p.__setitem__("doc_ids", doc_ids))

@@ -1,9 +1,10 @@
 """One feature pass per candidate list, whichever rankers score it.
 
-`rerank` keeps the last feature matrix it built, keyed by the index (held
-weakly), the BM25 parameters, the query text and the candidate doc ids, so
-BR then SR on one list costs one pass. The list is scored as a matrix with
-the bits of the per-row `oracles.score`, and `RunRecord` has slots.
+`rerank` keeps the last feature matrix it built on the index it read
+(`InvertedIndex.last_features`), keyed by the BM25 parameters, the query
+text and the candidate doc ids, so BR then SR on one list costs one pass.
+The list is scored as a matrix with the bits of the per-row
+`oracles.score`, and `RunRecord` has slots.
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardrank import pointwise_ranker
 from hardrank.benchmark import write_benchmark
 from hardrank.config import load_config
 from hardrank.corpus_io import Document, RunRecord, rank_records, read_queries_file
@@ -67,7 +67,7 @@ def setting():
 
 
 def fresh_rerank(model, query, candidates, index, params=Bm25Params()):
-    pointwise_ranker._last_features = None
+    index.last_features = None
     return rerank(model, query, candidates, index, params)
 
 
@@ -98,6 +98,15 @@ class TestSharedFeaturePass:
         if change == "index":
             assert second == first
 
+    def test_a_rerank_on_another_index_keeps_this_index_memo(self, setting, kernel_calls):
+        # each index of the same documents holds its own memo, so switching
+        # between two costs one pass per index, not one per switch
+        index, candidates = setting
+        other = build_index(DOCS)
+        got = [rerank(BR, "solar grid", candidates, at) for at in (index, other, index, other)]
+        assert len(kernel_calls) == 2
+        assert got == [fresh_rerank(BR, "solar grid", candidates, index)] * 4
+
     def test_same_list_in_another_order_is_a_miss(self, setting, kernel_calls):
         index, candidates = setting
         rerank(BR, "solar", candidates, index)
@@ -116,10 +125,13 @@ class TestSharedFeaturePass:
         assert index_ref() is None
         assert doc_ref() is None
 
-    def test_concurrent_reranks_match_sequential_ones(self, setting):
+    @pytest.mark.parametrize("n_indexes", [1, 2])
+    def test_concurrent_reranks_match_sequential_ones(self, setting, n_indexes):
         # more threads than cores, switching often, each with its own query,
-        # so a memo entry read half-replaced would give a wrong list
+        # so a memo entry read half-replaced would give a wrong list; with two
+        # indexes of the same documents, each thread alternates between them
         index, candidates = setting
+        indexes = [index, *(build_index(DOCS) for _ in range(n_indexes - 1))]
         queries = ["solar", "wind power", "grid", "solar heat roof"]
         expected = {
             (q, id(m)): fresh_rerank(m, q, candidates, index)
@@ -129,9 +141,9 @@ class TestSharedFeaturePass:
         mismatches = []
 
         def worker(query):
-            for _ in range(2000):
+            for at in range(2000):
                 for model in (BR, SR):
-                    got = rerank(model, query, candidates, index)
+                    got = rerank(model, query, candidates, indexes[at % n_indexes])
                     if got != expected[(query, id(model))]:
                         mismatches.append(query)
 
@@ -151,7 +163,7 @@ class TestSharedFeaturePass:
     def test_memo_matrix_is_read_only(self, setting):
         index, candidates = setting
         rerank(BR, "solar", candidates, index)
-        ids, matrix = pointwise_ranker._last_features[2:]
+        ids, matrix = index.last_features[1:]
         assert ids.tolist() == [index.internal_ids[rec.doc_id] for rec in candidates]
         assert matrix.shape == (len(candidates), 6)
         for array in (ids, matrix):
