@@ -32,4 +32,4 @@ print(build_prompt(Query("q1", "what is lbm"), corpus[0].text))
 out = enrich(Query("q1", "what is lbm"), index, corpus_by_id(corpus), StubGenerator())
 print()
 print("enriched:", out.enriched_text)
-print("context doc:", out.context_doc_id, "| generator:", out.generator_id)
+print("context doc:", out.context_doc_id, "| fallback:", out.fallback)

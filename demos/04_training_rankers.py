@@ -7,15 +7,15 @@ the trained hardness estimate psi of an easy and a hard query.
 """
 
 from hardrank.benchmark import generate_benchmark
-from hardrank.config import PipelineConfig, validate
+from hardrank.config import default_config
 from hardrank.lexical_retrieval import build_index
 from hardrank.pipeline import candidates_for, fit_qpp, fit_ranker
 from hardrank.pointwise_ranker import FEATURE_NAMES, extract_features, rerank
 from hardrank.qpp import estimate_batch
 
 bench = generate_benchmark(seed=7)
-# the README config; its paths name the files the CLI reads, which this never opens
-config = PipelineConfig(raw=validate({"enrichment": {"use_judged_context": True}}))
+# the README config but for its paths, which name files the CLI reads and this never opens
+config = default_config()
 index = build_index(bench.corpus)
 corpus = {d.doc_id: d for d in bench.corpus}
 queries = {q.query_id: q for q in bench.queries}

@@ -12,7 +12,7 @@ index/enrich/train/run/eval.
 from statistics import mean
 
 from hardrank.benchmark import generate_benchmark
-from hardrank.config import PipelineConfig, validate
+from hardrank.config import default_config
 from hardrank.evaluation import render_report
 from hardrank.pipeline import experiment
 
@@ -20,8 +20,8 @@ bench = generate_benchmark(seed=7)
 print(f"benchmark: {len(bench.corpus)} docs, {len(bench.queries)} queries "
       f"({len(bench.hard_query_ids)} hard / {len(bench.easy_query_ids)} easy)")
 
-# the README config; its paths name the files the CLI reads, which this never opens
-config = PipelineConfig(raw=validate({"enrichment": {"use_judged_context": True}}))
+# the README config but for its paths, which name files the CLI reads and this never opens
+config = default_config()
 result = experiment(config, bench.corpus, bench.queries, bench.qrels, bench.queries, bench.qrels)
 
 rewrite = result.enriched[0]

@@ -6,12 +6,12 @@ One walk over it, `_resolve`, turns a partial config into the full one:
 `DEFAULTS` is that walk over an empty object, and `validate` is that walk
 plus the one rule that spans keys. The defaults are the documented
 toolkit choices (BM25 k1=0.9/b=0.4, run depth 100, hardness thresholds,
-inverted QPP orientation, train-median routing threshold). The file
-overrides the defaults, and each ``--set section.key=value`` flag is the
-object ``{"section": {"key": value}}`` layered over the file: objects
-merge key by key, so ``--set section={...}`` merges like a file section.
-Unknown keys are rejected so typos fail loudly instead of silently using
-a default.
+judged enrichment context, inverted QPP orientation, train-median
+routing threshold). The file overrides the defaults, and each
+``--set section.key=value`` flag is the object ``{"section": {"key": value}}``
+layered over the file: objects merge key by key, so ``--set section={...}``
+merges like a file section. Unknown keys are rejected so typos fail
+loudly instead of silently using a default.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ SCHEMA: dict[str, Any] = {
         "stub_context_terms": Key(6, _INT, lo=0),
     },
     "enrichment": {
-        "use_judged_context": Key(False, _BOOL),
+        "use_judged_context": Key(True, _BOOL),
         "passage_window": Key(120, _INT, lo=1),
     },
     "ranker": {

@@ -3,7 +3,7 @@
 A query is flagged hard by cheap heuristics (very short, acronym-laden or
 out-of-lexicon terms, too few content words). Hard queries are rewritten by
 a pluggable text generator given the query plus the most relevant
-passage of its top retrieved (or highest-judged) document, so the rewrite
+passage of its highest-judged (or else top retrieved) document, so the rewrite
 stays grounded in real context instead of drifting off-topic.
 """
 
@@ -15,15 +15,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus_io import Document, ParseError, Qrels, Query, _check_id, _iter_lines
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, tokenize, tokenize_with_spans
 
 log = logging.getLogger(__name__)
-
-PROMPT_TEMPLATE_VERSION = "tmpl-1"
 
 _PROMPT = """Rewrite the search query below into one clear, self-contained search query.
 Ground the rewrite ONLY in the supplied context passage; do not invent facts.
@@ -68,7 +66,6 @@ class EnrichedQuery:
     query_id: str
     enriched_text: str
     context_doc_id: str
-    generator_id: str
     fallback: bool = False
 
 
@@ -98,7 +95,7 @@ def classify_hardness(query: Query, rule: HardnessRule) -> str:
 
 
 def build_prompt(query: Query, passage: str) -> str:
-    """Instantiate the versioned rewrite prompt with query and passage verbatim."""
+    """Instantiate the rewrite prompt with query and passage verbatim."""
     if not passage:
         raise ValueError("passage must be non-empty")
     return _PROMPT.format(query=query.text, passage=passage)
@@ -114,7 +111,6 @@ class StubGenerator:
     """
 
     context_terms: int = 6
-    generator_id: ClassVar[str] = "stub-v1"
 
     def generate(self, query: Query, passage: str) -> str:
         have = set(tokenize(query.text))
@@ -151,7 +147,6 @@ class HttpGenerator:
     max_retries: int = 3
     backoff_base: float = 0.5
     timeout: float = 30.0
-    generator_id: ClassVar[str] = "http-v1"
 
     def __post_init__(self):
         if not self.endpoint_url.lower().startswith(("http://", "https://")):
@@ -215,16 +210,16 @@ def enrich(
     params: Bm25Params = Bm25Params(),
     passage_window: int = 120,
     qrels: Qrels | None = None,
-    use_judged_context: bool = False,
+    use_judged_context: bool = True,
 ) -> EnrichedQuery:
     """Rewrite one (hard) query grounded in its best context passage.
 
-    The context document is the BM25 rank-1 hit, or the highest-graded
-    judged document when `use_judged_context` is set and judgments exist.
+    The context document is the highest-graded judged one in the corpus
+    (`use_judged_context`, the default, and `qrels`), else the BM25 rank-1 hit.
     If no context can be retrieved, its passage holds no token, or the
     completion is blank, the original text is kept and the result is
     flagged as a fallback; the generator sees only a passage with a token.
-    `generator` needs `generate(query, passage)` and a `generator_id`.
+    `generator` needs only `generate(query, passage)`.
     Generator failures raise EnrichmentError.
     """
     doc_id: str | None = None
@@ -246,7 +241,6 @@ def enrich(
         query_id=query.query_id,
         enriched_text=rewrite or query.text,
         context_doc_id=doc_id or "",
-        generator_id=f"{generator.generator_id}+{PROMPT_TEMPLATE_VERSION}",
         fallback=not rewrite,
     )
 
@@ -289,10 +283,10 @@ def write_enriched(enriched: Iterable[EnrichedQuery]) -> list[str]:
     return lines
 
 
-def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
-    """Read the enriched-query TSV back as qid -> (text, context_doc_id,
-    fallback), checking ids and texts as `parse_queries` does."""
-    out: dict[str, tuple[str, str, bool]] = {}
+def parse_enriched(lines: Iterable[str]) -> list[EnrichedQuery]:
+    """Read the enriched-query TSV back as the records `write_enriched`
+    wrote, in file order, checking ids and texts as `parse_queries` does."""
+    out: dict[str, EnrichedQuery] = {}
     for line_no, line in _iter_lines(lines):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -306,5 +300,6 @@ def parse_enriched(lines: Iterable[str]) -> dict[str, tuple[str, str, bool]]:
             raise ParseError(f"flags must be '-' or 'fallback', got {flags!r}", line_no)
         if qid in out:
             raise ParseError(f"duplicate query id {qid!r}", line_no)
-        out[qid] = (text, "" if doc_id == NO_FLAGS else doc_id, flags == FALLBACK_FLAG)
-    return out
+        out[qid] = EnrichedQuery(qid, text, "" if doc_id == NO_FLAGS else doc_id,
+                                 flags == FALLBACK_FLAG)
+    return list(out.values())

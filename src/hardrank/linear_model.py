@@ -122,7 +122,7 @@ def fit_logistic(
 
     weights = np.zeros(features.shape[1])
     bias = 0.0
-    preds = expit(features @ weights + bias)
+    preds = np.full(len(targets), 0.5)  # expit(0.0): weights and bias start at zero
     losses = [bce_loss(targets, preds)]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged fit raises below
         for epoch in range(1, epochs + 1):

@@ -208,7 +208,7 @@ def rank(config: PipelineConfig, models: dict[str, LogisticScorer], index: Inver
            if {"r_qpp", "w_qpps"} & set(fused) else None)
     for method in fused:
         runs[method], routed = _fuse(config, method, runs["br"], runs["sr"], psi, qpp_model)
-        decisions = routed or decisions
+        decisions = decisions if routed is None else routed
     return {method: runs[method] for method in methods}, decisions
 
 
@@ -319,11 +319,11 @@ def train_ranker(config: PipelineConfig, which: str) -> Path:
         enriched = parse_file(parse_enriched, _require(enriched_path, hint))
         if not enriched:
             raise ConfigError(f"{enriched_path} holds no queries ({hint})")
-        foreign = sorted(enriched.keys() - {q.query_id for q in queries})
+        foreign = sorted({e.query_id for e in enriched} - {q.query_id for q in queries})
         if foreign:
             raise ConfigError(f"{enriched_path} holds queries that are not training queries "
                               f"({foreign[:5]}); rerun `hardrank enrich`")
-        texts = [(qid, text) for qid, (text, _, _) in sorted(enriched.items())]
+        texts = sorted((e.query_id, e.enriched_text) for e in enriched)
     return _save_model(config, which, fit_ranker(config, which, texts, index, qrels))
 
 

@@ -273,7 +273,6 @@ class TestCriterion6EndToEndPipeline:
                             "test_queries": "queries.tsv",
                             "test_qrels": "qrels.txt",
                         },
-                        "enrichment": {"use_judged_context": True},
                     }
                 )
             )

@@ -1195,7 +1195,6 @@ class TestChildInterpreter:
                 "train_queries": "queries.tsv", "train_qrels": "qrels.txt",
                 "test_queries": "queries.tsv", "test_qrels": "qrels.txt",
             },
-            "enrichment": {"use_judged_context": True},
         }))
         config = load_config(tmp_path / "config.json")
         models = experiment(config, bench.corpus, bench.queries, bench.qrels,

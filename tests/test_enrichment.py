@@ -7,9 +7,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardrank.corpus_io import Document, ParseError, Qrels, Query, corpus_by_id
 from hardrank.enrichment import (
+    EnrichedQuery,
     EnrichmentError,
     HardnessRule,
     HttpGenerator,
@@ -80,8 +83,6 @@ class TestBuildPrompt:
 class EchoGenerator:
     """Test stub following the documented generator contract."""
 
-    generator_id = "echo"
-
     def __init__(self, reply=None, fail=False):
         self.reply = reply
         self.fail = fail
@@ -147,22 +148,26 @@ class TestEnrich:
         docs, corpus, index = setting
         out = enrich(Query("q1", "solar irradiance"), index, corpus, EchoGenerator())
         assert out.context_doc_id == "d2"
+        # a query whose judged documents are all outside the corpus
+        qrels = Qrels({("q1", "gone"): 3})
+        out = enrich(Query("q1", "solar irradiance"), index, corpus, EchoGenerator(), qrels=qrels)
+        assert out.context_doc_id == "d2"
 
     def test_judged_context_prefers_highest_grade(self, setting):
         docs, corpus, index = setting
         qrels = Qrels({("q1", "d1"): 1, ("q1", "d2"): 3})
-        out = enrich(
-            Query("q1", "lbm"), index, corpus, EchoGenerator(),
-            qrels=qrels, use_judged_context=True,
-        )
+        out = enrich(Query("q1", "lbm"), index, corpus, EchoGenerator(), qrels=qrels)
         assert out.context_doc_id == "d2"
+        out = enrich(Query("q1", "lbm"), index, corpus, EchoGenerator(), qrels=qrels,
+                     use_judged_context=False)
+        assert out.context_doc_id == "d1"
 
     def test_empty_context_passage_falls_back_without_calling_the_generator(self):
         docs = [Document("d1", "Lean body mass lbm is total weight"), Document("blank", "")]
         qrels = Qrels({("q1", "blank"): 3, ("q1", "d1"): 1})
         out = enrich(
             Query("q1", "lbm"), build_index(docs), corpus_by_id(docs), EchoGenerator(fail=True),
-            qrels=qrels, use_judged_context=True,
+            qrels=qrels,
         )
         assert (out.enriched_text, out.context_doc_id, out.fallback) == ("lbm", "blank", True)
 
@@ -172,7 +177,7 @@ class TestEnrich:
         qrels = Qrels({("q1", "marks"): 3, ("q1", "d1"): 1})
         out = enrich(
             Query("q1", "lbm"), build_index(docs), corpus_by_id(docs), EchoGenerator(fail=True),
-            qrels=qrels, use_judged_context=True,
+            qrels=qrels,
         )
         assert (out.enriched_text, out.context_doc_id, out.fallback) == ("lbm", "marks", True)
 
@@ -317,6 +322,10 @@ class TestHttpGenerator:
             gen.generate(Query("q", "x"), "y")
 
 
+# an id: non-empty, with no whitespace, which would split its field
+ids = st.text(min_size=1).filter(lambda value: value.split() == [value])
+
+
 class TestEnrichedTsv:
     def test_roundtrip_fields(self, setting):
         docs, corpus, index = setting
@@ -324,15 +333,36 @@ class TestEnrichedTsv:
             enrich(Query("q1", "lbm"), index, corpus, EchoGenerator()),
             enrich(Query("q2", "zzz"), index, corpus, EchoGenerator()),
         ]
-        parsed = parse_enriched(write_enriched(enriched))
-        assert parsed["q1"] == ("REWRITTEN: lbm | Lean body mass", "d1", False)
-        assert parsed["q2"] == ("zzz", "", True)
+        assert parse_enriched(write_enriched(enriched)) == enriched == [
+            EnrichedQuery("q1", "REWRITTEN: lbm | Lean body mass", "d1", False),
+            EnrichedQuery("q2", "zzz", "", True),
+        ]
 
     def test_blank_line_skipped_with_a_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="hardrank.corpus_io"):
             parsed = parse_enriched(["q1\tfirst\td1\t-", "", "q2\tother\t-\tfallback"])
-        assert parsed == {"q1": ("first", "d1", False), "q2": ("other", "", True)}
+        assert parsed == [EnrichedQuery("q1", "first", "d1", False),
+                          EnrichedQuery("q2", "other", "", True)]
         assert "line 2: blank line skipped" in caplog.text
+
+    @given(st.lists(
+        st.builds(
+            EnrichedQuery,
+            query_id=ids,
+            # non-blank, and no TAB or anything else that would break its line
+            enriched_text=st.text(st.characters(
+                blacklist_categories=("Cs",), blacklist_characters="\t\n\r\v\f\x1c\x1d\x1e"
+                                                                   "\x85\u2028\u2029",
+            ), min_size=1).filter(str.strip),
+            # "-" is how the file says "no context", so it is no context id
+            context_doc_id=st.just("") | ids.filter(lambda value: value != "-"),
+            fallback=st.booleans(),
+        ),
+        unique_by=lambda record: record.query_id,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_file_reads_back_the_records_written(self, records):
+        assert parse_enriched(write_enriched(records)) == records
 
     def test_duplicate_qid_rejected(self):
         lines = ["q1\tfirst\td1\t-", "q2\tother\t-\tfallback", "q1\tsecond\td2\t-"]

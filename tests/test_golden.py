@@ -37,7 +37,6 @@ README_CONFIG = {
         "test_queries": "queries.tsv",
         "test_qrels": "qrels.txt",
     },
-    "enrichment": {"use_judged_context": True},
 }
 
 GOLDEN_SHA256 = {
@@ -61,9 +60,10 @@ MODEL_SHA256 = {
 }
 
 ENRICHED_SHA256 = {
-    # README config: the highest-judged document gives the context passage
+    # README config, the default: the highest-judged document gives the context passage
     "judged": "9d838a15501de6f00c4651192e4729eb8f38c32e2d1b6c9ae9719bfbddc117c6",
-    # default enrichment settings: the BM25 rank-1 document gives it
+    # enrichment.use_judged_context false, the default before judged context was:
+    # the BM25 rank-1 document gives it, and the bytes have not changed
     "bm25": "c16e3231e44f9f226949aec3d560374978c8b70fafcb245bb254ee3f8b06058a",
 }
 
@@ -101,7 +101,8 @@ def test_readme_pipeline_outputs_are_byte_identical(tmp_path):
 
 
 def test_bm25_context_enriched_queries_are_byte_identical(tmp_path):
-    config = _benchmark_config(tmp_path, {"paths": README_CONFIG["paths"]})
+    config = _benchmark_config(tmp_path, {**README_CONFIG,
+                                          "enrichment": {"use_judged_context": False}})
     build_and_save_index(config)
     _, errors, _ = enrich_training_queries(config)
     assert not errors

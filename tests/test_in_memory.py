@@ -21,7 +21,7 @@ import pytest
 from hardrank import pipeline
 from hardrank.benchmark import generate_benchmark, write_benchmark
 from hardrank.config import ConfigError, PipelineConfig, load_config, validate
-from hardrank.corpus_io import Qrels, write_queries_file, write_run
+from hardrank.corpus_io import Qrels, Query, write_queries_file, write_run
 from hardrank.enrichment import write_enriched
 from hardrank.evaluation import METRIC_NAMES, render_report, report_jsonl
 from hardrank.fusion import write_routing_log
@@ -271,6 +271,21 @@ def test_rank_with_one_ranker_reads_no_other_model(readme, kernel_calls):
     assert runs["sr"] == result.runs["sr"]
     assert len(kernel_calls) == 1
     assert [text for text, _ in kernel_calls[0]] == [q.text for q in bench.queries]
+
+
+def test_rank_of_a_query_no_document_matches(readme):
+    # R-QPP routed no query: its decisions are an empty list, as the routing
+    # log `produce_run` writes is empty; only a rank without it gives None
+    bench, config, result = readme
+    index = build_index(bench.corpus)
+    unmatched = [Query("zz", "qqqqq zzzzz")]
+    runs, decisions = pipeline.rank(config, result.models, index, unmatched)
+    assert decisions == []
+    assert {method: run.entries for method, run in runs.items()} == {
+        method: {} for method in pipeline.RUN_METHODS}
+    runs, decisions = pipeline.rank(config, {"sr": result.models["sr"]}, index, unmatched,
+                                    ("sr",))
+    assert list(runs) == ["sr"] and runs["sr"].entries == {} and decisions is None
 
 
 def test_training_set_without_a_negative_names_the_qrels_and_threshold(readme):

@@ -248,7 +248,6 @@ README_CONFIG = {
         "test_queries": "queries.tsv",
         "test_qrels": "qrels.txt",
     },
-    "enrichment": {"use_judged_context": True},
 }
 
 
