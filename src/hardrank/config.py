@@ -138,7 +138,7 @@ class PipelineConfig:
     def hardness_rule(self) -> HardnessRule:
         section = self.raw["hardness"]
         lexicon = None
-        if section.get("lexicon_file"):
+        if section.get("lexicon_file") is not None:
             try:
                 text = parse_file("".join, self.path("lexicon_file", "hardness"))
             except ParseError as exc:

@@ -20,7 +20,7 @@ Formats (one record per line everywhere):
 - Corpus: one JSON object per line with keys ``doc_id`` (a string or an
   integer) and ``text`` (a string)
 
-Query and document ids must be non-empty and hold no whitespace.
+Query and doc ids are non-empty and hold no whitespace; no doc id is ``NO_DOC_ID``.
 
 Determinism rules shared by all writers:
 
@@ -52,6 +52,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 MAX_GRADE = 100  # the qrels grade ceiling; see the format list above
+NO_DOC_ID = "-"  # reserved: the enriched-query TSV's "no context document"
 
 
 class ParseError(ValueError):
@@ -355,6 +356,8 @@ def parse_corpus(lines: Iterable[str]) -> list[Document]:
             raise ParseError(f"doc_id must be a string or an integer, got {kind}", line_no)
         doc_id = str(doc_id)
         _check_id(doc_id, "doc_id", line_no)
+        if doc_id == NO_DOC_ID:
+            raise ParseError(f"doc_id {doc_id!r} is reserved for no document", line_no)
         if not isinstance(text, str):
             kind = type(text).__name__
             raise ParseError(f"text of doc_id {doc_id!r} must be a string, got {kind}", line_no)

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus_io import Document, ParseError, Qrels, Query, _check_id, _iter_lines
+from .corpus_io import NO_DOC_ID, Document, ParseError, Qrels, Query, _check_id, _iter_lines
 from .lexical_retrieval import Bm25Params, InvertedIndex, bm25_search, select_passage
 from .text import STOPWORDS, content_terms, tokenize, tokenize_with_spans
 
@@ -278,7 +278,7 @@ def write_enriched(enriched: Iterable[EnrichedQuery]) -> list[str]:
     lines = []
     for eq in enriched:
         flags = FALLBACK_FLAG if eq.fallback else NO_FLAGS
-        doc_id = eq.context_doc_id or NO_FLAGS
+        doc_id = eq.context_doc_id or NO_DOC_ID
         lines.append(f"{eq.query_id}\t{eq.enriched_text}\t{doc_id}\t{flags}")
     return lines
 
@@ -295,11 +295,11 @@ def parse_enriched(lines: Iterable[str]) -> list[EnrichedQuery]:
         _check_id(qid, "query id", line_no)
         if not text.strip():
             raise ParseError(f"empty text for query {qid!r}", line_no)
-        _check_id(doc_id, "context doc id", line_no)  # NO_FLAGS, "-", passes as an id
+        _check_id(doc_id, "context doc id", line_no)  # NO_DOC_ID passes as an id
         if flags not in (NO_FLAGS, FALLBACK_FLAG):
             raise ParseError(f"flags must be '-' or 'fallback', got {flags!r}", line_no)
         if qid in out:
             raise ParseError(f"duplicate query id {qid!r}", line_no)
-        out[qid] = EnrichedQuery(qid, text, "" if doc_id == NO_FLAGS else doc_id,
+        out[qid] = EnrichedQuery(qid, text, "" if doc_id == NO_DOC_ID else doc_id,
                                  flags == FALLBACK_FLAG)
     return list(out.values())

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import Document, Query, Ranking, read_binary_file, write_artifact
+from .corpus_io import NO_DOC_ID, Document, Query, Ranking, read_binary_file, write_artifact
 from .text import tokenize, tokenize_with_spans
 
 INDEX_FORMAT = "hardrank-index"
@@ -453,6 +453,8 @@ def load_index(path) -> InvertedIndex:
     if " ".join(doc_ids).split() != doc_ids:  # the rule run files and the corpus apply
         bad = next(doc_id for doc_id in doc_ids if doc_id.split() != [doc_id])
         raise fault(f"doc_ids holds {bad!r}, which is empty or holds whitespace")
+    if NO_DOC_ID in doc_ids:
+        raise fault(f"doc_ids holds {NO_DOC_ID!r}, which is reserved for no document")
     for name, values in (("doc_ids", doc_ids), ("terms", terms)):
         if not all(map(operator.lt, values, values[1:])):
             raise fault(f"{name} are not strictly ascending")

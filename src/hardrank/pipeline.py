@@ -358,31 +358,25 @@ def _save_model(config: PipelineConfig, which: str, model: LogisticScorer) -> Pa
     return path
 
 
-def _fusion_inputs(config: PipelineConfig, expected=None, test_ids=frozenset()):
-    """Parse `br.txt` and `sr.txt`; each must rank exactly the documents
-    `expected` maps each query id to, by default (BSF) those of `br.txt` on
-    the test queries. A missing run file, or one that ranks other queries or
+def _fusion_inputs(config: PipelineConfig, candidates: dict[str, Ranking]) -> list[RunList]:
+    """Parse `br.txt` and `sr.txt`; each must rank exactly the BM25 test
+    `candidates`. A missing run file, or one that ranks other queries or
     documents, raises ConfigError naming it.
     """
-    bsf_inputs = expected is None
-    reference = "the test queries" if bsf_inputs else "the BM25 test candidates"
+    expected = {qid: set(hits.doc_ids) for qid, hits in candidates.items()}
     runs = []
     for which in ("br", "sr"):
         hint = f"produce it with `hardrank run --method {which}`"
         path = _require(config.path("runs_dir") / f"{which}.txt", hint)
         run = read_run_file(path)
         docs = {qid: set(entry.doc_ids) for qid, entry in run.entries.items()}
-        if expected is None:
-            expected = {qid: ids for qid, ids in docs.items() if qid in test_ids}
         differ = sorted(q for q in docs.keys() | expected.keys() if docs.get(q) != expected.get(q))
         if differ:
             raise ConfigError(
-                f"{path} ranks other queries or documents than {reference} (query ids "
-                f"{differ[:5]}); rerun `hardrank run --method br` and `--method sr`"
+                f"{path} ranks other queries or documents than the BM25 test candidates (query "
+                f"ids {differ[:5]}); rerun `hardrank run --method br` and `--method sr`"
             )
         runs.append(run)
-        if bsf_inputs:
-            reference = str(path)
     return runs
 
 
@@ -391,29 +385,23 @@ def produce_run(config: PipelineConfig, method: str) -> tuple[Path, Path | None]
 
     Returns (run path, routing log path or None). 'br' and 'sr' rerank the
     BM25 test candidates with one trained model (`rank`). The fusion
-    methods combine the two run files those wrote, so `run --method br` and
-    `sr` come first: 'bsf' reads nothing else, and 'r_qpp' and 'w_qpps'
-    also load the index and the QPP model for each query's psi.
+    methods combine the two run files those wrote, which must rank exactly
+    the BM25 test candidates, so `run --method br` and `sr` come first; 'r_qpp'
+    and 'w_qpps' also load the QPP model for each query's psi.
     """
     if method not in RUN_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {RUN_METHODS}")
     test_queries = _require(config.path("test_queries"), "test queries")
+    index, queries = _load_index(config), read_queries_file(test_queries)
     decisions = None
     if method in ("br", "sr"):
-        index, queries = _load_index(config), read_queries_file(test_queries)
         models = {method: _load_model(config, method)}
         run = rank(config, models, index, queries, (method,))[0][method]
-    elif method == "bsf":
-        test_ids = {q.query_id for q in read_queries_file(test_queries)}
-        run, _ = _fuse(config, method, *_fusion_inputs(config, test_ids=test_ids))
     else:
-        index, queries = _load_index(config), read_queries_file(test_queries)
         candidates = candidates_for(config, index, queries)
-        qpp_model = _load_model(config, "qpp")
-        br, sr = _fusion_inputs(
-            config, {qid: set(hits.doc_ids) for qid, hits in candidates.items()}
-        )
-        psi = estimate_batch(qpp_model, index, queries, candidates)
+        br, sr = _fusion_inputs(config, candidates)
+        qpp_model = None if method == "bsf" else _load_model(config, "qpp")
+        psi = None if qpp_model is None else estimate_batch(qpp_model, index, queries, candidates)
         run, decisions = _fuse(config, method, br, sr, psi, qpp_model)
 
     routing_log = None

@@ -170,6 +170,14 @@ class TestIndexCommand:
         assert "corpus.jsonl: line 10: doc_id 'a b' contains whitespace" in result.stderr
         assert not (workdir / "work" / "index.bin").exists()
 
+    def test_reserved_doc_id_is_input_error(self, workdir, run_cli):
+        with open(workdir / "corpus.jsonl", "a") as fh:
+            fh.write('{"doc_id": "-", "text": "no context"}\n')
+        result = run_cli("index", "--config", "config.json", cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "corpus.jsonl: line 10: doc_id '-' is reserved for no document" in result.stderr
+        assert not (workdir / "work" / "index.bin").exists()
+
     @pytest.mark.parametrize("value, shown", [('""', "."), ("a_dir", "a_dir")])
     def test_directory_as_corpus_is_input_error(self, workdir, run_cli, value, shown):
         (workdir / "a_dir").mkdir()
@@ -811,10 +819,59 @@ class TestRunAndEval:
         assert f"work/runs/{which}.txt" in result.stderr
         assert sorted(p.name for p in runs.iterdir()) == ["br.txt", "sr.txt"]
 
+    @pytest.mark.parametrize("method", ["bsf", "r_qpp", "w_qpps"])
+    def test_fusion_of_runs_at_another_depth_is_input_error(
+        self, trained, ranked_template, run_cli, method
+    ):
+        # runs left by another run_depth rank a part of some query's candidates
+        args = ("run", "--config", "config.json", "--method")
+        runs = trained / "work" / "runs"
+        for which in ("br", "sr"):
+            result = run_cli(*args, which, "--set", "run_depth=2", cwd=trained)
+            assert result.returncode == 0, result.stderr
+        shallow = read_run_file(runs / "br.txt").entries
+        deep = read_run_file(ranked_template / "work" / "runs" / "br.txt").entries
+        assert any(set(shallow[qid].doc_ids) != set(deep[qid].doc_ids) for qid in deep)
+        result = run_cli(*args, method, cwd=trained)
+        assert result.returncode == 1, result.stderr
+        assert ("work/runs/br.txt ranks other queries or documents than the BM25 test "
+                "candidates") in result.stderr
+        assert sorted(p.name for p in runs.iterdir()) == ["br.txt", "sr.txt"]
+
+    def test_an_external_run_over_the_candidates_fuses_by_every_method(self, ranked, run_cli):
+        # a hand-written sr.txt over the same candidates, every score negated,
+        # stands in for an outside ranker's run
+        from hardrank import fusion
+        from hardrank.corpus_io import RunList, rank_records, read_queries_file, write_run_file
+        from hardrank.linear_model import load_scorer
+        from hardrank.pipeline import candidates_for
+        from hardrank.qpp import estimate_batch
+
+        runs = ranked / "work" / "runs"
+        entries = read_run_file(runs / "sr.txt").entries
+        write_run_file(RunList({qid: rank_records(zip(hits.doc_ids, (-hits.scores).tolist()))
+                                for qid, hits in entries.items()}, tag="external"),
+                       runs / "sr.txt")
+        for method in ("bsf", "r_qpp", "w_qpps"):
+            result = run_cli("run", "--config", "config.json", "--method", method, cwd=ranked)
+            assert result.returncode == 0, result.stderr
+        config = load_config(ranked / "config.json")
+        index = load_index(config.path("index"))
+        queries = read_queries_file(config.path("test_queries"))
+        qpp_model = load_scorer(ranked / "work" / "models" / "qpp.json", "qpp")
+        psi = estimate_batch(qpp_model, index, queries, candidates_for(config, index, queries))
+        br, sr = (read_run_file(runs / f"{which}.txt") for which in ("br", "sr"))
+        assert sr.entries != entries
+        tau = qpp_model.metadata["train_median_psi"]
+        expected = {"bsf": fusion.bsf(br, sr), "w_qpps": fusion.w_qpps(br, sr, psi),
+                    "r_qpp": fusion.r_qpp(br, sr, psi, tau)[0]}
+        for method, run in expected.items():
+            assert read_run_file(runs / f"{method}.txt") == run, method
+
     @pytest.mark.parametrize(
         "method, absent",
         [
-            ("bsf", ["corpus", "index", "models_dir"]),
+            ("bsf", ["corpus", "models_dir"]),
             ("r_qpp", ["corpus"]),
             ("w_qpps", ["corpus"]),
         ],
@@ -1112,6 +1169,16 @@ class TestExitCodes:
         assert "error: bm25.k1 has too many digits to read as a number" in result.stderr
         assert len(result.stderr.encode()) < 300
         assert not (workdir / "work").exists()
+
+    def test_an_empty_lexicon_file_exits_1_naming_the_key(self, workdir, run_cli):
+        # "" names the config's directory, as for every paths.* key, not "no lexicon"
+        assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0
+        result = run_cli("enrich", "--config", "config.json", "--set", "hardness.lexicon_file=",
+                         cwd=workdir)
+        assert result.returncode == 1, result.stderr
+        assert "cannot be read" in result.stderr
+        assert "(hardness.lexicon_file)" in result.stderr
+        assert not (workdir / "work" / "enriched.tsv").exists()
 
     def test_an_effectiveness_orientation_exits_1_naming_the_key(self, workdir, run_cli):
         assert run_cli("index", "--config", "config.json", cwd=workdir).returncode == 0

@@ -374,6 +374,11 @@ class TestCorpus:
         with pytest.raises(ParseError, match="line 2: doc_id .* contains whitespace"):
             parse_corpus(['{"doc_id": "d0", "text": "x"}', line])
 
+    def test_reserved_doc_id_rejected(self):
+        # the enriched-query TSV writes "-" for "no context document"
+        with pytest.raises(ParseError, match="line 2: doc_id '-' is reserved for no document"):
+            parse_corpus(['{"doc_id": "d0", "text": "x"}', '{"doc_id": "-", "text": "x"}'])
+
     @pytest.mark.parametrize("text", ["null", "3", '["a"]'])
     def test_text_that_is_not_a_string_rejected(self, text):
         with pytest.raises(ParseError, match="line 1: text of doc_id 'd1' must be a string"):

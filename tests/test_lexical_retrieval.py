@@ -667,6 +667,13 @@ class TestLoadIndexRejectsUntrustedFiles:
         with pytest.raises(ValueError, match=rf"index\.bin: {message}"):
             load_index(saved)
 
+    def test_reserved_doc_id_is_refused(self, saved):
+        # the enriched-query TSV writes "-" for "no context document"
+        self._rewrite(saved, lambda p: p.__setitem__("doc_ids", ["-", "d2"]))
+        with pytest.raises(ValueError,
+                           match=r"index\.bin: doc_ids holds '-', which is reserved for no document"):
+            load_index(saved)
+
     @pytest.mark.parametrize(
         "terms, message",
         [
